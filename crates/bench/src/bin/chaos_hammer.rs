@@ -34,6 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use bench::{num_field, str_field};
 use sns_faults::SplitMix64;
 
 struct Args {
@@ -180,35 +181,6 @@ fn try_http(addr: &str, method: &str, path: &str, body: &str) -> Option<(u16, St
     Some((status, headers, body))
 }
 
-fn field<'a>(body: &'a str, key: &str) -> &'a str {
-    let pat = format!("\"{key}\":\"");
-    let start = body
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {key} in {body}"))
-        + pat.len();
-    let mut end = start;
-    let bytes = body.as_bytes();
-    while end < bytes.len() {
-        match bytes[end] {
-            b'\\' => end += 2,
-            b'"' => break,
-            _ => end += 1,
-        }
-    }
-    &body[start..end]
-}
-
-fn num_field(body: &str, key: &str) -> f64 {
-    body.split(&format!("\"{key}\":"))
-        .nth(1)
-        .and_then(|rest| {
-            rest.split([',', '}'])
-                .next()
-                .and_then(|v| v.trim().parse().ok())
-        })
-        .unwrap_or(f64::NAN)
-}
-
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\")
         .replace('"', "\\\"")
@@ -352,7 +324,7 @@ impl Fleet {
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             if let Some((200, _, stats)) = try_http(&self.leader_http, "GET", "/stats", "") {
-                if num_field(&stats, "followers_connected") >= 1.0 {
+                if num_field(&stats, "repl_followers_connected") >= 1.0 {
                     return;
                 }
             }
@@ -383,7 +355,7 @@ fn drag_commit(addr: &str, id: &str, dx: i64, dy: i64) -> Result<String, String>
     let (status, _, body) =
         try_http(addr, "POST", &format!("/sessions/{id}/commit"), "{}").ok_or("node down")?;
     if status == 200 {
-        Ok(field(&body, "code").to_string())
+        Ok(str_field(&body, "code"))
     } else {
         Err(format!("commit {status}: {body}"))
     }
@@ -411,7 +383,7 @@ fn repair(
                     "{}",
                 ) {
                     Some((200, _, body)) => {
-                        model.insert(id.to_string(), field(&body, "code").to_string());
+                        model.insert(id.to_string(), str_field(&body, "code"));
                         report.commits_acked += 1;
                         return true;
                     }
@@ -425,7 +397,7 @@ fn repair(
                             &format!("/sessions/{id}/code"),
                             "",
                         ) {
-                            model.insert(id.to_string(), field(&body, "code").to_string());
+                            model.insert(id.to_string(), str_field(&body, "code"));
                         }
                         return true;
                     }
@@ -555,7 +527,7 @@ fn run_seed(sns: &Path, seed: u64, short: bool) -> SeedReport {
                     &format!("{{\"source\":\"{source}\"}}"),
                 ) {
                     Some((200, _, body)) => {
-                        model.insert(id.clone(), field(&body, "code").to_string());
+                        model.insert(id.clone(), str_field(&body, "code"));
                         dirty.remove(&id);
                         report.set_codes += 1;
                     }
@@ -602,7 +574,7 @@ fn run_seed(sns: &Path, seed: u64, short: bool) -> SeedReport {
                         &format!("/sessions/{id}/code"),
                         "",
                     ) {
-                        Some((200, _, body)) if field(&body, "code") == want => {}
+                        Some((200, _, body)) if str_field(&body, "code") == *want => {}
                         got => report.violations.push(format!(
                             "seed {seed}: ACKED-LOSS after leader crash: session {id} \
                              want {want}, got {got:?}"
@@ -665,7 +637,7 @@ fn run_seed(sns: &Path, seed: u64, short: bool) -> SeedReport {
                 &format!("/sessions/{id}/code"),
                 "",
             ) {
-                if field(&body, "code") == want {
+                if str_field(&body, "code") == *want {
                     break;
                 }
             }
@@ -719,7 +691,7 @@ fn run_seed(sns: &Path, seed: u64, short: bool) -> SeedReport {
         );
         match fresh {
             Some((201, _, body)) => {
-                let probe = field(&body, "id").to_string();
+                let probe = str_field(&body, "id");
                 match try_http(
                     &fleet.leader_http,
                     "GET",
@@ -771,7 +743,7 @@ fn run_seed(sns: &Path, seed: u64, short: bool) -> SeedReport {
                     &format!("/sessions/{id}/code"),
                     "",
                 ) {
-                    Some((200, _, body)) if field(&body, "code") == want => {}
+                    Some((200, _, body)) if str_field(&body, "code") == *want => {}
                     got => report.violations.push(format!(
                         "seed {seed}: ACKED-LOSS after promotion: session {id} \
                          want {want}, got {got:?}"
@@ -840,10 +812,7 @@ fn create_session(
         &format!("{{\"source\":\"{source}\"}}"),
     ) {
         Some((201, _, body)) => {
-            model.insert(
-                field(&body, "id").to_string(),
-                field(&body, "code").to_string(),
-            );
+            model.insert(str_field(&body, "id"), str_field(&body, "code"));
             report.creates += 1;
         }
         Some((_, _, body)) if body.contains("degraded") => {

@@ -22,6 +22,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use bench::{num_field, str_field};
 use sns_obs::Histogram;
 use sns_server::{Server, ServerConfig};
 
@@ -97,35 +98,6 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String)
     (status, body)
 }
 
-fn field<'a>(body: &'a str, key: &str) -> &'a str {
-    let pat = format!("\"{key}\":\"");
-    let start = body
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {key} in {body}"))
-        + pat.len();
-    let mut end = start;
-    let bytes = body.as_bytes();
-    while end < bytes.len() {
-        match bytes[end] {
-            b'\\' => end += 2,
-            b'"' => break,
-            _ => end += 1,
-        }
-    }
-    &body[start..end]
-}
-
-fn num_field(body: &str, key: &str) -> f64 {
-    body.split(&format!("\"{key}\":"))
-        .nth(1)
-        .and_then(|rest| {
-            rest.split([',', '}'])
-                .next()
-                .and_then(|v| v.trim().parse().ok())
-        })
-        .unwrap_or(f64::NAN)
-}
-
 fn main() {
     let args = parse_args();
     let dir_l = tmp_dir("leader");
@@ -197,7 +169,7 @@ fn main() {
             ),
         );
         assert_eq!(status, 201, "{body}");
-        ids.push(field(&body, "id").to_string());
+        ids.push(str_field(&body, "id"));
     }
     // Same log2-bucketed histogram the server itself serves quantiles
     // from, so the bench and `/stats` agree on estimation semantics.
@@ -239,12 +211,12 @@ fn main() {
     // ---- Fresh-follower catch-up (snapshot or full-tail replay).
     let probe = ids.last().expect("sessions").clone();
     let (_, body) = http(leader_addr, "GET", &format!("/sessions/{probe}/code"), "");
-    let probe_code = field(&body, "code").to_string();
+    let probe_code = str_field(&body, "code");
     let started = Instant::now();
     let (f2_addr, f2_handle) = follower(&dir_f2);
     let catchup_ms = loop {
         let (status, body) = http(f2_addr, "GET", &format!("/sessions/{probe}/code"), "");
-        if status == 200 && field(&body, "code") == probe_code {
+        if status == 200 && str_field(&body, "code") == probe_code {
             break started.elapsed().as_secs_f64() * 1e3;
         }
         assert!(
@@ -259,7 +231,7 @@ fn main() {
     let mut expected: BTreeMap<String, String> = BTreeMap::new();
     for id in &ids {
         let (_, body) = http(leader_addr, "GET", &format!("/sessions/{id}/code"), "");
-        expected.insert(id.clone(), field(&body, "code").to_string());
+        expected.insert(id.clone(), str_field(&body, "code"));
     }
     // The leader's own stage breakdown for the synchronous-commit path:
     // journal append, fsync, and the follower-ack wait.
@@ -275,7 +247,7 @@ fn main() {
     let mut diverged = 0usize;
     for (id, want) in &expected {
         let (status, body) = http(f1_addr, "GET", &format!("/sessions/{id}/code"), "");
-        if status != 200 || field(&body, "code") != want {
+        if status != 200 || str_field(&body, "code") != *want {
             eprintln!("DIVERGED {id}: want {want}, got {status} {body}");
             diverged += 1;
         }

@@ -40,6 +40,7 @@ use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use bench::{num_field, str_field};
 use sns_server::{Server, ServerConfig};
 
 /// The last pass's `/metrics` and `/debug/traces` bodies, captured just
@@ -210,7 +211,7 @@ fn run_pass(args: &BenchArgs, trace: bool, pass_tag: &str) -> Pass {
             );
             let (status, resp) = http_on(&mut stream, "POST", "/sessions", Some(&body));
             assert_eq!(status, 201, "idle session create failed: {resp}");
-            (stream, session_id(&resp))
+            (stream, str_field(&resp, "id"))
         })
         .collect();
     if idle > 0 {
@@ -269,17 +270,7 @@ fn run_pass(args: &BenchArgs, trace: bool, pass_tag: &str) -> Pass {
 
     // Pull the server's own latency histograms before shutting down.
     let (_, stats) = http(&addr, "GET", "/stats", None);
-    let field = |k: &str| -> f64 {
-        stats
-            .split(&format!("\"{k}\":"))
-            .nth(1)
-            .and_then(|rest| {
-                rest.split([',', '}'])
-                    .next()
-                    .and_then(|v| v.trim().parse().ok())
-            })
-            .unwrap_or(0.0)
-    };
+    let field = |k: &str| num_field(&stats, k);
     let stages = STAGE_NAMES
         .iter()
         .map(|name| {
@@ -295,9 +286,9 @@ fn run_pass(args: &BenchArgs, trace: bool, pass_tag: &str) -> Pass {
         requests,
         elapsed,
         rps,
-        p50: drive_quantiles.map_or_else(|| field("p50_ms"), |(p50, _)| p50),
-        p99: drive_quantiles.map_or_else(|| field("p99_ms"), |(_, p99)| p99),
-        queue_p99: field("queue_p99_ms"),
+        p50: drive_quantiles.map_or_else(|| field("request_p50_ms"), |(p50, _)| p50),
+        p99: drive_quantiles.map_or_else(|| field("request_p99_ms"), |(_, p99)| p99),
+        queue_p99: field("stage_queue_p99_ms"),
         fsyncs: field("fsyncs"),
         journal_records: field("journal_records"),
         stages,
@@ -590,14 +581,6 @@ fn connect(addr: &str) -> BufReader<TcpStream> {
     BufReader::new(stream)
 }
 
-fn session_id(resp: &str) -> String {
-    resp.split("\"id\":\"")
-        .nth(1)
-        .and_then(|r| r.split('"').next())
-        .expect("session id")
-        .to_string()
-}
-
 /// One client: create a session, then cycle rounds of `drags` drag
 /// requests (keep-alive) until `run_until` has passed — committing after
 /// every drag when `commit_each` (the durable/fsync workload), else once
@@ -615,7 +598,7 @@ fn drive_session(addr: &str, i: usize, drags: usize, commit_each: bool, run_unti
         source.replace('\\', "\\\\").replace('"', "\\\"")
     );
     let (_, resp) = http_on(&mut stream, "POST", "/sessions", Some(&body));
-    let id = session_id(&resp);
+    let id = str_field(&resp, "id");
 
     let mut requests = 1u64;
     loop {

@@ -23,6 +23,7 @@ use std::time::Instant;
 use sns_eval::{FreezeMode, Program};
 use sns_examples::Example;
 use sns_lang::{LocId, Subst};
+use sns_server::json::Json;
 use sns_solver::Equation;
 use sns_svg::Canvas;
 use sns_sync::{
@@ -564,6 +565,37 @@ pub fn ms(seconds: f64) -> String {
     }
 }
 
+/// Member `key` of the JSON object `body` — a server reply or a `/stats`
+/// document.
+///
+/// # Panics
+///
+/// Panics when `body` is not JSON or lacks `key`: a renamed server key
+/// must fail the bench loudly rather than read as zero.
+pub fn json_field(body: &str, key: &str) -> Json {
+    let v = sns_server::json::parse(body).unwrap_or_else(|e| panic!("not JSON ({e}): {body}"));
+    v.get(key)
+        .cloned()
+        .unwrap_or_else(|| panic!("no {key} in {body}"))
+}
+
+/// The string member `key` of `body`; panics as [`json_field`] does, or
+/// when the member is not a string.
+pub fn str_field(body: &str, key: &str) -> String {
+    json_field(body, key)
+        .as_str()
+        .unwrap_or_else(|| panic!("{key} is not a string in {body}"))
+        .to_string()
+}
+
+/// The numeric member `key` of `body`; panics as [`json_field`] does, or
+/// when the member is not a number.
+pub fn num_field(body: &str, key: &str) -> f64 {
+    json_field(body, key)
+        .as_f64()
+        .unwrap_or_else(|| panic!("{key} is not numeric in {body}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -598,5 +630,22 @@ mod tests {
     fn ms_formats() {
         assert_eq!(ms(0.0001), "<1 ms");
         assert_eq!(ms(0.012), "12 ms");
+    }
+
+    #[test]
+    fn json_fields_read_members() {
+        let body = r#"{"id":"s1","requests":4,"reactor_conns":{"0":2}}"#;
+        assert_eq!(str_field(body, "id"), "s1");
+        assert_eq!(num_field(body, "requests"), 4.0);
+        assert_eq!(
+            num_field(&json_field(body, "reactor_conns").to_string(), "0"),
+            2.0
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no followers_connected in")]
+    fn json_fields_reject_missing_keys() {
+        num_field(r#"{"repl_followers_connected":1}"#, "followers_connected");
     }
 }

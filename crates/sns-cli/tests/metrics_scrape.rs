@@ -1,12 +1,16 @@
 //! End-to-end metrics scrape against the real `sns serve` binary: the
-//! Prometheus exposition on `GET /metrics` parses, and every metric the
-//! server registers is documented in `docs/observability.md` — the
-//! doc-drift gate: adding a metric without documenting it fails CI here.
+//! Prometheus exposition on `GET /metrics` parses, every metric the
+//! server registers is documented in `docs/observability.md`, and the
+//! `GET /stats` keys are exactly the `/metrics` names under the `/stats`
+//! key rule — the drift gate: a metric missing from the docs or served
+//! on only one surface fails CI here.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
+
+use sns_server::json::{self, Json};
 
 /// Reads the "listening on http://ADDR" line the server logs at startup.
 fn wait_for_addr(child: &mut Child) -> (String, BufReader<std::process::ChildStderr>) {
@@ -83,12 +87,15 @@ fn scrape_parses_and_every_metric_is_documented() {
 
     let (status, exposition) = http(&addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
+    let (status, stats) = http(&addr, "GET", "/stats", "");
+    assert_eq!(status, 200, "{stats}");
     let _ = child.kill();
     let _ = child.wait();
 
     // Parse the exposition: comments declare metrics, samples carry a
     // name (optional labels) and a float value.
     let mut declared: Vec<String> = Vec::new();
+    let mut types: Vec<(String, String)> = Vec::new();
     for line in exposition.lines() {
         if line.is_empty() {
             continue;
@@ -99,6 +106,8 @@ fn scrape_parses_and_every_metric_is_documented() {
             assert!(kind == "HELP" || kind == "TYPE", "bad comment: {line}");
             let name = parts.next().expect("name in comment").to_string();
             if kind == "TYPE" && !declared.contains(&name) {
+                let ty = parts.next().expect("type after name").to_string();
+                types.push((name.clone(), ty));
                 declared.push(name);
             }
             continue;
@@ -135,5 +144,39 @@ fn scrape_parses_and_every_metric_is_documented() {
         undocumented.is_empty(),
         "metrics served on /metrics but missing from docs/observability.md: \
          {undocumented:?}"
+    );
+
+    // The /stats drift gate, both directions: every key on /stats comes
+    // from a `# TYPE` name on /metrics by the key rule (strip `sns_` and
+    // `_total`; a histogram yields `<name minus _us>_p50_ms`/`_p99_ms`),
+    // and every declared name shows up on /stats.
+    let Ok(Json::Obj(members)) = json::parse(&stats) else {
+        panic!("/stats is not a JSON object: {stats}");
+    };
+    let mut served: Vec<String> = members.into_iter().map(|(k, _)| k).collect();
+    let count = served.len();
+    served.sort();
+    served.dedup();
+    assert_eq!(served.len(), count, "duplicate keys on /stats: {stats}");
+    let mut expected: Vec<String> = types
+        .iter()
+        .flat_map(|(name, ty)| {
+            let key = name.strip_prefix("sns_").unwrap_or(name);
+            let key = key.strip_suffix("_total").unwrap_or(key);
+            if ty == "histogram" {
+                let base = key.strip_suffix("_us").unwrap_or(key);
+                vec![format!("{base}_p50_ms"), format!("{base}_p99_ms")]
+            } else {
+                vec![key.to_string()]
+            }
+        })
+        .collect();
+    expected.sort();
+    let only_stats: Vec<&String> = served.iter().filter(|k| !expected.contains(k)).collect();
+    let only_metrics: Vec<&String> = expected.iter().filter(|k| !served.contains(k)).collect();
+    assert!(
+        only_stats.is_empty() && only_metrics.is_empty(),
+        "/stats and /metrics disagree: keys only on /stats {only_stats:?}, \
+         keys the /metrics names imply but /stats lacks {only_metrics:?}"
     );
 }

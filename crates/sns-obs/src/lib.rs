@@ -5,7 +5,7 @@
 //!
 //! * [`metrics`] — counters, gauges, and log2 latency histograms behind a
 //!   [`Registry`](metrics::Registry) that renders Prometheus text
-//!   exposition format;
+//!   exposition format and a flat JSON object from one declaration;
 //! * [`trace`] — per-request span tracing: a [`Trace`](trace::Trace)
 //!   handle stamped at stage boundaries with monotonic timestamps, plus a
 //!   thread-local *current trace* so deep layers (journal, replication
@@ -30,5 +30,5 @@ pub mod trace;
 
 pub use flight::FlightRecorder;
 pub use log::{Format, Level};
-pub use metrics::{Counter, DynGaugeVec, Gauge, Histogram, Registry};
+pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use trace::{CompletedTrace, Stage, Trace, TraceCtx};

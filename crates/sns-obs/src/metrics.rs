@@ -1,5 +1,5 @@
 //! Counters, gauges, and log2 histograms behind a registry that renders
-//! Prometheus text exposition format.
+//! Prometheus text exposition format and a flat JSON object.
 //!
 //! Latencies land in logarithmic buckets (powers of two of microseconds),
 //! recorded with relaxed atomics — cheap enough to run on every request.
@@ -11,14 +11,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use crate::trace::escape_json;
+
 /// Number of log2 buckets: covers 1 µs … ~36 minutes.
 pub const BUCKETS: usize = 32;
 
 /// A monotonically increasing counter.
-///
-/// [`set`](Counter::set) exists for *mirrored* counters — values owned by
-/// another subsystem (store evictions, journal fsyncs) that the registry
-/// republishes at scrape time; it must only ever move the value forward.
 #[derive(Debug, Default)]
 pub struct Counter {
     value: AtomicU64,
@@ -38,11 +36,6 @@ impl Counter {
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Overwrites the value (mirroring an externally-owned counter).
-    pub fn set(&self, n: u64) {
-        self.value.store(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -160,97 +153,101 @@ impl Histogram {
     }
 }
 
-enum Metric {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
+/// A value read at scrape time: a hot-path handle's current value, or a
+/// closure over state another subsystem owns.
+type Read<T> = Box<dyn Fn() -> T + Send + Sync>;
+
+/// A value another subsystem owns, read at most once per render and
+/// shared by every metric derived from it: one scrape then costs one
+/// read (one lock sweep, say) per subsystem, and the metrics derived
+/// from it all describe the same moment. Made by
+/// [`Registry::per_scrape`]; metrics read it through
+/// [`reader`](PerScrape::reader).
+pub struct PerScrape<T> {
+    /// The owning registry's render count.
+    renders: Arc<AtomicU64>,
+    read: Read<T>,
+    /// The last value read, tagged with the render it was read for.
+    cached: Mutex<Option<(u64, T)>>,
+}
+
+impl<T: Send + 'static> PerScrape<T> {
+    /// Runs `f` on this render's value, reading it on first use.
+    pub fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
+        let render = self.renders.load(Ordering::Relaxed);
+        let mut cached = self.cached.lock().unwrap_or_else(|e| e.into_inner());
+        match &*cached {
+            Some((r, value)) if *r == render => f(value),
+            _ => f(&cached.insert((render, (self.read)())).1),
+        }
+    }
+
+    /// A metric reader over this render's value, for
+    /// [`Registry::gauge_fn`] and friends.
+    pub fn reader<R>(
+        self: &Arc<Self>,
+        read: impl Fn(&T) -> R + Send + Sync + 'static,
+    ) -> impl Fn() -> R + Send + Sync + 'static {
+        let this = Arc::clone(self);
+        move || this.with(&read)
+    }
+}
+
+/// The Prometheus type a metric declares.
+#[derive(Clone, Copy)]
+enum Kind {
+    Counter,
+    Gauge,
+    Histogram,
+}
+
+impl Kind {
+    fn as_str(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
+        }
+    }
+}
+
+/// The shape of a metric's value: what both renderers format.
+enum Value {
+    /// One number (a counter or a gauge).
+    Scalar(Read<f64>),
+    /// A family sharing one name, one series per label value (e.g.
+    /// `sns_reactor_conns{reactor="3"}`): one `# TYPE` block, one sample
+    /// line per series, in the order the reader returns them.
+    Family {
+        label: &'static str,
+        read: Read<Vec<(String, f64)>>,
+    },
     Histogram(Arc<Histogram>),
-    /// A family of gauges sharing one name, distinguished by a label
-    /// (e.g. `sns_reactor_conns{reactor="3"}`). One `# TYPE` block, one
-    /// sample line per member.
-    GaugeVec {
-        label: &'static str,
-        slots: Vec<(String, Arc<Gauge>)>,
-    },
-    /// A labeled counter family, same shape as [`Metric::GaugeVec`].
-    CounterVec {
-        label: &'static str,
-        slots: Vec<(String, Arc<Counter>)>,
-    },
-    /// A gauge family whose label values are created on demand (follower
-    /// peers connect and disconnect at runtime; reactors are fixed).
-    DynGaugeVec(Arc<DynGaugeVec>),
     /// A constant info gauge: fixed labels, value always 1 (the
     /// `sns_build_info{version,git_sha}` idiom).
     Info(Vec<(&'static str, String)>),
 }
 
-/// A labeled gauge family with *dynamic* label values: series appear the
-/// first time a label value is set and can be dropped when the thing
-/// they describe (a replication peer) goes away. One `# TYPE` block, one
-/// sample per live series, rendered in insertion order.
-#[derive(Debug)]
-pub struct DynGaugeVec {
-    label: &'static str,
-    series: Mutex<Vec<(String, Arc<Gauge>)>>,
-}
-
-impl DynGaugeVec {
-    fn new(label: &'static str) -> DynGaugeVec {
-        DynGaugeVec {
-            label,
-            series: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The gauge for `value`, created on first use.
-    pub fn with_label(&self, value: &str) -> Arc<Gauge> {
-        let mut series = self.series.lock().expect("dyn gauge vec lock");
-        if let Some((_, g)) = series.iter().find(|(v, _)| v == value) {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(Gauge::new());
-        series.push((value.to_string(), Arc::clone(&g)));
-        g
-    }
-
-    /// Sets the gauge for `value` in one call.
-    pub fn set(&self, value: &str, v: f64) {
-        self.with_label(value).set(v);
-    }
-
-    /// Drops the series for `value` (the peer disconnected for good).
-    pub fn remove(&self, value: &str) {
-        self.series
-            .lock()
-            .expect("dyn gauge vec lock")
-            .retain(|(v, _)| v != value);
-    }
-
-    /// Current `(label value, gauge value)` snapshot, insertion-ordered.
-    pub fn snapshot(&self) -> Vec<(String, f64)> {
-        self.series
-            .lock()
-            .expect("dyn gauge vec lock")
-            .iter()
-            .map(|(v, g)| (v.clone(), g.get()))
-            .collect()
-    }
-}
-
 struct Entry {
     name: &'static str,
     help: &'static str,
-    metric: Metric,
+    kind: Kind,
+    value: Value,
 }
 
-/// A set of named metrics renderable as Prometheus text exposition.
+/// A set of named metrics, each declared once and rendered both as
+/// Prometheus text exposition and as a flat JSON object.
 ///
-/// Registration happens at startup (each `register_*` hands back an
-/// `Arc` the hot path holds directly); rendering walks the list at
-/// scrape time. Duplicate names are a bug and panic at registration.
+/// Registration happens at startup. Hot-path metrics hand back an `Arc`
+/// the recording site holds directly; values owned by another subsystem
+/// register a closure ([`counter_fn`](Registry::counter_fn) and friends)
+/// that is read at scrape time. Rendering walks the list in registration
+/// order. Duplicate names are a bug and panic at registration.
 #[derive(Default)]
 pub struct Registry {
     entries: Mutex<Vec<Entry>>,
+    /// Renders so far: the key [`PerScrape`] values are cached under.
+    renders: Arc<AtomicU64>,
 }
 
 impl Registry {
@@ -259,40 +256,73 @@ impl Registry {
         Registry::default()
     }
 
-    fn push(&self, name: &'static str, help: &'static str, metric: Metric) {
+    fn push(&self, name: &'static str, help: &'static str, kind: Kind, value: Value) {
         let mut entries = self.entries.lock().expect("registry lock");
         assert!(
             entries.iter().all(|e| e.name != name),
             "duplicate metric name {name}"
         );
-        entries.push(Entry { name, help, metric });
+        entries.push(Entry {
+            name,
+            help,
+            kind,
+            value,
+        });
     }
 
     /// Registers a counter and returns the handle the hot path records on.
     pub fn counter(&self, name: &'static str, help: &'static str) -> Arc<Counter> {
         let c = Arc::new(Counter::new());
-        self.push(name, help, Metric::Counter(Arc::clone(&c)));
+        let read = Arc::clone(&c);
+        self.counter_fn(name, help, move || read.get());
         c
     }
 
     /// Registers a gauge and returns its handle.
     pub fn gauge(&self, name: &'static str, help: &'static str) -> Arc<Gauge> {
         let g = Arc::new(Gauge::new());
-        self.push(name, help, Metric::Gauge(Arc::clone(&g)));
+        let read = Arc::clone(&g);
+        self.gauge_fn(name, help, move || read.get());
         g
+    }
+
+    /// Registers a counter whose value another subsystem owns: `read` is
+    /// called at scrape time and must never go backwards.
+    pub fn counter_fn(
+        &self,
+        name: &'static str,
+        help: &'static str,
+        read: impl Fn() -> u64 + Send + Sync + 'static,
+    ) {
+        let read = Box::new(move || read() as f64);
+        self.push(name, help, Kind::Counter, Value::Scalar(read));
+    }
+
+    /// Registers a gauge whose value another subsystem owns, read at
+    /// scrape time.
+    pub fn gauge_fn(
+        &self,
+        name: &'static str,
+        help: &'static str,
+        read: impl Fn() -> f64 + Send + Sync + 'static,
+    ) {
+        self.push(name, help, Kind::Gauge, Value::Scalar(Box::new(read)));
     }
 
     /// Registers a histogram and returns its handle.
     pub fn histogram(&self, name: &'static str, help: &'static str) -> Arc<Histogram> {
         let h = Arc::new(Histogram::new());
-        self.push(name, help, Metric::Histogram(Arc::clone(&h)));
+        self.push(
+            name,
+            help,
+            Kind::Histogram,
+            Value::Histogram(Arc::clone(&h)),
+        );
         h
     }
 
-    /// Registers a labeled gauge family: one handle per label value, all
-    /// rendered under a single `# TYPE name gauge` block as
-    /// `name{label="value"} v` sample lines. The family counts as one
-    /// name for [`metric_names`](Registry::metric_names).
+    /// Registers a labeled gauge family with fixed label values and
+    /// returns one handle per value, in order.
     pub fn gauge_vec(
         &self,
         name: &'static str,
@@ -305,11 +335,13 @@ impl Registry {
             .map(|v| (v, Arc::new(Gauge::new())))
             .collect();
         let handles = slots.iter().map(|(_, g)| Arc::clone(g)).collect();
-        self.push(name, help, Metric::GaugeVec { label, slots });
+        self.gauge_vec_fn(name, help, label, move || {
+            slots.iter().map(|(v, g)| (v.clone(), g.get())).collect()
+        });
         handles
     }
 
-    /// Registers a labeled counter family; see
+    /// Registers a labeled counter family with fixed label values; see
     /// [`gauge_vec`](Registry::gauge_vec).
     pub fn counter_vec(
         &self,
@@ -323,22 +355,38 @@ impl Registry {
             .map(|v| (v, Arc::new(Counter::new())))
             .collect();
         let handles = slots.iter().map(|(_, c)| Arc::clone(c)).collect();
-        self.push(name, help, Metric::CounterVec { label, slots });
+        self.counter_vec_fn(name, help, label, move || {
+            slots.iter().map(|(v, c)| (v.clone(), c.get())).collect()
+        });
         handles
     }
 
-    /// Registers a gauge family whose label values appear on demand (see
-    /// [`DynGaugeVec`]); the family counts as one name for
-    /// [`metric_names`](Registry::metric_names).
-    pub fn dyn_gauge_vec(
+    /// Registers a labeled gauge family read at scrape time: `read`
+    /// returns the current `(label value, value)` series, so series
+    /// appear and disappear with the things they describe (replication
+    /// peers connecting and leaving).
+    pub fn gauge_vec_fn(
         &self,
         name: &'static str,
         help: &'static str,
         label: &'static str,
-    ) -> Arc<DynGaugeVec> {
-        let v = Arc::new(DynGaugeVec::new(label));
-        self.push(name, help, Metric::DynGaugeVec(Arc::clone(&v)));
-        v
+        read: impl Fn() -> Vec<(String, f64)> + Send + Sync + 'static,
+    ) {
+        let read = Box::new(read);
+        self.push(name, help, Kind::Gauge, Value::Family { label, read });
+    }
+
+    /// Registers a labeled counter family read at scrape time; see
+    /// [`gauge_vec_fn`](Registry::gauge_vec_fn).
+    pub fn counter_vec_fn(
+        &self,
+        name: &'static str,
+        help: &'static str,
+        label: &'static str,
+        read: impl Fn() -> Vec<(String, u64)> + Send + Sync + 'static,
+    ) {
+        let read = Box::new(move || read().into_iter().map(|(v, n)| (v, n as f64)).collect());
+        self.push(name, help, Kind::Counter, Value::Family { label, read });
     }
 
     /// Registers a constant *info* gauge: a single sample with the given
@@ -350,18 +398,33 @@ impl Registry {
         help: &'static str,
         labels: impl IntoIterator<Item = (&'static str, String)>,
     ) {
-        self.push(name, help, Metric::Info(labels.into_iter().collect()));
+        let labels = labels.into_iter().collect();
+        self.push(name, help, Kind::Gauge, Value::Info(labels));
     }
 
-    /// Every registered metric name (the doc-drift gate reads this via
-    /// `/metrics` — names also lead each exposition block).
-    pub fn metric_names(&self) -> Vec<&'static str> {
-        self.entries
-            .lock()
-            .expect("registry lock")
-            .iter()
-            .map(|e| e.name)
-            .collect()
+    /// Declares a value another subsystem owns that several metrics
+    /// derive from: `read` runs at most once per render, on first use.
+    pub fn per_scrape<T: Send + 'static>(
+        &self,
+        read: impl Fn() -> T + Send + Sync + 'static,
+    ) -> Arc<PerScrape<T>> {
+        Arc::new(PerScrape {
+            renders: Arc::clone(&self.renders),
+            read: Box::new(read),
+            cached: Mutex::new(None),
+        })
+    }
+
+    /// Visits every entry in registration order: the one walk both
+    /// renderers share. Readers run under the registry lock, so they must
+    /// not register metrics. Renders are serialized by that lock, so
+    /// every [`PerScrape`] value read during one walk is read once.
+    fn walk(&self, mut visit: impl FnMut(&Entry)) {
+        let entries = self.entries.lock().expect("registry lock");
+        self.renders.fetch_add(1, Ordering::Relaxed);
+        for e in entries.iter() {
+            visit(e);
+        }
     }
 
     /// Renders the whole registry as Prometheus text exposition format
@@ -370,81 +433,88 @@ impl Registry {
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for e in self.entries.lock().expect("registry lock").iter() {
-            match &e.metric {
-                Metric::Counter(c) => {
-                    let _ = writeln!(out, "# HELP {} {}", e.name, e.help);
-                    let _ = writeln!(out, "# TYPE {} counter", e.name);
-                    let _ = writeln!(out, "{} {}", e.name, c.get());
+        self.walk(|e| {
+            let name = e.name;
+            let _ = writeln!(out, "# HELP {name} {}", e.help);
+            let _ = writeln!(out, "# TYPE {name} {}", e.kind.as_str());
+            match &e.value {
+                Value::Scalar(read) => {
+                    let _ = writeln!(out, "{name} {}", format_f64(read()));
                 }
-                Metric::Gauge(g) => {
-                    let _ = writeln!(out, "# HELP {} {}", e.name, e.help);
-                    let _ = writeln!(out, "# TYPE {} gauge", e.name);
-                    let _ = writeln!(out, "{} {}", e.name, format_f64(g.get()));
-                }
-                Metric::GaugeVec { label, slots } => {
-                    let _ = writeln!(out, "# HELP {} {}", e.name, e.help);
-                    let _ = writeln!(out, "# TYPE {} gauge", e.name);
-                    for (value, g) in slots {
-                        let _ = writeln!(
-                            out,
-                            "{}{{{}=\"{}\"}} {}",
-                            e.name,
-                            label,
-                            value,
-                            format_f64(g.get())
-                        );
+                Value::Family { label, read } => {
+                    for (value, v) in read() {
+                        let _ = writeln!(out, "{name}{{{label}=\"{value}\"}} {}", format_f64(v));
                     }
                 }
-                Metric::CounterVec { label, slots } => {
-                    let _ = writeln!(out, "# HELP {} {}", e.name, e.help);
-                    let _ = writeln!(out, "# TYPE {} counter", e.name);
-                    for (value, c) in slots {
-                        let _ = writeln!(out, "{}{{{}=\"{}\"}} {}", e.name, label, value, c.get());
+                Value::Histogram(h) => {
+                    let mut cumulative = 0u64;
+                    for (i, c) in h.bucket_counts().iter().enumerate() {
+                        cumulative += c;
+                        let le = Histogram::bucket_upper_micros(i);
+                        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
                     }
+                    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
+                    let _ = writeln!(out, "{name}_sum {}", h.sum_micros());
+                    let _ = writeln!(out, "{name}_count {}", h.count());
                 }
-                Metric::DynGaugeVec(v) => {
-                    let _ = writeln!(out, "# HELP {} {}", e.name, e.help);
-                    let _ = writeln!(out, "# TYPE {} gauge", e.name);
-                    for (value, g) in v.snapshot() {
-                        let _ = writeln!(
-                            out,
-                            "{}{{{}=\"{}\"}} {}",
-                            e.name,
-                            v.label,
-                            value,
-                            format_f64(g)
-                        );
-                    }
-                }
-                Metric::Info(labels) => {
-                    let _ = writeln!(out, "# HELP {} {}", e.name, e.help);
-                    let _ = writeln!(out, "# TYPE {} gauge", e.name);
+                Value::Info(labels) => {
                     let rendered: Vec<String> =
                         labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-                    let _ = writeln!(out, "{}{{{}}} 1", e.name, rendered.join(","));
-                }
-                Metric::Histogram(h) => {
-                    let _ = writeln!(out, "# HELP {} {}", e.name, e.help);
-                    let _ = writeln!(out, "# TYPE {} histogram", e.name);
-                    let counts = h.bucket_counts();
-                    let mut cumulative = 0u64;
-                    for (i, c) in counts.iter().enumerate() {
-                        cumulative += c;
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{{le=\"{}\"}} {}",
-                            e.name,
-                            Histogram::bucket_upper_micros(i),
-                            cumulative
-                        );
-                    }
-                    let _ = writeln!(out, "{}_bucket{{le=\"+Inf\"}} {}", e.name, cumulative);
-                    let _ = writeln!(out, "{}_sum {}", e.name, h.sum_micros());
-                    let _ = writeln!(out, "{}_count {}", e.name, h.count());
+                    let _ = writeln!(out, "{name}{{{}}} 1", rendered.join(","));
                 }
             }
-        }
+        });
+        out
+    }
+
+    /// Renders the whole registry as one flat JSON object. Every key
+    /// comes from the metric's name by one rule:
+    ///
+    /// * strip `prefix` and a `_total` suffix;
+    /// * a counter or gauge is a number;
+    /// * a histogram becomes two upper-bound quantiles in milliseconds,
+    ///   `<key minus _us>_p50_ms` and `<key minus _us>_p99_ms`;
+    /// * a labeled family is an object keyed by label value;
+    /// * an info metric is an object of its labels.
+    pub fn render_json(&self, prefix: &str) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::from("{");
+        self.walk(|e| {
+            let key = e.name.strip_prefix(prefix).unwrap_or(e.name);
+            let key = key.strip_suffix("_total").unwrap_or(key);
+            if out.len() > 1 {
+                out.push(',');
+            }
+            match &e.value {
+                Value::Scalar(read) => {
+                    let _ = write!(out, "\"{key}\":{}", json_num(read()));
+                }
+                Value::Family { read, .. } => {
+                    let series: Vec<String> = read()
+                        .into_iter()
+                        .map(|(value, v)| format!("\"{}\":{}", escape_json(&value), json_num(v)))
+                        .collect();
+                    let _ = write!(out, "\"{key}\":{{{}}}", series.join(","));
+                }
+                Value::Histogram(h) => {
+                    let base = key.strip_suffix("_us").unwrap_or(key);
+                    let _ = write!(
+                        out,
+                        "\"{base}_p50_ms\":{},\"{base}_p99_ms\":{}",
+                        json_num(h.quantile_ms(0.50)),
+                        json_num(h.quantile_ms(0.99))
+                    );
+                }
+                Value::Info(labels) => {
+                    let rendered: Vec<String> = labels
+                        .iter()
+                        .map(|(k, v)| format!("\"{k}\":\"{}\"", escape_json(v)))
+                        .collect();
+                    let _ = write!(out, "\"{key}\":{{{}}}", rendered.join(","));
+                }
+            }
+        });
+        out.push('}');
         out
     }
 }
@@ -459,9 +529,26 @@ fn format_f64(v: f64) -> String {
     }
 }
 
+/// JSON numbers: as [`format_f64`], except JSON has no NaN or infinity.
+fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        format_f64(v)
+    } else {
+        "null".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The metric names declared by the `# TYPE` lines of `text`, in order.
+    fn type_lines(text: &str) -> Vec<&str> {
+        text.lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter_map(|l| l.split(' ').next())
+            .collect()
+    }
 
     #[test]
     fn bucket_boundaries_are_powers_of_two() {
@@ -534,8 +621,8 @@ mod tests {
         // Buckets are cumulative: every later edge also reports 1.
         assert!(text.contains("t_latency_us_bucket{le=\"256\"} 1"));
         assert_eq!(
-            reg.metric_names(),
-            vec!["t_requests_total", "t_conns_open", "t_latency_us"]
+            type_lines(&text),
+            ["t_requests_total", "t_conns_open", "t_latency_us"]
         );
     }
 
@@ -569,33 +656,103 @@ mod tests {
         assert!(text.contains("t_reactor_wakes_total{reactor=\"1\"} 3"));
         // The family is one name for the doc-drift gate.
         assert_eq!(
-            reg.metric_names(),
-            vec!["t_reactor_conns", "t_reactor_wakes_total"]
+            type_lines(&text),
+            ["t_reactor_conns", "t_reactor_wakes_total"]
         );
     }
 
     #[test]
     fn dynamic_gauge_families_create_and_drop_series() {
         let reg = Registry::new();
-        let lag = reg.dyn_gauge_vec("t_follower_lag", "Lag per peer.", "peer");
-        lag.set("10.0.0.2:9090", 12.0);
-        lag.set("10.0.0.3:9090", 0.0);
-        lag.set("10.0.0.2:9090", 7.0); // Same series, updated in place.
+        let peers: Arc<Mutex<Vec<(String, f64)>>> = Arc::default();
+        let read = Arc::clone(&peers);
+        reg.gauge_vec_fn("t_follower_lag", "Lag per peer.", "peer", move || {
+            read.lock().expect("peers lock").clone()
+        });
+        *peers.lock().unwrap() = vec![
+            ("10.0.0.2:9090".to_string(), 7.0),
+            ("10.0.0.3:9090".to_string(), 0.0),
+        ];
         let text = reg.render_prometheus();
         assert_eq!(text.matches("# TYPE t_follower_lag gauge").count(), 1);
         assert!(text.contains("t_follower_lag{peer=\"10.0.0.2:9090\"} 7"));
         assert!(text.contains("t_follower_lag{peer=\"10.0.0.3:9090\"} 0"));
-        lag.remove("10.0.0.2:9090");
+        // A peer that left is gone from the next scrape.
+        peers.lock().unwrap().remove(0);
         let text = reg.render_prometheus();
         assert!(!text.contains("10.0.0.2"), "{text}");
         assert!(text.contains("t_follower_lag{peer=\"10.0.0.3:9090\"} 0"));
         // An empty family still declares its type (scrapers and the
         // doc-drift gate see the name before any peer connects).
-        lag.remove("10.0.0.3:9090");
-        assert!(reg
-            .render_prometheus()
-            .contains("# TYPE t_follower_lag gauge"));
-        assert_eq!(reg.metric_names(), vec!["t_follower_lag"]);
+        peers.lock().unwrap().clear();
+        assert_eq!(type_lines(&reg.render_prometheus()), ["t_follower_lag"]);
+    }
+
+    #[test]
+    fn closure_metrics_are_read_at_scrape_time() {
+        let reg = Registry::new();
+        let owned = Arc::new(AtomicU64::new(3));
+        let read = Arc::clone(&owned);
+        reg.counter_fn("t_owned_total", "Owned elsewhere.", move || {
+            read.load(Ordering::Relaxed)
+        });
+        reg.gauge_fn("t_half", "A gauge.", || 0.5);
+        assert!(reg.render_prometheus().contains("t_owned_total 3\n"));
+        owned.store(9, Ordering::Relaxed);
+        let text = reg.render_prometheus();
+        assert!(text.contains("# TYPE t_owned_total counter"), "{text}");
+        assert!(text.contains("t_owned_total 9\n"), "{text}");
+        assert!(text.contains("# TYPE t_half gauge"), "{text}");
+        assert!(text.contains("t_half 0.5\n"), "{text}");
+    }
+
+    #[test]
+    fn per_scrape_values_are_read_once_per_render() {
+        let reg = Registry::new();
+        let reads = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&reads);
+        let snap = reg.per_scrape(move || (counted.fetch_add(1, Ordering::Relaxed) + 1) * 10);
+        reg.gauge_fn("t_a", "First.", snap.reader(|v| *v as f64));
+        reg.counter_fn("t_b_total", "Second.", snap.reader(|v| *v + 1));
+        let text = reg.render_prometheus();
+        assert!(text.contains("t_a 10\n"), "{text}");
+        assert!(text.contains("t_b_total 11\n"), "{text}");
+        assert_eq!(reads.load(Ordering::Relaxed), 1, "one read per render");
+        assert_eq!(reg.render_json("t_"), "{\"a\":20,\"b\":21}");
+        assert_eq!(reads.load(Ordering::Relaxed), 2, "each render reads afresh");
+    }
+
+    #[test]
+    fn json_rendering_follows_the_key_rule() {
+        let reg = Registry::new();
+        reg.counter("t_requests_total", "Requests.").add(4);
+        reg.gauge("t_ratio", "A ratio.").set(0.25);
+        reg.gauge_fn("t_broken", "Not a number.", || f64::NAN);
+        let h = reg.histogram("t_stage_fsync_us", "Latency.");
+        for _ in 0..99 {
+            h.record_micros(100);
+        }
+        h.record_micros(50_000);
+        reg.counter_vec(
+            "t_fallback_total",
+            "By reason.",
+            "reason",
+            ["escaped", "structural"].map(String::from),
+        )[1]
+        .inc();
+        reg.info(
+            "t_build_info",
+            "Build.",
+            [("version", "0.1.0\"".to_string())],
+        );
+        assert_eq!(
+            reg.render_json("t_"),
+            "{\"requests\":4,\"ratio\":0.25,\"broken\":null,\
+             \"stage_fsync_p50_ms\":0.128,\"stage_fsync_p99_ms\":0.128,\
+             \"fallback\":{\"escaped\":0,\"structural\":1},\
+             \"build_info\":{\"version\":\"0.1.0\\\"\"}}"
+        );
+        assert_eq!(Registry::new().render_json("t_"), "{}");
     }
 
     #[test]
@@ -612,7 +769,7 @@ mod tests {
         let text = reg.render_prometheus();
         assert!(text.contains("# TYPE t_build_info gauge"));
         assert!(text.contains("t_build_info{version=\"0.1.0\",git_sha=\"abc1234\"} 1"));
-        assert_eq!(reg.metric_names(), vec!["t_build_info"]);
+        assert_eq!(type_lines(&text), ["t_build_info"]);
     }
 
     #[test]

@@ -283,17 +283,11 @@ impl Server {
         };
         let reactors = config.resolved_reactors();
         // Accept sharding: one SO_REUSEPORT listener per reactor so the
-        // kernel spreads connections across the loops. If the sharded
-        // bind fails (kernels/filters without SO_REUSEPORT), fall back to
-        // a single listener on reactor 0, which deals accepted sockets
-        // round-robin over the other reactors' wake pipes.
-        let (listeners, fallback_accept) = if reactors == 1 {
-            (vec![TcpListener::bind(&config.addr)?], false)
+        // kernel spreads connections across the loops.
+        let listeners = if reactors == 1 {
+            vec![TcpListener::bind(&config.addr)?]
         } else {
-            match reactor::bind_sharded(&config.addr, reactors) {
-                Ok(listeners) => (listeners, false),
-                Err(_) => (vec![TcpListener::bind(&config.addr)?], true),
-            }
+            reactor::bind_sharded(&config.addr, reactors)?
         };
         let http_addr = listeners[0].local_addr()?;
         let mut journal: Option<Arc<JournalBackend>> = None;
@@ -320,9 +314,12 @@ impl Server {
         let repl = Arc::new(ReplControl::new(config.follow.is_some()));
         let timelines = Arc::new(timeline::Timelines::new());
         store.set_timelines(Arc::clone(&timelines));
-        let state = Arc::new(ServerState {
+        // The stats registry reads store, journal, replication and
+        // timeline values from the state at scrape time, so it holds a
+        // weak reference back to the state that owns it.
+        let state = Arc::new_cyclic(|weak| ServerState {
             store,
-            stats: ServerStats::with_reactors(reactors),
+            stats: ServerStats::with_reactors(reactors, weak),
             telemetry: routes::Telemetry::with_cluster(
                 config.trace,
                 sns_obs::flight::DEFAULT_CAPACITY,
@@ -367,14 +364,13 @@ impl Server {
             read_timeout: config.read_timeout,
             idle_timeout: config.idle_timeout,
         };
-        let (shared, wake_rxs) = Reactor::shared_for(reactors, fallback_accept)?;
-        let mut listeners = listeners.into_iter();
+        let (shared, wake_rxs) = Reactor::shared_for(reactors)?;
         let mut loops = Vec::with_capacity(reactors);
-        for (index, wake_rx) in wake_rxs.into_iter().enumerate() {
+        for (index, (listener, wake_rx)) in listeners.into_iter().zip(wake_rxs).enumerate() {
             let pool = ThreadPool::new(workers_each, queue_each);
             loops.push(Reactor::new(
                 index,
-                listeners.next(),
+                listener,
                 Arc::clone(&state),
                 pool,
                 opts.clone(),

@@ -10,9 +10,7 @@
 //! no socket, parser buffer, or response buffer ever crosses a core.
 //! Session ids minted on R are chosen so their store/journal shard is
 //! ≡ R mod N (see [`crate::store::shard_index`]), making the drag fast
-//! path core-local end-to-end. Where `SO_REUSEPORT` is unavailable,
-//! reactor 0 owns the single listener and deals accepted sockets
-//! round-robin over the other reactors' wake pipes.
+//! path core-local end-to-end.
 //!
 //! Within one reactor, the loop is unchanged: non-blocking reads feed
 //! each connection's resumable [`ConnParser`]; the moment a complete
@@ -367,15 +365,10 @@ struct Completion {
 }
 
 /// Worker → reactor channel: completed responses plus the wake pipe that
-/// pulls the reactor out of `epoll_wait`. In fallback accept mode (no
-/// `SO_REUSEPORT`) it doubles as the fd-handoff channel: reactor 0 pushes
-/// accepted sockets here and the owning reactor adopts them on wake.
+/// pulls the reactor out of `epoll_wait`.
 #[derive(Debug)]
 pub(crate) struct Notifier {
     done: Mutex<Vec<Completion>>,
-    /// Connections accepted on another reactor's listener, waiting to be
-    /// adopted by this one (fallback accept sharding only).
-    incoming: Mutex<Vec<(TcpStream, SocketAddr)>>,
     wake_tx: UnixStream,
 }
 
@@ -389,7 +382,6 @@ impl Notifier {
         Ok((
             Arc::new(Notifier {
                 done: Mutex::new(Vec::new()),
-                incoming: Mutex::new(Vec::new()),
                 wake_tx,
             }),
             wake_rx,
@@ -398,14 +390,6 @@ impl Notifier {
 
     fn push(&self, completion: Completion) {
         self.done.lock().expect("completion lock").push(completion);
-        self.wake();
-    }
-
-    fn push_incoming(&self, stream: TcpStream, peer: SocketAddr) {
-        self.incoming
-            .lock()
-            .expect("incoming lock")
-            .push((stream, peer));
         self.wake();
     }
 
@@ -418,16 +402,12 @@ impl Notifier {
 
 /// State shared by every reactor of one server: the drain flag, the
 /// global open-connection count behind the `--max-conns` gate, and every
-/// reactor's notifier (so a drain request can wake all loops, and the
-/// fallback acceptor can hand sockets across).
+/// reactor's notifier (so a drain request can wake all loops).
 #[derive(Debug)]
 pub(crate) struct ReactorShared {
     drain: AtomicBool,
     conns_open: AtomicUsize,
     notifiers: Vec<Arc<Notifier>>,
-    /// True when `SO_REUSEPORT` was unavailable and reactor 0 owns the
-    /// only listener, dealing accepted sockets round-robin.
-    fallback_accept: bool,
 }
 
 impl ReactorShared {
@@ -545,10 +525,9 @@ impl Drop for Epoll {
 
 pub(crate) struct Reactor {
     epoll: Epoll,
-    /// This reactor's accept socket. Every reactor has one under
-    /// `SO_REUSEPORT`; in fallback mode only reactor 0 does, and it deals
-    /// sockets to the others.
-    listener: Option<TcpListener>,
+    /// This reactor's accept socket (one `SO_REUSEPORT` listener per
+    /// reactor).
+    listener: TcpListener,
     /// This reactor's index (also the residue class of the store shards
     /// whose sessions it mints).
     index: usize,
@@ -566,18 +545,15 @@ pub(crate) struct Reactor {
     next_gauge_push: Instant,
     /// Next stall-watchdog pass over this reactor's in-flight traces.
     next_stall_sweep: Instant,
-    /// Round-robin cursor for the fallback acceptor.
-    next_handoff: usize,
 }
 
 impl Reactor {
     /// Builds the shared state for `count` reactors (notifiers are
-    /// created here so the shutdown handle and the fallback acceptor can
-    /// reach every loop). Returns the shared handle plus each reactor's
-    /// wake-pipe read end, index-aligned.
+    /// created here so the shutdown handle can reach every loop). Returns
+    /// the shared handle plus each reactor's wake-pipe read end,
+    /// index-aligned.
     pub(crate) fn shared_for(
         count: usize,
-        fallback_accept: bool,
     ) -> std::io::Result<(Arc<ReactorShared>, Vec<UnixStream>)> {
         let mut notifiers = Vec::with_capacity(count);
         let mut wake_rxs = Vec::with_capacity(count);
@@ -591,7 +567,6 @@ impl Reactor {
                 drain: AtomicBool::new(false),
                 conns_open: AtomicUsize::new(0),
                 notifiers,
-                fallback_accept,
             }),
             wake_rxs,
         ))
@@ -599,7 +574,7 @@ impl Reactor {
 
     pub(crate) fn new(
         index: usize,
-        listener: Option<TcpListener>,
+        listener: TcpListener,
         state: Arc<ServerState>,
         pool: ThreadPool,
         opts: ReactorOptions,
@@ -607,10 +582,8 @@ impl Reactor {
         wake_rx: UnixStream,
     ) -> std::io::Result<Reactor> {
         let epoll = Epoll { fd: ffi::create()? };
-        if let Some(listener) = &listener {
-            listener.set_nonblocking(true)?;
-            ffi::add(epoll.fd, listener.as_raw_fd(), ffi::EPOLLIN, TOKEN_LISTENER)?;
-        }
+        listener.set_nonblocking(true)?;
+        ffi::add(epoll.fd, listener.as_raw_fd(), ffi::EPOLLIN, TOKEN_LISTENER)?;
         ffi::add(epoll.fd, wake_rx.as_raw_fd(), ffi::EPOLLIN, TOKEN_WAKE)?;
         let notifier = Arc::clone(&shared.notifiers[index]);
         let now = Instant::now();
@@ -631,7 +604,6 @@ impl Reactor {
             next_sweep: now,
             next_gauge_push: now,
             next_stall_sweep: now,
-            next_handoff: 0,
         })
     }
 
@@ -702,11 +674,7 @@ impl Reactor {
 
     fn accept_ready(&mut self) {
         loop {
-            let accepted = match &self.listener {
-                Some(listener) => listener.accept(),
-                None => return,
-            };
-            let (stream, peer) = match accepted {
+            let (stream, peer) = match self.listener.accept() {
                 Ok(pair) => pair,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -715,29 +683,13 @@ impl Reactor {
             if self.draining {
                 continue; // Listener is being torn down; drop the socket.
             }
-            // Fallback accept sharding: this is the only listener, so
-            // deal sockets round-robin across all reactors (keeping every
-            // Nth for ourselves).
-            let total = self.shared.notifiers.len();
-            if self.shared.fallback_accept && total > 1 {
-                let target = self.next_handoff % total;
-                self.next_handoff += 1;
-                if target != self.index {
-                    self.shared.notifiers[target].push_incoming(stream, peer);
-                    continue;
-                }
-            }
             self.admit(stream, peer);
         }
     }
 
-    /// Registers one accepted connection with this reactor (from its own
-    /// listener or handed over by the fallback acceptor), enforcing the
-    /// *global* `--max-conns` gate.
+    /// Registers one connection accepted on this reactor's listener,
+    /// enforcing the *global* `--max-conns` gate.
     fn admit(&mut self, stream: TcpStream, peer: SocketAddr) {
-        if self.draining {
-            return;
-        }
         if self.shared.conns_open.load(Ordering::Relaxed) >= self.opts.max_conns {
             // The accept gate: past `max_conns`, shed the connection
             // with a best-effort 503 instead of letting it camp in
@@ -788,11 +740,6 @@ impl Reactor {
         self.state.stats.record_reactor_wake(self.index);
         let mut sink = [0u8; 64];
         while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
-        // Adopt connections the fallback acceptor handed over.
-        let incoming = std::mem::take(&mut *self.notifier.incoming.lock().expect("incoming lock"));
-        for (stream, peer) in incoming {
-            self.admit(stream, peer);
-        }
     }
 
     fn conn_event(&mut self, token: u64, bits: u32) {
@@ -989,7 +936,7 @@ impl Reactor {
         let job_trace = request_trace.clone();
         // Two clocks: queue wait (enqueue → worker pickup) and processing
         // (the route itself). /stats reports both, so load shows up as
-        // queue_p99 instead of silently inflating the processing number
+        // stage_queue_p99 instead of silently inflating the processing number
         // that is compared across transports.
         let enqueued = Instant::now();
         if let Some(t) = &request_trace {
@@ -1295,9 +1242,7 @@ impl Reactor {
     /// connections, and let dispatched/writing requests finish.
     fn enter_drain(&mut self) {
         self.draining = true;
-        if let Some(listener) = &self.listener {
-            let _ = ffi::del(self.epoll.fd, listener.as_raw_fd());
-        }
+        let _ = ffi::del(self.epoll.fd, self.listener.as_raw_fd());
         let doomed: Vec<u64> = self
             .conns
             .iter()

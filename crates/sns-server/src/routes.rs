@@ -15,7 +15,7 @@ use crate::http::{Request, Response};
 use crate::json::{self, Json};
 use crate::replicate::ReplControl;
 use crate::session::Session;
-use crate::stats::{MirrorSnapshot, ServerStats};
+use crate::stats::ServerStats;
 use crate::store::{InsertError, SessionStore};
 use crate::timeline::{Kind as TimelineKind, Timelines};
 
@@ -453,48 +453,18 @@ pub fn is_inline(request: &Request) -> bool {
         )
 }
 
-/// Snapshots the values owned by other subsystems (store, journal,
-/// replication) for mirroring into the registry at scrape time.
-fn mirror(state: &Arc<ServerState>) -> MirrorSnapshot {
-    let journal = state.store.journal_gauges();
-    let repl_leader = state.repl.leader_gauges().unwrap_or_default();
-    let repl_apply = state.repl.apply_gauges();
-    MirrorSnapshot {
-        sessions: state.store.len() as u64,
-        sessions_durable: journal.durable_sessions,
-        evictions: state.store.evictions(),
-        demotions: state.store.demotions(),
-        journal_bytes: journal.journal_bytes,
-        journal_records: journal.journal_records,
-        snapshot_count: journal.snapshot_count,
-        replay_ms_last: journal.replay_ms_last,
-        faultins: journal.faultins,
-        fsyncs: journal.fsyncs,
-        repl_follower: state.repl.is_follower(),
-        followers_connected: repl_leader.followers_connected,
-        repl_lag_records: repl_leader.repl_lag_records,
-        repl_lag_bytes: repl_leader.repl_lag_bytes,
-        repl_last_ack_ms: repl_leader.last_ack_ms,
-        repl_records_applied: repl_apply.records_applied,
-        repl_snapshots_applied: repl_apply.snapshots_applied,
-        repl_connects: repl_apply.connects,
-        repl_reconnect_backoff_ms: repl_apply.reconnect_backoff_ms,
-        follower_peers: repl_leader.per_follower,
-        degraded: journal.degraded_shards > 0,
-        slow_requests: state.telemetry.flight.slow_count(),
-        timeline_events: state.timelines.totals(),
-        uptime_secs: state.started.elapsed().as_secs_f64(),
-    }
-}
-
 /// `GET /metrics`: the whole registry as Prometheus text exposition.
 fn metrics(state: &Arc<ServerState>) -> Response {
-    state.stats.refresh(&mirror(state));
     Response::with_body(
         200,
         "text/plain; version=0.0.4",
         state.stats.render_prometheus(),
     )
+}
+
+/// `GET /stats`: the same registry as one flat JSON object.
+fn stats(state: &Arc<ServerState>) -> Response {
+    Response::json(200, state.stats.render_json())
 }
 
 /// `GET /debug/traces`: recent + slow completed traces as JSONL.
@@ -503,149 +473,6 @@ fn debug_traces(state: &Arc<ServerState>) -> Response {
         200,
         "application/x-ndjson",
         state.telemetry.flight.dump_jsonl(),
-    )
-}
-
-fn stats(state: &Arc<ServerState>) -> Response {
-    let live = state.stats.live();
-    let gauges = state.stats.conn_gauges();
-    let m = mirror(state);
-    state.stats.refresh(&m);
-    let stage_p50 = state.stats.stage_quantiles_ms(0.50);
-    let stage_p99 = state.stats.stage_quantiles_ms(0.99);
-    ok_json(
-        200,
-        Json::obj([
-            (
-                "repl_role",
-                Json::str(if m.repl_follower {
-                    "follower"
-                } else {
-                    "leader"
-                }),
-            ),
-            (
-                "followers_connected",
-                Json::Num(m.followers_connected as f64),
-            ),
-            ("repl_lag_records", Json::Num(m.repl_lag_records as f64)),
-            ("repl_lag_bytes", Json::Num(m.repl_lag_bytes as f64)),
-            ("repl_last_ack_ms", Json::Num(m.repl_last_ack_ms)),
-            (
-                "repl_records_applied",
-                Json::Num(m.repl_records_applied as f64),
-            ),
-            (
-                "repl_snapshots_applied",
-                Json::Num(m.repl_snapshots_applied as f64),
-            ),
-            ("repl_connects", Json::Num(m.repl_connects as f64)),
-            (
-                "repl_reconnect_backoff_ms",
-                Json::Num(m.repl_reconnect_backoff_ms as f64),
-            ),
-            ("degraded", Json::Bool(m.degraded)),
-            ("sessions", Json::Num(m.sessions as f64)),
-            ("sessions_durable", Json::Num(m.sessions_durable as f64)),
-            ("requests", Json::Num(state.stats.requests() as f64)),
-            ("errors", Json::Num(state.stats.errors() as f64)),
-            ("evictions", Json::Num(m.evictions as f64)),
-            ("demotions", Json::Num(m.demotions as f64)),
-            ("journal_bytes", Json::Num(m.journal_bytes as f64)),
-            ("journal_records", Json::Num(m.journal_records as f64)),
-            ("snapshot_count", Json::Num(m.snapshot_count as f64)),
-            ("replay_ms_last", Json::Num(m.replay_ms_last)),
-            ("faultins", Json::Num(m.faultins as f64)),
-            ("fsyncs", Json::Num(m.fsyncs as f64)),
-            ("conns_open", Json::Num(gauges.open as f64)),
-            ("conns_idle", Json::Num(gauges.idle as f64)),
-            ("conns_in_flight", Json::Num(gauges.in_flight as f64)),
-            ("reactors", Json::Num(state.stats.reactors() as f64)),
-            (
-                "reactor_conns",
-                Json::Arr(
-                    state
-                        .stats
-                        .reactor_conn_counts()
-                        .into_iter()
-                        .map(|n| Json::Num(n as f64))
-                        .collect(),
-                ),
-            ),
-            ("accept_drops", Json::Num(state.stats.accept_drops() as f64)),
-            (
-                "read_timeouts",
-                Json::Num(state.stats.read_timeouts() as f64),
-            ),
-            ("idle_reaped", Json::Num(state.stats.idle_reaped() as f64)),
-            (
-                "queue_rejections",
-                Json::Num(state.stats.queue_rejections() as f64),
-            ),
-            (
-                "quota_rejections",
-                Json::Num(state.stats.quota_rejections() as f64),
-            ),
-            ("slow_requests", Json::Num(m.slow_requests as f64)),
-            ("stalls", Json::Num(state.stats.stalls() as f64)),
-            (
-                "timeline_sessions",
-                Json::Num(state.timelines.tracked_sessions() as f64),
-            ),
-            (
-                "timeline_events",
-                Json::Obj(
-                    TimelineKind::ALL
-                        .iter()
-                        .zip(m.timeline_events.iter())
-                        .map(|(k, &n)| (k.name().to_string(), Json::Num(n as f64)))
-                        .collect(),
-                ),
-            ),
-            ("p50_ms", Json::Num(state.stats.quantile_ms(0.50))),
-            ("p99_ms", Json::Num(state.stats.quantile_ms(0.99))),
-            (
-                "queue_p50_ms",
-                Json::Num(state.stats.queue_quantile_ms(0.50)),
-            ),
-            (
-                "queue_p99_ms",
-                Json::Num(state.stats.queue_quantile_ms(0.99)),
-            ),
-            ("stage_queue_p50_ms", Json::Num(stage_p50[0])),
-            ("stage_queue_p99_ms", Json::Num(stage_p99[0])),
-            ("stage_prepare_p50_ms", Json::Num(stage_p50[1])),
-            ("stage_prepare_p99_ms", Json::Num(stage_p99[1])),
-            ("stage_journal_p50_ms", Json::Num(stage_p50[2])),
-            ("stage_journal_p99_ms", Json::Num(stage_p99[2])),
-            ("stage_fsync_p50_ms", Json::Num(stage_p50[3])),
-            ("stage_fsync_p99_ms", Json::Num(stage_p99[3])),
-            ("stage_repl_ack_p50_ms", Json::Num(stage_p50[4])),
-            ("stage_repl_ack_p99_ms", Json::Num(stage_p99[4])),
-            ("stage_write_p50_ms", Json::Num(stage_p50[5])),
-            ("stage_write_p99_ms", Json::Num(stage_p99[5])),
-            ("prepare_full", Json::Num(live.full_prepares as f64)),
-            (
-                "prepare_incremental",
-                Json::Num(live.incremental_prepares as f64),
-            ),
-            ("prepare_partial", Json::Num(live.partial_prepares as f64)),
-            (
-                "prepare_fallback_escaped",
-                Json::Num(live.fallback_escaped as f64),
-            ),
-            (
-                "prepare_fallback_structural",
-                Json::Num(live.fallback_structural as f64),
-            ),
-            (
-                "prepare_fallback_reconcile",
-                Json::Num(live.fallback_reconcile as f64),
-            ),
-            ("eval_fast", Json::Num(live.fast_evals as f64)),
-            ("eval_full", Json::Num(live.full_evals as f64)),
-            ("uptime_secs", Json::Num(m.uptime_secs)),
-        ]),
     )
 }
 

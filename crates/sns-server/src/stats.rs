@@ -1,20 +1,23 @@
 //! Service statistics over the [`sns_obs`] metrics registry.
 //!
-//! Every counter, gauge, and histogram lives in a [`Registry`] so one
-//! source of truth feeds both surfaces: the JSON `/stats` document and
-//! the Prometheus text at `/metrics`. Hot-path metrics (request counts,
-//! latency buckets) are recorded directly on their `Arc` handles —
-//! relaxed atomics, no registry lookup. Values owned by other subsystems
-//! (the store's eviction count, the journal's byte totals, replication
-//! lag) are *mirrored*: [`ServerStats::refresh`] republishes them at
-//! scrape time.
+//! Every metric is declared once, here, in a [`Registry`] that renders
+//! both surfaces: the Prometheus text at `/metrics` and the flat JSON
+//! `/stats` document (keys by [`Registry::render_json`]'s rule).
+//! Hot-path metrics (request counts, latency buckets) are recorded
+//! directly on their `Arc` handles — relaxed atomics, no registry
+//! lookup. Values owned by other subsystems (the store's eviction count,
+//! the journal's byte totals, replication lag) are registered as
+//! closures over the server state and read at scrape time; the journal
+//! and the replication hub are each read once per scrape, so one scrape
+//! sweeps their shard locks once and reports one moment of each.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
-use sns_obs::metrics::{Counter, DynGaugeVec, Gauge, Histogram, Registry};
+use sns_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use sns_obs::trace::{CompletedTrace, Stage};
 
+use crate::routes::ServerState;
 use crate::timeline;
 
 /// Crate version baked into `sns_build_info` and `/healthz`.
@@ -34,72 +37,24 @@ pub struct ConnGauges {
     pub in_flight: u64,
 }
 
-/// A scrape-time snapshot of values owned by other subsystems, mirrored
-/// into the registry by [`ServerStats::refresh`].
-#[derive(Debug, Clone, Default)]
-pub struct MirrorSnapshot {
-    /// Resident sessions.
-    pub sessions: u64,
-    /// Durable (on-disk) sessions.
-    pub sessions_durable: u64,
-    /// LRU evictions (destroy or demote).
-    pub evictions: u64,
-    /// Demotions to disk.
-    pub demotions: u64,
-    /// Live journal bytes across shards.
-    pub journal_bytes: u64,
-    /// Live journal records across shards.
-    pub journal_records: u64,
-    /// Snapshot (compaction) generations taken.
-    pub snapshot_count: u64,
-    /// Duration of the last boot replay, in milliseconds.
-    pub replay_ms_last: f64,
-    /// Sessions faulted in from disk.
-    pub faultins: u64,
-    /// fsync calls issued by the journal.
-    pub fsyncs: u64,
-    /// 1 when this node is a replication follower.
-    pub repl_follower: bool,
-    /// Followers currently connected (leader side).
-    pub followers_connected: u64,
-    /// Worst follower lag, in records.
-    pub repl_lag_records: u64,
-    /// Worst follower lag, in bytes.
-    pub repl_lag_bytes: u64,
-    /// Milliseconds since the freshest follower ack.
-    pub repl_last_ack_ms: f64,
-    /// Records applied from the leader's stream (follower side).
-    pub repl_records_applied: u64,
-    /// Snapshot catch-ups applied (follower side).
-    pub repl_snapshots_applied: u64,
-    /// Times the follower (re)connected to its leader.
-    pub repl_connects: u64,
-    /// The reconnect delay the follower is currently serving, in
-    /// milliseconds (0 while connected).
-    pub repl_reconnect_backoff_ms: u64,
-    /// Per-connected-follower `(peer, lag in records, last apply µs)` —
-    /// feeds the labeled `sns_repl_follower_lag_records{peer}` /
-    /// `sns_repl_apply_us{peer}` families (leader side).
-    pub follower_peers: Vec<(String, u64, u64)>,
-    /// Whether the journal has degraded to read-only after persistent
-    /// disk failures.
-    pub degraded: bool,
-    /// Requests slower than the `--slow-ms` threshold.
-    pub slow_requests: u64,
-    /// Total timeline events recorded, by kind (declaration order).
-    pub timeline_events: [u64; timeline::KINDS],
-    /// Seconds since the server started.
-    pub uptime_secs: f64,
-}
-
 /// Indices into the `sns_prepare_fallback_total{reason=...}` counter
 /// family (label order matches registration order).
 const FALLBACK_ESCAPED: usize = 0;
 const FALLBACK_STRUCTURAL: usize = 1;
 const FALLBACK_RECONCILE: usize = 2;
 
+/// A scrape-time reader of one value the server state owns. Before the
+/// state exists (or once it is gone) the value reads as its default.
+fn from_state<T: Default>(
+    state: &Weak<ServerState>,
+    read: impl Fn(&ServerState) -> T + Send + Sync + 'static,
+) -> impl Fn() -> T + Send + Sync + 'static {
+    let state = state.clone();
+    move || state.upgrade().map_or_else(T::default, |s| read(&s))
+}
+
 /// Request statistics shared across workers, backed by a metrics
-/// registry renderable as Prometheus text.
+/// registry renderable as Prometheus text and as JSON.
 pub struct ServerStats {
     registry: Registry,
     requests: Arc<Counter>,
@@ -132,249 +87,315 @@ pub struct ServerStats {
     idle_reaped: Arc<Counter>,
     queue_rejections: Arc<Counter>,
     quota_rejections: Arc<Counter>,
-    // Mirrored from other subsystems at scrape time.
-    sessions: Arc<Gauge>,
-    sessions_durable: Arc<Gauge>,
-    evictions: Arc<Counter>,
-    demotions: Arc<Counter>,
-    journal_bytes: Arc<Gauge>,
-    journal_records: Arc<Gauge>,
-    snapshot_count: Arc<Counter>,
-    replay_ms_last: Arc<Gauge>,
-    faultins: Arc<Counter>,
-    fsyncs: Arc<Counter>,
-    repl_follower: Arc<Gauge>,
-    followers_connected: Arc<Gauge>,
-    repl_lag_records: Arc<Gauge>,
-    repl_lag_bytes: Arc<Gauge>,
-    repl_last_ack_ms: Arc<Gauge>,
-    repl_records_applied: Arc<Counter>,
-    repl_snapshots_applied: Arc<Counter>,
-    repl_connects: Arc<Counter>,
-    repl_reconnect_backoff_ms: Arc<Gauge>,
-    repl_follower_lag_records: Arc<DynGaugeVec>,
-    repl_apply_us: Arc<DynGaugeVec>,
-    degraded: Arc<Gauge>,
-    slow_requests: Arc<Counter>,
     stalls: Arc<Counter>,
-    timeline_events: Vec<Arc<Counter>>,
-    uptime_seconds: Arc<Gauge>,
-}
-
-impl Default for ServerStats {
-    fn default() -> Self {
-        ServerStats::new()
-    }
 }
 
 impl ServerStats {
-    /// Creates zeroed stats with every metric registered, sized for a
-    /// single reactor.
-    pub fn new() -> ServerStats {
-        ServerStats::with_reactors(1)
-    }
-
-    /// Creates zeroed stats with per-reactor gauge/counter families sized
-    /// for `reactors` event loops (clamped to at least one).
-    pub fn with_reactors(reactors: usize) -> ServerStats {
+    /// Creates zeroed stats with every metric registered: per-reactor
+    /// families sized for `reactors` event loops (clamped to at least
+    /// one), and the values other subsystems own read from `state` at
+    /// scrape time.
+    pub fn with_reactors(reactors: usize, state: &Weak<ServerState>) -> ServerStats {
         let n = reactors.max(1);
         let labels: Vec<String> = (0..n).map(|i| i.to_string()).collect();
         let r = Registry::new();
+        let reactor_conns = r.gauge_vec(
+            "sns_reactor_conns",
+            "Connections currently open on each reactor.",
+            "reactor",
+            labels.clone(),
+        );
+        let reactor_queue_depth = r.gauge_vec(
+            "sns_reactor_queue_depth",
+            "Jobs waiting in each reactor's worker-pool queue.",
+            "reactor",
+            labels.clone(),
+        );
+        let reactor_wakes = r.counter_vec(
+            "sns_reactor_wakes_total",
+            "Wake-pipe wakeups delivered to each reactor.",
+            "reactor",
+            labels,
+        );
+        let requests = r.counter("sns_requests_total", "Requests served.");
+        let errors = r.counter(
+            "sns_errors_total",
+            "Requests answered with a non-2xx status.",
+        );
+        let request_us = r.histogram(
+            "sns_request_us",
+            "Route processing latency on a worker, in microseconds.",
+        );
+        let stage_queue_us = r.histogram(
+            "sns_stage_queue_us",
+            "Time a request waited in the worker-pool queue, in microseconds.",
+        );
+        let stage_prepare_us = r.histogram(
+            "sns_stage_prepare_us",
+            "Time spent in live-sync prepare/apply, in microseconds.",
+        );
+        let stage_journal_us = r.histogram(
+            "sns_stage_journal_us",
+            "Time spent appending to the write-ahead journal, in microseconds.",
+        );
+        let stage_fsync_us = r.histogram(
+            "sns_stage_fsync_us",
+            "Time spent waiting for the journal fsync (direct or group commit), in microseconds.",
+        );
+        let stage_repl_ack_us = r.histogram(
+            "sns_stage_repl_ack_us",
+            "Time spent waiting for synchronous follower acks, in microseconds.",
+        );
+        let stage_write_us = r.histogram(
+            "sns_stage_write_us",
+            "Time from worker completion to the response fully written, in microseconds.",
+        );
+        let prepare_full = r.counter("sns_prepare_full_total", "Full (cold) prepares.");
+        let prepare_incremental = r.counter(
+            "sns_prepare_incremental_total",
+            "Incremental (cached) prepares.",
+        );
+        let prepare_partial = r.counter(
+            "sns_prepare_partial_total",
+            "Partial prepares: guard-replay commits over escaped locations and \
+             stitched re-prepares after subtree code edits.",
+        );
+        let prepare_fallback = r.counter_vec(
+            "sns_prepare_fallback_total",
+            "Full-prepare fallbacks by reason: an escaped location could not be \
+             proven harmless, a code edit was structural, or a cheaper tier's \
+             verification failed.",
+            "reason",
+            ["escaped", "structural", "reconcile"].map(String::from),
+        );
+        let eval_fast = r.counter(
+            "sns_eval_fast_total",
+            "Fast-path (substitution-only) evals.",
+        );
+        let eval_full = r.counter("sns_eval_full_total", "Full re-evaluations.");
+        let conns_open = r.gauge("sns_conns_open", "Connections currently open.");
+        let conns_idle = r.gauge(
+            "sns_conns_idle",
+            "Open connections idle between keep-alive requests.",
+        );
+        let conns_in_flight = r.gauge(
+            "sns_conns_in_flight",
+            "Requests dispatched to the worker pool and not yet answered.",
+        );
+        let accept_drops = r.counter(
+            "sns_accept_drops_total",
+            "Connections turned away at the --max-conns accept gate.",
+        );
+        let read_timeouts = r.counter(
+            "sns_read_timeouts_total",
+            "Connections closed for blowing a read/write deadline.",
+        );
+        let idle_reaped = r.counter(
+            "sns_idle_reaped_total",
+            "Idle keep-alive connections reaped by the idle timeout.",
+        );
+        let queue_rejections = r.counter(
+            "sns_queue_rejections_total",
+            "Requests refused with 503 because the job queue was full.",
+        );
+        let quota_rejections = r.counter(
+            "sns_quota_rejections_total",
+            "Sessions refused with 429 (per-IP quota).",
+        );
+        let journal = r.per_scrape(from_state(state, |s| s.store.journal_gauges()));
+        let leader = r.per_scrape(from_state(state, |s| {
+            s.repl.leader_gauges().unwrap_or_default()
+        }));
+        r.gauge_fn(
+            "sns_sessions",
+            "Resident sessions.",
+            from_state(state, |s| s.store.len() as f64),
+        );
+        r.gauge_fn(
+            "sns_sessions_durable",
+            "Durable (on-disk) sessions.",
+            journal.reader(|g| g.durable_sessions as f64),
+        );
+        r.counter_fn(
+            "sns_evictions_total",
+            "LRU evictions (destroy or demote).",
+            from_state(state, |s| s.store.evictions()),
+        );
+        r.counter_fn(
+            "sns_demotions_total",
+            "Sessions demoted to disk.",
+            from_state(state, |s| s.store.demotions()),
+        );
+        r.gauge_fn(
+            "sns_journal_bytes",
+            "Live journal bytes across shards.",
+            journal.reader(|g| g.journal_bytes as f64),
+        );
+        r.gauge_fn(
+            "sns_journal_records",
+            "Live journal records across shards.",
+            journal.reader(|g| g.journal_records as f64),
+        );
+        r.counter_fn(
+            "sns_snapshot_count_total",
+            "Snapshot (compaction) generations taken.",
+            journal.reader(|g| g.snapshot_count),
+        );
+        r.gauge_fn(
+            "sns_replay_ms_last",
+            "Duration of the last boot replay, in milliseconds.",
+            journal.reader(|g| g.replay_ms_last),
+        );
+        r.counter_fn(
+            "sns_faultins_total",
+            "Sessions faulted in from disk.",
+            journal.reader(|g| g.faultins),
+        );
+        r.counter_fn(
+            "sns_fsyncs_total",
+            "fsync calls issued by the journal.",
+            journal.reader(|g| g.fsyncs),
+        );
+        r.gauge_fn(
+            "sns_repl_follower",
+            "1 when this node is a replication follower, 0 on a leader.",
+            from_state(state, |s| f64::from(u8::from(s.repl.is_follower()))),
+        );
+        r.gauge_fn(
+            "sns_repl_followers_connected",
+            "Followers currently connected (leader side).",
+            leader.reader(|g| g.followers_connected as f64),
+        );
+        r.gauge_fn(
+            "sns_repl_lag_records",
+            "Worst connected-follower lag, in journal records.",
+            leader.reader(|g| g.repl_lag_records as f64),
+        );
+        r.gauge_fn(
+            "sns_repl_lag_bytes",
+            "Worst connected-follower lag, in journal bytes.",
+            leader.reader(|g| g.repl_lag_bytes as f64),
+        );
+        r.gauge_fn(
+            "sns_repl_last_ack_ms",
+            "Milliseconds since the freshest follower ack.",
+            leader.reader(|g| g.last_ack_ms),
+        );
+        r.counter_fn(
+            "sns_repl_records_applied_total",
+            "Records applied from the leader's stream (follower side).",
+            from_state(state, |s| s.repl.apply_gauges().records_applied),
+        );
+        r.counter_fn(
+            "sns_repl_snapshots_applied_total",
+            "Snapshot catch-ups applied (follower side).",
+            from_state(state, |s| s.repl.apply_gauges().snapshots_applied),
+        );
+        r.counter_fn(
+            "sns_repl_connects_total",
+            "Times the follower (re)connected to its leader.",
+            from_state(state, |s| s.repl.apply_gauges().connects),
+        );
+        r.gauge_fn(
+            "sns_repl_reconnect_backoff_ms",
+            "Reconnect delay the follower is currently serving (0 while connected).",
+            from_state(state, |s| s.repl.apply_gauges().reconnect_backoff_ms as f64),
+        );
+        r.gauge_fn(
+            "sns_degraded",
+            "1 while the journal is degraded to read-only after persistent disk failures.",
+            journal.reader(|g| f64::from(u8::from(g.degraded_shards > 0))),
+        );
+        let per_follower = |read: fn(&(String, u64, u64)) -> f64| {
+            leader.reader(move |g| {
+                g.per_follower
+                    .iter()
+                    .map(|f| (f.0.clone(), read(f)))
+                    .collect()
+            })
+        };
+        r.gauge_vec_fn(
+            "sns_repl_follower_lag_records",
+            "Per-connected-follower replication lag, in journal records.",
+            "peer",
+            per_follower(|f| f.1 as f64),
+        );
+        r.gauge_vec_fn(
+            "sns_repl_apply_us",
+            "Per-connected-follower apply latency self-reported in its last ack, \
+             in microseconds.",
+            "peer",
+            per_follower(|f| f.2 as f64),
+        );
+        r.counter_fn(
+            "sns_slow_requests_total",
+            "Requests slower than the --slow-ms threshold.",
+            from_state(state, |s| s.telemetry.flight.slow_count()),
+        );
+        let stalls = r.counter(
+            "sns_stalls_total",
+            "In-flight requests the watchdog caught exceeding --stall-ms.",
+        );
+        r.counter_vec_fn(
+            "sns_timeline_events_total",
+            "Per-session timeline events recorded, by kind.",
+            "kind",
+            from_state(state, |s| {
+                timeline::Kind::ALL
+                    .iter()
+                    .zip(s.timelines.totals())
+                    .map(|(k, n)| (k.name().to_string(), n))
+                    .collect()
+            }),
+        );
+        r.gauge_fn(
+            "sns_timeline_sessions",
+            "Sessions with a timeline currently held.",
+            from_state(state, |s| s.timelines.tracked_sessions() as f64),
+        );
+        r.gauge_fn(
+            "sns_uptime_seconds",
+            "Seconds since the server started.",
+            from_state(state, |s| s.started.elapsed().as_secs_f64()),
+        );
+        r.info(
+            "sns_build_info",
+            "Build identity of this binary (value is always 1).",
+            [
+                ("version", VERSION.to_string()),
+                ("git_sha", GIT_SHA.to_string()),
+            ],
+        );
         ServerStats {
+            registry: r,
+            requests,
+            errors,
+            request_us,
+            stage_queue_us,
+            stage_prepare_us,
+            stage_journal_us,
+            stage_fsync_us,
+            stage_repl_ack_us,
+            stage_write_us,
+            prepare_full,
+            prepare_incremental,
+            prepare_partial,
+            prepare_fallback,
+            eval_fast,
+            eval_full,
+            conns_open,
+            conns_idle,
+            conns_in_flight,
             reactor_slots: Mutex::new(vec![ConnGauges::default(); n]),
-            reactor_conns: r.gauge_vec(
-                "sns_reactor_conns",
-                "Connections currently open on each reactor.",
-                "reactor",
-                labels.clone(),
-            ),
-            reactor_queue_depth: r.gauge_vec(
-                "sns_reactor_queue_depth",
-                "Jobs waiting in each reactor's worker-pool queue.",
-                "reactor",
-                labels.clone(),
-            ),
-            reactor_wakes: r.counter_vec(
-                "sns_reactor_wakes_total",
-                "Wake-pipe wakeups delivered to each reactor.",
-                "reactor",
-                labels,
-            ),
-            requests: r.counter("sns_requests_total", "Requests served."),
-            errors: r.counter("sns_errors_total", "Requests answered with a non-2xx status."),
-            request_us: r.histogram(
-                "sns_request_us",
-                "Route processing latency on a worker, in microseconds.",
-            ),
-            stage_queue_us: r.histogram(
-                "sns_stage_queue_us",
-                "Time a request waited in the worker-pool queue, in microseconds.",
-            ),
-            stage_prepare_us: r.histogram(
-                "sns_stage_prepare_us",
-                "Time spent in live-sync prepare/apply, in microseconds.",
-            ),
-            stage_journal_us: r.histogram(
-                "sns_stage_journal_us",
-                "Time spent appending to the write-ahead journal, in microseconds.",
-            ),
-            stage_fsync_us: r.histogram(
-                "sns_stage_fsync_us",
-                "Time spent waiting for the journal fsync (direct or group commit), in microseconds.",
-            ),
-            stage_repl_ack_us: r.histogram(
-                "sns_stage_repl_ack_us",
-                "Time spent waiting for synchronous follower acks, in microseconds.",
-            ),
-            stage_write_us: r.histogram(
-                "sns_stage_write_us",
-                "Time from worker completion to the response fully written, in microseconds.",
-            ),
-            prepare_full: r.counter("sns_prepare_full_total", "Full (cold) prepares."),
-            prepare_incremental: r.counter(
-                "sns_prepare_incremental_total",
-                "Incremental (cached) prepares.",
-            ),
-            prepare_partial: r.counter(
-                "sns_prepare_partial_total",
-                "Partial prepares: guard-replay commits over escaped locations and \
-                 stitched re-prepares after subtree code edits.",
-            ),
-            prepare_fallback: r.counter_vec(
-                "sns_prepare_fallback_total",
-                "Full-prepare fallbacks by reason: an escaped location could not be \
-                 proven harmless, a code edit was structural, or a cheaper tier's \
-                 verification failed.",
-                "reason",
-                ["escaped", "structural", "reconcile"].map(String::from),
-            ),
-            eval_fast: r.counter("sns_eval_fast_total", "Fast-path (substitution-only) evals."),
-            eval_full: r.counter("sns_eval_full_total", "Full re-evaluations."),
-            conns_open: r.gauge("sns_conns_open", "Connections currently open."),
-            conns_idle: r.gauge(
-                "sns_conns_idle",
-                "Open connections idle between keep-alive requests.",
-            ),
-            conns_in_flight: r.gauge(
-                "sns_conns_in_flight",
-                "Requests dispatched to the worker pool and not yet answered.",
-            ),
-            accept_drops: r.counter(
-                "sns_accept_drops_total",
-                "Connections turned away at the --max-conns accept gate.",
-            ),
-            read_timeouts: r.counter(
-                "sns_read_timeouts_total",
-                "Connections closed for blowing a read/write deadline.",
-            ),
-            idle_reaped: r.counter(
-                "sns_idle_reaped_total",
-                "Idle keep-alive connections reaped by the idle timeout.",
-            ),
-            queue_rejections: r.counter(
-                "sns_queue_rejections_total",
-                "Requests refused with 503 because the job queue was full.",
-            ),
-            quota_rejections: r.counter(
-                "sns_quota_rejections_total",
-                "Sessions refused with 429 (per-IP quota).",
-            ),
-            sessions: r.gauge("sns_sessions", "Resident sessions."),
-            sessions_durable: r.gauge("sns_sessions_durable", "Durable (on-disk) sessions."),
-            evictions: r.counter("sns_evictions_total", "LRU evictions (destroy or demote)."),
-            demotions: r.counter("sns_demotions_total", "Sessions demoted to disk."),
-            journal_bytes: r.gauge("sns_journal_bytes", "Live journal bytes across shards."),
-            journal_records: r.gauge(
-                "sns_journal_records",
-                "Live journal records across shards.",
-            ),
-            snapshot_count: r.counter(
-                "sns_snapshot_count_total",
-                "Snapshot (compaction) generations taken.",
-            ),
-            replay_ms_last: r.gauge(
-                "sns_replay_ms_last",
-                "Duration of the last boot replay, in milliseconds.",
-            ),
-            faultins: r.counter("sns_faultins_total", "Sessions faulted in from disk."),
-            fsyncs: r.counter("sns_fsyncs_total", "fsync calls issued by the journal."),
-            repl_follower: r.gauge(
-                "sns_repl_follower",
-                "1 when this node is a replication follower, 0 on a leader.",
-            ),
-            followers_connected: r.gauge(
-                "sns_repl_followers_connected",
-                "Followers currently connected (leader side).",
-            ),
-            repl_lag_records: r.gauge(
-                "sns_repl_lag_records",
-                "Worst connected-follower lag, in journal records.",
-            ),
-            repl_lag_bytes: r.gauge(
-                "sns_repl_lag_bytes",
-                "Worst connected-follower lag, in journal bytes.",
-            ),
-            repl_last_ack_ms: r.gauge(
-                "sns_repl_last_ack_ms",
-                "Milliseconds since the freshest follower ack.",
-            ),
-            repl_records_applied: r.counter(
-                "sns_repl_records_applied_total",
-                "Records applied from the leader's stream (follower side).",
-            ),
-            repl_snapshots_applied: r.counter(
-                "sns_repl_snapshots_applied_total",
-                "Snapshot catch-ups applied (follower side).",
-            ),
-            repl_connects: r.counter(
-                "sns_repl_connects_total",
-                "Times the follower (re)connected to its leader.",
-            ),
-            repl_reconnect_backoff_ms: r.gauge(
-                "sns_repl_reconnect_backoff_ms",
-                "Reconnect delay the follower is currently serving (0 while connected).",
-            ),
-            degraded: r.gauge(
-                "sns_degraded",
-                "1 while the journal is degraded to read-only after persistent disk failures.",
-            ),
-            repl_follower_lag_records: r.dyn_gauge_vec(
-                "sns_repl_follower_lag_records",
-                "Per-connected-follower replication lag, in journal records.",
-                "peer",
-            ),
-            repl_apply_us: r.dyn_gauge_vec(
-                "sns_repl_apply_us",
-                "Per-connected-follower apply latency self-reported in its last ack, \
-                 in microseconds.",
-                "peer",
-            ),
-            slow_requests: r.counter(
-                "sns_slow_requests_total",
-                "Requests slower than the --slow-ms threshold.",
-            ),
-            stalls: r.counter(
-                "sns_stalls_total",
-                "In-flight requests the watchdog caught exceeding --stall-ms.",
-            ),
-            timeline_events: r.counter_vec(
-                "sns_timeline_events_total",
-                "Per-session timeline events recorded, by kind.",
-                "kind",
-                timeline::Kind::ALL.iter().map(|k| k.name().to_string()),
-            ),
-            uptime_seconds: r.gauge("sns_uptime_seconds", "Seconds since the server started."),
-            registry: {
-                r.info(
-                    "sns_build_info",
-                    "Build identity of this binary (value is always 1).",
-                    [
-                        ("version", VERSION.to_string()),
-                        ("git_sha", GIT_SHA.to_string()),
-                    ],
-                );
-                r
-            },
+            reactor_conns,
+            reactor_queue_depth,
+            reactor_wakes,
+            accept_drops,
+            read_timeouts,
+            idle_reaped,
+            queue_rejections,
+            quota_rejections,
+            stalls,
         }
     }
 
@@ -414,16 +435,6 @@ impl ServerStats {
         }
     }
 
-    /// Total requests served.
-    pub fn requests(&self) -> u64 {
-        self.requests.get()
-    }
-
-    /// Requests that produced a non-2xx response.
-    pub fn errors(&self) -> u64 {
-        self.errors.get()
-    }
-
     /// Accumulates live-sync cache counters reported by a session after a
     /// request (deltas since that session's previous report).
     pub fn record_live(&self, delta: sns_sync::LiveStats) {
@@ -437,25 +448,8 @@ impl ServerStats {
         self.eval_full.add(delta.full_evals);
     }
 
-    /// Aggregate live-sync cache counters across all sessions.
-    pub fn live(&self) -> sns_sync::LiveStats {
-        sns_sync::LiveStats {
-            full_prepares: self.prepare_full.get(),
-            incremental_prepares: self.prepare_incremental.get(),
-            partial_prepares: self.prepare_partial.get(),
-            fast_evals: self.eval_fast.get(),
-            full_evals: self.eval_full.get(),
-            fallback_escaped: self.prepare_fallback[FALLBACK_ESCAPED].get(),
-            fallback_structural: self.prepare_fallback[FALLBACK_STRUCTURAL].get(),
-            fallback_reconcile: self.prepare_fallback[FALLBACK_RECONCILE].get(),
-        }
-    }
-
-    /// Publishes aggregate connection gauges (absolute values). Sharded
-    /// servers publish per-loop via
-    /// [`set_reactor_gauges`](ServerStats::set_reactor_gauges), which
-    /// recomputes these totals itself.
-    pub fn set_conn_gauges(&self, gauges: ConnGauges) {
+    /// Publishes aggregate connection gauges (absolute values).
+    fn set_conn_gauges(&self, gauges: ConnGauges) {
         self.conns_open.set(gauges.open as f64);
         self.conns_idle.set(gauges.idle as f64);
         self.conns_in_flight.set(gauges.in_flight as f64);
@@ -492,34 +486,9 @@ impl ServerStats {
         }
     }
 
-    /// Number of reactors these stats were sized for.
-    pub fn reactors(&self) -> usize {
-        self.reactor_conns.len()
-    }
-
-    /// Last-published open-connection count per reactor, indexed by
-    /// reactor (the `/stats` `reactor_conns` array).
-    pub fn reactor_conn_counts(&self) -> Vec<u64> {
-        self.reactor_conns.iter().map(|g| g.get() as u64).collect()
-    }
-
-    /// The most recently published connection gauges.
-    pub fn conn_gauges(&self) -> ConnGauges {
-        ConnGauges {
-            open: self.conns_open.get() as u64,
-            idle: self.conns_idle.get() as u64,
-            in_flight: self.conns_in_flight.get() as u64,
-        }
-    }
-
     /// Counts a connection turned away at the `--max-conns` accept gate.
     pub fn record_accept_drop(&self) {
         self.accept_drops.inc();
-    }
-
-    /// Connections turned away at the accept gate.
-    pub fn accept_drops(&self) -> u64 {
-        self.accept_drops.get()
     }
 
     /// Counts a connection closed for blowing a read/write deadline.
@@ -527,19 +496,9 @@ impl ServerStats {
         self.read_timeouts.inc();
     }
 
-    /// Connections closed for blowing a read/write deadline.
-    pub fn read_timeouts(&self) -> u64 {
-        self.read_timeouts.get()
-    }
-
     /// Counts an idle keep-alive connection reaped by the idle timeout.
     pub fn record_idle_reaped(&self) {
         self.idle_reaped.inc();
-    }
-
-    /// Idle keep-alive connections reaped by the idle timeout.
-    pub fn idle_reaped(&self) -> u64 {
-        self.idle_reaped.get()
     }
 
     /// Counts a request refused with 503 because the job queue was full.
@@ -547,91 +506,9 @@ impl ServerStats {
         self.queue_rejections.inc();
     }
 
-    /// Requests refused with 503 (job queue full).
-    pub fn queue_rejections(&self) -> u64 {
-        self.queue_rejections.get()
-    }
-
     /// Counts a session refused with 429 (per-IP quota).
     pub fn record_quota_rejection(&self) {
         self.quota_rejections.inc();
-    }
-
-    /// Sessions refused with 429 (per-IP quota).
-    pub fn quota_rejections(&self) -> u64 {
-        self.quota_rejections.get()
-    }
-
-    /// The processing latency (in milliseconds) at or below which `q` of
-    /// requests completed — an upper-bound estimate from bucket
-    /// boundaries.
-    pub fn quantile_ms(&self, q: f64) -> f64 {
-        self.request_us.quantile_ms(q)
-    }
-
-    /// The worker-pool queue wait (in milliseconds) at or below which `q`
-    /// of requests were picked up.
-    pub fn queue_quantile_ms(&self, q: f64) -> f64 {
-        self.stage_queue_us.quantile_ms(q)
-    }
-
-    /// Per-stage p-quantile in milliseconds, in ISSUE order:
-    /// (queue, prepare, journal, fsync, repl_ack, write).
-    pub fn stage_quantiles_ms(&self, q: f64) -> [f64; 6] {
-        [
-            self.stage_queue_us.quantile_ms(q),
-            self.stage_prepare_us.quantile_ms(q),
-            self.stage_journal_us.quantile_ms(q),
-            self.stage_fsync_us.quantile_ms(q),
-            self.stage_repl_ack_us.quantile_ms(q),
-            self.stage_write_us.quantile_ms(q),
-        ]
-    }
-
-    /// Republishes mirrored values (store, journal, replication, uptime)
-    /// into the registry. Called by `/stats` and `/metrics` handlers just
-    /// before rendering.
-    pub fn refresh(&self, m: &MirrorSnapshot) {
-        self.sessions.set(m.sessions as f64);
-        self.sessions_durable.set(m.sessions_durable as f64);
-        self.evictions.set(m.evictions);
-        self.demotions.set(m.demotions);
-        self.journal_bytes.set(m.journal_bytes as f64);
-        self.journal_records.set(m.journal_records as f64);
-        self.snapshot_count.set(m.snapshot_count);
-        self.replay_ms_last.set(m.replay_ms_last);
-        self.faultins.set(m.faultins);
-        self.fsyncs.set(m.fsyncs);
-        self.repl_follower
-            .set(if m.repl_follower { 1.0 } else { 0.0 });
-        self.followers_connected.set(m.followers_connected as f64);
-        self.repl_lag_records.set(m.repl_lag_records as f64);
-        self.repl_lag_bytes.set(m.repl_lag_bytes as f64);
-        self.repl_last_ack_ms.set(m.repl_last_ack_ms);
-        self.repl_records_applied.set(m.repl_records_applied);
-        self.repl_snapshots_applied.set(m.repl_snapshots_applied);
-        self.repl_connects.set(m.repl_connects);
-        self.repl_reconnect_backoff_ms
-            .set(m.repl_reconnect_backoff_ms as f64);
-        self.degraded.set(if m.degraded { 1.0 } else { 0.0 });
-        self.slow_requests.set(m.slow_requests);
-        for (c, &n) in self.timeline_events.iter().zip(m.timeline_events.iter()) {
-            c.set(n);
-        }
-        // Per-peer replication families: publish connected followers,
-        // drop series whose peer disconnected so stale labels don't
-        // linger across follower churn.
-        for (peer, lag, apply_us) in &m.follower_peers {
-            self.repl_follower_lag_records.set(peer, *lag as f64);
-            self.repl_apply_us.set(peer, *apply_us as f64);
-        }
-        for (peer, _) in self.repl_follower_lag_records.snapshot() {
-            if !m.follower_peers.iter().any(|(p, _, _)| *p == peer) {
-                self.repl_follower_lag_records.remove(&peer);
-                self.repl_apply_us.remove(&peer);
-            }
-        }
-        self.uptime_seconds.set(m.uptime_secs);
     }
 
     /// Counts `n` stalls the watchdog caught this sweep.
@@ -639,94 +516,140 @@ impl ServerStats {
         self.stalls.add(n);
     }
 
-    /// In-flight requests the watchdog has caught exceeding the stall
-    /// threshold.
-    pub fn stalls(&self) -> u64 {
-        self.stalls.get()
-    }
-
-    /// Renders every metric as Prometheus text exposition.
+    /// Renders every metric as Prometheus text exposition (`/metrics`).
     pub fn render_prometheus(&self) -> String {
         self.registry.render_prometheus()
     }
 
-    /// Every registered metric name (the docs drift gate).
-    pub fn metric_names(&self) -> Vec<&'static str> {
-        self.registry.metric_names()
+    /// Renders every metric as one flat JSON object (`/stats`): each key
+    /// is the metric name minus `sns_`, by the rule in
+    /// [`Registry::render_json`].
+    pub fn render_json(&self) -> String {
+        self.registry.render_json("sns_")
     }
 }
 
 impl std::fmt::Debug for ServerStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerStats")
-            .field("requests", &self.requests())
-            .field("errors", &self.errors())
+            .field("requests", &self.requests.get())
+            .field("errors", &self.errors.get())
             .finish_non_exhaustive()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Instant;
+
     use super::*;
+    use crate::json::{self, Json};
+    use crate::replicate::ReplControl;
+    use crate::routes::Telemetry;
+    use crate::session::Session;
+    use crate::store::SessionStore;
+    use crate::timeline::Timelines;
+
+    /// Stats with no server state behind them: mirrored values read 0.
+    fn detached(reactors: usize) -> ServerStats {
+        ServerStats::with_reactors(reactors, &Weak::new())
+    }
+
+    /// A minimal server state whose stats read it back at scrape time.
+    fn server_state(follower: bool) -> Arc<ServerState> {
+        Arc::new_cyclic(|state| ServerState {
+            store: SessionStore::new(8),
+            stats: ServerStats::with_reactors(1, state),
+            telemetry: Telemetry::new(true, 16, 0),
+            timelines: Arc::new(Timelines::new()),
+            started: Instant::now(),
+            max_sessions_per_ip: 0,
+            max_durable_per_ip: 0,
+            auth_token: None,
+            repl: Arc::new(ReplControl::new(follower)),
+            faults: sns_faults::Faults::disabled(),
+        })
+    }
+
+    /// The `/stats` document, parsed.
+    fn stats_json(stats: &ServerStats) -> Json {
+        json::parse(&stats.render_json()).expect("stats render as JSON")
+    }
+
+    fn num(v: &Json, key: &str) -> f64 {
+        v.get(key)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("no numeric {key} in {v}"))
+    }
 
     #[test]
     fn quantiles_track_recorded_latencies() {
-        let stats = ServerStats::new();
+        let stats = detached(1);
         for _ in 0..99 {
             stats.record(Duration::from_micros(100), false);
         }
         stats.record(Duration::from_millis(50), true);
-        assert_eq!(stats.requests(), 100);
-        assert_eq!(stats.errors(), 1);
-        let p50 = stats.quantile_ms(0.50);
-        let p99 = stats.quantile_ms(0.99);
+        let v = stats_json(&stats);
+        assert_eq!(num(&v, "requests"), 100.0);
+        assert_eq!(num(&v, "errors"), 1.0);
+        let p50 = num(&v, "request_p50_ms");
+        let p99 = num(&v, "request_p99_ms");
         assert!(p50 <= 0.256, "p50 {p50}");
         assert!(p99 <= 0.256, "p99 {p99}");
-        assert!(stats.quantile_ms(1.0) >= 50.0);
+        // The slowest request lands in the 50 ms bucket (p100 >= 50 ms).
+        let text = stats.render_prometheus();
+        assert!(text.contains("sns_request_us_bucket{le=\"32768\"} 99\n"));
+        assert!(text.contains("sns_request_us_bucket{le=\"65536\"} 100\n"));
         // Queue waits land in their own histogram, not the latency one.
         stats.record_queue_wait(Duration::from_millis(8));
-        assert!(stats.queue_quantile_ms(1.0) >= 8.0);
-        assert_eq!(stats.requests(), 100);
+        let v = stats_json(&stats);
+        assert!(num(&v, "stage_queue_p99_ms") >= 8.0, "{v}");
+        assert_eq!(num(&v, "requests"), 100.0);
+        assert!(num(&v, "request_p99_ms") <= 0.256, "{v}");
     }
 
     #[test]
     fn empty_stats_report_zero() {
-        let stats = ServerStats::new();
-        assert_eq!(stats.quantile_ms(0.5), 0.0);
+        let v = stats_json(&detached(1));
+        assert_eq!(num(&v, "request_p50_ms"), 0.0);
+        assert_eq!(num(&v, "requests"), 0.0);
+        assert_eq!(num(&v, "sessions"), 0.0, "detached mirrors read zero");
     }
 
     #[test]
     fn gauges_and_counters_roundtrip() {
-        let stats = ServerStats::new();
-        assert_eq!(stats.conn_gauges(), ConnGauges::default());
-        let g = ConnGauges {
+        let stats = detached(1);
+        let conns =
+            |v: &Json| ["conns_open", "conns_idle", "conns_in_flight"].map(|k| num(v, k) as u64);
+        assert_eq!(conns(&stats_json(&stats)), [0, 0, 0]);
+        stats.set_conn_gauges(ConnGauges {
             open: 1024,
             idle: 1000,
             in_flight: 3,
-        };
-        stats.set_conn_gauges(g);
-        assert_eq!(stats.conn_gauges(), g);
+        });
+        assert_eq!(conns(&stats_json(&stats)), [1024, 1000, 3]);
         stats.record_accept_drop();
         stats.record_read_timeout();
         stats.record_idle_reaped();
         stats.record_queue_rejection();
         stats.record_quota_rejection();
+        let v = stats_json(&stats);
         assert_eq!(
-            (
-                stats.accept_drops(),
-                stats.read_timeouts(),
-                stats.idle_reaped(),
-                stats.queue_rejections(),
-                stats.quota_rejections()
-            ),
-            (1, 1, 1, 1, 1)
+            [
+                "accept_drops",
+                "read_timeouts",
+                "idle_reaped",
+                "queue_rejections",
+                "quota_rejections"
+            ]
+            .map(|k| num(&v, k)),
+            [1.0; 5]
         );
     }
 
     #[test]
     fn per_reactor_gauges_aggregate_into_totals() {
-        let stats = ServerStats::with_reactors(3);
-        assert_eq!(stats.reactors(), 3);
+        let stats = detached(3);
         stats.set_reactor_gauges(
             0,
             ConnGauges {
@@ -745,18 +668,26 @@ mod tests {
             },
             0,
         );
-        assert_eq!(
-            stats.conn_gauges(),
-            ConnGauges {
-                open: 12,
-                idle: 10,
-                in_flight: 1,
-            }
-        );
-        assert_eq!(stats.reactor_conn_counts(), vec![5, 0, 7]);
         stats.record_reactor_wake(1);
         stats.record_reactor_wake(1);
         stats.record_reactor_wake(99); // out of range: ignored, no panic
+        let v = stats_json(&stats);
+        assert_eq!(
+            ["conns_open", "conns_idle", "conns_in_flight"].map(|k| num(&v, k)),
+            [12.0, 10.0, 1.0]
+        );
+        let per_reactor = v.get("reactor_conns").expect("reactor_conns");
+        assert_eq!(
+            per_reactor,
+            &Json::Obj(vec![
+                ("0".to_string(), Json::Num(5.0)),
+                ("1".to_string(), Json::Num(0.0)),
+                ("2".to_string(), Json::Num(7.0)),
+            ]),
+            "{v}"
+        );
+        assert_eq!(num(v.get("reactor_queue_depth").unwrap(), "0"), 2.0);
+        assert_eq!(num(v.get("reactor_wakes").unwrap(), "1"), 2.0);
         let text = stats.render_prometheus();
         assert!(
             text.contains("sns_reactor_conns{reactor=\"0\"} 5"),
@@ -779,7 +710,7 @@ mod tests {
     #[test]
     fn trace_completion_feeds_stage_histograms() {
         use sns_obs::trace::Trace;
-        let stats = ServerStats::new();
+        let stats = detached(1);
         let t = Trace::new(1, "POST", "/sessions/x/drag");
         t.stamp(Stage::ParseDone);
         t.stamp(Stage::Queued);
@@ -793,26 +724,25 @@ mod tests {
         stats.record_trace(&t.finish());
         // journal/fsync/prepare/write got one observation each; repl_ack
         // (never stamped) and queue (fed by record_queue_wait) got none.
-        let p100 = stats.stage_quantiles_ms(1.0);
-        assert_eq!(p100[0], 0.0, "queue fed only by record_queue_wait");
-        assert!(p100[1] > 0.0, "prepare");
-        assert!(p100[2] > 0.0, "journal");
-        assert!(p100[3] > 0.0, "fsync");
-        assert_eq!(p100[4], 0.0, "repl_ack unstamped");
-        assert!(p100[5] > 0.0, "write");
+        let v = stats_json(&stats);
+        let p99 = |stage: &str| num(&v, &format!("stage_{stage}_p99_ms"));
+        assert_eq!(p99("queue"), 0.0, "queue fed only by record_queue_wait");
+        assert!(p99("prepare") > 0.0, "prepare");
+        assert!(p99("journal") > 0.0, "journal");
+        assert!(p99("fsync") > 0.0, "fsync");
+        assert_eq!(p99("repl_ack"), 0.0, "repl_ack unstamped");
+        assert!(p99("write") > 0.0, "write");
     }
 
     #[test]
     fn prometheus_covers_stats_fields() {
-        let stats = ServerStats::new();
-        stats.refresh(&MirrorSnapshot {
-            sessions: 3,
-            journal_bytes: 4096,
-            repl_follower: true,
-            uptime_secs: 1.5,
-            ..MirrorSnapshot::default()
-        });
-        let text = stats.render_prometheus();
+        let state = server_state(true);
+        for i in 0..3 {
+            let session = Session::create(format!("s{i}"), "(svg [(rect 'red' 1 2 3 4)])")
+                .expect("valid program");
+            state.store.adopt(session);
+        }
+        let text = state.stats.render_prometheus();
         for name in [
             "sns_requests_total",
             "sns_errors_total",
@@ -830,66 +760,61 @@ mod tests {
             "sns_build_info",
             "sns_stalls_total",
             "sns_timeline_events_total",
+            "sns_timeline_sessions",
             "sns_repl_follower_lag_records",
             "sns_repl_apply_us",
         ] {
             assert!(text.contains(&format!("# TYPE {name} ")), "missing {name}");
         }
-        assert!(text.contains("sns_sessions 3"));
-        assert!(text.contains("sns_repl_follower 1"));
+        assert!(text.contains("sns_sessions 3\n"), "{text}");
+        assert!(text.contains("sns_repl_follower 1\n"), "{text}");
         assert!(
             text.contains(&format!(
                 "sns_build_info{{version=\"{VERSION}\",git_sha=\"{GIT_SHA}\"}} 1"
             )),
             "{text}"
         );
+        // /stats reads the same values through the key rule.
+        let v = stats_json(&state.stats);
+        assert_eq!(num(&v, "sessions"), 3.0);
+        assert_eq!(num(&v, "repl_follower"), 1.0);
+        assert!(num(&v, "uptime_seconds") >= 0.0);
+        let build = v.get("build_info").expect("build_info");
+        assert_eq!(build.get("version").and_then(Json::as_str), Some(VERSION));
     }
 
     #[test]
     fn per_peer_families_follow_the_mirror() {
-        let stats = ServerStats::new();
-        stats.refresh(&MirrorSnapshot {
-            follower_peers: vec![
-                ("10.0.0.2:9090".to_string(), 12, 350),
-                ("10.0.0.3:9090".to_string(), 0, 90),
-            ],
-            ..MirrorSnapshot::default()
-        });
-        let text = stats.render_prometheus();
-        assert!(
-            text.contains("sns_repl_follower_lag_records{peer=\"10.0.0.2:9090\"} 12"),
-            "{text}"
-        );
-        assert!(
-            text.contains("sns_repl_apply_us{peer=\"10.0.0.3:9090\"} 90"),
-            "{text}"
-        );
-        // A disconnected peer's series is dropped on the next refresh.
-        stats.refresh(&MirrorSnapshot {
-            follower_peers: vec![("10.0.0.3:9090".to_string(), 1, 95)],
-            ..MirrorSnapshot::default()
-        });
-        let text = stats.render_prometheus();
-        assert!(!text.contains("10.0.0.2:9090"), "{text}");
-        assert!(
-            text.contains("sns_repl_follower_lag_records{peer=\"10.0.0.3:9090\"} 1"),
-            "{text}"
-        );
+        // No hub, no followers: both per-peer families are declared and
+        // empty; series appear only while a follower is connected (the
+        // replication test `commit_traces_propagate_to_follower_and_leader_
+        // stitches_acks` checks each family's value for a live follower).
+        let state = server_state(false);
+        let text = state.stats.render_prometheus();
+        for family in ["sns_repl_follower_lag_records", "sns_repl_apply_us"] {
+            assert!(text.contains(&format!("# TYPE {family} gauge")), "{text}");
+            assert!(!text.contains(&format!("{family}{{")), "{text}");
+        }
+        let v = stats_json(&state.stats);
+        assert_eq!(v.get("repl_follower_lag_records"), Some(&Json::Obj(vec![])));
+        assert_eq!(v.get("repl_apply_us"), Some(&Json::Obj(vec![])));
+        assert_eq!(num(&v, "repl_followers_connected"), 0.0);
+        assert_eq!(num(&v, "repl_follower"), 0.0);
     }
 
     #[test]
     fn timeline_totals_mirror_into_the_kind_family() {
-        let stats = ServerStats::new();
-        let mut events = [0u64; timeline::KINDS];
-        events[timeline::Kind::Commit as usize] = 7;
-        events[timeline::Kind::RejectedDegraded as usize] = 2;
-        stats.refresh(&MirrorSnapshot {
-            timeline_events: events,
-            ..MirrorSnapshot::default()
-        });
-        stats.record_stalls(3);
-        assert_eq!(stats.stalls(), 3);
-        let text = stats.render_prometheus();
+        let state = server_state(false);
+        for _ in 0..7 {
+            state.timelines.record("s1", timeline::Kind::Commit, "");
+        }
+        for _ in 0..2 {
+            state
+                .timelines
+                .record("s2", timeline::Kind::RejectedDegraded, "");
+        }
+        state.stats.record_stalls(3);
+        let text = state.stats.render_prometheus();
         assert!(
             text.contains("sns_timeline_events_total{kind=\"commit\"} 7"),
             "{text}"
@@ -899,5 +824,12 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("sns_stalls_total 3"), "{text}");
+        let v = stats_json(&state.stats);
+        assert_eq!(num(&v, "stalls"), 3.0);
+        assert_eq!(num(&v, "timeline_sessions"), 2.0);
+        let events = v.get("timeline_events").expect("timeline_events");
+        assert_eq!(num(events, "commit"), 7.0);
+        assert_eq!(num(events, "rejected_degraded"), 2.0);
+        assert_eq!(num(events, "drag"), 0.0);
     }
 }

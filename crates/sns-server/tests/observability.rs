@@ -6,7 +6,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sns_server::json::{self, Json};
 use sns_server::{Server, ServerConfig, ShutdownHandle};
@@ -282,12 +282,22 @@ fn slow_threshold_zero_flags_every_request() {
     });
     drive_traffic(&addr, 3);
 
+    // A trace is recorded only after its response is written, and the
+    // scrape may land on another reactor: `/stats` is eventually
+    // consistent with responses the client already holds, so poll.
     let mut c = Client::connect(&addr);
-    let (status, _, stats) = c.get("/stats");
-    assert_eq!(status, 200);
-    let v = json::parse(&stats).expect("stats json");
-    let slow = v.get("slow_requests").unwrap().as_f64().unwrap();
-    assert!(slow >= 5.0, "slow_requests = {slow}");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let (status, _, stats) = c.get("/stats");
+        assert_eq!(status, 200);
+        let v = json::parse(&stats).expect("stats json");
+        let slow = v.get("slow_requests").unwrap().as_f64().unwrap();
+        if slow >= 5.0 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "slow_requests = {slow}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
 
     let (_, _, traces) = c.get("/debug/traces");
     assert!(

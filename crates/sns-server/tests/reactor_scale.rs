@@ -529,9 +529,9 @@ fn session_survives_reconnects_across_reactors() {
         Json::obj([("source", Json::str("(svg [(rect 'plum' 10 20 30 40)])"))]),
     );
     drop(c);
-    // Each reconnect is a fresh SO_REUSEPORT pick (or round-robin deal in
-    // fallback mode): over 8 tries a 4-reactor server virtually always
-    // serves this session from several different loops.
+    // Each reconnect is a fresh SO_REUSEPORT pick: over 8 tries a
+    // 4-reactor server virtually always serves this session from several
+    // different loops.
     for round in 1..=8 {
         let mut c = Client::connect(&addr);
         let (status, v) = c.post(&format!("/sessions/{id}/drag"), drag_body(1.0, 0.0));
@@ -540,13 +540,11 @@ fn session_survives_reconnects_across_reactors() {
     let mut c = Client::connect(&addr);
     let (status, stats) = c.get("/stats");
     assert_eq!(status, 200);
-    assert_eq!(
-        stats.get("reactors").unwrap().as_f64(),
-        Some(4.0),
-        "{stats}"
-    );
-    let per_reactor = stats.get("reactor_conns").unwrap().as_arr().unwrap();
-    assert_eq!(per_reactor.len(), 4, "{stats}");
+    let Some(Json::Obj(per_reactor)) = stats.get("reactor_conns") else {
+        panic!("reactor_conns is not an object: {stats}");
+    };
+    let labels: Vec<&str> = per_reactor.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(labels, ["0", "1", "2", "3"], "{stats}");
     handle.shutdown();
 }
 

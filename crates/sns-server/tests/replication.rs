@@ -11,6 +11,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use sns_server::json::{self, Json};
 use sns_server::{Server, ServerConfig, ShutdownHandle};
 
 struct Node {
@@ -74,35 +75,27 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String)
     (status, body)
 }
 
-fn field<'a>(body: &'a str, key: &str) -> &'a str {
-    let pat = format!("\"{key}\":\"");
-    let start = body
-        .find(&pat)
+/// Member `key` of the JSON object `body`. Panics when the body is not
+/// JSON or lacks the key, so a renamed key fails loudly instead of
+/// reading as a default.
+fn json_field(body: &str, key: &str) -> Json {
+    let v = json::parse(body).unwrap_or_else(|e| panic!("not JSON ({e:?}): {body}"));
+    v.get(key)
+        .cloned()
         .unwrap_or_else(|| panic!("no {key} in {body}"))
-        + pat.len();
-    let mut end = start;
-    let bytes = body.as_bytes();
-    while end < bytes.len() {
-        match bytes[end] {
-            b'\\' => end += 2,
-            b'"' => break,
-            _ => end += 1,
-        }
-    }
-    &body[start..end]
+}
+
+fn field(body: &str, key: &str) -> String {
+    json_field(body, key)
+        .as_str()
+        .unwrap_or_else(|| panic!("{key} is not a string in {body}"))
+        .to_string()
 }
 
 fn num_field(body: &str, key: &str) -> f64 {
-    let pat = format!("\"{key}\":");
-    let start = body
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {key} in {body}"))
-        + pat.len();
-    body[start..]
-        .split([',', '}'])
-        .next()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or_else(|| panic!("{key} not numeric in {body}"))
+    json_field(body, key)
+        .as_f64()
+        .unwrap_or_else(|| panic!("{key} is not numeric in {body}"))
 }
 
 fn create(addr: SocketAddr, source: &str) -> String {
@@ -113,7 +106,7 @@ fn create(addr: SocketAddr, source: &str) -> String {
         &format!("{{\"source\":\"{source}\"}}"),
     );
     assert_eq!(status, 201, "{body}");
-    field(&body, "id").to_string()
+    field(&body, "id")
 }
 
 fn drag_commit(addr: SocketAddr, id: &str, dx: f64) -> String {
@@ -126,12 +119,12 @@ fn drag_commit(addr: SocketAddr, id: &str, dx: f64) -> String {
     assert_eq!(status, 200, "{body}");
     let (status, body) = http(addr, "POST", &format!("/sessions/{id}/commit"), "{}");
     assert_eq!(status, 200, "{body}");
-    field(&body, "code").to_string()
+    field(&body, "code")
 }
 
 fn get_code(addr: SocketAddr, id: &str) -> Option<String> {
     let (status, body) = http(addr, "GET", &format!("/sessions/{id}/code"), "");
-    (status == 200).then(|| field(&body, "code").to_string())
+    (status == 200).then(|| field(&body, "code"))
 }
 
 fn wait_until(what: &str, timeout: Duration, mut cond: impl FnMut() -> bool) {
@@ -188,14 +181,18 @@ fn follower_catches_up_tails_survives_compaction_and_promotes() {
     wait_until("snapshot catch-up", Duration::from_secs(10), || {
         get_code(follower.addr, &a).as_deref() == Some(a_code.as_str())
     });
+    // The caught-up session is readable a moment before the apply
+    // counter moves: `/stats` is eventually consistent, so poll it.
+    wait_until("snapshot catch-up counted", Duration::from_secs(5), || {
+        num_field(
+            &http(follower.addr, "GET", "/stats", "").1,
+            "repl_snapshots_applied",
+        ) >= 1.0
+    });
     let stats = http(follower.addr, "GET", "/stats", "").1;
-    assert_eq!(field(&stats, "repl_role"), "follower");
-    assert!(
-        num_field(&stats, "repl_snapshots_applied") >= 1.0,
-        "catch-up should have gone through a snapshot: {stats}"
-    );
+    assert_eq!(num_field(&stats, "repl_follower"), 1.0, "{stats}");
     let leader_stats = http(leader.addr, "GET", "/stats", "").1;
-    assert_eq!(num_field(&leader_stats, "followers_connected"), 1.0);
+    assert_eq!(num_field(&leader_stats, "repl_followers_connected"), 1.0);
 
     // ---- Live tail: a fresh commit appears on the follower.
     let b = create(leader.addr, "(svg [(circle 'navy' 100 100 30)])");
@@ -249,8 +246,8 @@ fn follower_catches_up_tails_survives_compaction_and_promotes() {
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"promoted\":true"), "{body}");
     assert_eq!(
-        field(&http(follower.addr, "GET", "/stats", "").1, "repl_role"),
-        "leader"
+        num_field(&http(follower.addr, "GET", "/stats", "").1, "repl_follower"),
+        0.0
     );
     let promoted_code = drag_commit(follower.addr, &a, 500.0);
     assert_ne!(
@@ -354,7 +351,7 @@ fn replication_stream_is_gated_by_the_auth_token() {
         "{\"source\":\"(svg [(rect 'gold' 10 20 30 40)])\"}",
     );
     assert_eq!(status, 201, "{body}");
-    let id = field(&body, "id").to_string();
+    let id = field(&body, "id");
     wait_until("authed replication", Duration::from_secs(10), || {
         auth_http(follower.addr, "GET", &format!("/sessions/{id}/code"), "").0 == 200
     });
@@ -381,7 +378,7 @@ fn sync_replication_means_acked_implies_on_follower() {
     wait_until("follower registration", Duration::from_secs(10), || {
         num_field(
             &http(leader.addr, "GET", "/stats", "").1,
-            "followers_connected",
+            "repl_followers_connected",
         ) >= 1.0
     });
 
@@ -439,7 +436,7 @@ fn commit_traces_propagate_to_follower_and_leader_stitches_acks() {
     wait_until("follower registration", Duration::from_secs(10), || {
         num_field(
             &http(leader.addr, "GET", "/stats", "").1,
-            "followers_connected",
+            "repl_followers_connected",
         ) >= 1.0
     });
     let follower_node = follower.addr.to_string();
@@ -494,14 +491,31 @@ fn commit_traces_propagate_to_follower_and_leader_stitches_acks() {
         assert!(child.contains(&format!("\"{stage}\"")), "{child}");
     }
 
-    // The per-peer gauge families exist and are labeled by node id.
-    let (_, metrics) = http(leader.addr, "GET", "/metrics", "");
-    for family in ["sns_repl_follower_lag_records", "sns_repl_apply_us"] {
-        assert!(
-            metrics.contains(&format!("{family}{{peer=\"{follower_node}\"}}")),
-            "missing {family} for {follower_node}:\n{metrics}"
-        );
-    }
+    // The per-peer gauge families are labeled by node id and carry the
+    // right tuple field each: the follower acked every record (lag 0)
+    // and reported a nonzero apply time. The ack bookkeeping lands a
+    // hair after the sync gate releases the commit, so poll.
+    let sample = |metrics: &str, family: &str| -> Option<f64> {
+        let series = format!("{family}{{peer=\"{follower_node}\"}} ");
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(series.as_str()))
+            .and_then(|v| v.parse().ok())
+    };
+    wait_until("per-peer gauges settle", Duration::from_secs(5), || {
+        let (_, metrics) = http(leader.addr, "GET", "/metrics", "");
+        sample(&metrics, "sns_repl_follower_lag_records") == Some(0.0)
+            && sample(&metrics, "sns_repl_apply_us").is_some_and(|us| us > 0.0)
+    });
+    let stats = http(leader.addr, "GET", "/stats", "").1;
+    let per_peer = |key: &str| {
+        json_field(&stats, key)
+            .get(&follower_node)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("no {key} for {follower_node} in {stats}"))
+    };
+    assert_eq!(per_peer("repl_follower_lag_records"), 0.0, "{stats}");
+    assert!(per_peer("repl_apply_us") > 0.0, "{stats}");
 
     leader.stop();
     follower.stop();
@@ -535,11 +549,13 @@ fn trace_propagation_survives_snapshot_resync() {
     wait_until("snapshot catch-up", Duration::from_secs(10), || {
         get_code(follower.addr, &id).as_deref() == Some(code.as_str())
     });
-    let stats = http(follower.addr, "GET", "/stats", "").1;
-    assert!(
-        num_field(&stats, "repl_snapshots_applied") >= 1.0,
-        "catch-up should have used a snapshot: {stats}"
-    );
+    // The session is readable a moment before the apply counter moves.
+    wait_until("snapshot catch-up counted", Duration::from_secs(5), || {
+        num_field(
+            &http(follower.addr, "GET", "/stats", "").1,
+            "repl_snapshots_applied",
+        ) >= 1.0
+    });
 
     // The resync left a mark on the session's follower-side timeline.
     let (status, timeline) = http(

@@ -281,7 +281,7 @@ fn sixty_four_concurrent_live_sync_sessions() {
         Some(SESSIONS as f64)
     );
     assert!(stats.get("requests").unwrap().as_f64().unwrap() >= (SESSIONS * (DRAGS + 3)) as f64);
-    assert!(stats.get("p99_ms").unwrap().as_f64().unwrap() > 0.0);
+    assert!(stats.get("request_p99_ms").unwrap().as_f64().unwrap() > 0.0);
     handle.shutdown();
 }
 
