@@ -1,10 +1,10 @@
 //! Micro-bench for the live-synchronization inner loop, ported from
 //! Criterion to the in-repo harness (`cargo bench --bench drag`).
 //!
-//! One mouse-move event = fire the trigger (SolveOne per attribute) +
-//! produce the preview canvas. The fast path patches the cached canvas by
-//! trace re-evaluation; the full path re-evaluates the program from
-//! scratch (the pre-fast-path behaviour). Commit contrasts the
+//! One mouse-move event = fire the trigger (SolveOne per attribute) + the
+//! tier proof that the update preserves control flow; no canvas is built.
+//! The full path instead re-evaluates the updated program from scratch as
+//! its refusal check (the pre-fast-path behaviour). Commit contrasts the
 //! incremental re-preparation against a full prepare the same way.
 
 use bench::{ms, summarize, time_commit_paths, time_drag_steps};
@@ -15,7 +15,7 @@ const COMMITS: usize = 20;
 
 fn main() {
     sns_eval::with_big_stack(|| {
-        println!("drag step ({STEPS} moves: med patched vs med full re-eval)");
+        println!("drag step ({STEPS} moves: med tier proof vs med full re-eval)");
         for slug in SLUGS {
             let ex = sns_examples::by_slug(slug).expect("example exists");
             let fast = summarize(&time_drag_steps(ex, STEPS, false)).med;

@@ -476,10 +476,12 @@ pub fn set_code_workload_sources() -> (String, String, String) {
     (base, subtree, structural)
 }
 
-/// Times `steps` consecutive drag previews (one simulated mouse-move
-/// each) on an example's first active zone, returning seconds per step.
-/// With `full_eval_only`, the session re-evaluates from scratch per step
-/// (the pre-fast-path behaviour).
+/// Times `steps` consecutive drag steps (one simulated mouse-move each)
+/// on an example's first active zone, returning seconds per step. A step
+/// is the trigger solve plus the tier proof; it builds no canvas. With
+/// `full_eval_only`, the session instead re-evaluates the updated program
+/// from scratch per step as its refusal check (the pre-fast-path
+/// behaviour).
 ///
 /// # Panics
 ///

@@ -4,13 +4,20 @@
 //! implicitly wrapped in, tracks per-location metadata (canonical name,
 //! freeze/thaw annotation, range annotation, Prelude membership), and knows
 //! how to evaluate itself and how to apply local updates.
+//!
+//! The parts a local update never changes are shared, not copied: every
+//! program holds the Prelude AST and the location metadata behind an
+//! [`Arc`], so cloning a program (an undo point, a preview under ρ) costs
+//! O(user AST). The user code's text is unparsed once and cached together
+//! with each literal's span, so the text of a *previewed* update is a splice
+//! ([`Program::code_with`]) rather than a clone plus a full unparse.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use sns_lang::{
-    loc_names, parse_with_locs, program_subst, unparse, Expr, FreezeAnnotation, LocId, ParseError,
-    Pat, Subst,
+    fmt_num, loc_names, parse_with_locs, program_subst, unparse_with_spans, Expr, FreezeAnnotation,
+    LitSpan, LocId, ParseError, Pat, Subst,
 };
 
 use crate::env::Env;
@@ -77,12 +84,33 @@ impl FreezeMode {
     }
 }
 
-fn prelude_template() -> &'static (Expr, u32) {
-    static TEMPLATE: OnceLock<(Expr, u32)> = OnceLock::new();
+fn prelude_template() -> &'static (Arc<Expr>, u32) {
+    static TEMPLATE: OnceLock<(Arc<Expr>, u32)> = OnceLock::new();
     TEMPLATE.get_or_init(|| {
         let parsed = sns_lang::parse(PRELUDE_SRC).expect("the embedded Prelude must always parse");
-        (parsed.expr, parsed.next_loc)
+        (Arc::new(parsed.expr), parsed.next_loc)
     })
+}
+
+/// The user code's text plus the span of every literal's value in it,
+/// sorted by location for lookup.
+#[derive(Debug)]
+struct CodeText {
+    text: String,
+    spans: Vec<LitSpan>,
+}
+
+impl CodeText {
+    fn new(expr: &Expr) -> CodeText {
+        let (text, mut spans) = unparse_with_spans(expr);
+        spans.sort_unstable_by_key(|s| s.loc);
+        CodeText { text, spans }
+    }
+
+    fn span(&self, loc: LocId) -> Option<&LitSpan> {
+        let i = self.spans.binary_search_by_key(&loc, |s| s.loc).ok()?;
+        Some(&self.spans[i])
+    }
 }
 
 /// A complete program: Prelude + user code.
@@ -98,12 +126,18 @@ fn prelude_template() -> &'static (Expr, u32) {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Program {
-    prelude_expr: Expr,
+    /// Shared with the Prelude template and every clone until a
+    /// substitution rewrites a Prelude literal.
+    prelude_expr: Arc<Expr>,
     user_expr: Expr,
     prelude_next_loc: u32,
     next_loc: u32,
-    loc_info: HashMap<LocId, LocInfo>,
+    /// Never changed by a substitution, so shared by every clone.
+    loc_info: Arc<HashMap<LocId, LocInfo>>,
     limits: Limits,
+    /// The unparsed user code, built on first use and dropped by
+    /// [`Program::apply_subst`].
+    code: OnceLock<Arc<CodeText>>,
 }
 
 impl Program {
@@ -131,12 +165,12 @@ impl Program {
     pub fn parse_without_prelude(user_src: &str) -> Result<Program, ParseError> {
         let user = sns_lang::parse(user_src)?;
         // A trivial prelude: a single dummy literal that binds nothing.
-        let prelude_expr = Expr::Bool(true);
+        let prelude_expr = Arc::new(Expr::Bool(true));
         Ok(Self::assemble(prelude_expr, 0, user.expr, user.next_loc))
     }
 
     fn assemble(
-        prelude_expr: Expr,
+        prelude_expr: Arc<Expr>,
         prelude_next_loc: u32,
         user_expr: Expr,
         next_loc: u32,
@@ -146,8 +180,9 @@ impl Program {
             user_expr,
             prelude_next_loc,
             next_loc,
-            loc_info: HashMap::new(),
+            loc_info: Arc::default(),
             limits: Limits::default(),
+            code: OnceLock::new(),
         };
         program.rebuild_loc_info();
         program
@@ -157,7 +192,7 @@ impl Program {
         let mut info = HashMap::new();
         let mut names = loc_names(&self.prelude_expr);
         names.extend(loc_names(&self.user_expr));
-        for (expr, prelude) in [(&self.prelude_expr, true), (&self.user_expr, false)] {
+        for (expr, prelude) in [(&*self.prelude_expr, true), (&self.user_expr, false)] {
             expr.walk(&mut |e| {
                 if let Expr::Num(n) = e {
                     info.insert(
@@ -172,7 +207,7 @@ impl Program {
                 }
             });
         }
-        self.loc_info = info;
+        self.loc_info = Arc::new(info);
     }
 
     /// Overrides the evaluation resource limits.
@@ -236,12 +271,13 @@ impl Program {
     }
 
     /// Applies a local update to the program (both user code and, when the
-    /// update mentions Prelude locations, the Prelude copy).
+    /// update mentions Prelude locations, a private copy of the Prelude).
     pub fn apply_subst(&mut self, rho: &Subst) {
         rho.apply(&mut self.user_expr);
         if rho.domain().any(|l| self.is_prelude_loc(l)) {
-            rho.apply(&mut self.prelude_expr);
+            rho.apply(Arc::make_mut(&mut self.prelude_expr));
         }
+        self.code = OnceLock::new();
     }
 
     /// Returns a copy of the program with `rho` applied (the paper's `ρe`).
@@ -253,7 +289,34 @@ impl Program {
 
     /// The current user-program source text.
     pub fn code(&self) -> String {
-        unparse(&self.user_expr)
+        self.code_text().text.clone()
+    }
+
+    /// The user-program text as it reads after applying `rho` — equal to
+    /// `self.with_subst(rho).code()`, but spliced from the cached text:
+    /// only the literals `rho` binds are re-printed, and Prelude
+    /// locations (absent from the user text) are skipped.
+    pub fn code_with(&self, rho: &Subst) -> String {
+        let code = self.code_text();
+        let mut edits: Vec<(&LitSpan, f64)> = rho
+            .iter()
+            .filter_map(|(l, v)| code.span(l).map(|s| (s, v)))
+            .collect();
+        edits.sort_unstable_by_key(|(s, _)| s.start);
+        let mut out = String::with_capacity(code.text.len());
+        let mut at = 0;
+        for (span, v) in edits {
+            out.push_str(&code.text[at..span.start]);
+            out.push_str(&fmt_num(v));
+            at = span.end;
+        }
+        out.push_str(&code.text[at..]);
+        out
+    }
+
+    fn code_text(&self) -> &CodeText {
+        self.code
+            .get_or_init(|| Arc::new(CodeText::new(&self.user_expr)))
     }
 
     /// Evaluates the program: Prelude definitions first, then user code.
@@ -400,6 +463,33 @@ mod tests {
         p.apply_subst(&rho);
         assert_eq!(p.code(), "(def sep 52.5) (* 2 sep)");
         assert_eq!(p.eval().unwrap().as_num().unwrap().0, 105.0);
+    }
+
+    #[test]
+    fn prelude_edits_stay_private_to_the_edited_program() {
+        let mut p = Program::parse("(zeroTo 3)").unwrap();
+        let snapshot = p.clone();
+        let loc = LocId(0);
+        let old = program_subst(snapshot.prelude_expr()).get(loc).unwrap();
+        p.apply_subst(&Subst::from_pairs([(loc, old + 1000.0)]));
+        assert_eq!(program_subst(p.prelude_expr()).get(loc), Some(old + 1000.0));
+        // Neither the clone nor the shared template saw the write.
+        assert_eq!(program_subst(snapshot.prelude_expr()).get(loc), Some(old));
+        let fresh = Program::parse("(zeroTo 3)").unwrap();
+        assert_eq!(program_subst(fresh.prelude_expr()).get(loc), Some(old));
+    }
+
+    #[test]
+    fn code_with_splices_only_user_literals() {
+        let p = Program::parse("(def [x y] [10 -2.5!{-5-5}]) (+ x (* y 3?))").unwrap();
+        let y = LocId(p.next_loc() - 2);
+        let rho = Subst::from_pairs([(LocId(0), 7.0), (y, 1234.75)]);
+        assert_eq!(
+            p.code_with(&rho),
+            "(def [x y] [10 1234.75!{-5-5}]) (+ x (* y 3?))"
+        );
+        assert_eq!(p.code_with(&rho), p.with_subst(&rho).code());
+        assert_eq!(p.code_with(&Subst::new()), p.code());
     }
 
     #[test]

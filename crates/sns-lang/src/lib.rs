@@ -16,7 +16,9 @@
 //! * [`parse`] / [`parse_with_locs`] — lexer + parser ([`token`], [`parser`]);
 //! * the AST ([`ast`]): [`Expr`], [`Pat`], [`Op`], [`NumLit`];
 //! * [`unparse`] — a style-preserving pretty-printer, so that applying a
-//!   substitution and re-printing yields the updated program text;
+//!   substitution and re-printing yields the updated program text, and
+//!   [`unparse_with_spans`], which also reports where each literal's value
+//!   was printed so later updates can be spliced into the text;
 //! * [`Subst`] and [`program_subst`] — local updates ρ;
 //! * [`loc_names`] — canonical names for locations bound to variables.
 //!
@@ -55,4 +57,4 @@ pub use error::{ParseError, Pos};
 pub use names::{display_loc, loc_names};
 pub use parser::{parse, parse_with_locs, Parsed};
 pub use subst::{program_subst, Subst};
-pub use unparse::{unparse, unparse_num, unparse_pat};
+pub use unparse::{unparse, unparse_pat, unparse_with_spans, LitSpan};

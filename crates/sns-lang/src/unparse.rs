@@ -12,7 +12,21 @@
 //! property-based tests in the crate's test suite.
 
 use crate::ast::{Expr, FreezeAnnotation, LetStyle, NumLit, Pat};
-use crate::fmt_num;
+use crate::{fmt_num, LocId};
+
+/// Where one numeric literal's *value* sits in unparsed text: the bytes
+/// `start..end` hold exactly `fmt_num(value)`, annotations excluded. A
+/// substitution's new text for that literal can therefore be spliced in
+/// without re-printing anything else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LitSpan {
+    /// The literal's location.
+    pub loc: LocId,
+    /// Byte offset of the first character of the value.
+    pub start: usize,
+    /// Byte offset one past the value's last character.
+    pub end: usize,
+}
 
 /// Renders an expression as `little` source text.
 ///
@@ -23,9 +37,32 @@ use crate::fmt_num;
 /// assert_eq!(sns_lang::unparse(&parsed.expr), "(def x 50) (+ x 1!)");
 /// ```
 pub fn unparse(expr: &Expr) -> String {
-    let mut out = String::new();
-    write_expr(&mut out, expr, true);
-    out
+    let mut w = Writer {
+        out: String::new(),
+        spans: None,
+    };
+    w.expr(expr, true);
+    w.out
+}
+
+/// Renders an expression like [`unparse`] and also returns the span of
+/// every numeric literal's value, in text order.
+///
+/// # Examples
+///
+/// ```
+/// let parsed = sns_lang::parse("(+ 10 2.5!)").unwrap();
+/// let (text, spans) = sns_lang::unparse_with_spans(&parsed.expr);
+/// assert_eq!(text, "(+ 10 2.5!)");
+/// assert_eq!(&text[spans[1].start..spans[1].end], "2.5");
+/// ```
+pub fn unparse_with_spans(expr: &Expr) -> (String, Vec<LitSpan>) {
+    let mut w = Writer {
+        out: String::new(),
+        spans: Some(Vec::new()),
+    };
+    w.expr(expr, true);
+    (w.out, w.spans.unwrap_or_default())
 }
 
 /// Renders a pattern as `little` source text.
@@ -35,9 +72,8 @@ pub fn unparse_pat(pat: &Pat) -> String {
     out
 }
 
-/// Renders a numeric literal with its annotations, e.g. `12!{3-30}`.
-pub fn unparse_num(n: &NumLit) -> String {
-    let mut s = fmt_num(n.value);
+/// Appends a literal's annotations, e.g. the `!{3-30}` of `12!{3-30}`.
+fn push_annotations(s: &mut String, n: &NumLit) {
     match n.annotation {
         FreezeAnnotation::None => {}
         FreezeAnnotation::Frozen => s.push('!'),
@@ -50,7 +86,6 @@ pub fn unparse_num(n: &NumLit) -> String {
         s.push_str(&fmt_num(hi));
         s.push('}');
     }
-    s
 }
 
 fn escape_str(s: &str) -> String {
@@ -68,114 +103,136 @@ fn escape_str(s: &str) -> String {
     out
 }
 
-/// `top` is true only in def-sequence position, where `(def p e) rest` is
-/// printed as consecutive forms rather than nested parens.
-fn write_expr(out: &mut String, expr: &Expr, top: bool) {
-    match expr {
-        Expr::Num(n) => out.push_str(&unparse_num(n)),
-        Expr::Str(s) => out.push_str(&escape_str(s)),
-        Expr::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Expr::Var(x) => out.push_str(x),
-        Expr::List(elems, tail) => {
-            out.push('[');
-            for (i, e) in elems.iter().enumerate() {
-                if i > 0 {
-                    out.push(' ');
-                }
-                write_expr(out, e, false);
-            }
-            if let Some(t) = tail {
-                out.push('|');
-                write_expr(out, t, false);
-            }
-            out.push(']');
+/// The one unparser: prints into `out` and, when `spans` is set, records
+/// where each literal's value lands.
+struct Writer {
+    out: String,
+    spans: Option<Vec<LitSpan>>,
+}
+
+impl Writer {
+    fn num(&mut self, n: &NumLit) {
+        let start = self.out.len();
+        self.out.push_str(&fmt_num(n.value));
+        if let Some(spans) = &mut self.spans {
+            spans.push(LitSpan {
+                loc: n.loc,
+                start,
+                end: self.out.len(),
+            });
         }
-        Expr::Lambda(params, body) => {
-            out.push_str("(λ");
-            if params.len() == 1 {
-                out.push(' ');
-                write_pat(out, &params[0]);
-            } else {
-                out.push('(');
-                for (i, p) in params.iter().enumerate() {
+        push_annotations(&mut self.out, n);
+    }
+
+    /// `top` is true only in def-sequence position, where `(def p e) rest`
+    /// is printed as consecutive forms rather than nested parens.
+    fn expr(&mut self, expr: &Expr, top: bool) {
+        match expr {
+            Expr::Num(n) => self.num(n),
+            Expr::Str(s) => self.out.push_str(&escape_str(s)),
+            Expr::Bool(b) => self.out.push_str(if *b { "true" } else { "false" }),
+            Expr::Var(x) => self.out.push_str(x),
+            Expr::List(elems, tail) => {
+                self.out.push('[');
+                for (i, e) in elems.iter().enumerate() {
                     if i > 0 {
-                        out.push(' ');
+                        self.out.push(' ');
                     }
-                    write_pat(out, p);
+                    self.expr(e, false);
                 }
-                out.push(')');
+                if let Some(t) = tail {
+                    self.out.push('|');
+                    self.expr(t, false);
+                }
+                self.out.push(']');
             }
-            out.push(' ');
-            write_expr(out, body, false);
-            out.push(')');
-        }
-        Expr::App(head, args) => {
-            out.push('(');
-            write_expr(out, head, false);
-            for a in args {
-                out.push(' ');
-                write_expr(out, a, false);
+            Expr::Lambda(params, body) => {
+                self.out.push_str("(λ");
+                if params.len() == 1 {
+                    self.out.push(' ');
+                    write_pat(&mut self.out, &params[0]);
+                } else {
+                    self.out.push('(');
+                    for (i, p) in params.iter().enumerate() {
+                        if i > 0 {
+                            self.out.push(' ');
+                        }
+                        write_pat(&mut self.out, p);
+                    }
+                    self.out.push(')');
+                }
+                self.out.push(' ');
+                self.expr(body, false);
+                self.out.push(')');
             }
-            out.push(')');
-        }
-        Expr::Prim(op, args) => {
-            out.push('(');
-            out.push_str(op.name());
-            for a in args {
-                out.push(' ');
-                write_expr(out, a, false);
+            Expr::App(head, args) => {
+                self.out.push('(');
+                self.expr(head, false);
+                for a in args {
+                    self.out.push(' ');
+                    self.expr(a, false);
+                }
+                self.out.push(')');
             }
-            out.push(')');
-        }
-        Expr::Let {
-            recursive,
-            style,
-            pat,
-            bound,
-            body,
-        } => {
-            let is_def = top && *style == LetStyle::Def;
-            if is_def {
-                out.push('(');
-                out.push_str(if *recursive { "defrec" } else { "def" });
-                out.push(' ');
-                write_pat(out, pat);
-                out.push(' ');
-                write_expr(out, bound, false);
-                out.push_str(") ");
-                write_expr(out, body, true);
-            } else {
-                out.push('(');
-                out.push_str(if *recursive { "letrec" } else { "let" });
-                out.push(' ');
-                write_pat(out, pat);
-                out.push(' ');
-                write_expr(out, bound, false);
-                out.push(' ');
-                write_expr(out, body, false);
-                out.push(')');
+            Expr::Prim(op, args) => {
+                self.out.push('(');
+                self.out.push_str(op.name());
+                for a in args {
+                    self.out.push(' ');
+                    self.expr(a, false);
+                }
+                self.out.push(')');
             }
-        }
-        Expr::If(c, t, e) => {
-            out.push_str("(if ");
-            write_expr(out, c, false);
-            out.push(' ');
-            write_expr(out, t, false);
-            out.push(' ');
-            write_expr(out, e, false);
-            out.push(')');
-        }
-        Expr::Case(scrut, branches) => {
-            out.push_str("(case ");
-            write_expr(out, scrut, false);
-            for (p, e) in branches {
-                out.push_str(" (");
-                write_pat(out, p);
-                out.push(' ');
-                write_expr(out, e, false);
-                out.push(')');
+            Expr::Let {
+                recursive,
+                style,
+                pat,
+                bound,
+                body,
+            } => {
+                let is_def = top && *style == LetStyle::Def;
+                if is_def {
+                    self.out.push('(');
+                    self.out.push_str(if *recursive { "defrec" } else { "def" });
+                    self.out.push(' ');
+                    write_pat(&mut self.out, pat);
+                    self.out.push(' ');
+                    self.expr(bound, false);
+                    self.out.push_str(") ");
+                    self.expr(body, true);
+                } else {
+                    self.out.push('(');
+                    self.out.push_str(if *recursive { "letrec" } else { "let" });
+                    self.out.push(' ');
+                    write_pat(&mut self.out, pat);
+                    self.out.push(' ');
+                    self.expr(bound, false);
+                    self.out.push(' ');
+                    self.expr(body, false);
+                    self.out.push(')');
+                }
             }
-            out.push(')');
+            Expr::If(c, t, e) => {
+                self.out.push_str("(if ");
+                self.expr(c, false);
+                self.out.push(' ');
+                self.expr(t, false);
+                self.out.push(' ');
+                self.expr(e, false);
+                self.out.push(')');
+            }
+            Expr::Case(scrut, branches) => {
+                self.out.push_str("(case ");
+                self.expr(scrut, false);
+                for (p, e) in branches {
+                    self.out.push_str(" (");
+                    write_pat(&mut self.out, p);
+                    self.out.push(' ');
+                    self.expr(e, false);
+                    self.out.push(')');
+                }
+                self.out.push(')');
+            }
         }
     }
 }
@@ -265,6 +322,18 @@ mod tests {
         assert_eq!(unparse(&e), "0.5?");
         let e = parse("5{0-10}").unwrap().expr;
         assert_eq!(unparse(&e), "5{0-10}");
+    }
+
+    #[test]
+    fn spans_cover_exactly_the_literal_values() {
+        let src = "(def [a b] [-3.5 12!{3-30}]) (+ a (* b 0.25?))";
+        let e = parse(src).unwrap().expr;
+        let (text, spans) = unparse_with_spans(&e);
+        assert_eq!(text, unparse(&e));
+        let values: Vec<&str> = spans.iter().map(|s| &text[s.start..s.end]).collect();
+        assert_eq!(values, ["-3.5", "12", "0.25"]);
+        let locs: Vec<u32> = spans.iter().map(|s| s.loc.0).collect();
+        assert_eq!(locs, [0, 1, 2]);
     }
 
     #[test]

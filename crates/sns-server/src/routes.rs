@@ -636,7 +636,7 @@ fn with_session_ev(
 
 /// Derives a timeline detail string from a live-stats delta: the prepare
 /// tier the operation took and any fallback reason. Drags carry the eval
-/// path instead (canvas patching vs full re-eval).
+/// path instead (a tier proof without evaluation vs full re-eval).
 fn prepare_detail(kind: TimelineKind, d: &LiveStats) -> String {
     if kind == TimelineKind::Drag {
         return if d.full_evals > 0 {

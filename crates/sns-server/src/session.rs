@@ -356,9 +356,11 @@ impl Session {
     }
 
     /// The program text as it would read if the in-flight drag committed —
-    /// the live-updating code pane of the paper's editor.
+    /// the live-updating code pane of the paper's editor. Spliced from the
+    /// program's cached text, so a drag step neither clones the program
+    /// nor walks its AST.
     fn preview_code(&self, subst: &sns_lang::Subst) -> String {
-        self.editor.program().with_subst(subst).code()
+        self.editor.program().code_with(subst)
     }
 
     /// Commits the in-flight drag (mouse-up): journals the pending update,

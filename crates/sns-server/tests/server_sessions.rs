@@ -179,7 +179,7 @@ fn create_canvas_drag_commit_code_roundtrip() {
 
     // The commit above was served by the incremental-prepare path (the
     // drag's substitution touches no control-flow location) and the drags
-    // by canvas patching; /stats exposes both.
+    // by the tier proof without evaluation; /stats exposes both.
     let (status, stats) = c.get("/stats");
     assert_eq!(status, 200);
     assert!(stats.get("prepare_incremental").unwrap().as_f64().unwrap() >= 1.0);

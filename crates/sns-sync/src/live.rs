@@ -2,10 +2,9 @@
 //!
 //! A [`LiveSync`] session owns a program and its current canvas. `prepare`
 //! computes shape assignments and mouse triggers for every zone; `drag`
-//! fires a trigger, applies the inferred local update, and re-evaluates the
-//! program — exactly what the original editor does on every mouse-move
-//! event; `commit` finalizes a drag (mouse-up), after which the session
-//! re-prepares in anticipation of the next user action.
+//! fires a trigger and infers the local update for one mouse-move event;
+//! `commit` finalizes a drag (mouse-up), applying the update, after which
+//! the session re-prepares in anticipation of the next user action.
 //!
 //! # Incremental preparation and the drag fast path
 //!
@@ -20,10 +19,14 @@
 //!   [`sns_eval::Evaluator::escaped_locs`]). A substitution avoiding all
 //!   of them leaves control flow, output structure, and every trace
 //!   unchanged;
-//! * **drag fast path** — instead of cloning the program and re-running
-//!   the interpreter per mouse-move, the cached canvas is *patched*: every
-//!   traced number whose trace mentions a changed location is re-evaluated
-//!   under the updated substitution ([`sns_eval::TracePatcher`]);
+//! * **drag fast path** — a mouse-move is the trigger solve plus the tier
+//!   proof that the update preserves control flow. No canvas is built: the
+//!   proof already guarantees the updated program evaluates, and the
+//!   canvas a caller wants to see is the cached one *patched* — every
+//!   traced number whose trace mentions a changed location re-evaluated
+//!   under the updated substitution ([`sns_eval::TracePatcher`]), which is
+//!   what [`LiveSync::preview_canvas`] and the commit do. Only an update the
+//!   proof rejects is evaluated in full, to refuse it if the program fails;
 //! * **incremental prepare** — with traces unchanged, candidate location
 //!   sets and heuristic choices are unchanged too, so a commit only needs
 //!   to refresh the attribute *base values* of zones whose traces mention
@@ -166,9 +169,9 @@ pub struct LiveStats {
     /// Commits served by a partial tier: guard-replay commits over escaped
     /// locations, and stitched re-prepares after subtree code edits.
     pub partial_prepares: u64,
-    /// Drag previews served by canvas patching.
+    /// Drag steps a patch tier proved safe, so nothing was evaluated.
     pub fast_evals: u64,
-    /// Drag previews served by full re-evaluation.
+    /// Drag steps checked by a full re-evaluation.
     pub full_evals: u64,
     /// Full-prepare fallbacks because a touched escaped location could not
     /// be proven harmless (guard flipped, non-replayable sink, overflow).
@@ -260,8 +263,6 @@ pub struct DragResult {
     pub subst: Subst,
     /// Attributes whose equations failed (red highlight).
     pub failures: Vec<sns_svg::AttrRef>,
-    /// The preview canvas after applying the update.
-    pub canvas: Canvas,
 }
 
 /// A live-synchronization session over one program.
@@ -273,7 +274,8 @@ pub struct LiveSync {
     assignments: Assignments,
     triggers: HashMap<(ShapeId, Zone), Trigger>,
     /// The program's current substitution ρ₀ (cached; kept equal to
-    /// `program.subst()` across commits).
+    /// `program.subst()` across commits, updated in place by the patch
+    /// tiers).
     rho0: Subst,
     /// Locations that escaped the trace system during the last full
     /// evaluation, their sink kinds, and the recorded control-flow guards.
@@ -334,8 +336,14 @@ impl LiveSync {
     }
 
     /// Simulates the mouse moving `(dx, dy)` while holding `zone` of
-    /// `shape`: fires the trigger and re-evaluates a preview. The session's
-    /// program is *not* modified — call [`LiveSync::commit`] on mouse-up.
+    /// `shape`: fires the trigger and checks that the update is usable. The
+    /// session's program is *not* modified — call [`LiveSync::commit`] on
+    /// mouse-up, or [`LiveSync::preview_canvas`] to see the update.
+    ///
+    /// When a patch tier proves the update preserves control flow, the
+    /// updated program provably evaluates to a canvas of the same shape,
+    /// so nothing is evaluated. Otherwise the updated program is evaluated
+    /// in full, and a failure refuses the drag.
     ///
     /// # Errors
     ///
@@ -352,12 +360,13 @@ impl LiveSync {
             .get(&(shape, zone))
             .ok_or(LiveError::NoTrigger { shape, zone })?;
         let TriggerFire { subst, failures } = trigger.fire(&self.rho0, dx, dy, self.config.solver);
-        let canvas = self.preview_canvas(&subst)?;
-        Ok(DragResult {
-            subst,
-            failures,
-            canvas,
-        })
+        if self.patch_tier(&subst).is_some() {
+            LiveCounters::bump(&self.counters.fast_evals);
+        } else {
+            LiveCounters::bump(&self.counters.full_evals);
+            self.evaluated_canvas(&subst)?;
+        }
+        Ok(DragResult { subst, failures })
     }
 
     /// Whether a substitution provably cannot change control flow because
@@ -433,16 +442,23 @@ impl LiveSync {
 
     /// The canvas after applying `subst`: patched from the cached canvas
     /// when control flow provably cannot change, rebuilt from a full
-    /// re-evaluation otherwise.
-    fn preview_canvas(&self, subst: &Subst) -> Result<Canvas, LiveError> {
+    /// re-evaluation otherwise. [`LiveSync::drag`] does not build it; this
+    /// is for callers that want the picture of an in-flight update.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the updated program does not evaluate to a canvas.
+    pub fn preview_canvas(&self, subst: &Subst) -> Result<Canvas, LiveError> {
         if self.patch_tier(subst).is_some() {
-            let mut patcher = TracePatcher::new(&self.rho0, subst);
-            if let Some(canvas) = self.canvas.patched(&mut |n, t| patcher.patch(n, t)) {
-                LiveCounters::bump(&self.counters.fast_evals);
+            if let Some(canvas) = self.patched_canvas(subst) {
                 return Ok(canvas);
             }
         }
-        LiveCounters::bump(&self.counters.full_evals);
+        self.evaluated_canvas(subst)
+    }
+
+    /// The canvas of `subst` applied to the program, by full evaluation.
+    fn evaluated_canvas(&self, subst: &Subst) -> Result<Canvas, LiveError> {
         let preview = self.program.with_subst(subst);
         Ok(Canvas::from_value(&preview.eval()?)?)
     }
@@ -469,13 +485,21 @@ impl LiveSync {
     ) -> Result<(), LiveError> {
         let tier = self.patch_tier(subst);
         if let Some(tier) = tier {
-            if let Some(canvas) = self.patched_commit_canvas(subst) {
+            if let Some(canvas) = self.patched_canvas(subst) {
                 match replacement {
                     Some(program) => self.program = program,
                     None => self.program.apply_subst(subst),
                 }
                 self.canvas = canvas;
-                self.rho0 = self.program.subst();
+                // ρ₀ ⊕ subst, in place (a replacement's ρ₀ was verified to
+                // be exactly that). Bindings for locations the program
+                // lacks change nothing, as in `apply_subst`.
+                for (loc, v) in subst.iter() {
+                    if self.rho0.contains(loc) {
+                        self.rho0.insert(loc, v);
+                    }
+                }
+                debug_assert_eq!(self.rho0, self.program.subst());
                 self.refresh_dirty_zones(subst);
                 match tier {
                     PatchTier::Fast => {
@@ -497,7 +521,7 @@ impl LiveSync {
         self.reprepare()
     }
 
-    fn patched_commit_canvas(&self, subst: &Subst) -> Option<Canvas> {
+    fn patched_canvas(&self, subst: &Subst) -> Option<Canvas> {
         let mut patcher = TracePatcher::new(&self.rho0, subst);
         self.canvas.patched(&mut |n, t| patcher.patch(n, t))
     }
@@ -965,7 +989,7 @@ mod tests {
         assert!(live.control_flow_safe(&result.subst));
         live.commit(&result.subst).unwrap();
         let stats = live.stats();
-        assert_eq!(stats.fast_evals, 1, "drag preview should be patched");
+        assert_eq!(stats.fast_evals, 1, "the drag should need no evaluation");
         assert_eq!(stats.incremental_prepares, 1);
         assert_eq!(stats.full_prepares, 1, "no fallback expected");
         // And the committed state is fully functional: drag again.
@@ -1061,7 +1085,7 @@ mod tests {
             "guard replay proves the drag safe"
         );
         assert_eq!(stats.full_prepares, 1, "no fallback expected");
-        assert_eq!(stats.fast_evals, 1, "the preview is patched too");
+        assert_eq!(stats.fast_evals, 1, "the drag needs no evaluation either");
         assert!(
             live.program().code().contains("145"),
             "{}",

@@ -8,13 +8,17 @@
 //! drag the inferred substitutions must agree; after every commit the
 //! program text, the rendered canvas, every zone analysis (slots, bases,
 //! candidates, chosen index), and every trigger must agree.
+//!
+//! Every drag is also checked against the updated program evaluated in
+//! full ([`checked_drag`]): a drag builds no canvas, so this is what keeps
+//! the patched-canvas path honest between commits.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use sns_eval::Program;
-use sns_svg::RenderOptions;
-use sns_sync::{LiveConfig, LiveSync, SetCodeClass};
+use sns_svg::{Canvas, RenderOptions, ShapeId, Zone};
+use sns_sync::{DragResult, LiveConfig, LiveError, LiveSync, SetCodeClass, SolverChoice};
 
 /// Deterministic SplitMix64 (same generator as `sns-stats`' harness).
 struct Rng(u64);
@@ -41,6 +45,55 @@ impl Rng {
             -mag
         }
     }
+}
+
+/// One drag step, checked against the updated program evaluated in full:
+/// the drag must fail exactly when that evaluation does, and when it
+/// succeeds the session's preview canvas (patched when a tier proves it
+/// safe) must equal the evaluated canvas bit for bit.
+fn checked_drag(
+    live: &LiveSync,
+    shape: ShapeId,
+    zone: Zone,
+    dx: f64,
+    dy: f64,
+) -> Result<DragResult, LiveError> {
+    let result = live.drag(shape, zone, dx, dy);
+    let Some(trigger) = live.trigger(shape, zone) else {
+        assert!(
+            result.is_err(),
+            "a drag on inactive {shape} {zone} succeeded"
+        );
+        return result;
+    };
+    let fire = trigger.fire(&live.program().subst(), dx, dy, SolverChoice::default());
+    let evaluated = live
+        .program()
+        .with_subst(&fire.subst)
+        .eval()
+        .map_err(LiveError::from)
+        .and_then(|v| Canvas::from_value(&v).map_err(LiveError::from));
+    match (&result, evaluated) {
+        (Ok(r), Ok(full)) => {
+            assert_eq!(r.subst, fire.subst, "drag on {shape} {zone}");
+            let preview = live
+                .preview_canvas(&r.subst)
+                .expect("an accepted drag has a preview");
+            assert_eq!(
+                preview.to_svg(RenderOptions::default()),
+                full.to_svg(RenderOptions::default()),
+                "preview of {shape} {zone} by {} differs from full evaluation",
+                r.subst
+            );
+            let bits = |c: &Canvas| -> Vec<u64> {
+                c.numeric_outputs().iter().map(|n| n.n.to_bits()).collect()
+            };
+            assert_eq!(bits(&preview), bits(&full), "drag on {shape} {zone}");
+        }
+        (Err(_), Err(_)) => {}
+        (r, e) => panic!("drag on {shape} {zone}: drag gave {r:?}, full evaluation {e:?}"),
+    }
+    result
 }
 
 /// Everything observable about a prepared session, rendered to a string.
@@ -134,8 +187,8 @@ fn incremental_prepare_matches_full_prepare_across_the_corpus() {
                 let (shape, zone) = active[rng.below(active.len())];
                 let (dx, dy) = (rng.offset(), rng.offset());
                 // Both sessions must agree on whether the drag works at all.
-                let a = incremental.drag(shape, zone, dx, dy);
-                let b = full.drag(shape, zone, dx, dy);
+                let a = checked_drag(&incremental, shape, zone, dx, dy);
+                let b = checked_drag(&full, shape, zone, dx, dy);
                 match (a, b) {
                     (Ok(a), Ok(b)) => {
                         assert_eq!(
@@ -280,8 +333,8 @@ fn escaped_drags_match_full_prepare_bitwise() {
             // partial tier to fire (a flip is exercised separately below).
             let (dx, dy) = (rng.offset() * 0.25, rng.offset() * 0.25);
             let (a, b) = match (
-                partial.drag(shape, zone, dx, dy),
-                full.drag(shape, zone, dx, dy),
+                checked_drag(&partial, shape, zone, dx, dy),
+                checked_drag(&full, shape, zone, dx, dy),
             ) {
                 (Ok(a), Ok(b)) => (a, b),
                 (Err(_), Err(_)) => continue,
@@ -311,8 +364,8 @@ fn escaped_drags_match_full_prepare_bitwise() {
         // sessions must agree (the partial session via its fallback).
         let (shape, zone) = active[0];
         if let (Ok(a), Ok(b)) = (
-            partial.drag(shape, zone, 900.0, 0.0),
-            full.drag(shape, zone, 900.0, 0.0),
+            checked_drag(&partial, shape, zone, 900.0, 0.0),
+            checked_drag(&full, shape, zone, 900.0, 0.0),
         ) {
             assert_eq!(a.subst, b.subst);
             partial.commit(&a.subst).unwrap();
@@ -322,6 +375,39 @@ fn escaped_drags_match_full_prepare_bitwise() {
                 fingerprint(&full),
                 "state diverged after a guard-flipping commit"
             );
+        }
+    });
+}
+
+/// A rect that is only drawn while its x stays left of a threshold: past
+/// it the program's output is a string, not a canvas, so the drag must be
+/// refused. The guard flip defeats the tier proof, so the refusal comes
+/// from the full evaluation the drag still runs on that path.
+const VANISHING_RECT: &str = r#"
+    (def x 100)
+    (def shapes (if (< x 300!) [(rect 'blue' x 50 40 30)] 'gone'))
+    (svg shapes)
+"#;
+
+#[test]
+fn drags_fail_exactly_when_the_full_evaluation_does() {
+    sns_eval::with_big_stack(|| {
+        for full_prepare_only in [false, true] {
+            let live = LiveSync::new(
+                Program::parse(VANISHING_RECT).expect("parses"),
+                LiveConfig {
+                    full_prepare_only,
+                    ..LiveConfig::default()
+                },
+            )
+            .expect("prepares");
+            let (shape, zone) = (ShapeId(0), Zone::Interior);
+            assert!(checked_drag(&live, shape, zone, 40.0, 5.0).is_ok());
+            assert!(
+                checked_drag(&live, shape, zone, 250.0, 0.0).is_err(),
+                "a drag whose program stops rendering must be refused"
+            );
+            assert!(checked_drag(&live, shape, zone, -20.0, 0.0).is_ok());
         }
     });
 }
@@ -407,8 +493,8 @@ fn set_code_edits_match_full_replace_bitwise() {
                 .map(|z| (z.shape, z.zone))
                 .next()
                 .expect("an active zone");
-            let a = diffed.drag(shape, zone, 3.0, -2.0).unwrap();
-            let b = full.drag(shape, zone, 3.0, -2.0).unwrap();
+            let a = checked_drag(&diffed, shape, zone, 3.0, -2.0).unwrap();
+            let b = checked_drag(&full, shape, zone, 3.0, -2.0).unwrap();
             assert_eq!(a.subst, b.subst);
             diffed.commit(&a.subst).unwrap();
             full.commit(&b.subst).unwrap();

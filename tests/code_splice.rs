@@ -1,0 +1,143 @@
+//! The code pane's splice is bitwise the full unparse: for every corpus
+//! example and seeded random substitutions ρ, `Program::code_with(&ρ)`
+//! (the cached text with ρ's literals spliced in) must equal unparsing the
+//! user expression of `with_subst(&ρ)`, byte for byte. A program whose
+//! literals were rewritten must also re-render its own text (the cache is
+//! dropped by `apply_subst`).
+
+mod support;
+
+use support::{GenExt, SplitMix64};
+
+use sketch_n_sketch::eval::Program;
+use sketch_n_sketch::lang::{unparse, FreezeAnnotation, LocId, Subst};
+
+/// A value of one of the shapes the printer treats differently: negative
+/// and positive integers, fractions, magnitudes at and past the integer
+/// cut-off of `fmt_num`, tiny fractions, and negative zero.
+fn arb_value(rng: &mut SplitMix64) -> f64 {
+    match rng.index(7) {
+        0 => -(rng.u32_in(1, 1000) as f64),
+        1 => rng.u32_in(0, 100_000) as f64,
+        2 => rng.f64_in(-1000.0, 1000.0),
+        3 => rng.f64_in(1e14, 1e18).round(),
+        4 => -rng.f64_in(1e15, 1e21),
+        5 => rng.f64_in(-1e-6, 1e-6),
+        _ => -0.0,
+    }
+}
+
+/// How often a ρ bound a literal of each annotation kind.
+#[derive(Default)]
+struct Coverage {
+    frozen: usize,
+    thawed: usize,
+    ranged: usize,
+    prelude: usize,
+    negative: usize,
+    fractional: usize,
+    large: usize,
+}
+
+fn arb_subst(
+    rng: &mut SplitMix64,
+    program: &Program,
+    user: &[LocId],
+    prelude: &[LocId],
+    cov: &mut Coverage,
+) -> Subst {
+    let mut rho = Subst::new();
+    for &loc in user {
+        if rng.index(4) == 0 {
+            rho.insert(loc, arb_value(rng));
+        }
+    }
+    for _ in 0..rng.index(3) {
+        rho.insert(prelude[rng.index(prelude.len())], arb_value(rng));
+    }
+    for (loc, v) in rho.iter() {
+        let info = program.loc_info(loc).expect("ρ binds program locations");
+        cov.frozen += usize::from(info.annotation == FreezeAnnotation::Frozen);
+        cov.thawed += usize::from(info.annotation == FreezeAnnotation::Thawed);
+        cov.ranged += usize::from(info.range.is_some());
+        cov.prelude += usize::from(info.prelude);
+        cov.negative += usize::from(v < 0.0);
+        cov.fractional += usize::from(v.fract() != 0.0);
+        cov.large += usize::from(v.abs() >= 1e15);
+    }
+    rho
+}
+
+#[test]
+fn spliced_code_equals_the_full_unparse_across_the_corpus() {
+    let mut cov = Coverage::default();
+    for (i, ex) in sketch_n_sketch::examples::ALL.iter().enumerate() {
+        let program = Program::parse(ex.source).expect("corpus parses");
+        let (prelude, user): (Vec<LocId>, Vec<LocId>) = program
+            .subst()
+            .domain()
+            .partition(|&l| program.is_prelude_loc(l));
+        assert_eq!(program.code(), unparse(program.user_expr()), "{}", ex.slug);
+        let mut rng = SplitMix64::seed_from_u64(0x5911CE ^ i as u64);
+        for case in 0..24 {
+            let rho = arb_subst(&mut rng, &program, &user, &prelude, &mut cov);
+            let expected = unparse(program.with_subst(&rho).user_expr());
+            assert_eq!(
+                program.code_with(&rho),
+                expected,
+                "{} case {case}: splice of {rho} differs from the unparse",
+                ex.slug
+            );
+        }
+    }
+    // The corpus must actually exercise every literal kind the splice can
+    // meet, or the equality above proves less than it claims.
+    for (what, n) in [
+        ("frozen `!` literals", cov.frozen),
+        ("thawed `?` literals", cov.thawed),
+        ("range `{lo-hi}` literals", cov.ranged),
+        ("Prelude locations", cov.prelude),
+        ("negative values", cov.negative),
+        ("fractional values", cov.fractional),
+        ("large values", cov.large),
+    ] {
+        assert!(n > 0, "no ρ bound {what}");
+    }
+}
+
+#[test]
+fn apply_subst_drops_the_cached_text() {
+    let mut rng = SplitMix64::seed_from_u64(0xCAC4E);
+    for ex in sketch_n_sketch::examples::ALL {
+        let mut program = Program::parse(ex.source).expect("corpus parses");
+        let (prelude, user): (Vec<LocId>, Vec<LocId>) = program
+            .subst()
+            .domain()
+            .partition(|&l| program.is_prelude_loc(l));
+        let before = program.code();
+        let snapshot = program.clone();
+        let rho = arb_subst(
+            &mut rng,
+            &program,
+            &user,
+            &prelude,
+            &mut Coverage::default(),
+        );
+        program.apply_subst(&rho);
+        assert_eq!(program.code(), unparse(program.user_expr()), "{}", ex.slug);
+        assert_eq!(
+            program.code(),
+            snapshot.code_with(&rho),
+            "{}: the commit and its preview disagree",
+            ex.slug
+        );
+        // The clone taken before the update shares nothing mutable.
+        assert_eq!(snapshot.code(), before, "{}", ex.slug);
+        assert_eq!(
+            snapshot.code(),
+            unparse(snapshot.user_expr()),
+            "{}",
+            ex.slug
+        );
+    }
+}
