@@ -256,8 +256,7 @@ impl Editor {
             return Err(EditorError::action("no drag in progress"));
         };
         if let Some(subst) = drag.pending {
-            self.push_undo();
-            self.live.commit(&subst)?;
+            self.undoable(|live| live.commit(&subst))?;
         }
         Ok(())
     }
@@ -284,9 +283,7 @@ impl Editor {
     ///
     /// Fails when the resulting program no longer runs.
     pub fn apply_subst(&mut self, subst: &Subst) -> Result<(), EditorError> {
-        self.push_undo();
-        self.live.commit(subst)?;
-        Ok(())
+        self.undoable(|live| live.commit(subst))
     }
 
     /// Convenience: a full click-drag-release of a zone by `(dx, dy)`.
@@ -346,10 +343,8 @@ impl Editor {
                 "location {loc} has no range annotation"
             )));
         };
-        let clamped = value.clamp(min, max);
-        self.push_undo();
-        self.live.commit(&Subst::from_pairs([(loc, clamped)]))?;
-        Ok(())
+        let subst = Subst::from_pairs([(loc, value.clamp(min, max))]);
+        self.undoable(|live| live.commit(&subst))
     }
 
     /// Replaces the program text (a programmatic edit in the code pane),
@@ -360,14 +355,7 @@ impl Editor {
     /// Fails when the new text does not parse, evaluate, or render.
     pub fn set_code(&mut self, source: &str) -> Result<(), EditorError> {
         let program = Program::parse(source)?;
-        self.push_undo();
-        if let Err(e) = self.live.set_program_diffed(program) {
-            // Roll back the undo point for a program that never ran.
-            let prev = self.undo_stack.pop().expect("just pushed");
-            let _ = self.live.replace_program(prev);
-            return Err(e.into());
-        }
-        Ok(())
+        self.undoable(|live| live.set_program_diffed(program).map(drop))
     }
 
     /// Undoes the last committed action.
@@ -429,9 +417,19 @@ impl Editor {
         Ok(())
     }
 
-    fn push_undo(&mut self) {
-        self.undo_stack.push(self.live.program().clone());
+    /// Runs a program-changing step behind an undo point. The point is
+    /// pushed (and the redo stack cleared) only when the step succeeds;
+    /// a failed step leaves the live session unchanged, so it leaves the
+    /// history unchanged too.
+    fn undoable(
+        &mut self,
+        step: impl FnOnce(&mut LiveSync) -> Result<(), sns_sync::LiveError>,
+    ) -> Result<(), EditorError> {
+        let prev = self.live.program().clone();
+        step(&mut self.live)?;
+        self.undo_stack.push(prev);
         self.redo_stack.clear();
+        Ok(())
     }
 
     /// Locations a color-number attribute of a shape could drive, exposing
@@ -458,10 +456,8 @@ impl Editor {
         let loc = self
             .color_slider_loc(shape)
             .ok_or_else(|| EditorError::action(format!("{shape} has no color slider")))?;
-        self.push_undo();
-        self.live
-            .commit(&Subst::from_pairs([(loc, value.clamp(0.0, 500.0))]))?;
-        Ok(())
+        let subst = Subst::from_pairs([(loc, value.clamp(0.0, 500.0))]);
+        self.undoable(|live| live.commit(&subst))
     }
 
     /// Ad-hoc synchronization (§7.2 goal (c)): rank the candidate program
@@ -508,8 +504,7 @@ impl Editor {
         &mut self,
         ranked: sns_sync::RankedUpdate,
     ) -> Result<sns_sync::RankedUpdate, EditorError> {
-        self.push_undo();
-        self.live.commit(&ranked.update.subst)?;
+        self.undoable(|live| live.commit(&ranked.update.subst))?;
         Ok(ranked)
     }
 
@@ -613,6 +608,41 @@ mod tests {
         // Editor still works on the old program.
         assert_eq!(ed.shapes().len(), 12);
         assert!(ed.undo().is_err());
+    }
+
+    #[test]
+    fn failed_commit_leaves_the_editor_untouched() {
+        // Moving `k` to 3 leaves the `case` without a matching branch: the
+        // guard replay refuses the patch tiers and the full evaluation fails.
+        let src = "(def k 2{1-3}) (svg [(case k (2 (rect 'red' 1 2 3 4)))])";
+        let mut ed = Editor::new(src).unwrap();
+        let (code, svg) = (ed.code(), ed.canvas_svg());
+        let k = ed.sliders()[0].loc;
+        assert!(ed.set_slider(k, 3.0).is_err());
+        assert_eq!(ed.code(), code);
+        assert_eq!(ed.canvas_svg(), svg);
+        assert!(ed.undo().is_err(), "a failed commit left an undo point");
+        assert!(ed.apply_subst(&Subst::from_pairs([(k, 3.0)])).is_err());
+        assert_eq!(ed.code(), code);
+        assert!(ed.undo().is_err());
+        // The session still commits what does run.
+        ed.set_slider(k, 2.0).unwrap();
+        assert_eq!(ed.code(), code);
+        assert_eq!(ed.canvas_svg(), svg);
+        ed.undo().unwrap();
+    }
+
+    #[test]
+    fn failed_commit_keeps_the_redo_history() {
+        let src =
+            "(def k 2{1-3}) (svg [(case k (2 (rect 'red' 1 2 3 4)) (1 (rect 'blue' 1 2 3 4)))])";
+        let mut ed = Editor::new(src).unwrap();
+        let k = ed.sliders()[0].loc;
+        ed.set_slider(k, 1.0).unwrap();
+        ed.undo().unwrap();
+        assert!(ed.set_slider(k, 3.0).is_err());
+        ed.redo().unwrap();
+        assert!(ed.code().contains("k 1"), "{}", ed.code());
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
+            Json::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
                 if n.is_finite() {
                     if *n == n.trunc() && n.abs() < 1e15 {
@@ -92,7 +92,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{v}")?;
+                    v.fmt(f)?;
                 }
                 f.write_str("]")
             }
@@ -103,7 +103,8 @@ impl fmt::Display for Json {
                         f.write_str(",")?;
                     }
                     write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
+                    f.write_str(":")?;
+                    v.fmt(f)?;
                 }
                 f.write_str("}")
             }
@@ -111,19 +112,33 @@ impl fmt::Display for Json {
     }
 }
 
+/// Writes `s` as a quoted JSON string. Bytes that need no escaping are
+/// copied a whole run at a time, so the cost is one `write_str` per
+/// escaped byte plus one per run between them. Escapes are `"`, `\`,
+/// `\n`, `\r`, `\t` and `\u00xx` for the other control bytes below 0x20;
+/// everything else (DEL and all non-ASCII text included) passes through.
+/// Every escaped byte is ASCII, so each run boundary is a char boundary.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        f.write_str(&s[run..i])?;
+        match escape {
+            Some(e) => f.write_str(e)?,
+            None => write!(f, "\\u{b:04x}")?,
         }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -406,6 +421,71 @@ mod tests {
         // Reasonable nesting still parses.
         let ok = format!("{}1{}", "[".repeat(32), "]".repeat(32));
         assert!(parse(&ok).is_ok());
+    }
+
+    /// The per-character escaper the run-based one replaced, kept as the
+    /// oracle its output must match byte for byte.
+    struct PerChar<'a>(&'a str);
+
+    impl fmt::Display for PerChar<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.write_str("\"")?;
+            for c in self.0.chars() {
+                match c {
+                    '"' => f.write_str("\\\"")?,
+                    '\\' => f.write_str("\\\\")?,
+                    '\n' => f.write_str("\\n")?,
+                    '\r' => f.write_str("\\r")?,
+                    '\t' => f.write_str("\\t")?,
+                    c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                    c => write!(f, "{c}")?,
+                }
+            }
+            f.write_str("\"")
+        }
+    }
+
+    /// Strings drawn from every ASCII byte, quotes, backslashes and
+    /// multi-byte characters, in runs of every length up to 12, with a
+    /// deterministic generator (SplitMix64).
+    fn generated_strings() -> Vec<String> {
+        let mut alphabet: Vec<char> = (0u8..=0x7f).map(char::from).collect();
+        alphabet.extend(['"', '\\', 'é', 'λ', '€', '\u{2028}', '\u{fffd}', '😀', '𝄞']);
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut out: Vec<String> = alphabet.iter().map(char::to_string).collect();
+        out.push(alphabet.iter().collect());
+        out.push(String::new());
+        for i in 0..4000 {
+            let len = i % 13;
+            out.push(
+                (0..len)
+                    .map(|_| alphabet[(next() % alphabet.len() as u64) as usize])
+                    .collect(),
+            );
+        }
+        out
+    }
+
+    #[test]
+    fn run_escaper_matches_the_per_char_oracle_and_round_trips() {
+        for s in generated_strings() {
+            let v = Json::Str(s.clone());
+            let text = v.to_string();
+            assert_eq!(text, PerChar(&s).to_string(), "escaping {s:?}");
+            assert_eq!(parse(&text).unwrap(), v, "round trip of {s:?}");
+            // Keys take the same path as values.
+            let obj = Json::Obj(vec![(s.clone(), Json::Arr(vec![v.clone()]))]);
+            let text = obj.to_string();
+            assert_eq!(text, format!("{{{}:[{}]}}", PerChar(&s), PerChar(&s)));
+            assert_eq!(parse(&text).unwrap(), obj);
+        }
     }
 
     #[test]

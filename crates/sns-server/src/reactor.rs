@@ -15,7 +15,9 @@
 //! Within one reactor, the loop is unchanged: non-blocking reads feed
 //! each connection's resumable [`ConnParser`]; the moment a complete
 //! request materializes, it is handed to the reactor's worker pool and
-//! the loop goes back to servicing other sockets. Workers push finished
+//! the loop goes back to servicing other sockets — unless
+//! [`routes::inline`] answers it on the spot (probes, and drags that need
+//! no evaluation and no commit). Workers push finished
 //! responses onto the reactor's completion queue and wake it through a
 //! pipe; responses drain with vectored non-blocking writes (header +
 //! body in one `writev`, the head serialized into a per-connection
@@ -336,6 +338,14 @@ pub fn promote_signal_pending() -> bool {
 
 fn sigterm_pending() -> bool {
     ffi::SIGTERM_PENDING.load(Ordering::Acquire)
+}
+
+/// The answer to a request whose route panicked.
+fn internal_error() -> Response {
+    Response::json(
+        500,
+        Json::obj([("error", Json::str("internal error"))]).to_string(),
+    )
 }
 
 /// Maximum events per `epoll_wait` call.
@@ -890,9 +900,9 @@ impl Reactor {
     }
 
     /// Hands a complete request to the worker pool (`None`), answers it
-    /// synchronously on the reactor thread (liveness probes, 503
-    /// shedding when the pool's bounded queue is full — backpressure),
-    /// returning how that synchronous response went.
+    /// synchronously on the reactor thread (liveness probes, proof-only
+    /// drags, 503 shedding when the pool's bounded queue is full —
+    /// backpressure), returning how that synchronous response went.
     fn dispatch(&mut self, token: u64, request: Request) -> Option<WriteProgress> {
         let Some(conn) = self.conns.get(&token) else {
             return Some(WriteProgress::Closed);
@@ -908,17 +918,21 @@ impl Reactor {
         if let Some(t) = &request_trace {
             t.stamp(Stage::ParseDone);
         }
-        // Liveness and telemetry bypass the pool entirely: a saturated
-        // queue must not 503 the probes that would diagnose it. These
-        // routes are read-only and allocation-light, so the reactor
-        // answers them inline.
+        // Liveness and telemetry bypass the pool entirely (a saturated
+        // queue must not 503 the probes that would diagnose it), and so
+        // does a drag that needs no evaluation and no commit (the hand-off
+        // to a worker and back would cost more than the drag). It runs as
+        // a pool job does: its trace is current and a panic becomes a 500.
         let reactor_id = self.reactor_id();
-        if routes::is_inline(&request) {
-            let start = Instant::now();
-            if let Some(t) = &request_trace {
-                t.stamp(Stage::Dispatched);
-            }
-            let response = routes::dispatch(&self.state, &request, peer, reactor_id);
+        let start = Instant::now();
+        let inline = {
+            let _current = request_trace.as_ref().map(trace::set_current);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                routes::inline(&self.state, &request, peer, reactor_id)
+            }))
+            .unwrap_or_else(|_| Some(internal_error()))
+        };
+        if let Some(response) = inline {
             self.state
                 .stats
                 .record(start.elapsed(), response.status >= 400);
@@ -962,12 +976,7 @@ impl Reactor {
             let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 routes::dispatch(&state, &request, peer, reactor_id)
             }))
-            .unwrap_or_else(|_| {
-                Response::json(
-                    500,
-                    Json::obj([("error", Json::str("internal error"))]).to_string(),
-                )
-            });
+            .unwrap_or_else(|_| internal_error());
             drop(guard);
             if let Some(t) = &job_trace {
                 t.set_status(response.status);

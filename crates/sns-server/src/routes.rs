@@ -3,10 +3,10 @@
 use std::collections::HashMap;
 use std::net::IpAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use sns_obs::trace::{Trace, TraceCtx};
+use sns_obs::trace::{stamp_current, Stage, Trace, TraceCtx};
 use sns_obs::{log as obs_log, FlightRecorder};
 use sns_svg::{AttrRef, ShapeId, Zone};
 use sns_sync::{LiveStats, OutputEdit};
@@ -342,20 +342,34 @@ fn promote(state: &Arc<ServerState>) -> Response {
     }
 }
 
-/// Dispatches one parsed request against the state. `peer` is the client
-/// address the reactor accepted the connection from (quota accounting);
-/// `reactor` identifies the loop it arrived on (shard-aligned id minting).
-pub fn dispatch(
-    state: &Arc<ServerState>,
-    request: &Request,
-    peer: IpAddr,
-    reactor: ReactorId,
-) -> Response {
-    let path = request.path.trim_end_matches('/');
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
+/// The request path split into its non-empty segments.
+fn segments(request: &Request) -> Vec<&str> {
+    request
+        .path
+        .trim_end_matches('/')
+        .split('/')
+        .filter(|s| !s.is_empty())
+        .collect()
+}
+
+/// Why a request is refused before its route runs.
+enum Refusal {
+    /// Missing or wrong bearer token.
+    Unauthorized,
+    /// A write on a read-only replication follower.
+    Follower,
+    /// A write while the journal is degraded.
+    Degraded,
+}
+
+/// The checks every request passes before its route runs, in order:
+/// bearer auth, the follower's read-only gate, and the degraded journal's
+/// read-only gate. Shared by [`dispatch`] and [`inline`]. It has no side
+/// effects; [`refuse`] answers a refusal.
+fn refusal(state: &ServerState, request: &Request, segments: &[&str]) -> Option<Refusal> {
     if let Some(token) = &state.auth_token {
         // Health stays open so liveness probes don't need the secret.
-        let is_health = request.method == "GET" && segments.as_slice() == ["healthz"];
+        let is_health = request.method == "GET" && segments == ["healthz"];
         // RFC 7235: the auth-scheme token is case-insensitive (`bearer`,
         // `BEARER`, … are all legal); only the token itself is compared
         // byte-exactly (and in constant time).
@@ -367,34 +381,61 @@ pub fn dispatch(
                 constant_time_eq(presented.trim_start().as_bytes(), token.as_bytes())
             });
         if !is_health && !authed {
-            return unauthorized();
+            return Some(Refusal::Unauthorized);
         }
     }
     // Follower read-only gate: reads (canvas/code/stats) are served
     // locally; writes are misdirected — the leader's address is in the
     // response. Promotion itself must of course pass.
-    if state.repl.is_follower() && is_write(&request.method, &segments) {
-        return follower_redirect(state);
+    if state.repl.is_follower() && is_write(&request.method, segments) {
+        return Some(Refusal::Follower);
     }
     // Degraded read-only gate: the journal backend has suspended appends
     // after persistent disk failures. Reads keep flowing from memory;
     // writes are refused with a retry hint rather than an opaque 500,
     // because the backend's probe re-arms appends on its own once the
     // disk recovers (see docs/robustness.md).
-    if state.store.backend().degraded() && is_write(&request.method, &segments) {
-        // Terminal stamp: a rejected write never reaches the journal
-        // stages but must not vanish from the flight recorder.
-        sns_obs::trace::stamp_current(sns_obs::trace::Stage::RejectedDegraded);
-        if let ["sessions", id, ..] = segments.as_slice() {
-            state
-                .timelines
-                .record(id, TimelineKind::RejectedDegraded, "");
+    if state.store.backend().degraded() && is_write(&request.method, segments) {
+        return Some(Refusal::Degraded);
+    }
+    None
+}
+
+/// The response to a refused request.
+fn refuse(state: &Arc<ServerState>, segments: &[&str], why: Refusal) -> Response {
+    match why {
+        Refusal::Unauthorized => unauthorized(),
+        Refusal::Follower => follower_redirect(state),
+        Refusal::Degraded => {
+            // Terminal stamp: a rejected write never reaches the journal
+            // stages but must not vanish from the flight recorder.
+            stamp_current(Stage::RejectedDegraded);
+            if let ["sessions", id, ..] = segments {
+                state
+                    .timelines
+                    .record(id, TimelineKind::RejectedDegraded, "");
+            }
+            error_response(
+                503,
+                "journal degraded: node is read-only until the disk recovers",
+            )
+            .with_header("Retry-After", "1")
         }
-        return error_response(
-            503,
-            "journal degraded: node is read-only until the disk recovers",
-        )
-        .with_header("Retry-After", "1");
+    }
+}
+
+/// Dispatches one parsed request against the state. `peer` is the client
+/// address the reactor accepted the connection from (quota accounting);
+/// `reactor` identifies the loop it arrived on (shard-aligned id minting).
+pub fn dispatch(
+    state: &Arc<ServerState>,
+    request: &Request,
+    peer: IpAddr,
+    reactor: ReactorId,
+) -> Response {
+    let segments = segments(request);
+    if let Some(why) = refusal(state, request, &segments) {
+        return refuse(state, &segments, why);
     }
     match (request.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => ok_json(
@@ -441,16 +482,69 @@ pub fn dispatch(
     }
 }
 
-/// Routes the reactor answers synchronously on its own thread, bypassing
-/// the worker pool, so liveness and telemetry stay readable when the
-/// pool queue is full (a saturated server must still answer its probes).
-/// All are read-only, allocation-light, and never touch a session lock.
-pub fn is_inline(request: &Request) -> bool {
-    request.method == "GET"
-        && matches!(
-            request.path.trim_end_matches('/'),
-            "/healthz" | "/stats" | "/metrics"
-        )
+/// Answers a request on the reactor's own thread, bypassing the worker
+/// pool, or returns `None` to send it to the pool unchanged. Two kinds
+/// of request qualify:
+///
+/// * `GET /healthz`, `/stats` and `/metrics`, so liveness and telemetry
+///   stay readable when the pool queue is full (a saturated server must
+///   still answer its probes). They are read-only and never touch a
+///   session lock.
+/// * `POST /sessions/:id/drag` when the step needs no evaluation and no
+///   commit (see [`inline_drag`]). It then costs about as much as the
+///   hand-off to a worker and back would.
+///
+/// The reactor installs the request's trace as the current one around
+/// this call; the route stamps `Dispatched` once it is committed to
+/// answering.
+pub fn inline(
+    state: &Arc<ServerState>,
+    request: &Request,
+    peer: IpAddr,
+    reactor: ReactorId,
+) -> Option<Response> {
+    let segments = segments(request);
+    match (request.method.as_str(), segments.as_slice()) {
+        ("GET", ["healthz" | "stats" | "metrics"]) => {
+            stamp_current(Stage::Dispatched);
+            Some(dispatch(state, request, peer, reactor))
+        }
+        ("POST", ["sessions", id, "drag"]) if refusal(state, request, &segments).is_none() => {
+            inline_drag(state, request, id)
+        }
+        _ => None,
+    }
+}
+
+/// Serves a drag on the reactor thread if, and only if, nothing in it can
+/// block or run long:
+///
+/// * the session is resident (a demoted one would have to be faulted in
+///   from disk and re-prepared);
+/// * its lock is free (the reactor never waits on a session lock);
+/// * the drag continues the in-flight drag or starts one, so no implicit
+///   commit (journal append, fsync, replication ack, re-prepare) runs;
+/// * the session's live sync proves every step on that zone without
+///   evaluating ([`Session::drag_is_proof_only`]).
+///
+/// Otherwise `None`; a malformed body also goes to the pool, which
+/// answers it with the same 400.
+fn inline_drag(state: &Arc<ServerState>, request: &Request, id: &str) -> Option<Response> {
+    let (shape, zone, dx, dy) = drag_args(&request.body).ok()?;
+    let session = state.store.get_resident(id)?;
+    let guard = session.try_lock().ok()?;
+    if !guard.drag_is_proof_only(shape, zone) {
+        return None;
+    }
+    stamp_current(Stage::Dispatched);
+    state.stats.record_inline_drag();
+    Some(run_locked(
+        state,
+        id,
+        Some(TimelineKind::Drag),
+        guard,
+        |s| s.drag(shape, zone, dx, dy),
+    ))
 }
 
 /// `GET /metrics`: the whole registry as Prometheus text exposition.
@@ -538,7 +632,7 @@ fn create_session(
         .fresh_id_for(reactor.index, reactor.count.max(1));
     match Session::create(id.clone(), &source) {
         Ok(mut session) => {
-            sns_obs::trace::stamp_current(sns_obs::trace::Stage::PrepareDone);
+            stamp_current(Stage::PrepareDone);
             let code = session.code();
             let canvas = session.canvas_json();
             let live_delta = session.live_stats_delta();
@@ -598,7 +692,7 @@ fn with_session_ev(
     let Some(session) = state.store.get(id) else {
         return error_response(404, "no such session");
     };
-    let mut guard = match session.lock() {
+    let guard = match session.lock() {
         Ok(g) => g,
         // A worker panicked mid-request (a bug, not a client error); the
         // in-memory state may be inconsistent, so drop it — but only from
@@ -610,6 +704,18 @@ fn with_session_ev(
             return error_response(500, "session poisoned; discarded");
         }
     };
+    run_locked(state, id, ev, guard, f)
+}
+
+/// Runs `f` against an already-locked session: the part of
+/// [`with_session_ev`] that the reactor's inline drags share.
+fn run_locked(
+    state: &Arc<ServerState>,
+    id: &str,
+    ev: Option<TimelineKind>,
+    mut guard: MutexGuard<'_, Session>,
+    f: impl FnOnce(&mut Session) -> Result<Json, crate::session::SessionError>,
+) -> Response {
     // A handler that fetched the Arc just before a DELETE journaled the
     // session away must not touch it: mutating a tombstoned session would
     // re-journal it into existence.
@@ -692,25 +798,28 @@ fn field_f64(body: &Json, key: &str) -> Result<f64, Response> {
         .ok_or_else(|| error_response(400, &format!("missing numeric field `{key}`")))
 }
 
-fn drag(state: &Arc<ServerState>, id: &str, body: &[u8]) -> Response {
-    let body = match parse_body(body) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let shape = match field_f64(&body, "shape") {
-        Ok(v) => ShapeId(v as usize),
-        Err(resp) => return resp,
-    };
+/// A drag body's shape, zone, and total offsets, or the 400 answering it.
+fn drag_args(body: &[u8]) -> Result<(ShapeId, Zone, f64, f64), Response> {
+    let body = parse_body(body)?;
+    let shape = ShapeId(field_f64(&body, "shape")? as usize);
     let zone: Zone = match body.get("zone").and_then(Json::as_str) {
-        Some(z) => match z.parse() {
-            Ok(z) => z,
-            Err(e) => return error_response(400, &format!("{e}")),
-        },
-        None => return error_response(400, "missing string field `zone`"),
+        Some(z) => z
+            .parse()
+            .map_err(|e| error_response(400, &format!("{e}")))?,
+        None => return Err(error_response(400, "missing string field `zone`")),
     };
-    let (dx, dy) = match (field_f64(&body, "dx"), field_f64(&body, "dy")) {
-        (Ok(dx), Ok(dy)) => (dx, dy),
-        (Err(resp), _) | (_, Err(resp)) => return resp,
+    Ok((
+        shape,
+        zone,
+        field_f64(&body, "dx")?,
+        field_f64(&body, "dy")?,
+    ))
+}
+
+fn drag(state: &Arc<ServerState>, id: &str, body: &[u8]) -> Response {
+    let (shape, zone, dx, dy) = match drag_args(body) {
+        Ok(args) => args,
+        Err(resp) => return resp,
     };
     with_session_ev(state, id, Some(TimelineKind::Drag), |s| {
         s.drag(shape, zone, dx, dy)

@@ -160,6 +160,16 @@ impl Session {
         self.drag.is_some()
     }
 
+    /// Whether a drag on `zone` of `shape` runs without evaluating or
+    /// committing anything: it continues the in-flight drag or starts one
+    /// (a drag on another zone would commit the in-flight one first), and
+    /// the live sync proves every step on that zone without evaluating
+    /// ([`sns_sync::LiveSync::drag_is_proof_only`]).
+    pub fn drag_is_proof_only(&self, shape: ShapeId, zone: Zone) -> bool {
+        self.drag.is_none_or(|d| d == (shape, zone))
+            && self.editor.live().drag_is_proof_only(shape, zone)
+    }
+
     /// Appends `op` to the journal (if one is attached) and returns a
     /// guard that *must* see the apply's outcome. Mutating methods call
     /// this *before* touching the editor; the guard's `Drop` reports a

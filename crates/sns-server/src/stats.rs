@@ -72,6 +72,7 @@ pub struct ServerStats {
     prepare_fallback: Vec<Arc<Counter>>,
     eval_fast: Arc<Counter>,
     eval_full: Arc<Counter>,
+    drags_inline: Arc<Counter>,
     conns_open: Arc<Gauge>,
     conns_idle: Arc<Gauge>,
     conns_in_flight: Arc<Gauge>,
@@ -173,6 +174,11 @@ impl ServerStats {
             "Fast-path (substitution-only) evals.",
         );
         let eval_full = r.counter("sns_eval_full_total", "Full re-evaluations.");
+        let drags_inline = r.counter(
+            "sns_drags_inline_total",
+            "Drag steps answered on the reactor thread: proof-only, no commit, \
+             session resident and unlocked.",
+        );
         let conns_open = r.gauge("sns_conns_open", "Connections currently open.");
         let conns_idle = r.gauge(
             "sns_conns_idle",
@@ -383,6 +389,7 @@ impl ServerStats {
             prepare_fallback,
             eval_fast,
             eval_full,
+            drags_inline,
             conns_open,
             conns_idle,
             conns_in_flight,
@@ -446,6 +453,11 @@ impl ServerStats {
         self.prepare_fallback[FALLBACK_RECONCILE].add(delta.fallback_reconcile);
         self.eval_fast.add(delta.fast_evals);
         self.eval_full.add(delta.full_evals);
+    }
+
+    /// Counts one drag step the reactor answered without the worker pool.
+    pub fn record_inline_drag(&self) {
+        self.drags_inline.inc();
     }
 
     /// Publishes aggregate connection gauges (absolute values).

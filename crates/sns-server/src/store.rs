@@ -365,7 +365,11 @@ impl SessionStore {
         None
     }
 
-    fn get_resident(&self, id: &str) -> Option<Arc<Mutex<Session>>> {
+    /// Looks a session up only if it is resident, refreshing its LRU
+    /// position. A demoted session reads as absent: unlike
+    /// [`get`](SessionStore::get), this never faults one in, so it never
+    /// waits on the backend.
+    pub fn get_resident(&self, id: &str) -> Option<Arc<Mutex<Session>>> {
         let mut shard = self.shard_of(id).lock().expect("shard lock");
         let entry = shard.get_mut(id)?;
         entry.touched = self.tick();

@@ -234,15 +234,25 @@ fn debug_traces_is_stage_stamped_jsonl() {
     let (addr, handle) = boot(config(2));
     let id = drive_traffic(&addr, 3);
 
+    // A trace is recorded after its response is written: poll until the
+    // last request's (the commit's) has landed.
     let mut c = Client::connect(&addr);
-    let (status, content_type, body) = c.get("/debug/traces");
-    assert_eq!(status, 200);
-    assert!(
-        content_type.starts_with("application/x-ndjson"),
-        "{content_type}"
-    );
-    assert!(!body.is_empty(), "no traces recorded");
-    let mut drag_seen = false;
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let body = loop {
+        let (status, content_type, body) = c.get("/debug/traces");
+        assert_eq!(status, 200);
+        assert!(
+            content_type.starts_with("application/x-ndjson"),
+            "{content_type}"
+        );
+        if body.contains(&format!("\"/sessions/{id}/commit\"")) {
+            break body;
+        }
+        assert!(Instant::now() < deadline, "no commit trace:\n{body}");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let (mut drag_seen, mut commit_seen) = (false, false);
+    let has = |stages: &Json, stage: &str| stages.get(stage).is_some();
     for line in body.lines() {
         let v = json::parse(line).unwrap_or_else(|e| panic!("bad JSONL line {line}: {e:?}"));
         for field in ["id", "status", "total_us"] {
@@ -253,22 +263,36 @@ fn debug_traces_is_stage_stamped_jsonl() {
         assert!(v.get("slow").is_some(), "no slow flag: {line}");
         let stages = v.get("stages").expect("stages object");
         assert!(stages.get("parse_done").is_some(), "{line}");
-        if v.get("path").and_then(Json::as_str) == Some(&format!("/sessions/{id}/drag")) {
+        let path = v.get("path").and_then(Json::as_str);
+        if path == Some(&format!("/sessions/{id}/drag")) {
             drag_seen = true;
-            // A drag crosses the pool and the live-sync apply.
+            // A proof-only drag is answered on the reactor thread: it
+            // crosses the live-sync apply but never the pool.
             for stage in [
-                "queued",
-                "dequeued",
                 "dispatched",
                 "prepare_done",
                 "worker_done",
                 "response_written",
             ] {
-                assert!(stages.get(stage).is_some(), "drag missing {stage}: {line}");
+                assert!(has(stages, stage), "drag missing {stage}: {line}");
+            }
+            for stage in ["queued", "dequeued"] {
+                assert!(!has(stages, stage), "inline drag has {stage}: {line}");
+            }
+        }
+        if path == Some(&format!("/sessions/{id}/commit")) {
+            commit_seen = true;
+            // A commit journals and re-prepares, so it goes to the pool.
+            for stage in ["queued", "dequeued", "dispatched", "worker_done"] {
+                assert!(has(stages, stage), "commit missing {stage}: {line}");
             }
         }
     }
     assert!(drag_seen, "no drag trace in the flight recorder:\n{body}");
+    assert!(
+        commit_seen,
+        "no commit trace in the flight recorder:\n{body}"
+    );
     handle.shutdown();
 }
 

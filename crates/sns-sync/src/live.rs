@@ -372,12 +372,37 @@ impl LiveSync {
     /// Whether a substitution provably cannot change control flow because
     /// it avoids every escaped location (the unconditional fast path).
     pub fn control_flow_safe(&self, subst: &Subst) -> bool {
-        subst.domain().all(|l| !self.escaped.contains(&l))
+        self.avoids_escapes(subst.domain())
+    }
+
+    fn avoids_escapes(&self, mut locs: impl Iterator<Item = LocId>) -> bool {
+        locs.all(|l| !self.escaped.contains(&l))
+    }
+
+    /// Whether every drag step on `zone` of `shape` is proof-only: the
+    /// zone has a trigger, none of its locations escapes, and no override
+    /// pins the session to a slower tier. A trigger only binds its own
+    /// locations, so every substitution it fires is
+    /// [`control_flow_safe`](LiveSync::control_flow_safe) and
+    /// [`LiveSync::drag`] takes the fast tier without evaluating anything.
+    /// The server answers such drags on its event-loop thread.
+    pub fn drag_is_proof_only(&self, shape: ShapeId, zone: Zone) -> bool {
+        self.fast_tier_allowed()
+            && self
+                .triggers
+                .get(&(shape, zone))
+                .is_some_and(|t| self.avoids_escapes(t.parts.iter().map(|p| p.loc)))
     }
 
     /// Whether the full path is forced for every operation.
     fn full_forced(&self) -> bool {
         self.config.full_prepare_only || self.force == PrepareForce::Full
+    }
+
+    /// Whether the unconditional fast tier may be taken at all: neither
+    /// the configuration nor an override forces a slower tier.
+    fn fast_tier_allowed(&self) -> bool {
+        !self.config.full_prepare_only && self.force == PrepareForce::Fast
     }
 
     /// Whether every control-flow guard dirtied by `subst` replays to the
@@ -409,7 +434,7 @@ impl LiveSync {
         if self.full_forced() {
             return None;
         }
-        if self.force != PrepareForce::Partial && self.control_flow_safe(subst) {
+        if self.fast_tier_allowed() && self.control_flow_safe(subst) {
             return Some(PatchTier::Fast);
         }
         if self.guards_preserved(subst) {
@@ -469,7 +494,8 @@ impl LiveSync {
     ///
     /// # Errors
     ///
-    /// Fails when the updated program does not evaluate to a canvas.
+    /// Fails when the updated program does not evaluate to a canvas; the
+    /// session is then left as it was.
     pub fn commit(&mut self, subst: &Subst) -> Result<(), LiveError> {
         self.commit_with(subst, None)
     }
@@ -514,11 +540,7 @@ impl LiveSync {
         } else if !self.full_forced() {
             LiveCounters::bump(&self.counters.fallback_escaped);
         }
-        match replacement {
-            Some(program) => self.program = program,
-            None => self.program.apply_subst(subst),
-        }
-        self.reprepare()
+        self.replace_program(replacement.unwrap_or_else(|| self.program.with_subst(subst)))
     }
 
     fn patched_canvas(&self, subst: &Subst) -> Option<Canvas> {
@@ -567,14 +589,18 @@ impl LiveSync {
     }
 
     /// Replaces the program wholesale (a programmatic edit in the editor's
-    /// code pane) and re-prepares.
+    /// code pane) and re-prepares. The new program is evaluated before it
+    /// is installed, so a failure leaves the session as it was.
     ///
     /// # Errors
     ///
     /// Fails when the new program does not evaluate to a canvas.
     pub fn replace_program(&mut self, program: Program) -> Result<(), LiveError> {
+        let outcome = program.eval_traced()?;
+        let canvas = Canvas::from_value(&outcome.value)?;
         self.program = program;
-        self.reprepare()
+        self.install_full_prepare(outcome, canvas);
+        Ok(())
     }
 
     /// Replaces the program via AST diffing, reusing as much session state
@@ -668,9 +694,9 @@ impl LiveSync {
         program: Program,
         changed_locs: &BTreeSet<LocId>,
     ) -> Result<(), LiveError> {
-        self.program = program;
-        let outcome = self.program.eval_traced()?;
+        let outcome = program.eval_traced()?;
         let canvas = Canvas::from_value(&outcome.value)?;
+        self.program = program;
         match self.try_stitch(&canvas, changed_locs) {
             Some((assignments, triggers)) => {
                 self.canvas = canvas;
@@ -749,13 +775,6 @@ impl LiveSync {
             },
             triggers,
         ))
-    }
-
-    fn reprepare(&mut self) -> Result<(), LiveError> {
-        let outcome = self.program.eval_traced()?;
-        let canvas = Canvas::from_value(&outcome.value)?;
-        self.install_full_prepare(outcome, canvas);
-        Ok(())
     }
 
     /// Finishes a full prepare from an already-computed evaluation.

@@ -18,7 +18,9 @@ use std::fmt::Write as _;
 
 use sns_eval::Program;
 use sns_svg::{Canvas, RenderOptions, ShapeId, Zone};
-use sns_sync::{DragResult, LiveConfig, LiveError, LiveSync, SetCodeClass, SolverChoice};
+use sns_sync::{
+    DragResult, LiveConfig, LiveError, LiveSync, PrepareEligibility, SetCodeClass, SolverChoice,
+};
 
 /// Deterministic SplitMix64 (same generator as `sns-stats`' harness).
 struct Rng(u64);
@@ -258,6 +260,63 @@ fn incremental_prepare_matches_full_prepare_across_the_corpus() {
             fallback_only.len() * 4 <= total,
             "fast path missed too many examples: {fallback_only:?}"
         );
+    });
+}
+
+/// Wherever `drag_is_proof_only` holds, a drag step must evaluate
+/// nothing: it bumps `fast_evals`, never `full_evals`. The server answers
+/// exactly those drags on its event-loop thread, which must never run an
+/// evaluation. Under a forced slower tier no zone qualifies.
+#[test]
+fn proof_only_zones_drag_without_evaluating_across_the_corpus() {
+    sns_eval::with_big_stack(|| {
+        let forced = matches!(
+            std::env::var("SNS_FORCE_PREPARE").as_deref(),
+            Ok("full" | "partial")
+        );
+        let mut proof_only = 0usize;
+        for example in sns_examples::ALL {
+            let program = Program::parse(example.source).expect("corpus parses");
+            let live = LiveSync::new(program, LiveConfig::default()).expect("corpus prepares");
+            let active: Vec<_> = live
+                .assignments()
+                .zones
+                .iter()
+                .filter(|z| z.is_active())
+                .map(|z| (z.shape, z.zone))
+                .collect();
+            for (shape, zone) in active {
+                let eligible = live.zone_eligibility(shape, zone) == PrepareEligibility::Fast;
+                if !live.drag_is_proof_only(shape, zone) {
+                    assert!(
+                        forced || !eligible,
+                        "{}: {shape} {zone} is fast-eligible but not proof-only",
+                        example.slug
+                    );
+                    continue;
+                }
+                assert!(!forced, "{}: proof-only under a forced tier", example.slug);
+                assert!(eligible, "{}: {shape} {zone}", example.slug);
+                proof_only += 1;
+                for (dx, dy) in [(3.0, -2.0), (-40.5, 17.25)] {
+                    let before = live.stats();
+                    let result = live.drag(shape, zone, dx, dy);
+                    let after = live.stats();
+                    assert!(
+                        result.is_ok(),
+                        "{}: proof-only drag on {shape} {zone} failed: {result:?}",
+                        example.slug
+                    );
+                    assert_eq!(
+                        (after.fast_evals, after.full_evals),
+                        (before.fast_evals + 1, before.full_evals),
+                        "{}: proof-only drag on {shape} {zone} evaluated",
+                        example.slug
+                    );
+                }
+            }
+        }
+        assert!(forced || proof_only > 0, "no proof-only zone in the corpus");
     });
 }
 
