@@ -1,7 +1,6 @@
 //! Benchmarks commit re-preparation: the full re-evaluate + re-prepare
 //! path against the incremental path (dependence-indexed zone refresh +
-//! trace-patched canvas), per corpus example — plus the partial-fallback
-//! workloads: escaped drags served by guard replay, and `set_code` edits
+//! trace-patched canvas), per corpus example — plus `set_code` edits
 //! served by AST-diff classification.
 //!
 //! ```sh
@@ -16,8 +15,8 @@
 //! gate fails.
 
 use bench::{
-    ms, set_code_workload_sources, summarize, time_commit_paths, time_escaped_drag, time_set_code,
-    CommitTiming, SetCodeTiming, ESCAPED_DRAG_SRC,
+    ms, set_code_workload_sources, summarize, time_commit_paths, time_set_code, CommitTiming,
+    SetCodeTiming,
 };
 use sns_sync::SetCodeClass;
 
@@ -102,12 +101,9 @@ fn run(slugs: &[String]) -> bool {
     let overall_median = summarize(&all_speedups).med;
     let fast = corpus.iter().filter(|t| t.fast_path).count();
 
-    // Partial-fallback workloads.
-    let escaped = time_escaped_drag(COMMITS);
-    let (base, subtree_src, structural_src) = set_code_workload_sources();
-    let literal_src = ESCAPED_DRAG_SRC.replace("(def x0 40)", "(def x0 41)");
+    let (base, literal_src, subtree_src, structural_src) = set_code_workload_sources();
     let set_codes = [
-        time_set_code("literal", ESCAPED_DRAG_SRC, &literal_src, EDITS),
+        time_set_code("literal", &base, &literal_src, EDITS),
         time_set_code("subtree", &base, &subtree_src, EDITS),
         time_set_code("structural", &base, &structural_src, EDITS),
     ];
@@ -125,17 +121,6 @@ fn run(slugs: &[String]) -> bool {
     println!(
         "median speedup (all {})     {overall_median:.1}x",
         corpus.len()
-    );
-    println!(
-        "escaped drag (guard replay) {} full / {} partial = {:.1}x ({})",
-        ms(escaped.full),
-        ms(escaped.incremental),
-        escaped.speedup(),
-        if escaped.fast_path {
-            "partial"
-        } else {
-            "fallback"
-        },
     );
     for t in &set_codes {
         println!(
@@ -157,14 +142,6 @@ fn run(slugs: &[String]) -> bool {
     json.push_str(&format!(
         "  \"median_speedup_all\": {overall_median:.2},\n  \"corpus_examples\": {},\n",
         corpus.len()
-    ));
-    json.push_str(&format!(
-        "  \"escaped_workload\": {{\"full_ms\": {:.4}, \"partial_ms\": {:.4}, \
-         \"speedup\": {:.2}, \"partial_path\": {}}},\n",
-        escaped.full * 1000.0,
-        escaped.incremental * 1000.0,
-        escaped.speedup(),
-        escaped.fast_path,
     ));
     json.push_str("  \"set_code_workload\": {\n");
     for (i, t) in set_codes.iter().enumerate() {
@@ -203,21 +180,15 @@ fn run(slugs: &[String]) -> bool {
         &[
             ("speedup_largest_median", largest_median),
             ("speedup_all_median", overall_median),
-            ("escaped_speedup", escaped.speedup()),
             ("set_code_subtree_speedup", set_codes[1].speedup()),
         ],
     );
 
-    gates(&largest, largest_median, &escaped, &set_codes)
+    gates(&largest, largest_median, &set_codes)
 }
 
 /// Regression gates. Each failure is reported; any failure exits non-zero.
-fn gates(
-    largest: &[&CommitTiming],
-    largest_median: f64,
-    escaped: &CommitTiming,
-    set_codes: &[SetCodeTiming],
-) -> bool {
+fn gates(largest: &[&CommitTiming], largest_median: f64, set_codes: &[SetCodeTiming]) -> bool {
     let mut ok = true;
 
     // Incremental must beat full on the largest examples, and must
@@ -235,20 +206,6 @@ fn gates(
     }
     if largest_median < 1.0 {
         eprintln!("FAIL: incremental commit is slower than full prepare ({largest_median:.2}x)");
-        ok = false;
-    }
-
-    // The escaped workload must take the partial tier and clearly beat the
-    // pre-split-ρ behaviour (which was the full path by construction).
-    if !escaped.fast_path {
-        eprintln!("FAIL: escaped-drag workload fell back to full prepares");
-        ok = false;
-    }
-    if escaped.speedup() < 3.0 {
-        eprintln!(
-            "FAIL: escaped-drag guard replay speedup {:.2}x < 3.0x",
-            escaped.speedup()
-        );
         ok = false;
     }
 

@@ -299,7 +299,6 @@ pub fn time_commit_paths(example: &Example, commits: usize) -> CommitTiming {
     let zones = incremental.assignments().zones.len();
     let incr_times = time_commits(&mut incremental, shape, zone, commits);
     let full_times = time_commits(&mut full, shape, zone, commits);
-    let stats = incremental.stats();
     CommitTiming {
         slug: example.slug,
         name: example.name,
@@ -307,76 +306,7 @@ pub fn time_commit_paths(example: &Example, commits: usize) -> CommitTiming {
         zones,
         full: summarize(&full_times).med,
         incremental: summarize(&incr_times).med,
-        fast_path: stats.incremental_prepares + stats.partial_prepares >= commits as u64,
-    }
-}
-
-/// Synthetic escaped-drag workload: every box's fill color is guarded by a
-/// comparison over its x coordinate, so `x0` escapes into a COMPARE sink
-/// and every drag of a box dirties ~one guard per shape. Before split-ρ
-/// patching this forced a full re-evaluate + re-prepare per commit; the
-/// partial tier replays the dirtied guards and patches instead.
-pub const ESCAPED_DRAG_SRC: &str = r#"
-    (def n 64!)
-    (def x0 40)
-    (def boxi (λ i
-      (let x (+ x0 (* i 14))
-      (let c (if (< x 2600!) 'lightblue' 'salmon')
-        (rect c x 50 10 80)))))
-    (svg (map boxi (zeroTo n)))
-"#;
-
-/// Measures the escaped-drag workload's commit latency on the partial
-/// (guard-replay) path against the always-full reference.
-///
-/// # Panics
-///
-/// Panics if the workload stops exercising the partial tier (that would
-/// make the measurement meaningless).
-pub fn time_escaped_drag(commits: usize) -> CommitTiming {
-    use sns_sync::{LiveConfig, LiveSync, PrepareEligibility};
-
-    let program = Program::parse(ESCAPED_DRAG_SRC).expect("workload parses");
-    let mut partial =
-        LiveSync::new(program.clone(), LiveConfig::default()).expect("workload prepares");
-    let mut full = LiveSync::new(
-        program,
-        LiveConfig {
-            full_prepare_only: true,
-            ..LiveConfig::default()
-        },
-    )
-    .expect("workload prepares");
-
-    // A zone whose trigger touches escaped-but-replayable locations: drags
-    // there are exactly the cliff the partial tier removes.
-    let (shape, zone) = partial
-        .assignments()
-        .zones
-        .iter()
-        .filter(|z| z.is_active())
-        .map(|z| (z.shape, z.zone))
-        .find(|&(s, z)| {
-            partial.zone_eligibility(s, z) == PrepareEligibility::Partial
-                && partial
-                    .drag(s, z, 2.0, 1.0)
-                    .map(|r| !r.subst.is_empty() && !partial.control_flow_safe(&r.subst))
-                    .unwrap_or(false)
-        })
-        .expect("an escaped-but-replayable zone");
-
-    let shapes = partial.canvas().shapes().len();
-    let zones = partial.assignments().zones.len();
-    let partial_times = time_commits(&mut partial, shape, zone, commits);
-    let full_times = time_commits(&mut full, shape, zone, commits);
-    CommitTiming {
-        slug: "escaped_drag",
-        name: "Escaped drag (guard replay)",
-        shapes,
-        zones,
-        full: summarize(&full_times).med,
-        incremental: summarize(&partial_times).med,
-        fast_path: partial.stats().partial_prepares >= commits as u64,
+        fast_path: incremental.stats().incremental_prepares >= commits as u64,
     }
 }
 
@@ -457,11 +387,11 @@ pub fn time_set_code(label: &'static str, src_a: &str, src_b: &str, edits: usize
     }
 }
 
-/// Sources for the subtree/structural `set_code` workloads: `base` is a
-/// canvas of independent rects whose first x is `(* 2 15)`; `subtree`
-/// swaps that operator (same literals, one region); `structural` appends a
-/// shape.
-pub fn set_code_workload_sources() -> (String, String, String) {
+/// Sources for the `set_code` workloads: `base` is a canvas of
+/// independent rects whose first x is `(* 2 15)`; `literal` nudges that
+/// rect's y (a literal no control flow observes); `subtree` swaps the
+/// operator (same literals, one region); `structural` appends a shape.
+pub fn set_code_workload_sources() -> (String, String, String, String) {
     let mut shapes = String::from("(rect 'c0' (* 2 15) 10 20 20) ");
     for j in 1..40 {
         shapes.push_str(&format!(
@@ -471,9 +401,10 @@ pub fn set_code_workload_sources() -> (String, String, String) {
         ));
     }
     let base = format!("(svg [{shapes}])");
+    let literal = base.replace("(* 2 15) 10 ", "(* 2 15) 11 ");
     let subtree = base.replace("(* 2 15)", "(+ 2 15)");
     let structural = format!("(svg [{shapes}(rect 'extra' 900 200 12 12)])");
-    (base, subtree, structural)
+    (base, literal, subtree, structural)
 }
 
 /// Times `steps` consecutive drag steps (one simulated mouse-move each)

@@ -62,8 +62,17 @@ fn wait_for_addrs(child: &mut Child, want_repl: bool) -> (String, Option<String>
     }
 }
 
+/// `sns serve` as a user starts it. Cargo's `[env]` gives every process it
+/// runs a 256 MiB `RUST_MIN_STACK`, which would hide a thread spawned with
+/// the platform-default stack; the nodes here run without it.
+fn sns() -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_sns"));
+    cmd.env_remove("RUST_MIN_STACK");
+    cmd
+}
+
 fn spawn_leader(data_dir: &Path) -> (Child, String, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_sns"))
+    let mut child = sns()
         .args([
             "serve",
             "--addr",
@@ -88,7 +97,7 @@ fn spawn_leader(data_dir: &Path) -> (Child, String, String) {
 }
 
 fn spawn_follower(data_dir: &Path, leader_repl: &str) -> (Child, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_sns"))
+    let mut child = sns()
         .args([
             "serve",
             "--addr",
@@ -194,6 +203,28 @@ fn get_canvas(addr: &str, id: &str) -> String {
     body
 }
 
+/// Creates a session on a sync-replicated leader, retrying while the
+/// leader refuses writes until its follower has connected.
+fn create_when_connected(leader_http: &str, source: &str) -> String {
+    let deadline = Instant::now() + Duration::from_secs(15);
+    loop {
+        let (status, body) = http(
+            leader_http,
+            "POST",
+            "/sessions",
+            &format!("{{\"source\":\"{source}\"}}"),
+        );
+        if status == 201 {
+            return field(&body, "id").to_string();
+        }
+        assert!(
+            Instant::now() < deadline,
+            "leader never accepted a write: {status} {body}"
+        );
+        std::thread::sleep(Duration::from_millis(100));
+    }
+}
+
 fn kill_dash_nine(child: &mut Child) {
     // Child::kill is SIGKILL on unix: no handlers, no drain, no goodbye.
     child.kill().expect("kill -9");
@@ -213,23 +244,7 @@ fn promoted_follower_serves_every_acked_commit_after_leader_kill() {
     // The leader refuses writes until its sync follower is connected
     // (--replicate-to 1), so the first successful create doubles as the
     // connection barrier.
-    let deadline = Instant::now() + Duration::from_secs(15);
-    let quiet = loop {
-        let (status, body) = http(
-            &leader_http,
-            "POST",
-            "/sessions",
-            "{\"source\":\"(svg [(rect 'gold' 10 20 30 40)])\"}",
-        );
-        if status == 201 {
-            break field(&body, "id").to_string();
-        }
-        assert!(
-            Instant::now() < deadline,
-            "leader never accepted a write: {status} {body}"
-        );
-        std::thread::sleep(Duration::from_millis(100));
-    };
+    let quiet = create_when_connected(&leader_http, "(svg [(rect 'gold' 10 20 30 40)])");
     let busy = create(&leader_http, "(svg [(circle 'navy' 100 100 30)])");
     for step in 1..=3 {
         assert!(drag_commit(&leader_http, &quiet, 5.0 * step as f64, 1.0).is_some());
@@ -320,6 +335,32 @@ fn promoted_follower_serves_every_acked_commit_after_leader_kill() {
         Some("(svg [(rect 'red' 3 2 3 4)])")
     );
 
+    kill_dash_nine(&mut follower);
+    let _ = std::fs::remove_dir_all(&dir_l);
+    let _ = std::fs::remove_dir_all(&dir_f);
+}
+
+/// Evaluating `little` recurses with list length, so a follower replaying
+/// a long list needs the same deep stack as the leader's pool workers,
+/// which evaluated it first. A stack overflow aborts the follower, and
+/// with `--replicate-to 1` the leader then refuses the write as well.
+#[test]
+fn follower_replays_a_deep_program_the_leader_accepted() {
+    let dir_l = std::env::temp_dir().join(format!("sns-repl-deep-l-{}", std::process::id()));
+    let dir_f = std::env::temp_dir().join(format!("sns-repl-deep-f-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir_l);
+    let _ = std::fs::remove_dir_all(&dir_f);
+
+    let (mut leader, leader_http, leader_repl) = spawn_leader(&dir_l);
+    let (mut follower, follower_http) = spawn_follower(&dir_f, &leader_repl);
+
+    let deep = "(svg (map (λ i (rect 'teal' i 10 5 5)) (zeroTo 1000)))";
+    create_when_connected(&leader_http, "(svg [(rect 'gold' 10 20 30 40)])");
+    let id = create(&leader_http, deep);
+    let committed = drag_commit(&leader_http, &id, 3.0, 1.0).expect("leader commits");
+    assert_eq!(get_code(&follower_http, &id), committed);
+
+    kill_dash_nine(&mut leader);
     kill_dash_nine(&mut follower);
     let _ = std::fs::remove_dir_all(&dir_l);
     let _ = std::fs::remove_dir_all(&dir_f);

@@ -612,8 +612,9 @@ mod tests {
 
     #[test]
     fn failed_commit_leaves_the_editor_untouched() {
-        // Moving `k` to 3 leaves the `case` without a matching branch: the
-        // guard replay refuses the patch tiers and the full evaluation fails.
+        // Moving `k` to 3 leaves the `case` without a matching branch: `k`
+        // escapes through the numeric pattern, so the commit takes the full
+        // path, and the full evaluation fails.
         let src = "(def k 2{1-3}) (svg [(case k (2 (rect 'red' 1 2 3 4)))])";
         let mut ed = Editor::new(src).unwrap();
         let (code, svg) = (ed.code(), ed.canvas_svg());

@@ -1,168 +1,24 @@
-//! Escape-sink bookkeeping: *which* locations escape the trace system,
-//! *into what kind* of sink, and — for replayable sinks — the guards needed
-//! to prove after the fact that a substitution left every control-flow
-//! decision unchanged.
+//! Escape bookkeeping: the exact set of locations whose values escaped the
+//! trace system during evaluation.
 //!
-//! The flat escaped-location set ([`Escapes::iter`]) supports the classic
-//! all-or-nothing check: a substitution avoiding every escaped location
-//! cannot change control flow. The per-location sink kinds and the recorded
-//! [`Guard`]s refine that cliff into a *partial* fast path: a substitution
-//! that touches escaped locations is still control-flow-preserving if every
-//! guard whose inputs it dirties replays — under the updated substitution —
-//! to the same boolean outcome. Comparisons and numeric literal patterns
-//! are replayable this way; structural equality (`=`) and `toString`
-//! results leave the numeric domain entirely, so locations reaching those
-//! sinks stay hard fallbacks.
+//! A location escapes when a number it contributes to flows into a sink
+//! where it can steer control flow or leave the numeric domain: a
+//! comparison, a numeric literal pattern, structural equality (`=`), or
+//! `toString`. A substitution avoiding every escaped location cannot change
+//! control flow, so the program's output structure and traces stay as they
+//! are; one touching any of them must run the program again.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::collections::BTreeSet;
 
-use sns_lang::{LocId, Op};
+use sns_lang::LocId;
 
-use crate::eval::apply_cmp_op;
-use crate::patch::TracePatcher;
 use crate::trace::Trace;
 use crate::value::Value;
 
-/// Upper bound on recorded guards per evaluation. Beyond this the set no
-/// longer proves anything ([`Escapes::guards_overflowed`]) and callers must
-/// treat every escaped location as a hard fallback; the flat escaped set
-/// stays exact regardless.
-pub const GUARD_CAP: usize = 1 << 18;
-
-/// Bitset of sink kinds a location's value has escaped into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SinkKinds(u8);
-
-impl SinkKinds {
-    /// The value flowed into a numeric comparison (`<`, `>`, `<=`, `>=`).
-    pub const COMPARE: SinkKinds = SinkKinds(1);
-    /// The value flowed into structural equality (`=`).
-    pub const EQUALITY: SinkKinds = SinkKinds(1 << 1);
-    /// The value flowed into `toString`.
-    pub const TO_STRING: SinkKinds = SinkKinds(1 << 2);
-    /// The value was observed by a numeric literal pattern.
-    pub const NUM_PATTERN: SinkKinds = SinkKinds(1 << 3);
-
-    /// Adds the sinks of `other` to this set.
-    pub fn insert(&mut self, other: SinkKinds) {
-        self.0 |= other.0;
-    }
-
-    /// Whether every sink in `other` is present.
-    pub fn contains(self, other: SinkKinds) -> bool {
-        self.0 & other.0 == other.0
-    }
-
-    /// Whether no sink has been recorded.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Whether every sink this location reached can be replayed as a
-    /// boolean [`Guard`]. Comparison and numeric-pattern outcomes are
-    /// recorded and re-checkable; `=` and `toString` results are not
-    /// booleans over numeric traces, so they cannot be.
-    pub fn replayable(self) -> bool {
-        self.0 & (Self::EQUALITY.0 | Self::TO_STRING.0) == 0
-    }
-}
-
-/// One control-flow decision that observed traced numbers, together with
-/// the boolean outcome it produced during evaluation.
-#[derive(Debug, Clone)]
-pub enum Guard {
-    /// A numeric comparison `lhs op rhs`.
-    Compare {
-        /// The comparison operator (`Lt`/`Gt`/`Le`/`Ge`).
-        op: Op,
-        /// Trace of the left operand.
-        lhs: Arc<Trace>,
-        /// Trace of the right operand.
-        rhs: Arc<Trace>,
-        /// The boolean the comparison evaluated to.
-        outcome: bool,
-    },
-    /// A numeric literal pattern observing a scrutinee.
-    NumPattern {
-        /// Trace of the matched number.
-        scrutinee: Arc<Trace>,
-        /// The pattern's literal.
-        literal: f64,
-        /// Whether the pattern matched.
-        outcome: bool,
-    },
-}
-
-impl Guard {
-    /// Whether the guard's inputs mention any location changed by the
-    /// patcher's update (memoized per trace node).
-    pub fn is_dirty(&self, patcher: &mut TracePatcher) -> bool {
-        match self {
-            Guard::Compare { lhs, rhs, .. } => patcher.is_dirty(lhs) || patcher.is_dirty(rhs),
-            Guard::NumPattern { scrutinee, .. } => patcher.is_dirty(scrutinee),
-        }
-    }
-
-    /// Re-evaluates the guard under the patcher's substitution. `None` when
-    /// a trace fails to evaluate (callers must fall back to a full
-    /// re-evaluation).
-    pub fn replay(&self, patcher: &mut TracePatcher) -> Option<bool> {
-        match self {
-            Guard::Compare { op, lhs, rhs, .. } => {
-                let a = patcher.eval(lhs)?;
-                let b = patcher.eval(rhs)?;
-                apply_cmp_op(*op, a, b)
-            }
-            Guard::NumPattern {
-                scrutinee, literal, ..
-            } => Some(patcher.eval(scrutinee)? == *literal),
-        }
-    }
-
-    /// The outcome recorded during evaluation.
-    pub fn outcome(&self) -> bool {
-        match self {
-            Guard::Compare { outcome, .. } | Guard::NumPattern { outcome, .. } => *outcome,
-        }
-    }
-
-    /// Whether the guard is clean under the patcher, or dirty but replays
-    /// to the outcome recorded during evaluation.
-    pub fn replay_unchanged(&self, patcher: &mut TracePatcher) -> bool {
-        if !self.is_dirty(patcher) {
-            return true;
-        }
-        self.replay(patcher) == Some(self.outcome())
-    }
-
-    /// The input traces the guard observes.
-    pub fn traces(&self) -> impl Iterator<Item = &Arc<Trace>> {
-        match self {
-            Guard::Compare { lhs, rhs, .. } => vec![lhs, rhs].into_iter(),
-            Guard::NumPattern { scrutinee, .. } => vec![scrutinee].into_iter(),
-        }
-    }
-
-    /// Collects the guard's trace locations into a set.
-    pub fn collect_locs_into(&self, out: &mut BTreeSet<LocId>) {
-        match self {
-            Guard::Compare { lhs, rhs, .. } => {
-                lhs.collect_locs_into(out);
-                rhs.collect_locs_into(out);
-            }
-            Guard::NumPattern { scrutinee, .. } => scrutinee.collect_locs_into(out),
-        }
-    }
-}
-
-/// Everything evaluation learned about trace escapes: the per-location sink
-/// kinds and the replayable guards.
+/// The locations that escaped the trace system, ascending.
 #[derive(Debug, Clone, Default)]
 pub struct Escapes {
-    by_loc: BTreeMap<LocId, SinkKinds>,
-    guards: Vec<Guard>,
-    overflow: bool,
+    locs: BTreeSet<LocId>,
 }
 
 impl Escapes {
@@ -171,165 +27,35 @@ impl Escapes {
         Escapes::default()
     }
 
-    /// Whether `loc` escaped into any sink.
+    /// Whether `loc` escaped.
     pub fn contains(&self, loc: &LocId) -> bool {
-        self.by_loc.contains_key(loc)
+        self.locs.contains(loc)
     }
 
     /// Number of distinct escaped locations.
     pub fn len(&self) -> usize {
-        self.by_loc.len()
+        self.locs.len()
     }
 
     /// Whether no location escaped.
     pub fn is_empty(&self) -> bool {
-        self.by_loc.is_empty()
+        self.locs.is_empty()
     }
 
     /// The escaped locations, ascending.
     pub fn iter(&self) -> impl Iterator<Item = &LocId> {
-        self.by_loc.keys()
+        self.locs.iter()
     }
 
-    /// The sink kinds a location escaped into (empty if it never escaped).
-    pub fn kinds(&self, loc: LocId) -> SinkKinds {
-        self.by_loc.get(&loc).copied().unwrap_or_default()
+    /// Marks every location of a trace observed by a comparison or a
+    /// numeric literal pattern.
+    pub(crate) fn mark_trace(&mut self, t: &Trace) {
+        t.collect_locs_into(&mut self.locs);
     }
 
-    /// The recorded guards, in evaluation order.
-    pub fn guards(&self) -> &[Guard] {
-        &self.guards
-    }
-
-    /// Whether guard recording hit [`GUARD_CAP`]; if so the guards are
-    /// incomplete and prove nothing.
-    pub fn guards_overflowed(&self) -> bool {
-        self.overflow
-    }
-
-    fn mark_trace(&mut self, t: &Trace, kinds: SinkKinds) {
-        match t {
-            Trace::Loc(l) => self.by_loc.entry(*l).or_default().insert(kinds),
-            Trace::Op(_, args) => {
-                for a in args {
-                    self.mark_trace(a, kinds);
-                }
-            }
-        }
-    }
-
-    fn push_guard(&mut self, guard: Guard) {
-        if self.guards.len() >= GUARD_CAP {
-            self.overflow = true;
-            return;
-        }
-        self.guards.push(guard);
-    }
-
-    /// Records a numeric comparison: marks both operand traces' locations
-    /// as [`SinkKinds::COMPARE`] and stores a replayable guard.
-    pub fn record_compare(&mut self, op: Op, lhs: &Arc<Trace>, rhs: &Arc<Trace>, outcome: bool) {
-        self.mark_trace(lhs, SinkKinds::COMPARE);
-        self.mark_trace(rhs, SinkKinds::COMPARE);
-        self.push_guard(Guard::Compare {
-            op,
-            lhs: Arc::clone(lhs),
-            rhs: Arc::clone(rhs),
-            outcome,
-        });
-    }
-
-    /// Records a numeric literal pattern observing `scrutinee`: marks its
-    /// locations as [`SinkKinds::NUM_PATTERN`] and stores a replayable
-    /// guard.
-    pub fn record_num_pattern(&mut self, scrutinee: &Arc<Trace>, literal: f64, outcome: bool) {
-        self.mark_trace(scrutinee, SinkKinds::NUM_PATTERN);
-        self.push_guard(Guard::NumPattern {
-            scrutinee: Arc::clone(scrutinee),
-            literal,
-            outcome,
-        });
-    }
-
-    /// Records a non-replayable sink (`=` or `toString`) observing every
-    /// traced number inside `value`.
-    pub fn record_opaque_value(&mut self, value: &Value, kinds: SinkKinds) {
-        let mut locs = BTreeSet::new();
-        value.collect_locs(&mut locs);
-        for l in locs {
-            self.by_loc.entry(l).or_default().insert(kinds);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sns_lang::Subst;
-
-    fn l(i: u32) -> Arc<Trace> {
-        Trace::loc(LocId(i))
-    }
-
-    #[test]
-    fn kinds_accumulate_and_gate_replayability() {
-        let mut k = SinkKinds::default();
-        assert!(k.replayable() && k.is_empty());
-        k.insert(SinkKinds::COMPARE);
-        k.insert(SinkKinds::NUM_PATTERN);
-        assert!(k.replayable());
-        assert!(k.contains(SinkKinds::COMPARE));
-        k.insert(SinkKinds::TO_STRING);
-        assert!(!k.replayable());
-    }
-
-    #[test]
-    fn compare_guard_replays_under_a_new_substitution() {
-        let mut esc = Escapes::new();
-        // 10 < 20 was true during evaluation.
-        esc.record_compare(Op::Lt, &l(0), &l(1), true);
-        let base = Subst::from_pairs([(LocId(0), 10.0), (LocId(1), 20.0)]);
-
-        // Moving l0 to 15 keeps the outcome; to 25 flips it.
-        let keep = Subst::from_pairs([(LocId(0), 15.0)]);
-        let mut p = TracePatcher::new(&base, &keep);
-        assert!(esc.guards()[0].replay_unchanged(&mut p));
-
-        let flip = Subst::from_pairs([(LocId(0), 25.0)]);
-        let mut p = TracePatcher::new(&base, &flip);
-        assert!(esc.guards()[0].is_dirty(&mut p));
-        assert!(!esc.guards()[0].replay_unchanged(&mut p));
-    }
-
-    #[test]
-    fn clean_guards_are_trivially_unchanged() {
-        let mut esc = Escapes::new();
-        esc.record_num_pattern(&l(3), 7.0, false);
-        let base = Subst::from_pairs([(LocId(3), 5.0)]);
-        let unrelated = Subst::from_pairs([(LocId(9), 1.0)]);
-        let mut p = TracePatcher::new(&base, &unrelated);
-        assert!(esc.guards()[0].replay_unchanged(&mut p));
-    }
-
-    #[test]
-    fn num_pattern_guard_matches_match_semantics() {
-        let mut esc = Escapes::new();
-        esc.record_num_pattern(&l(3), 7.0, false);
-        assert_eq!(esc.kinds(LocId(3)), SinkKinds::NUM_PATTERN);
-        let base = Subst::from_pairs([(LocId(3), 5.0)]);
-        let to_match = Subst::from_pairs([(LocId(3), 7.0)]);
-        let mut p = TracePatcher::new(&base, &to_match);
-        // The pattern now matches: outcome flips from false to true.
-        assert!(!esc.guards()[0].replay_unchanged(&mut p));
-    }
-
-    #[test]
-    fn guard_overflow_is_reported() {
-        let mut esc = Escapes::new();
-        for _ in 0..=GUARD_CAP {
-            esc.record_compare(Op::Lt, &l(0), &l(1), true);
-        }
-        assert!(esc.guards_overflowed());
-        assert_eq!(esc.guards().len(), GUARD_CAP);
+    /// Marks every traced number inside a value observed by `=` or
+    /// `toString`.
+    pub(crate) fn mark_value(&mut self, value: &Value) {
+        value.collect_locs(&mut self.locs);
     }
 }

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use sns_lang::{Expr, Op, Pat};
 
 use crate::env::Env;
-use crate::escape::{Escapes, SinkKinds};
+use crate::escape::Escapes;
 use crate::trace::Trace;
 use crate::value::{Closure, Value};
 
@@ -95,9 +95,7 @@ impl Evaluator {
     /// The locations whose values escaped the trace system during
     /// evaluation so far (see the module docs): flowing into a comparison,
     /// `=`, `toString`, or a numeric literal pattern. A substitution
-    /// touching none of these cannot change control flow; one that does may
-    /// still be proven harmless by replaying the recorded
-    /// [`Guard`](crate::escape::Guard)s.
+    /// touching none of these cannot change control flow.
     pub fn escaped_locs(&self) -> &Escapes {
         &self.escaped
     }
@@ -179,7 +177,7 @@ impl Evaluator {
                     vals.push(self.eval(env, a)?);
                 }
                 let result = eval_prim(*op, &vals)?;
-                self.record_escapes(*op, &vals, &result);
+                self.record_escapes(*op, &vals);
                 Ok(result)
             }
             Expr::Let {
@@ -242,26 +240,19 @@ impl Evaluator {
     }
 
     /// Records trace escapes for one primitive application, *after* it
-    /// succeeded. Comparisons are replayable guards (traced operands, a
-    /// boolean outcome); `=` and `toString` observe whole values through a
-    /// sink that cannot be replayed from numeric traces.
-    fn record_escapes(&mut self, op: Op, args: &[Value], result: &Value) {
+    /// succeeded: a comparison observes its operands' traces, `=` and
+    /// `toString` every traced number inside their arguments.
+    fn record_escapes(&mut self, op: Op, args: &[Value]) {
         match op {
             Op::Lt | Op::Gt | Op::Le | Op::Ge => {
-                if let (Some((_, lhs)), Some((_, rhs)), Some(outcome)) =
-                    (args[0].as_num(), args[1].as_num(), result.as_bool())
-                {
-                    self.escaped.record_compare(op, lhs, rhs, outcome);
+                if let (Some((_, lhs)), Some((_, rhs))) = (args[0].as_num(), args[1].as_num()) {
+                    self.escaped.mark_trace(lhs);
+                    self.escaped.mark_trace(rhs);
                 }
             }
-            Op::Eq => {
+            Op::Eq | Op::ToString => {
                 for v in args {
-                    self.escaped.record_opaque_value(v, SinkKinds::EQUALITY);
-                }
-            }
-            Op::ToString => {
-                for v in args {
-                    self.escaped.record_opaque_value(v, SinkKinds::TO_STRING);
+                    self.escaped.mark_value(v);
                 }
             }
             _ => {}
@@ -320,8 +311,7 @@ pub fn match_pat(pat: &Pat, value: &Value, env: &Env) -> Option<Env> {
 
 /// Pattern matching that additionally records locations observed by numeric
 /// literal patterns into `escaped` (a numeric pattern branches on the
-/// matched number's value, so its trace locations escape), together with a
-/// replayable guard per observation.
+/// matched number's value, so its trace locations escape).
 pub fn match_pat_escaping(
     pat: &Pat,
     value: &Value,
@@ -332,13 +322,8 @@ pub fn match_pat_escaping(
         Pat::Var(x) => Some(env.bind(x.clone(), value.clone())),
         Pat::Num(n) => match value {
             Value::Num(m, t) => {
-                let outcome = m == n;
-                escaped.record_num_pattern(t, *n, outcome);
-                if outcome {
-                    Some(env.clone())
-                } else {
-                    None
-                }
+                escaped.mark_trace(t);
+                (m == n).then(|| env.clone())
             }
             _ => None,
         },
@@ -371,23 +356,6 @@ pub fn match_pat_escaping(
             }
         }
     }
-}
-
-/// Applies a numeric comparison to already-unwrapped arguments; `None`
-/// when `op` is not a comparison.
-///
-/// Like [`apply_num_op`], this is the single source of truth for its
-/// fragment of the semantics: [`eval_prim`] and
-/// [`Guard::replay`](crate::escape::Guard::replay) both call it, so a
-/// replayed comparison decides exactly as the original evaluation did.
-pub fn apply_cmp_op(op: Op, a: f64, b: f64) -> Option<bool> {
-    Some(match op {
-        Op::Lt => a < b,
-        Op::Gt => a > b,
-        Op::Le => a <= b,
-        Op::Ge => a >= b,
-        _ => return None,
-    })
 }
 
 /// Applies a purely numeric primitive to already-unwrapped arguments;
@@ -473,7 +441,12 @@ pub fn eval_prim(op: Op, args: &[Value]) -> Result<Value, EvalError> {
         Lt | Gt | Le | Ge => {
             let (a, _) = num(0)?;
             let (b, _) = num(1)?;
-            Ok(Value::Bool(apply_cmp_op(op, a, b).expect("comparison op")))
+            Ok(Value::Bool(match op {
+                Lt => a < b,
+                Gt => a > b,
+                Le => a <= b,
+                _ => a >= b,
+            }))
         }
         Eq => Ok(Value::Bool(args[0].structurally_eq(&args[1]))),
         Not => match &args[0] {

@@ -35,10 +35,9 @@ pub mod trace;
 pub mod value;
 
 pub use env::Env;
-pub use escape::{Escapes, Guard, SinkKinds, GUARD_CAP};
+pub use escape::Escapes;
 pub use eval::{
-    apply_cmp_op, apply_num_op, eval_prim, match_pat, match_pat_escaping, EvalError, Evaluator,
-    Limits,
+    apply_num_op, eval_prim, match_pat, match_pat_escaping, EvalError, Evaluator, Limits,
 };
 pub use patch::TracePatcher;
 pub use program::{EvalOutcome, FreezeMode, LocInfo, Program, PRELUDE_SRC};

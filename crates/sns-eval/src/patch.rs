@@ -52,7 +52,7 @@ impl<'a> TracePatcher<'a> {
     }
 
     /// Whether the trace mentions any changed location (memoized).
-    pub fn is_dirty(&mut self, t: &Arc<Trace>) -> bool {
+    fn is_dirty(&mut self, t: &Arc<Trace>) -> bool {
         let key = Arc::as_ptr(t) as usize;
         if let Some(&d) = self.dirty.get(&key) {
             return d;
@@ -70,7 +70,7 @@ impl<'a> TracePatcher<'a> {
     /// neither happens for traces produced by evaluating the same program
     /// the substitution came from, but callers fall back to a full
     /// re-evaluation rather than trusting that.
-    pub fn eval(&mut self, t: &Arc<Trace>) -> Option<f64> {
+    fn eval(&mut self, t: &Arc<Trace>) -> Option<f64> {
         let key = Arc::as_ptr(t) as usize;
         if let Some(&v) = self.vals.get(&key) {
             return Some(v);

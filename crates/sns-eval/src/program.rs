@@ -366,9 +366,8 @@ impl Program {
 pub struct EvalOutcome {
     /// The program's output value.
     pub value: Value,
-    /// Locations whose values escaped the trace system during evaluation,
-    /// with per-location sink kinds and replayable guards (see
-    /// [`Evaluator::escaped_locs`]).
+    /// Locations whose values escaped the trace system during evaluation
+    /// (see [`Evaluator::escaped_locs`]).
     pub escaped: crate::escape::Escapes,
 }
 

@@ -13,10 +13,9 @@
 //! replays the same decisions — the plan is deterministic for a fixed
 //! interleaving of hits.
 //!
-//! Injection is compiled in only for debug builds (`debug_assertions`):
-//! in release builds [`Faults::decide`] is a constant `None` that the
-//! optimizer erases, so production binaries carry no fault-injection
-//! overhead and cannot be armed.
+//! Injection is armable only in debug builds (`debug_assertions`): in
+//! release builds [`Faults::armed`] refuses, so every handle is disarmed
+//! and [`Faults::decide`] is one `None` check.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -24,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// True when fault injection is compiled into this build (debug builds only).
+/// True when a fault plan can be armed in this build (debug builds only).
 pub const COMPILED_IN: bool = cfg!(debug_assertions);
 
 /// What an armed injection point should do when a rule fires.
@@ -220,8 +219,7 @@ impl FaultPlan {
 /// A cheap, cloneable handle to an optional [`FaultPlan`].
 ///
 /// The default handle is disarmed and [`Faults::decide`] returns `None`
-/// without taking any lock. In release builds `decide` is a constant `None`
-/// regardless of arming, so instrumented call sites compile to no-ops.
+/// without taking any lock. Release builds cannot arm a handle.
 #[derive(Debug, Clone, Default)]
 pub struct Faults(Option<Arc<FaultPlan>>);
 
@@ -251,16 +249,8 @@ impl Faults {
     }
 
     /// Records a hit at `point` and returns the action to take, if any.
-    #[cfg(debug_assertions)]
     pub fn decide(&self, point: &str) -> Option<FaultAction> {
         self.0.as_ref().and_then(|plan| plan.decide(point))
-    }
-
-    /// Release builds: always `None`; the call inlines away.
-    #[cfg(not(debug_assertions))]
-    #[inline(always)]
-    pub fn decide(&self, _point: &str) -> Option<FaultAction> {
-        None
     }
 
     /// The underlying plan, for harnesses that inspect hit counts.

@@ -97,6 +97,7 @@ use crate::json::{self, Json};
 use crate::routes::ServerState;
 use crate::session::Session;
 use crate::store::SHARDS;
+use crate::threadpool::WORKER_STACK;
 
 /// Upper bound on one protocol frame (a snapshot of one shard; program
 /// text is small, so this is generous).
@@ -901,6 +902,7 @@ fn stream_to_follower(
 pub(crate) fn start_follower(state: Arc<ServerState>, leader: String) {
     std::thread::Builder::new()
         .name("sns-repl-follower".to_string())
+        .stack_size(WORKER_STACK)
         .spawn(move || follower_loop(&state, &leader))
         .expect("spawn replication follower thread");
 }

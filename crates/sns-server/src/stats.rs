@@ -158,13 +158,12 @@ impl ServerStats {
         );
         let prepare_partial = r.counter(
             "sns_prepare_partial_total",
-            "Partial prepares: guard-replay commits over escaped locations and \
-             stitched re-prepares after subtree code edits.",
+            "Partial prepares: stitched re-prepares after subtree code edits.",
         );
         let prepare_fallback = r.counter_vec(
             "sns_prepare_fallback_total",
-            "Full-prepare fallbacks by reason: an escaped location could not be \
-             proven harmless, a code edit was structural, or a cheaper tier's \
+            "Full-prepare fallbacks by reason: a commit touched an escaped \
+             location, a code edit was structural, or a cheaper tier's \
              verification failed.",
             "reason",
             ["escaped", "structural", "reconcile"].map(String::from),

@@ -9,7 +9,7 @@
 //! proof-only drags: a resident, unlocked session, no implicit commit,
 //! and a zone whose trigger locations never escape.
 //!
-//! Under `SNS_FORCE_PREPARE=full` (or `partial`) no drag is proof-only,
+//! Under `SNS_FORCE_PREPARE=full` no drag is proof-only,
 //! so every drag must take the pool path — with the same replies.
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -33,13 +33,10 @@ const PROGRAM: &str = "(def x 100) \
 
 const PEER: IpAddr = IpAddr::V4(Ipv4Addr::LOCALHOST);
 
-/// Whether this run pins sessions below the fast tier, so that no drag
-/// may be served inline.
+/// Whether this run pins sessions to the full path, so that no drag may
+/// be served inline.
 fn fast_tier_forced_off() -> bool {
-    matches!(
-        std::env::var("SNS_FORCE_PREPARE").as_deref(),
-        Ok("full" | "partial")
-    )
+    std::env::var("SNS_FORCE_PREPARE").as_deref() == Ok("full")
 }
 
 fn state(follower: bool, auth_token: Option<&str>) -> Arc<ServerState> {

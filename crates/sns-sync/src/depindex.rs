@@ -10,39 +10,24 @@
 //! answers "which zones can a changed location reach" in O(edit) instead
 //! of rescanning the canvas.
 //!
-//! Two further edges support the partial-fallback engine:
-//!
-//! * **loc → guard** ([`DepIndex::dirty_guards`]): which recorded control
-//!   flow guards mention a changed location, so the partial commit tier
-//!   replays only those instead of the whole guard log. Built under a
-//!   bounded work budget; when the traces are too large the index degrades
-//!   to `None`, meaning "replay every guard".
-//! * **zone ↔ zone** ([`DepIndex::affected_closure`]): connected
-//!   components of the "shares a location" relation between zones. A
-//!   stitched re-prepare must re-analyze every zone in a component touched
-//!   by an edited region, because the heuristic's usage rotation couples
-//!   zones that compete for the same locations.
+//! It also records the **zone ↔ zone** edges of the "shares a location"
+//! relation, as connected components ([`DepIndex::affected_closure`]). A
+//! stitched re-prepare after a subtree code edit must re-analyze every zone
+//! in a component the edit touches, because the heuristic's usage rotation
+//! couples zones that compete for the same locations.
 
 use std::collections::{BTreeSet, HashMap};
 
-use sns_eval::{Escapes, Trace};
 use sns_lang::LocId;
 
 use crate::assign::Assignments;
 
-/// Total trace-node visits allowed while building the loc→guard index.
-/// Past this, [`DepIndex::dirty_guards`] returns `None` (replay all).
-const GUARD_INDEX_BUDGET: usize = 1 << 22;
-
 /// Maps every location to the zones (indices into
-/// [`Assignments::zones`]) whose attribute traces mention it, plus
-/// loc→guard and zone→zone dependence edges.
+/// [`Assignments::zones`]) whose attribute traces mention it, plus the
+/// zone→zone dependence components.
 #[derive(Debug, Default)]
 pub struct DepIndex {
     by_loc: HashMap<LocId, Vec<usize>>,
-    /// Guard indices (into [`Escapes::guards`]) per location, or `None`
-    /// when the indexing budget was exhausted.
-    sink_by_loc: Option<HashMap<LocId, Vec<u32>>>,
     /// Zone index → connected-component id.
     component_of: Vec<usize>,
     /// Component id → member zone indices, ascending.
@@ -64,26 +49,9 @@ fn union(parent: &mut [usize], a: usize, b: usize) {
     }
 }
 
-/// Collects the locations of `t` into `out`, spending one unit of `budget`
-/// per node visited. Returns `false` once the budget runs dry.
-fn collect_budgeted(t: &Trace, out: &mut BTreeSet<LocId>, budget: &mut usize) -> bool {
-    if *budget == 0 {
-        return false;
-    }
-    *budget -= 1;
-    match t {
-        Trace::Loc(l) => {
-            out.insert(*l);
-            true
-        }
-        Trace::Op(_, args) => args.iter().all(|a| collect_budgeted(a, out, budget)),
-    }
-}
-
 impl DepIndex {
-    /// Builds the index by one pass over every zone's attribute traces and
-    /// one budgeted pass over the evaluation's recorded guards.
-    pub fn build(assignments: &Assignments, escapes: &Escapes) -> DepIndex {
+    /// Builds the index by one pass over every zone's attribute traces.
+    pub fn build(assignments: &Assignments) -> DepIndex {
         let zone_count = assignments.zones.len();
         let mut by_loc: HashMap<LocId, Vec<usize>> = HashMap::new();
         let mut locs = BTreeSet::new();
@@ -117,39 +85,8 @@ impl DepIndex {
             component_zones[id].push(i);
         }
 
-        // loc → guard edges, under a budget so pathological traces cannot
-        // make prepare itself slow. Overflowed guard logs carry no index:
-        // the partial tier already refuses them.
-        let mut sink_by_loc = if escapes.guards_overflowed() {
-            None
-        } else {
-            Some(HashMap::new())
-        };
-        if let Some(index) = sink_by_loc.as_mut() {
-            let mut budget = GUARD_INDEX_BUDGET;
-            let mut scratch = BTreeSet::new();
-            let mut ok = true;
-            for (i, guard) in escapes.guards().iter().enumerate() {
-                scratch.clear();
-                if !guard
-                    .traces()
-                    .all(|t| collect_budgeted(t, &mut scratch, &mut budget))
-                {
-                    ok = false;
-                    break;
-                }
-                for &l in &scratch {
-                    index.entry(l).or_insert_with(Vec::new).push(i as u32);
-                }
-            }
-            if !ok {
-                sink_by_loc = None;
-            }
-        }
-
         DepIndex {
             by_loc,
-            sink_by_loc,
             component_of,
             component_zones,
         }
@@ -167,26 +104,6 @@ impl DepIndex {
             out.extend(self.zones_for(loc).iter().copied());
         }
         out
-    }
-
-    /// The guards whose traces mention any changed location, or `None` if
-    /// the guard index is unavailable and every guard must be replayed.
-    pub fn dirty_guards(&self, changed: impl IntoIterator<Item = LocId>) -> Option<BTreeSet<u32>> {
-        let index = self.sink_by_loc.as_ref()?;
-        let mut out = BTreeSet::new();
-        for loc in changed {
-            if let Some(guards) = index.get(&loc) {
-                out.extend(guards.iter().copied());
-            }
-        }
-        Some(out)
-    }
-
-    /// The guards a single location feeds, if the guard index was built.
-    pub fn sinks_for(&self, loc: LocId) -> Option<&[u32]> {
-        self.sink_by_loc
-            .as_ref()
-            .map(|m| m.get(&loc).map_or(&[] as &[u32], Vec::as_slice))
     }
 
     /// All zones in any usage-coupled component touched by a changed
@@ -233,7 +150,7 @@ mod tests {
         let mode = FreezeMode::default();
         let frozen = |l: LocId| program.is_frozen(l, mode);
         let assignments = analyze_canvas(&canvas, &frozen, Heuristic::Fair);
-        let index = DepIndex::build(&assignments, &outcome.escaped);
+        let index = DepIndex::build(&assignments);
         (program, assignments, index)
     }
 
@@ -282,18 +199,5 @@ mod tests {
             .map(|&i| assignments.zones[i].shape)
             .collect();
         assert_eq!(closure_shapes.len(), 2);
-    }
-
-    #[test]
-    fn guard_index_routes_changed_locations_to_their_guards() {
-        // One comparison guard over `n`; x-literals feed no guard.
-        let src = "(def n 12) (svg [(rect (if (< n 10) 'red' 'blue') 30 40 50 60)])";
-        let (program, _assignments, index) = build_for(src);
-        let n = LocId(program.next_loc() - 5);
-        let x = LocId(program.next_loc() - 4);
-        let dirty = index.dirty_guards([n]).expect("guard index built");
-        assert!(!dirty.is_empty(), "n feeds the (< n 10) guard");
-        let clean = index.dirty_guards([x]).expect("guard index built");
-        assert!(clean.is_empty(), "x feeds no guard");
     }
 }

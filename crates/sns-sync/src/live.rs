@@ -33,31 +33,22 @@
 //!   a changed location. The [`DepIndex`](crate::depindex::DepIndex) maps
 //!   locations to those zones directly.
 //!
-//! # Partial fallbacks: split-ρ patching and stitched re-prepare
+//! A commit whose substitution touches an escaped location may change
+//! control flow, so it re-evaluates and re-prepares in full (§4, §5.2.3).
 //!
-//! The all-or-nothing escape check creates performance *cliffs*: one
-//! comparison over a dragged location used to force every commit of that
-//! drag onto the full path. Two partial tiers soften those cliffs:
+//! # Code edits: stitched re-prepare
 //!
-//! * **split-ρ / guard replay** — evaluation now records every control-flow
-//!   decision that observed traced numbers as a replayable
-//!   [`sns_eval::Guard`]. A substitution touching escaped locations is
-//!   still control-flow-preserving if every guard it dirties replays — under
-//!   the updated substitution — to the same boolean outcome; such commits
-//!   take the patch + dirty-zone path and count as `partial_prepares`.
-//!   Locations reaching non-replayable sinks (`=`, `toString`) remain hard
-//!   fallbacks.
-//! * **stitched re-prepare** — [`LiveSync::set_program_diffed`] classifies a
-//!   code edit with [`sns_lang::diff_exprs`]. Literal-only edits become
-//!   substitutions through the commit tiers above; single-subtree edits
-//!   re-evaluate but re-analyze only the zones in usage-coupled components
-//!   touched by the edit, reusing every other shape's candidate enumeration
-//!   and re-running just the sequential choice pass.
+//! [`LiveSync::set_program_diffed`] classifies a code edit with
+//! [`sns_lang::diff_exprs`]. Literal-only edits become substitutions
+//! through the commit path above; single-subtree edits re-evaluate but
+//! re-analyze only the zones in usage-coupled components touched by the
+//! edit, reusing every other shape's candidate enumeration and re-running
+//! just the sequential choice pass.
 //!
-//! Whenever a proof obligation fails (a guard flips, patching trips on
-//! anything unexpected, a stitch comparator finds a structural change), the
-//! session falls back to the original full re-evaluate + re-prepare path,
-//! so observable behaviour is identical — the corpus-wide equivalence suite
+//! Whenever a proof obligation fails (patching trips on anything
+//! unexpected, a stitch comparator finds a structural change), the session
+//! falls back to the original full re-evaluate + re-prepare path, so
+//! observable behaviour is identical — the corpus-wide equivalence suite
 //! (`tests/incremental_equiv.rs`) checks this bit-for-bit.
 
 use std::collections::{BTreeSet, HashMap};
@@ -77,30 +68,12 @@ use crate::assign::{
 use crate::depindex::DepIndex;
 use crate::trigger::{SolverChoice, Trigger, TriggerFire};
 
-/// Which prepare paths a session may take, read once per session from the
-/// `SNS_FORCE_PREPARE` environment variable. The equivalence suite runs
-/// under all three values to pin every tier against the reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PrepareForce {
-    /// Default: fast path when safe, partial when provable, else full.
-    #[default]
-    Fast,
-    /// `SNS_FORCE_PREPARE=partial`: never take the unconditional fast
-    /// path; safe substitutions go through guard replay like escaped ones.
-    Partial,
-    /// `SNS_FORCE_PREPARE=full`: always re-evaluate and re-prepare.
-    Full,
-}
-
-impl PrepareForce {
-    /// Reads the override from the environment.
-    pub fn from_env() -> PrepareForce {
-        match std::env::var("SNS_FORCE_PREPARE").as_deref() {
-            Ok("partial") => PrepareForce::Partial,
-            Ok("full") => PrepareForce::Full,
-            _ => PrepareForce::Fast,
-        }
-    }
+/// Whether the `SNS_FORCE_PREPARE=full` environment override pins every
+/// session to the full path, as [`LiveConfig::full_prepare_only`] does. The
+/// equivalence suite runs under `full` and `fast` (the default routing,
+/// pinned) to check every tier against the reference.
+fn full_forced_by_env() -> bool {
+    std::env::var("SNS_FORCE_PREPARE").as_deref() == Ok("full")
 }
 
 /// How [`LiveSync::set_program_diffed`] classified a code edit.
@@ -116,32 +89,8 @@ pub enum SetCodeClass {
     Structural,
 }
 
-/// The best commit tier a zone's drags can hope for, given which sinks its
-/// trigger locations escape into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrepareEligibility {
-    /// No trigger location escapes: commits patch unconditionally.
-    Fast,
-    /// Some trigger locations escape, but only into replayable guards:
-    /// commits patch whenever the dirtied guards replay unchanged.
-    Partial,
-    /// A trigger location reaches a non-replayable sink (or there is no
-    /// trigger): commits fall back to full re-evaluation.
-    Full,
-}
-
 /// The reusable prepare state a successful stitch produces.
 type Stitched = (Assignments, HashMap<(ShapeId, Zone), Trigger>);
-
-/// Which patch-based commit tier applies to a substitution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PatchTier {
-    /// No escaped location touched.
-    Fast,
-    /// Escaped locations touched, but every dirtied guard replays
-    /// unchanged.
-    Partial,
-}
 
 /// Configuration of a live-synchronization session.
 #[derive(Debug, Clone, Copy, Default)]
@@ -166,15 +115,13 @@ pub struct LiveStats {
     pub full_prepares: u64,
     /// Commits served by the incremental path (dirty zones only).
     pub incremental_prepares: u64,
-    /// Commits served by a partial tier: guard-replay commits over escaped
-    /// locations, and stitched re-prepares after subtree code edits.
+    /// Stitched re-prepares after subtree code edits.
     pub partial_prepares: u64,
-    /// Drag steps a patch tier proved safe, so nothing was evaluated.
+    /// Drag steps the fast tier proved safe, so nothing was evaluated.
     pub fast_evals: u64,
     /// Drag steps checked by a full re-evaluation.
     pub full_evals: u64,
-    /// Full-prepare fallbacks because a touched escaped location could not
-    /// be proven harmless (guard flipped, non-replayable sink, overflow).
+    /// Full-prepare fallbacks because a commit touched an escaped location.
     pub fallback_escaped: u64,
     /// Full-prepare fallbacks because a code edit changed program shape.
     pub fallback_structural: u64,
@@ -274,16 +221,14 @@ pub struct LiveSync {
     assignments: Assignments,
     triggers: HashMap<(ShapeId, Zone), Trigger>,
     /// The program's current substitution ρ₀ (cached; kept equal to
-    /// `program.subst()` across commits, updated in place by the patch
-    /// tiers).
+    /// `program.subst()` across commits, updated in place by the fast
+    /// tier).
     rho0: Subst,
     /// Locations that escaped the trace system during the last full
-    /// evaluation, their sink kinds, and the recorded control-flow guards.
+    /// evaluation.
     escaped: Escapes,
     /// Location → dependent-zone index from the last full prepare.
     depindex: DepIndex,
-    /// Environment override pinning the session to one prepare path.
-    force: PrepareForce,
     counters: LiveCounters,
 }
 
@@ -294,10 +239,14 @@ impl LiveSync {
     ///
     /// Fails if the program does not evaluate or its output is not SVG.
     pub fn new(program: Program, config: LiveConfig) -> Result<LiveSync, LiveError> {
+        let config = LiveConfig {
+            full_prepare_only: config.full_prepare_only || full_forced_by_env(),
+            ..config
+        };
         let outcome = program.eval_traced()?;
         let canvas = Canvas::from_value(&outcome.value)?;
         let (assignments, triggers) = prepare(&program, &canvas, config);
-        let depindex = DepIndex::build(&assignments, &outcome.escaped);
+        let depindex = DepIndex::build(&assignments);
         let rho0 = program.subst();
         let counters = LiveCounters::default();
         LiveCounters::bump(&counters.full_prepares);
@@ -310,7 +259,6 @@ impl LiveSync {
             rho0,
             escaped: outcome.escaped,
             depindex,
-            force: PrepareForce::from_env(),
             counters,
         })
     }
@@ -340,7 +288,7 @@ impl LiveSync {
     /// session's program is *not* modified — call [`LiveSync::commit`] on
     /// mouse-up, or [`LiveSync::preview_canvas`] to see the update.
     ///
-    /// When a patch tier proves the update preserves control flow, the
+    /// When the fast tier proves the update preserves control flow, the
     /// updated program provably evaluates to a canvas of the same shape,
     /// so nothing is evaluated. Otherwise the updated program is evaluated
     /// in full, and a failure refuses the drag.
@@ -360,7 +308,7 @@ impl LiveSync {
             .get(&(shape, zone))
             .ok_or(LiveError::NoTrigger { shape, zone })?;
         let TriggerFire { subst, failures } = trigger.fire(&self.rho0, dx, dy, self.config.solver);
-        if self.patch_tier(&subst).is_some() {
+        if self.fast_tier(&subst) {
             LiveCounters::bump(&self.counters.fast_evals);
         } else {
             LiveCounters::bump(&self.counters.full_evals);
@@ -380,89 +328,24 @@ impl LiveSync {
     }
 
     /// Whether every drag step on `zone` of `shape` is proof-only: the
-    /// zone has a trigger, none of its locations escapes, and no override
-    /// pins the session to a slower tier. A trigger only binds its own
+    /// zone has a trigger, none of its locations escapes, and the session
+    /// is not pinned to the full path. A trigger only binds its own
     /// locations, so every substitution it fires is
     /// [`control_flow_safe`](LiveSync::control_flow_safe) and
     /// [`LiveSync::drag`] takes the fast tier without evaluating anything.
     /// The server answers such drags on its event-loop thread.
     pub fn drag_is_proof_only(&self, shape: ShapeId, zone: Zone) -> bool {
-        self.fast_tier_allowed()
+        !self.config.full_prepare_only
             && self
                 .triggers
                 .get(&(shape, zone))
                 .is_some_and(|t| self.avoids_escapes(t.parts.iter().map(|p| p.loc)))
     }
 
-    /// Whether the full path is forced for every operation.
-    fn full_forced(&self) -> bool {
-        self.config.full_prepare_only || self.force == PrepareForce::Full
-    }
-
-    /// Whether the unconditional fast tier may be taken at all: neither
-    /// the configuration nor an override forces a slower tier.
-    fn fast_tier_allowed(&self) -> bool {
-        !self.config.full_prepare_only && self.force == PrepareForce::Fast
-    }
-
-    /// Whether every control-flow guard dirtied by `subst` replays to the
-    /// outcome recorded during evaluation — the split-ρ proof that an
-    /// escaped-location edit still preserves control flow.
-    fn guards_preserved(&self, subst: &Subst) -> bool {
-        if self.escaped.guards_overflowed() {
-            return false;
-        }
-        if !subst.domain().all(|l| self.escaped.kinds(l).replayable()) {
-            return false;
-        }
-        let mut patcher = TracePatcher::new(&self.rho0, subst);
-        match self.depindex.dirty_guards(subst.domain()) {
-            Some(dirty) => dirty
-                .iter()
-                .all(|&i| self.escaped.guards()[i as usize].replay_unchanged(&mut patcher)),
-            None => self
-                .escaped
-                .guards()
-                .iter()
-                .all(|g| g.replay_unchanged(&mut patcher)),
-        }
-    }
-
-    /// The strongest patch-based tier that provably applies to `subst`, or
-    /// `None` when only the full path is sound.
-    fn patch_tier(&self, subst: &Subst) -> Option<PatchTier> {
-        if self.full_forced() {
-            return None;
-        }
-        if self.fast_tier_allowed() && self.control_flow_safe(subst) {
-            return Some(PatchTier::Fast);
-        }
-        if self.guards_preserved(subst) {
-            return Some(PatchTier::Partial);
-        }
-        None
-    }
-
-    /// The best commit tier drags on a zone can hope for, from the sink
-    /// kinds its trigger locations escape into. Benchmarks use this to find
-    /// zones exercising the partial tier.
-    pub fn zone_eligibility(&self, shape: ShapeId, zone: Zone) -> PrepareEligibility {
-        let Some(trigger) = self.triggers.get(&(shape, zone)) else {
-            return PrepareEligibility::Full;
-        };
-        let mut best = PrepareEligibility::Fast;
-        for loc in trigger.loc_set() {
-            let kinds = self.escaped.kinds(loc);
-            if kinds.is_empty() {
-                continue;
-            }
-            if kinds.replayable() && !self.escaped.guards_overflowed() {
-                best = PrepareEligibility::Partial;
-            } else {
-                return PrepareEligibility::Full;
-            }
-        }
-        best
+    /// Whether `subst` may take the fast tier: the session is not pinned
+    /// to the full path and the substitution avoids every escaped location.
+    fn fast_tier(&self, subst: &Subst) -> bool {
+        !self.config.full_prepare_only && self.control_flow_safe(subst)
     }
 
     /// The canvas after applying `subst`: patched from the cached canvas
@@ -474,7 +357,7 @@ impl LiveSync {
     ///
     /// Fails when the updated program does not evaluate to a canvas.
     pub fn preview_canvas(&self, subst: &Subst) -> Result<Canvas, LiveError> {
-        if self.patch_tier(subst).is_some() {
+        if self.fast_tier(subst) {
             if let Some(canvas) = self.patched_canvas(subst) {
                 return Ok(canvas);
             }
@@ -509,8 +392,7 @@ impl LiveSync {
         subst: &Subst,
         replacement: Option<Program>,
     ) -> Result<(), LiveError> {
-        let tier = self.patch_tier(subst);
-        if let Some(tier) = tier {
+        if self.fast_tier(subst) {
             if let Some(canvas) = self.patched_canvas(subst) {
                 match replacement {
                     Some(program) => self.program = program,
@@ -527,17 +409,12 @@ impl LiveSync {
                 }
                 debug_assert_eq!(self.rho0, self.program.subst());
                 self.refresh_dirty_zones(subst);
-                match tier {
-                    PatchTier::Fast => {
-                        LiveCounters::bump(&self.counters.incremental_prepares);
-                    }
-                    PatchTier::Partial => LiveCounters::bump(&self.counters.partial_prepares),
-                }
+                LiveCounters::bump(&self.counters.incremental_prepares);
                 return Ok(());
             }
             // The tier was sound but the patcher balked: reconcile fully.
             LiveCounters::bump(&self.counters.fallback_reconcile);
-        } else if !self.full_forced() {
+        } else if !self.config.full_prepare_only {
             LiveCounters::bump(&self.counters.fallback_escaped);
         }
         self.replace_program(replacement.unwrap_or_else(|| self.program.with_subst(subst)))
@@ -582,8 +459,7 @@ impl LiveSync {
         self.counters.snapshot()
     }
 
-    /// The escape record of the last full evaluation: which locations
-    /// escaped, into what sink kinds, and the replayable guards.
+    /// The locations that escaped during the last full evaluation.
     pub fn escaped_locs(&self) -> &Escapes {
         &self.escaped
     }
@@ -605,7 +481,7 @@ impl LiveSync {
 
     /// Replaces the program via AST diffing, reusing as much session state
     /// as the edit's classification allows: identical → nothing to do;
-    /// literal-only → a substitution through the commit tiers; single
+    /// literal-only → a substitution through the commit path; single
     /// subtrees → stitched re-prepare; anything else → full prepare.
     /// Every cheaper tier self-verifies and falls back to the full path on
     /// any mismatch, so the result is always bit-identical to
@@ -615,7 +491,7 @@ impl LiveSync {
     ///
     /// Fails when the new program does not evaluate to a canvas.
     pub fn set_program_diffed(&mut self, program: Program) -> Result<SetCodeClass, LiveError> {
-        if self.full_forced() {
+        if self.config.full_prepare_only {
             self.replace_program(program)?;
             return Ok(SetCodeClass::Structural);
         }
@@ -702,7 +578,7 @@ impl LiveSync {
                 self.canvas = canvas;
                 self.assignments = assignments;
                 self.triggers = triggers;
-                self.depindex = DepIndex::build(&self.assignments, &outcome.escaped);
+                self.depindex = DepIndex::build(&self.assignments);
                 self.escaped = outcome.escaped;
                 self.rho0 = self.program.subst();
                 LiveCounters::bump(&self.counters.partial_prepares);
@@ -783,7 +659,7 @@ impl LiveSync {
         let (assignments, triggers) = prepare(&self.program, &self.canvas, self.config);
         self.assignments = assignments;
         self.triggers = triggers;
-        self.depindex = DepIndex::build(&self.assignments, &outcome.escaped);
+        self.depindex = DepIndex::build(&self.assignments);
         self.escaped = outcome.escaped;
         self.rho0 = self.program.subst();
         LiveCounters::bump(&self.counters.full_prepares);
@@ -1077,8 +953,8 @@ mod tests {
         assert!(live.trigger(ShapeId(0), Zone::RightEdge).is_some());
     }
 
-    /// A rect whose color is guarded by a comparison over its own x: the x
-    /// location escapes, but only into a replayable COMPARE sink.
+    /// A rect whose color is guarded by a comparison over its own x, so
+    /// the x location escapes.
     const GUARDED_COLOR: &str = r#"
         (def x 100)
         (def color (if (< x 500!) 'blue' 'red'))
@@ -1086,25 +962,20 @@ mod tests {
     "#;
 
     #[test]
-    fn guard_preserving_commits_take_the_partial_tier() {
+    fn escaped_commits_take_the_full_path() {
         let mut live = session(GUARDED_COLOR);
+        assert!(!live.drag_is_proof_only(ShapeId(0), Zone::Interior));
         let result = live.drag(ShapeId(0), Zone::Interior, 45.0, 0.0).unwrap();
         assert!(
             !live.control_flow_safe(&result.subst),
             "x escapes via the comparison"
         );
-        assert_eq!(
-            live.zone_eligibility(ShapeId(0), Zone::Interior),
-            PrepareEligibility::Partial
-        );
         live.commit(&result.subst).unwrap();
         let stats = live.stats();
-        assert_eq!(
-            stats.partial_prepares, 1,
-            "guard replay proves the drag safe"
-        );
-        assert_eq!(stats.full_prepares, 1, "no fallback expected");
-        assert_eq!(stats.fast_evals, 1, "the drag needs no evaluation either");
+        assert_eq!((stats.fast_evals, stats.full_evals), (0, 1));
+        assert_eq!(stats.incremental_prepares + stats.partial_prepares, 0);
+        assert_eq!(stats.fallback_escaped, 1);
+        assert_eq!(stats.full_prepares, 2);
         assert!(
             live.program().code().contains("145"),
             "{}",
@@ -1113,10 +984,41 @@ mod tests {
     }
 
     #[test]
+    fn escaped_commits_match_the_reference_bitwise() {
+        let mut live = session(GUARDED_COLOR);
+        let mut full = LiveSync::new(
+            Program::parse(GUARDED_COLOR).unwrap(),
+            LiveConfig {
+                full_prepare_only: true,
+                ..LiveConfig::default()
+            },
+        )
+        .unwrap();
+        for dx in [45.0, -30.0, 12.5] {
+            let a = live.drag(ShapeId(0), Zone::Interior, dx, 3.0).unwrap();
+            let b = full.drag(ShapeId(0), Zone::Interior, dx, 3.0).unwrap();
+            assert_eq!(a.subst, b.subst);
+            live.commit(&a.subst).unwrap();
+            full.commit(&b.subst).unwrap();
+            assert_eq!(live.program().code(), full.program().code());
+            assert_eq!(
+                format!("{:?}", live.assignments()),
+                format!("{:?}", full.assignments())
+            );
+        }
+        assert!(
+            live.program().code().contains("127.5"),
+            "{}",
+            live.program().code()
+        );
+        assert_eq!(live.stats().fallback_escaped, 3);
+    }
+
+    #[test]
     fn guard_flips_force_the_full_fallback() {
         let mut live = session(GUARDED_COLOR);
-        // Drag x past the 500 threshold: the guard outcome flips, so the
-        // cached canvas (still blue) would be wrong.
+        // Drag x past the 500 threshold: the comparison's outcome flips, so
+        // the cached canvas (still blue) would be wrong.
         let result = live.drag(ShapeId(0), Zone::Interior, 450.0, 0.0).unwrap();
         live.commit(&result.subst).unwrap();
         let stats = live.stats();
@@ -1127,32 +1029,6 @@ mod tests {
             live.canvas().shapes()[0].node.attr("fill"),
             Some(AttrValue::Str(s)) if s == "red"
         ));
-    }
-
-    #[test]
-    fn partial_commits_match_the_reference_bitwise() {
-        let mut partial = session(GUARDED_COLOR);
-        let mut full = LiveSync::new(
-            Program::parse(GUARDED_COLOR).unwrap(),
-            LiveConfig {
-                full_prepare_only: true,
-                ..LiveConfig::default()
-            },
-        )
-        .unwrap();
-        for dx in [45.0, -30.0, 12.5] {
-            let a = partial.drag(ShapeId(0), Zone::Interior, dx, 3.0).unwrap();
-            let b = full.drag(ShapeId(0), Zone::Interior, dx, 3.0).unwrap();
-            assert_eq!(a.subst, b.subst);
-            partial.commit(&a.subst).unwrap();
-            full.commit(&b.subst).unwrap();
-            assert_eq!(partial.program().code(), full.program().code());
-            assert_eq!(
-                format!("{:?}", partial.assignments()),
-                format!("{:?}", full.assignments())
-            );
-        }
-        assert_eq!(partial.stats().partial_prepares, 3);
     }
 
     #[test]

@@ -18,9 +18,7 @@ use std::fmt::Write as _;
 
 use sns_eval::Program;
 use sns_svg::{Canvas, RenderOptions, ShapeId, Zone};
-use sns_sync::{
-    DragResult, LiveConfig, LiveError, LiveSync, PrepareEligibility, SetCodeClass, SolverChoice,
-};
+use sns_sync::{DragResult, LiveConfig, LiveError, LiveSync, SetCodeClass, SolverChoice};
 
 /// Deterministic SplitMix64 (same generator as `sns-stats`' harness).
 struct Rng(u64);
@@ -224,7 +222,7 @@ fn incremental_prepare_matches_full_prepare_across_the_corpus() {
             }
             // Tier-aware counter check: which path served the safe commits
             // depends on the SNS_FORCE_PREPARE override the suite runs
-            // under (the CI matrix pins all three).
+            // under (CI pins both `full` and `fast`).
             let stats = incremental.stats();
             match std::env::var("SNS_FORCE_PREPARE").as_deref() {
                 Ok("full") => assert_eq!(
@@ -233,18 +231,6 @@ fn incremental_prepare_matches_full_prepare_across_the_corpus() {
                     "{}: forced-full session took a cached path",
                     example.slug
                 ),
-                Ok("partial") => {
-                    assert_eq!(
-                        stats.incremental_prepares, 0,
-                        "{}: forced-partial session took the unconditional fast path",
-                        example.slug
-                    );
-                    assert!(
-                        stats.partial_prepares >= incremental_commits,
-                        "{}: safe commits must replay guards under forced-partial",
-                        example.slug
-                    );
-                }
                 _ => assert_eq!(
                     stats.incremental_prepares, incremental_commits,
                     "{}: control-flow-safe commits must take the incremental path",
@@ -266,14 +252,12 @@ fn incremental_prepare_matches_full_prepare_across_the_corpus() {
 /// Wherever `drag_is_proof_only` holds, a drag step must evaluate
 /// nothing: it bumps `fast_evals`, never `full_evals`. The server answers
 /// exactly those drags on its event-loop thread, which must never run an
-/// evaluation. Under a forced slower tier no zone qualifies.
+/// evaluation. A zone qualifies exactly when none of its trigger
+/// locations escaped, and under forced full prepares no zone does.
 #[test]
 fn proof_only_zones_drag_without_evaluating_across_the_corpus() {
     sns_eval::with_big_stack(|| {
-        let forced = matches!(
-            std::env::var("SNS_FORCE_PREPARE").as_deref(),
-            Ok("full" | "partial")
-        );
+        let forced = std::env::var("SNS_FORCE_PREPARE").as_deref() == Ok("full");
         let mut proof_only = 0usize;
         for example in sns_examples::ALL {
             let program = Program::parse(example.source).expect("corpus parses");
@@ -286,7 +270,10 @@ fn proof_only_zones_drag_without_evaluating_across_the_corpus() {
                 .map(|z| (z.shape, z.zone))
                 .collect();
             for (shape, zone) in active {
-                let eligible = live.zone_eligibility(shape, zone) == PrepareEligibility::Fast;
+                let escaped = live.escaped_locs();
+                let eligible = live
+                    .trigger(shape, zone)
+                    .is_some_and(|t| t.loc_set().iter().all(|l| !escaped.contains(l)));
                 if !live.drag_is_proof_only(shape, zone) {
                     assert!(
                         forced || !eligible,
@@ -350,8 +337,8 @@ fn escaped_locations_never_intersect_fast_committed_substs() {
 }
 
 /// A program whose drags touch an escaped location: every box's fill is
-/// guarded by a comparison over its x coordinate, so `x0` escapes into a
-/// COMPARE sink and small drags exercise the split-ρ guard-replay tier.
+/// guarded by a comparison over its x coordinate, so `x0` escapes and
+/// commits that move it take the full path.
 const GUARDED_BOXES: &str = r#"
     (def n 8!)
     (def x0 40)
@@ -366,7 +353,7 @@ const GUARDED_BOXES: &str = r#"
 fn escaped_drags_match_full_prepare_bitwise() {
     sns_eval::with_big_stack(|| {
         let program = Program::parse(GUARDED_BOXES).expect("parses");
-        let mut partial = LiveSync::new(program.clone(), LiveConfig::default()).expect("prepares");
+        let mut live = LiveSync::new(program.clone(), LiveConfig::default()).expect("prepares");
         let mut full = LiveSync::new(
             program,
             LiveConfig {
@@ -375,9 +362,10 @@ fn escaped_drags_match_full_prepare_bitwise() {
             },
         )
         .expect("prepares");
-        assert_eq!(fingerprint(&partial), fingerprint(&full));
+        assert_eq!(fingerprint(&live), fingerprint(&full));
+        let forced = std::env::var("SNS_FORCE_PREPARE").as_deref() == Ok("full");
 
-        let active: Vec<_> = partial
+        let active: Vec<_> = live
             .assignments()
             .zones
             .iter()
@@ -386,13 +374,18 @@ fn escaped_drags_match_full_prepare_bitwise() {
             .collect();
         let mut rng = Rng(0xE5CA9ED);
         let mut escaped_drags = 0u64;
-        for _ in 0..12 {
-            let (shape, zone) = active[rng.below(active.len())];
-            // Small offsets: the guards must keep their outcomes for the
-            // partial tier to fire (a flip is exercised separately below).
-            let (dx, dy) = (rng.offset() * 0.25, rng.offset() * 0.25);
+        // Small offsets keep every comparison's outcome; the last step
+        // drags far past the color threshold and flips them.
+        let mut steps: Vec<_> = (0..12)
+            .map(|_| {
+                let (shape, zone) = active[rng.below(active.len())];
+                (shape, zone, rng.offset() * 0.25, rng.offset() * 0.25)
+            })
+            .collect();
+        steps.push((active[0].0, active[0].1, 900.0, 0.0));
+        for (shape, zone, dx, dy) in steps {
             let (a, b) = match (
-                checked_drag(&partial, shape, zone, dx, dy),
+                checked_drag(&live, shape, zone, dx, dy),
                 checked_drag(&full, shape, zone, dx, dy),
             ) {
                 (Ok(a), Ok(b)) => (a, b),
@@ -400,41 +393,27 @@ fn escaped_drags_match_full_prepare_bitwise() {
                 (a, b) => panic!("drag outcomes diverged: {a:?} vs {b:?}"),
             };
             assert_eq!(a.subst, b.subst);
-            if !partial.control_flow_safe(&a.subst) {
-                escaped_drags += 1;
-            }
-            partial.commit(&a.subst).unwrap();
+            let before = live.stats().fallback_escaped;
+            let escaped = !live.control_flow_safe(&a.subst);
+            live.commit(&a.subst).unwrap();
             full.commit(&b.subst).unwrap();
+            if escaped {
+                escaped_drags += 1;
+                if !forced {
+                    assert_eq!(
+                        live.stats().fallback_escaped,
+                        before + 1,
+                        "an escaped commit on {shape} {zone} must take the full path"
+                    );
+                }
+            }
             assert_eq!(
-                fingerprint(&partial),
+                fingerprint(&live),
                 fingerprint(&full),
                 "state diverged after commit on {shape} {zone}"
             );
         }
         assert!(escaped_drags > 0, "workload must exercise escaped drags");
-        if std::env::var("SNS_FORCE_PREPARE").is_err() {
-            assert!(
-                partial.stats().partial_prepares > 0,
-                "escaped drags should be served by guard replay"
-            );
-        }
-
-        // Now force a guard flip: drag far past the color threshold. Both
-        // sessions must agree (the partial session via its fallback).
-        let (shape, zone) = active[0];
-        if let (Ok(a), Ok(b)) = (
-            checked_drag(&partial, shape, zone, 900.0, 0.0),
-            checked_drag(&full, shape, zone, 900.0, 0.0),
-        ) {
-            assert_eq!(a.subst, b.subst);
-            partial.commit(&a.subst).unwrap();
-            full.commit(&b.subst).unwrap();
-            assert_eq!(
-                fingerprint(&partial),
-                fingerprint(&full),
-                "state diverged after a guard-flipping commit"
-            );
-        }
     });
 }
 
