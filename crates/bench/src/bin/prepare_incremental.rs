@@ -1,7 +1,7 @@
 //! Benchmarks commit re-preparation: the full re-evaluate + re-prepare
-//! path against the incremental path (dependence-indexed zone refresh +
-//! trace-patched canvas), per corpus example — plus `set_code` edits
-//! served by AST-diff classification.
+//! path against the incremental path (a trace-tape sweep written into the
+//! canvas and the dependent zones in place), per corpus example — plus
+//! `set_code` edits served by AST-diff classification.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin prepare_incremental [SLUG…]
@@ -32,6 +32,9 @@ const EDITS: usize = 20;
 
 /// The "largest examples" window the gate and headline median use.
 const LARGEST: usize = 10;
+
+/// The gate on the largest examples' median commit speedup.
+const SPEEDUP_FLOOR: f64 = 40.0;
 
 fn main() {
     let slugs: Vec<String> = std::env::args().skip(1).collect();
@@ -204,8 +207,15 @@ fn gates(largest: &[&CommitTiming], largest_median: f64, set_codes: &[SetCodeTim
         eprintln!("FAIL: fast path disabled on large examples: {fallbacks:?}");
         ok = false;
     }
-    if largest_median < 1.0 {
-        eprintln!("FAIL: incremental commit is slower than full prepare ({largest_median:.2}x)");
+    // The tape sweep makes a fast-tier commit ~100x cheaper than a full
+    // prepare on the largest examples; re-evaluating every trace per
+    // commit (the pre-tape path) measured ~16x, so this floor catches a
+    // regression to it.
+    if largest_median < SPEEDUP_FLOOR {
+        eprintln!(
+            "FAIL: incremental commit only {largest_median:.2}x faster than full prepare \
+             (floor {SPEEDUP_FLOOR}x)"
+        );
         ok = false;
     }
 

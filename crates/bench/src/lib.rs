@@ -489,10 +489,13 @@ pub fn summarize(xs: &[f64]) -> Summary {
     }
 }
 
-/// Formats seconds as milliseconds for table output.
+/// Formats seconds for table output: whole milliseconds from 1 ms up,
+/// whole microseconds below, so sub-millisecond cells keep their
+/// resolution.
 pub fn ms(seconds: f64) -> String {
-    if seconds < 0.0005 {
-        "<1 ms".to_string()
+    let us = (seconds * 1e6).round();
+    if us < 1000.0 {
+        format!("{us:.0} µs")
     } else {
         format!("{:.0} ms", seconds * 1000.0)
     }
@@ -561,7 +564,9 @@ mod tests {
 
     #[test]
     fn ms_formats() {
-        assert_eq!(ms(0.0001), "<1 ms");
+        assert_eq!(ms(0.0001), "100 µs");
+        assert_eq!(ms(0.000_012_4), "12 µs");
+        assert_eq!(ms(0.000_999_6), "1 ms");
         assert_eq!(ms(0.012), "12 ms");
     }
 

@@ -515,7 +515,7 @@ impl Editor {
     }
 
     /// How this editor's drags and commits have been served: incremental
-    /// prepares and patched (fast-path) evaluations vs full re-runs.
+    /// prepares and proof-only (fast-path) drags vs full re-runs.
     pub fn live_stats(&self) -> sns_sync::LiveStats {
         self.live.stats()
     }

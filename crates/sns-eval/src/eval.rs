@@ -12,7 +12,7 @@
 //! substitution that avoids every escaped location is guaranteed to leave
 //! the program's control flow — and hence its output structure and traces —
 //! unchanged. The incremental re-evaluation fast path
-//! ([`crate::patch::TracePatcher`]) is sound precisely on such substitutions.
+//! ([`crate::patch::TraceTape`]) is sound precisely on such substitutions.
 
 use std::error::Error;
 use std::fmt;
@@ -363,7 +363,7 @@ pub fn match_pat_escaping(
 ///
 /// This is the single source of truth for numeric semantics: rule E-OP-NUM
 /// in [`eval_prim`] and trace re-evaluation in
-/// [`crate::patch::TracePatcher`] both call it, so a patched number is
+/// [`crate::patch::TraceTape`] both call it, so a patched number is
 /// bit-identical to what a from-scratch re-evaluation would produce.
 pub fn apply_num_op(op: Op, args: &[f64]) -> Option<f64> {
     use Op::*;

@@ -39,7 +39,7 @@ pub use escape::Escapes;
 pub use eval::{
     apply_num_op, eval_prim, match_pat, match_pat_escaping, EvalError, Evaluator, Limits,
 };
-pub use patch::TracePatcher;
+pub use patch::{Sweep, TapeBuilder, TraceTape};
 pub use program::{EvalOutcome, FreezeMode, LocInfo, Program, PRELUDE_SRC};
 pub use trace::Trace;
 pub use value::{Closure, Value};

@@ -6,97 +6,285 @@
 //! lockstep). So as long as a substitution cannot change control flow —
 //! checked via [`Evaluator::escaped_locs`](crate::Evaluator::escaped_locs)
 //! — the program's new output is the old output with every traced number
-//! replaced by `⟦t⟧ρ'`. That replacement is what [`TracePatcher`]
-//! computes, and it is the live-sync drag fast path: one mouse-move event
-//! costs a walk over the *output*, not a re-evaluation of the *program*.
+//! replaced by `⟦t⟧ρ'`.
 //!
-//! Traces are heavily shared DAGs (`Arc` nodes), so both the dirtiness
-//! check and the re-evaluation are memoized by node address; each distinct
-//! trace node is visited at most once per patch pass.
+//! A [`TraceTape`] computes that replacement. Traces are heavily shared
+//! DAGs (`Arc` nodes), so the tape compiles them once — per prepare, not
+//! per commit — into a flat array in topological order, deduplicated by
+//! node address, with each node's value under ρ₀. A commit then
+//! [sweeps](TraceTape::sweep) forward from the first leaf the update
+//! binds, recomputing only the nodes downstream of a changed location.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use sns_lang::{LocId, Subst};
+use sns_lang::{LocId, Op, Subst};
 
 use crate::eval::apply_num_op;
 use crate::trace::Trace;
 
-/// Memoizing re-evaluator of traces under `ρ₀ ⊕ ρ` (base substitution
-/// plus local update), without materializing the merged map.
-///
-/// Create one per patch pass (one drag step or one commit): the memo
-/// tables key on trace-node addresses, which are only stable while the
-/// traced values being patched are alive.
-#[derive(Debug)]
-pub struct TracePatcher<'a> {
-    base: &'a Subst,
-    update: &'a Subst,
-    changed: BTreeSet<LocId>,
-    dirty: HashMap<usize, bool>,
-    vals: HashMap<usize, f64>,
+/// One tape node. A node's arguments always precede it.
+#[derive(Debug, Clone, Copy)]
+enum Node {
+    /// The number originated at a location (the tape's `leaves` maps
+    /// the location to this node).
+    Leaf,
+    /// `op` applied to the nodes `args[start..start + len]`.
+    Op { op: Op, start: u32, len: u32 },
 }
 
-impl<'a> TracePatcher<'a> {
-    /// A patcher for `base ⊕ update`: `base` is the program's current ρ₀
-    /// (every literal), `update` the local update whose domain is exactly
-    /// the set of changed locations.
-    pub fn new(base: &'a Subst, update: &'a Subst) -> TracePatcher<'a> {
-        TracePatcher {
-            base,
-            update,
-            changed: update.domain().collect(),
-            dirty: HashMap::new(),
-            vals: HashMap::new(),
+/// A canvas's traces flattened into topological order, with each node's
+/// value under the program's current substitution ρ₀.
+///
+/// Build one per prepare with [`TraceTape::builder`]; node ids returned
+/// by [`TapeBuilder::push`] stay valid for the tape's life.
+#[derive(Debug, Default)]
+pub struct TraceTape {
+    nodes: Vec<Node>,
+    /// Argument node ids of every `Node::Op`, concatenated.
+    args: Vec<u32>,
+    /// Each node's value under ρ₀; meaningless where `evaluable` is false.
+    vals: Vec<f64>,
+    /// Whether the node has a value: false under a location ρ₀ does not
+    /// bind, or an operation that is not number → number.
+    evaluable: Vec<bool>,
+    /// Location id → its leaf ([`NO_LEAF`] where no trace mentions it).
+    leaves: Vec<u32>,
+}
+
+/// The `leaves` entry of a location no trace mentions.
+const NO_LEAF: u32 = u32::MAX;
+
+/// The nodes a substitution changes and their new values, staged by
+/// [`TraceTape::sweep`] and installed by [`TraceTape::commit`].
+#[derive(Debug)]
+pub struct Sweep {
+    vals: Vec<f64>,
+    dirty: Vec<bool>,
+}
+
+impl Sweep {
+    /// The node's new value, or `None` when the substitution leaves it
+    /// unchanged (or `node` is not a tape node).
+    pub fn get(&self, node: u32) -> Option<f64> {
+        let i = node as usize;
+        self.dirty.get(i)?.then(|| self.vals[i])
+    }
+}
+
+impl TraceTape {
+    /// A builder compiling traces against ρ₀.
+    pub fn builder(rho0: &Subst) -> TapeBuilder<'_, '_> {
+        TapeBuilder {
+            tape: TraceTape::default(),
+            rho0,
+            by_addr: HashMap::default(),
+            work: Vec::new(),
+            ids: Vec::new(),
+            xs: Vec::new(),
         }
     }
 
-    /// Whether the trace mentions any changed location (memoized).
-    fn is_dirty(&mut self, t: &Arc<Trace>) -> bool {
-        let key = Arc::as_ptr(t) as usize;
-        if let Some(&d) = self.dirty.get(&key) {
-            return d;
-        }
-        let d = match &**t {
-            Trace::Loc(l) => self.changed.contains(l),
-            Trace::Op(_, args) => args.iter().any(|a| self.is_dirty(a)),
-        };
-        self.dirty.insert(key, d);
-        d
+    /// Number of distinct trace nodes on the tape.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.nodes.len()
     }
 
-    /// Evaluates the trace under the patcher's substitution (memoized).
-    /// `None` when a location is unbound or an operation is non-numeric —
-    /// neither happens for traces produced by evaluating the same program
-    /// the substitution came from, but callers fall back to a full
-    /// re-evaluation rather than trusting that.
-    fn eval(&mut self, t: &Arc<Trace>) -> Option<f64> {
-        let key = Arc::as_ptr(t) as usize;
-        if let Some(&v) = self.vals.get(&key) {
-            return Some(v);
-        }
-        let v = match &**t {
-            Trace::Loc(l) => self.update.get(*l).or_else(|| self.base.get(*l))?,
-            Trace::Op(op, args) => {
-                let mut xs = Vec::with_capacity(args.len());
-                for a in args {
-                    xs.push(self.eval(a)?);
-                }
-                apply_num_op(*op, &xs)?
+    /// The node's value under ρ₀, `None` when it cannot be evaluated.
+    fn value(&self, node: u32) -> Option<f64> {
+        let i = node as usize;
+        self.evaluable.get(i)?.then(|| self.vals[i])
+    }
+
+    /// Re-evaluates the tape under `ρ₀ ⊕ update`: marks the leaves of
+    /// `dom(update)` and walks forward from the first of them, recomputing
+    /// every node with a changed argument through [`apply_num_op`], so
+    /// each value is bit-identical to a re-evaluation. The tape itself is
+    /// unchanged until the result is [committed](TraceTape::commit).
+    ///
+    /// `None` when a changed node cannot be evaluated (an argument without
+    /// a value, or an operation that is not number → number); callers then
+    /// fall back to a full re-evaluation rather than trusting the tape.
+    pub fn sweep(&self, update: &Subst) -> Option<Sweep> {
+        let n = self.nodes.len();
+        let mut dirty = vec![false; n];
+        let mut vals = self.vals.clone();
+        let mut first = n;
+        for (loc, v) in update.iter() {
+            if let Some(i) = self.leaf(loc) {
+                let i = i as usize;
+                dirty[i] = true;
+                vals[i] = v;
+                first = first.min(i);
             }
-        };
-        self.vals.insert(key, v);
-        Some(v)
+        }
+        let mut xs = Vec::new();
+        for i in first..n {
+            let Node::Op { op, start, len } = self.nodes[i] else {
+                continue;
+            };
+            let args = &self.args[start as usize..(start + len) as usize];
+            if !args.iter().any(|&a| dirty[a as usize]) {
+                continue;
+            }
+            xs.clear();
+            for &a in args {
+                let a = a as usize;
+                if !dirty[a] && !self.evaluable[a] {
+                    return None;
+                }
+                xs.push(vals[a]);
+            }
+            vals[i] = apply_num_op(op, &xs)?;
+            dirty[i] = true;
+        }
+        Some(Sweep { vals, dirty })
     }
 
-    /// The patched value of a traced number: the old value `n` when the
-    /// trace avoids every changed location, `⟦t⟧ρ'` otherwise.
-    pub fn patch(&mut self, n: f64, t: &Arc<Trace>) -> Option<f64> {
-        if self.is_dirty(t) {
-            self.eval(t)
-        } else {
-            Some(n)
+    /// The leaf of location `l`, if any trace on the tape mentions it.
+    fn leaf(&self, l: LocId) -> Option<u32> {
+        self.leaves
+            .get(l.0 as usize)
+            .copied()
+            .filter(|&i| i != NO_LEAF)
+    }
+
+    /// Installs a successful sweep of this tape: its values become those
+    /// under `ρ₀ ⊕ update`, the new ρ₀.
+    pub fn commit(&mut self, sweep: Sweep) {
+        for (ok, &d) in self.evaluable.iter_mut().zip(&sweep.dirty) {
+            *ok |= d;
         }
+        self.vals = sweep.vals;
+    }
+}
+
+/// Compiles traces onto a [`TraceTape`]. Shared nodes are deduplicated
+/// by `Arc` address (and leaves by location) through a map that lives only
+/// as long as the builder; every trace pushed must stay alive until
+/// [`TapeBuilder::finish`].
+#[derive(Debug)]
+pub struct TapeBuilder<'t, 'r> {
+    tape: TraceTape,
+    rho0: &'r Subst,
+    /// The node of every pushed or shared trace compiled so far. A trace
+    /// held only by its parent is reached once, through that parent, so it
+    /// needs no entry.
+    by_addr: HashMap<*const Trace, u32, BuildHasherDefault<AddrHasher>>,
+    /// Depth-first work list: visit a trace, or emit an operation whose
+    /// arguments have been emitted.
+    work: Vec<(&'t Arc<Trace>, bool)>,
+    /// Node ids of emitted arguments not yet consumed by their operation.
+    ids: Vec<u32>,
+    xs: Vec<f64>,
+}
+
+impl<'t> TapeBuilder<'t, '_> {
+    /// The tape node of `t`, compiling it and every sub-trace not yet on
+    /// the tape. Iterative, so no recursion follows trace depth.
+    pub fn push(&mut self, t: &'t Arc<Trace>) -> u32 {
+        self.work.push((t, false));
+        while let Some((t, emit)) = self.work.pop() {
+            // Only the pushed trace itself leaves an empty work list; a
+            // caller may push it again.
+            let shared = self.work.is_empty() || Arc::strong_count(t) > 1;
+            let i = match &**t {
+                Trace::Op(op, args) if emit => self.op(*op, args.len()),
+                _ if shared && self.by_addr.contains_key(&Arc::as_ptr(t)) => {
+                    self.ids.push(self.by_addr[&Arc::as_ptr(t)]);
+                    continue;
+                }
+                Trace::Loc(l) => self.leaf(*l),
+                Trace::Op(_, args) => {
+                    self.work.push((t, true));
+                    self.work.extend(args.iter().rev().map(|a| (a, false)));
+                    continue;
+                }
+            };
+            if shared {
+                self.by_addr.insert(Arc::as_ptr(t), i);
+            }
+            self.ids.push(i);
+        }
+        self.ids.pop().expect("the pushed trace's node")
+    }
+
+    /// The finished tape; the address map is dropped.
+    pub fn finish(self) -> TraceTape {
+        self.tape
+    }
+
+    fn node(&mut self, node: Node, val: Option<f64>) -> u32 {
+        let tape = &mut self.tape;
+        let i = u32::try_from(tape.nodes.len()).expect("trace tape exceeds u32 nodes");
+        tape.nodes.push(node);
+        tape.vals.push(val.unwrap_or(0.0));
+        tape.evaluable.push(val.is_some());
+        i
+    }
+
+    fn leaf(&mut self, l: LocId) -> u32 {
+        if let Some(i) = self.tape.leaf(l) {
+            return i;
+        }
+        let i = self.node(Node::Leaf, self.rho0.get(l));
+        let slot = l.0 as usize;
+        if self.tape.leaves.len() <= slot {
+            self.tape.leaves.resize(slot + 1, NO_LEAF);
+        }
+        self.tape.leaves[slot] = i;
+        i
+    }
+
+    /// Emits an operation over the last `arity` emitted nodes.
+    fn op(&mut self, op: Op, arity: usize) -> u32 {
+        let start = self.tape.args.len() as u32;
+        let first = self.ids.len() - arity;
+        self.xs.clear();
+        let mut evaluable = true;
+        for j in self.ids.drain(first..) {
+            self.tape.args.push(j);
+            match self.tape.value(j) {
+                Some(v) => self.xs.push(v),
+                None => evaluable = false,
+            }
+        }
+        let val = if evaluable {
+            apply_num_op(op, &self.xs)
+        } else {
+            None
+        };
+        self.node(
+            Node::Op {
+                op,
+                start,
+                len: arity as u32,
+            },
+            val,
+        )
+    }
+}
+
+/// Hashes a node address with one multiply: addresses are distinct and
+/// 8-aligned, so SipHash's collision resistance buys nothing here.
+#[derive(Debug, Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (n as u64 >> 3).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     }
 }
 
@@ -105,6 +293,13 @@ mod tests {
     use super::*;
     use crate::program::Program;
 
+    /// The tape of one traced number, and that number's node.
+    fn tape_of(t: &Arc<Trace>, rho0: &Subst) -> (TraceTape, u32) {
+        let mut b = TraceTape::builder(rho0);
+        let node = b.push(t);
+        (b.finish(), node)
+    }
+
     #[test]
     fn patched_numbers_match_full_reevaluation() {
         let src = "(def [a b] [10 20]) (+ a (* 3 b))";
@@ -112,27 +307,29 @@ mod tests {
         let v = p.eval().unwrap();
         let (n, t) = v.as_num().unwrap();
         assert_eq!(n, 70.0);
+        let (mut tape, node) = tape_of(t, &p.subst());
+        assert_eq!(tape.value(node), Some(70.0));
         let a_loc = LocId(p.next_loc() - 3);
         let subst = Subst::from_pairs([(a_loc, 25.0)]);
-        let rho0 = p.subst();
-        let mut patcher = TracePatcher::new(&rho0, &subst);
-        let patched = patcher.patch(n, t).unwrap();
+        let sweep = tape.sweep(&subst).unwrap();
         let full = p.with_subst(&subst).eval().unwrap().as_num().unwrap().0;
-        assert_eq!(patched.to_bits(), full.to_bits());
-        assert_eq!(patched, 85.0);
+        assert_eq!(sweep.get(node).unwrap().to_bits(), full.to_bits());
+        assert_eq!(full, 85.0);
+        // Committed, the tape holds the values under the new ρ₀.
+        tape.commit(sweep);
+        assert_eq!(tape.value(node), Some(85.0));
     }
 
     #[test]
     fn clean_traces_keep_their_value_verbatim() {
         let p = Program::parse("(* 6 7)").unwrap();
         let v = p.eval().unwrap();
-        let (n, t) = v.as_num().unwrap();
-        let rho = p.subst();
-        // Change nothing: the patcher must return n without re-evaluating.
-        let empty = Subst::new();
-        let mut patcher = TracePatcher::new(&rho, &empty);
-        assert!(!patcher.is_dirty(t));
-        assert_eq!(patcher.patch(n, t), Some(42.0));
+        let (_, t) = v.as_num().unwrap();
+        let (tape, node) = tape_of(t, &p.subst());
+        // Change nothing: the sweep marks no node.
+        let sweep = tape.sweep(&Subst::new()).unwrap();
+        assert_eq!(sweep.get(node), None);
+        assert_eq!(tape.value(node), Some(42.0));
     }
 
     #[test]
@@ -140,9 +337,79 @@ mod tests {
         let p = Program::parse("(+ 1 2)").unwrap();
         let v = p.eval().unwrap();
         let (_, t) = v.as_num().unwrap();
-        // Neither base nor update binds the trace's locations.
-        let empty = Subst::new();
-        let mut patcher = TracePatcher::new(&empty, &empty);
-        assert_eq!(patcher.eval(t), None);
+        let Trace::Op(_, args) = &**t else {
+            panic!("an addition trace")
+        };
+        let Trace::Loc(one) = *args[0] else {
+            panic!("a literal")
+        };
+        // ρ₀ binds neither literal: the tape has no value for the sum.
+        let (tape, node) = tape_of(t, &Subst::new());
+        assert_eq!(tape.value(node), None);
+        // An update binding one operand still cannot evaluate the sum.
+        assert!(tape.sweep(&Subst::from_pairs([(one, 5.0)])).is_none());
+        // An update that avoids the trace leaves it alone.
+        assert_eq!(
+            tape.sweep(&Subst::from_pairs([(LocId(9999), 5.0)]))
+                .unwrap()
+                .get(node),
+            None
+        );
+    }
+
+    #[test]
+    fn a_location_bound_only_by_the_update_gets_its_value() {
+        // ρ₀ binds l1 but not l0; the update binds l0 and nothing else.
+        let t = Trace::op(Op::Mul, vec![Trace::loc(LocId(0)), Trace::loc(LocId(1))]);
+        let rho0 = Subst::from_pairs([(LocId(1), 3.0)]);
+        let (mut tape, node) = tape_of(&t, &rho0);
+        assert_eq!(tape.value(node), None);
+        let sweep = tape.sweep(&Subst::from_pairs([(LocId(0), 4.0)])).unwrap();
+        assert_eq!(sweep.get(node), Some(12.0));
+        tape.commit(sweep);
+        assert_eq!(tape.value(node), Some(12.0));
+    }
+
+    #[test]
+    fn a_non_numeric_op_fails_the_sweep_and_leaves_the_tape_unchanged() {
+        // `(+ l0 (< l0 l1))`: the comparison is not number → number.
+        let l0 = Trace::loc(LocId(0));
+        let lt = Trace::op(Op::Lt, vec![Arc::clone(&l0), Trace::loc(LocId(1))]);
+        let t = Trace::op(Op::Add, vec![l0, Arc::clone(&lt)]);
+        let rho0 = Subst::from_pairs([(LocId(0), 1.0), (LocId(1), 2.0)]);
+        let mut b = TraceTape::builder(&rho0);
+        let node = b.push(&t);
+        let lt_node = b.push(&lt);
+        let tape = b.finish();
+        assert_eq!(tape.value(lt_node), None);
+        assert_eq!(tape.value(node), None);
+        let before: Vec<Option<f64>> = (0..tape.len() as u32).map(|i| tape.value(i)).collect();
+        assert!(tape.sweep(&Subst::from_pairs([(LocId(0), 7.0)])).is_none());
+        let after: Vec<Option<f64>> = (0..tape.len() as u32).map(|i| tape.value(i)).collect();
+        assert_eq!(before, after);
+    }
+
+    #[test]
+    fn shared_nodes_compile_once_and_deep_traces_do_not_recurse() {
+        // A chain 100k deep: recursion on this would overflow the stack.
+        let x = Trace::loc(LocId(0));
+        let mut t = Arc::clone(&x);
+        for _ in 0..100_000 {
+            t = Trace::op(Op::Add, vec![t, Arc::clone(&x)]);
+        }
+        let rho0 = Subst::from_pairs([(LocId(0), 1.0)]);
+        let mut b = TraceTape::builder(&rho0);
+        let node = b.push(&t);
+        assert_eq!(b.push(&t), node);
+        let tape = b.finish();
+        assert_eq!(tape.len(), 100_001);
+        assert_eq!(tape.value(node), Some(100_001.0));
+        let sweep = tape.sweep(&Subst::from_pairs([(LocId(0), 2.0)])).unwrap();
+        assert_eq!(sweep.get(node), Some(200_002.0));
+        // Dropping a chain that deep recurses in `Arc`'s destructor; unwind
+        // it iteratively.
+        while let Ok(Trace::Op(_, mut args)) = Arc::try_unwrap(t) {
+            t = args.swap_remove(0);
+        }
     }
 }

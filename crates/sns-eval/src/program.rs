@@ -111,6 +111,59 @@ impl CodeText {
         let i = self.spans.binary_search_by_key(&loc, |s| s.loc).ok()?;
         Some(&self.spans[i])
     }
+
+    /// The text with the literals `rho` binds re-printed. Locations
+    /// without a span (the Prelude's) are skipped. `edited` receives each
+    /// re-printed literal's old span and its new `start..end`, in text
+    /// order.
+    fn splice(&self, rho: &Subst, mut edited: impl FnMut(&LitSpan, usize, usize)) -> String {
+        let mut edits: Vec<(&LitSpan, f64)> = rho
+            .iter()
+            .filter_map(|(l, v)| self.span(l).map(|s| (s, v)))
+            .collect();
+        edits.sort_unstable_by_key(|(s, _)| s.start);
+        let mut out = String::with_capacity(self.text.len());
+        let mut at = 0;
+        for (span, v) in edits {
+            out.push_str(&self.text[at..span.start]);
+            let start = out.len();
+            out.push_str(&fmt_num(v));
+            edited(span, start, out.len());
+            at = span.end;
+        }
+        out.push_str(&self.text[at..]);
+        out
+    }
+
+    /// The text and spans as they read after applying `rho`: each
+    /// re-printed literal's span covers its new text, and every other
+    /// span shifts by the length change of the literals before it.
+    fn with_subst(&self, rho: &Subst) -> CodeText {
+        // (old span, new start, new end) of each re-printed literal.
+        let mut moved: Vec<(LitSpan, usize, usize)> = Vec::new();
+        let text = self.splice(rho, |old, start, end| moved.push((*old, start, end)));
+        let spans = self
+            .spans
+            .iter()
+            .map(|s| {
+                // The re-printed literals before `s`, and `s` itself if it
+                // was re-printed.
+                let k = moved.partition_point(|(old, ..)| old.start < s.start);
+                match (moved.get(k), k.checked_sub(1).map(|j| &moved[j])) {
+                    (Some(&(old, start, end)), _) if old.loc == s.loc => {
+                        LitSpan { start, end, ..*s }
+                    }
+                    (_, Some(&(old, _, end))) => LitSpan {
+                        start: s.start - old.end + end,
+                        end: s.end - old.end + end,
+                        ..*s
+                    },
+                    (_, None) => *s,
+                }
+            })
+            .collect();
+        CodeText { text, spans }
+    }
 }
 
 /// A complete program: Prelude + user code.
@@ -135,7 +188,7 @@ pub struct Program {
     /// Never changed by a substitution, so shared by every clone.
     loc_info: Arc<HashMap<LocId, LocInfo>>,
     limits: Limits,
-    /// The unparsed user code, built on first use and dropped by
+    /// The unparsed user code, built on first use and re-anchored by
     /// [`Program::apply_subst`].
     code: OnceLock<Arc<CodeText>>,
 }
@@ -272,12 +325,17 @@ impl Program {
 
     /// Applies a local update to the program (both user code and, when the
     /// update mentions Prelude locations, a private copy of the Prelude).
+    /// A cached code text is spliced and its spans re-anchored, so the
+    /// next [`Program::code`] needs no unparse.
     pub fn apply_subst(&mut self, rho: &Subst) {
         rho.apply(&mut self.user_expr);
         if rho.domain().any(|l| self.is_prelude_loc(l)) {
             rho.apply(Arc::make_mut(&mut self.prelude_expr));
         }
-        self.code = OnceLock::new();
+        self.code = match self.code.get() {
+            Some(code) => OnceLock::from(Arc::new(code.with_subst(rho))),
+            None => OnceLock::new(),
+        };
     }
 
     /// Returns a copy of the program with `rho` applied (the paper's `ρe`).
@@ -297,21 +355,7 @@ impl Program {
     /// only the literals `rho` binds are re-printed, and Prelude
     /// locations (absent from the user text) are skipped.
     pub fn code_with(&self, rho: &Subst) -> String {
-        let code = self.code_text();
-        let mut edits: Vec<(&LitSpan, f64)> = rho
-            .iter()
-            .filter_map(|(l, v)| code.span(l).map(|s| (s, v)))
-            .collect();
-        edits.sort_unstable_by_key(|(s, _)| s.start);
-        let mut out = String::with_capacity(code.text.len());
-        let mut at = 0;
-        for (span, v) in edits {
-            out.push_str(&code.text[at..span.start]);
-            out.push_str(&fmt_num(v));
-            at = span.end;
-        }
-        out.push_str(&code.text[at..]);
-        out
+        self.code_text().splice(rho, |_, _, _| {})
     }
 
     fn code_text(&self) -> &CodeText {
@@ -332,8 +376,8 @@ impl Program {
     /// escaped the trace system (flowed into comparisons, `=`, `toString`,
     /// or numeric patterns). A substitution whose domain avoids every
     /// escaped location cannot change control flow, so the output of the
-    /// updated program is obtainable by trace patching
-    /// ([`crate::TracePatcher`]) instead of re-evaluation.
+    /// updated program is obtainable by sweeping its traces
+    /// ([`crate::TraceTape`]) instead of re-evaluation.
     ///
     /// # Errors
     ///

@@ -414,7 +414,11 @@ impl Server {
     }
 
     /// The readiness loops: reactor 0 runs on the calling thread, the
-    /// rest on their own threads. Blocks until the server is drained (via
+    /// rest on their own threads. Reactors answer proof-only drags inline,
+    /// which runs the solver over the zone's traces, so the spawned ones
+    /// get the worker pool's stack; the caller gives reactor 0 a stack as
+    /// deep (`sns serve` runs under [`sns_eval::with_big_stack`]).
+    /// Blocks until the server is drained (via
     /// [`ShutdownHandle::shutdown`] or SIGTERM after
     /// [`install_sigterm_drain`]) and every loop has exited.
     ///
@@ -431,6 +435,7 @@ impl Server {
             .map(|(i, r)| {
                 std::thread::Builder::new()
                     .name(format!("sns-reactor-{}", i + 1))
+                    .stack_size(threadpool::WORKER_STACK)
                     .spawn(move || r.run())
             })
             .collect::<std::io::Result<_>>()?;

@@ -11,9 +11,10 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Stack size for every server thread that evaluates `little` programs:
-/// the pool's workers and the replication follower, which replays
-/// sessions (virtual reservation, not resident).
+/// Stack size for every server thread that evaluates `little` programs or
+/// solves over their traces: the pool's workers, the spawned reactors
+/// (which answer proof-only drags inline), and the replication follower,
+/// which replays sessions (virtual reservation, not resident).
 pub(crate) const WORKER_STACK: usize = 64 * 1024 * 1024;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;

@@ -3,7 +3,9 @@
 
 use sns_eval::Value;
 
-use crate::node::{node_from_value, SvgChild, SvgError, SvgNode};
+use crate::node::{
+    for_each_num, for_each_num_mut, node_from_value, NumTr, SvgChild, SvgError, SvgNode,
+};
 use crate::render::{render, RenderOptions};
 use crate::zones::{zones_of, ZoneSpec};
 
@@ -86,26 +88,38 @@ impl Canvas {
         render(&self.root, options)
     }
 
-    /// A copy of the canvas with every traced number rewritten through
-    /// `patch` (typically [`sns_eval::TracePatcher::patch`], re-evaluating
-    /// each trace under an updated substitution). Structure, strings, and
-    /// traces are preserved exactly; only numeric values move. Returns
-    /// `None` when `patch` fails on any number, in which case the caller
-    /// should rebuild the canvas from a full re-evaluation.
-    pub fn patched(
-        &self,
-        patch: &mut dyn FnMut(f64, &std::sync::Arc<sns_eval::Trace>) -> Option<f64>,
-    ) -> Option<Canvas> {
-        let mut root = self.root.clone();
-        crate::node::patch_node_nums(&mut root, patch)?;
-        let mut shapes = Vec::new();
-        collect_shapes(&root, &mut shapes);
-        Some(Canvas { root, shapes })
+    /// Visits every traced number of the canvas: those of the root tree,
+    /// then those of each shape's copy, shape by shape. This order indexes
+    /// [`Canvas::write_nums`].
+    pub fn for_each_num<'a>(&'a self, mut f: impl FnMut(&'a NumTr)) {
+        for_each_num(&self.root, &mut f);
+        for shape in &self.shapes {
+            for_each_num(&shape.node, &mut f);
+        }
+    }
+
+    /// Rewrites traced numbers in place: the `i`-th number in
+    /// [`Canvas::for_each_num`] order becomes `value(i)` where that is
+    /// `Some`. Structure, strings, and traces are untouched, so this is
+    /// for substitutions that provably leave control flow unchanged, with
+    /// values swept from the traces (see [`sns_eval::TraceTape`]).
+    pub fn write_nums(&mut self, mut value: impl FnMut(usize) -> Option<f64>) {
+        let mut i = 0;
+        let mut write = |num: &mut NumTr| {
+            if let Some(v) = value(i) {
+                num.n = v;
+            }
+            i += 1;
+        };
+        for_each_num_mut(&mut self.root, &mut write);
+        for shape in &mut self.shapes {
+            for_each_num_mut(&mut shape.node, &mut write);
+        }
     }
 
     /// Every traced number in every shape's attributes, in canvas order —
     /// the `w1 … wk` numeric outputs of the synthesis framework (§3).
-    pub fn numeric_outputs(&self) -> Vec<crate::node::NumTr> {
+    pub fn numeric_outputs(&self) -> Vec<NumTr> {
         self.shapes
             .iter()
             .flat_map(|s| s.node.attr_nums().into_iter().cloned())
@@ -173,31 +187,36 @@ mod tests {
 
     #[test]
     fn patched_canvas_matches_full_reevaluation() {
-        use sns_eval::TracePatcher;
+        use sns_eval::TraceTape;
         use sns_lang::{LocId, Subst};
 
         let src = "(def [x0 sep] [40 25]) \
                    (svg (map (λ i (rect 'red' (+ x0 (* i sep)) 10 20 20)) (zeroTo 4!)))";
         let p = Program::parse(src).unwrap();
-        let canvas = Canvas::from_value(&p.eval().unwrap()).unwrap();
+        let mut canvas = Canvas::from_value(&p.eval().unwrap()).unwrap();
+        let rho0 = p.subst();
+        let mut tape = TraceTape::builder(&rho0);
+        let mut outputs = Vec::new();
+        canvas.for_each_num(|num| outputs.push(tape.push(&num.t)));
+        let tape = tape.finish();
         // User literals in order: x0, sep, y, w, h, 4! — six of them.
         let x0 = LocId(p.next_loc() - 6);
         let subst = Subst::from_pairs([(x0, 55.0)]);
-        let rho0 = p.subst();
-        let mut patcher = TracePatcher::new(&rho0, &subst);
-        let patched = canvas.patched(&mut |n, t| patcher.patch(n, t)).unwrap();
+        let sweep = tape.sweep(&subst).unwrap();
+        canvas.write_nums(|i| sweep.get(outputs[i]));
         let full = Canvas::from_value(&p.with_subst(&subst).eval().unwrap()).unwrap();
         assert_eq!(
-            patched.to_svg(RenderOptions::default()),
+            canvas.to_svg(RenderOptions::default()),
             full.to_svg(RenderOptions::default())
         );
-        assert_eq!(patched.shapes()[3].node.num_attr("x").unwrap().n, 130.0);
-    }
-
-    #[test]
-    fn patch_failure_propagates() {
-        let c = canvas_of("(svg [(rect 'a' 1 2 3 4)])");
-        assert!(c.patched(&mut |_, _| None).is_none());
+        // The shapes' copies are rewritten along with the root tree.
+        assert_eq!(canvas.shapes()[3].node.num_attr("x").unwrap().n, 130.0);
+        let bits = |c: &Canvas| {
+            let mut out = Vec::new();
+            c.for_each_num(|num| out.push(num.n.to_bits()));
+            out
+        };
+        assert_eq!(bits(&canvas), bits(&full));
     }
 
     #[test]

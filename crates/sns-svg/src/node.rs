@@ -73,13 +73,42 @@ pub enum AttrValue {
 impl AttrValue {
     /// Every traced number inside this attribute, in order.
     pub fn nums(&self) -> Vec<&NumTr> {
+        let mut out = Vec::new();
+        self.for_each_num(&mut |n| out.push(n));
+        out
+    }
+
+    fn for_each_num<'a>(&'a self, f: &mut impl FnMut(&'a NumTr)) {
         match self {
-            AttrValue::Num(n) | AttrValue::ColorNum(n) => vec![n],
-            AttrValue::Str(_) => vec![],
-            AttrValue::Points(pts) => pts.iter().flat_map(|(x, y)| [x, y]).collect(),
-            AttrValue::Rgba(c) => c.iter().collect(),
-            AttrValue::Path(cmds) => cmds.iter().flat_map(|c| c.args.iter()).collect(),
-            AttrValue::Transform(cmds) => cmds.iter().flat_map(|c| c.args.iter()).collect(),
+            AttrValue::Num(n) | AttrValue::ColorNum(n) => f(n),
+            AttrValue::Str(_) => {}
+            AttrValue::Points(pts) => pts.iter().for_each(|(x, y)| {
+                f(x);
+                f(y);
+            }),
+            AttrValue::Rgba(comps) => comps.iter().for_each(f),
+            AttrValue::Path(cmds) => cmds.iter().for_each(|c| c.args.iter().for_each(&mut *f)),
+            AttrValue::Transform(cmds) => {
+                cmds.iter().for_each(|c| c.args.iter().for_each(&mut *f));
+            }
+        }
+    }
+
+    fn for_each_num_mut(&mut self, f: &mut impl FnMut(&mut NumTr)) {
+        match self {
+            AttrValue::Num(n) | AttrValue::ColorNum(n) => f(n),
+            AttrValue::Str(_) => {}
+            AttrValue::Points(pts) => pts.iter_mut().for_each(|(x, y)| {
+                f(x);
+                f(y);
+            }),
+            AttrValue::Rgba(comps) => comps.iter_mut().for_each(f),
+            AttrValue::Path(cmds) => cmds
+                .iter_mut()
+                .for_each(|c| c.args.iter_mut().for_each(&mut *f)),
+            AttrValue::Transform(cmds) => cmds
+                .iter_mut()
+                .for_each(|c| c.args.iter_mut().for_each(&mut *f)),
         }
     }
 }
@@ -131,56 +160,32 @@ impl SvgNode {
     }
 }
 
-/// Rewrites every traced number in a node tree through `patch`; `None`
-/// aborts the walk (the caller falls back to rebuilding from a fresh
-/// evaluation). Strings, node kinds, and tree structure are untouched —
-/// patching is only sound when the producing program's control flow is
-/// known to be unchanged.
-pub(crate) fn patch_node_nums(
-    node: &mut SvgNode,
-    patch: &mut dyn FnMut(f64, &Arc<Trace>) -> Option<f64>,
-) -> Option<()> {
-    let mut patch_num = |num: &mut NumTr| -> Option<()> {
-        num.n = patch(num.n, &num.t)?;
-        Some(())
-    };
-    for (_, value) in &mut node.attrs {
-        match value {
-            AttrValue::Num(n) | AttrValue::ColorNum(n) => patch_num(n)?,
-            AttrValue::Str(_) => {}
-            AttrValue::Points(pts) => {
-                for (x, y) in pts {
-                    patch_num(x)?;
-                    patch_num(y)?;
-                }
-            }
-            AttrValue::Rgba(comps) => {
-                for c in comps {
-                    patch_num(c)?;
-                }
-            }
-            AttrValue::Path(cmds) => {
-                for cmd in cmds {
-                    for a in &mut cmd.args {
-                        patch_num(a)?;
-                    }
-                }
-            }
-            AttrValue::Transform(cmds) => {
-                for cmd in cmds {
-                    for a in &mut cmd.args {
-                        patch_num(a)?;
-                    }
-                }
-            }
+/// Visits every traced number in a node tree: the node's attributes in
+/// order, then its children's, depth first.
+pub(crate) fn for_each_num<'a>(node: &'a SvgNode, f: &mut impl FnMut(&'a NumTr)) {
+    for (_, value) in &node.attrs {
+        value.for_each_num(f);
+    }
+    for child in &node.children {
+        if let SvgChild::Node(n) = child {
+            for_each_num(n, f);
         }
+    }
+}
+
+/// [`for_each_num`] with mutable access, in the same order. Strings, node
+/// kinds, and tree structure stay untouched: rewriting numbers in place
+/// is only sound when the producing program's control flow is known to be
+/// unchanged.
+pub(crate) fn for_each_num_mut(node: &mut SvgNode, f: &mut impl FnMut(&mut NumTr)) {
+    for (_, value) in &mut node.attrs {
+        value.for_each_num_mut(f);
     }
     for child in &mut node.children {
         if let SvgChild::Node(n) = child {
-            patch_node_nums(n, patch)?;
+            for_each_num_mut(n, f);
         }
     }
-    Some(())
 }
 
 /// An error converting a `little` value into SVG.

@@ -21,20 +21,25 @@
 //!   unchanged;
 //! * **drag fast path** — a mouse-move is the trigger solve plus the tier
 //!   proof that the update preserves control flow. No canvas is built: the
-//!   proof already guarantees the updated program evaluates, and the
-//!   canvas a caller wants to see is the cached one *patched* — every
-//!   traced number whose trace mentions a changed location re-evaluated
-//!   under the updated substitution ([`sns_eval::TracePatcher`]), which is
-//!   what [`LiveSync::preview_canvas`] and the commit do. Only an update the
-//!   proof rejects is evaluated in full, to refuse it if the program fails;
+//!   proof already guarantees the updated program evaluates. Only an
+//!   update the proof rejects is evaluated in full, to refuse it if the
+//!   program fails;
+//! * **trace tape** — every prepare compiles the canvas's traces into a
+//!   [`TraceTape`] and records which tape node each canvas number and each
+//!   zone slot reads. A fast-tier commit *sweeps* the tape under the
+//!   update — recomputing only the nodes downstream of a changed location
+//!   — and writes the swept values into the canvas in place;
+//!   [`LiveSync::preview_canvas`] writes them into a clone;
 //! * **incremental prepare** — with traces unchanged, candidate location
 //!   sets and heuristic choices are unchanged too, so a commit only needs
 //!   to refresh the attribute *base values* of zones whose traces mention
-//!   a changed location. The [`DepIndex`](crate::depindex::DepIndex) maps
-//!   locations to those zones directly.
+//!   a changed location, in their analyses and their existing triggers.
+//!   The [`DepIndex`](crate::depindex::DepIndex) maps locations to those
+//!   zones directly.
 //!
 //! A commit whose substitution touches an escaped location may change
 //! control flow, so it re-evaluates and re-prepares in full (§4, §5.2.3).
+//! So does one whose sweep fails (a changed trace node without a value).
 //!
 //! # Code edits: stitched re-prepare
 //!
@@ -45,7 +50,7 @@
 //! edit, reusing every other shape's candidate enumeration and re-running
 //! just the sequential choice pass.
 //!
-//! Whenever a proof obligation fails (patching trips on anything
+//! Whenever a proof obligation fails (a sweep trips on anything
 //! unexpected, a stitch comparator finds a structural change), the session
 //! falls back to the original full re-evaluate + re-prepare path, so
 //! observable behaviour is identical — the corpus-wide equivalence suite
@@ -57,7 +62,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sns_eval::{Escapes, EvalError, EvalOutcome, FreezeMode, Program, Trace, TracePatcher};
+use sns_eval::{Escapes, EvalError, EvalOutcome, FreezeMode, Program, Sweep, Trace, TraceTape};
 use sns_lang::{diff_exprs, AstDiff, LocId, Subst};
 use sns_svg::node::{PathCmd, TransformCmd};
 use sns_svg::{resolve_attr, AttrValue, Canvas, NumTr, ShapeId, SvgChild, SvgError, SvgNode, Zone};
@@ -229,7 +234,64 @@ pub struct LiveSync {
     escaped: Escapes,
     /// Location → dependent-zone index from the last full prepare.
     depindex: DepIndex,
+    /// The canvas's traces, compiled when the canvas was installed.
+    compiled: Compiled,
     counters: LiveCounters,
+}
+
+/// Where a slot reads no canvas number (its attribute is absent).
+const NO_NODE: u32 = u32::MAX;
+
+/// The canvas's traces compiled onto a [`TraceTape`], with the tape node
+/// each canvas number and each zone slot reads. Rebuilt wherever a canvas
+/// is installed; a fast-tier commit only sweeps it.
+#[derive(Debug)]
+struct Compiled {
+    tape: TraceTape,
+    /// The tape node of every canvas number, in
+    /// [`Canvas::for_each_num`] order.
+    outputs: Vec<u32>,
+    /// The tape node of every zone slot, zone by zone ([`NO_NODE`] where
+    /// the slot's attribute is absent).
+    slots: Vec<u32>,
+    /// Where each zone's run in `slots` starts, plus the end.
+    slot_start: Vec<u32>,
+}
+
+impl Compiled {
+    fn build(canvas: &Canvas, assignments: &Assignments, rho0: &Subst) -> Compiled {
+        let mut tape = TraceTape::builder(rho0);
+        let mut outputs = Vec::new();
+        canvas.for_each_num(|num| outputs.push(tape.push(&num.t)));
+        let mut slots = Vec::new();
+        let mut slot_start = vec![0];
+        for analysis in &assignments.zones {
+            let shape = canvas.shape(analysis.shape);
+            slots.extend(analysis.slots.iter().map(|slot| {
+                shape
+                    .and_then(|s| resolve_attr(&s.node, &slot.attr))
+                    .map_or(NO_NODE, |num| tape.push(&num.t))
+            }));
+            slot_start.push(slots.len() as u32);
+        }
+        Compiled {
+            tape: tape.finish(),
+            outputs,
+            slots,
+            slot_start,
+        }
+    }
+
+    /// Writes a sweep's changed values into `canvas`, which must be the
+    /// canvas the tape was built from (or a copy of it).
+    fn write(&self, canvas: &mut Canvas, sweep: &Sweep) {
+        canvas.write_nums(|i| sweep.get(self.outputs[i]));
+    }
+
+    /// The tape nodes of zone `i`'s slots, in slot order.
+    fn zone_slots(&self, i: usize) -> &[u32] {
+        &self.slots[self.slot_start[i] as usize..self.slot_start[i + 1] as usize]
+    }
 }
 
 impl LiveSync {
@@ -248,6 +310,7 @@ impl LiveSync {
         let (assignments, triggers) = prepare(&program, &canvas, config);
         let depindex = DepIndex::build(&assignments);
         let rho0 = program.subst();
+        let compiled = Compiled::build(&canvas, &assignments, &rho0);
         let counters = LiveCounters::default();
         LiveCounters::bump(&counters.full_prepares);
         Ok(LiveSync {
@@ -259,6 +322,7 @@ impl LiveSync {
             rho0,
             escaped: outcome.escaped,
             depindex,
+            compiled,
             counters,
         })
     }
@@ -348,17 +412,20 @@ impl LiveSync {
         !self.config.full_prepare_only && self.control_flow_safe(subst)
     }
 
-    /// The canvas after applying `subst`: patched from the cached canvas
-    /// when control flow provably cannot change, rebuilt from a full
-    /// re-evaluation otherwise. [`LiveSync::drag`] does not build it; this
-    /// is for callers that want the picture of an in-flight update.
+    /// The canvas after applying `subst`: a copy of the cached canvas with
+    /// the tape's sweep written in when control flow provably cannot
+    /// change, rebuilt from a full re-evaluation otherwise.
+    /// [`LiveSync::drag`] does not build it; this is for callers that want
+    /// the picture of an in-flight update.
     ///
     /// # Errors
     ///
     /// Fails when the updated program does not evaluate to a canvas.
     pub fn preview_canvas(&self, subst: &Subst) -> Result<Canvas, LiveError> {
         if self.fast_tier(subst) {
-            if let Some(canvas) = self.patched_canvas(subst) {
+            if let Some(sweep) = self.compiled.tape.sweep(subst) {
+                let mut canvas = self.canvas.clone();
+                self.compiled.write(&mut canvas, &sweep);
                 return Ok(canvas);
             }
         }
@@ -393,12 +460,12 @@ impl LiveSync {
         replacement: Option<Program>,
     ) -> Result<(), LiveError> {
         if self.fast_tier(subst) {
-            if let Some(canvas) = self.patched_canvas(subst) {
+            if let Some(sweep) = self.compiled.tape.sweep(subst) {
                 match replacement {
                     Some(program) => self.program = program,
                     None => self.program.apply_subst(subst),
                 }
-                self.canvas = canvas;
+                self.compiled.write(&mut self.canvas, &sweep);
                 // ρ₀ ⊕ subst, in place (a replacement's ρ₀ was verified to
                 // be exactly that). Bindings for locations the program
                 // lacks change nothing, as in `apply_subst`.
@@ -408,11 +475,12 @@ impl LiveSync {
                     }
                 }
                 debug_assert_eq!(self.rho0, self.program.subst());
-                self.refresh_dirty_zones(subst);
+                self.refresh_dirty_zones(subst, &sweep);
+                self.compiled.tape.commit(sweep);
                 LiveCounters::bump(&self.counters.incremental_prepares);
                 return Ok(());
             }
-            // The tier was sound but the patcher balked: reconcile fully.
+            // The tier was sound but the sweep failed: reconcile fully.
             LiveCounters::bump(&self.counters.fallback_reconcile);
         } else if !self.config.full_prepare_only {
             LiveCounters::bump(&self.counters.fallback_escaped);
@@ -420,36 +488,32 @@ impl LiveSync {
         self.replace_program(replacement.unwrap_or_else(|| self.program.with_subst(subst)))
     }
 
-    fn patched_canvas(&self, subst: &Subst) -> Option<Canvas> {
-        let mut patcher = TracePatcher::new(&self.rho0, subst);
-        self.canvas.patched(&mut |n, t| patcher.patch(n, t))
-    }
-
     /// Incremental prepare: control flow is unchanged, so canvas
-    /// structure, traces, candidate sets, and heuristic choices are all
-    /// still valid — only the attribute base values of zones whose traces
-    /// mention a changed location have moved. Refresh exactly those (and
-    /// their triggers) from the patched canvas.
-    fn refresh_dirty_zones(&mut self, subst: &Subst) {
+    /// structure, traces, candidate sets, heuristic choices, and which
+    /// zones have triggers are all still valid — only the attribute base
+    /// values of zones whose traces mention a changed location have moved.
+    /// Refresh exactly those, in the analyses and in the triggers, from the
+    /// sweep.
+    fn refresh_dirty_zones(&mut self, subst: &Subst, sweep: &Sweep) {
         for i in self.depindex.dirty_zones(subst.domain()) {
             let analysis = &mut self.assignments.zones[i];
-            let Some(shape) = self.canvas.shape(analysis.shape) else {
-                continue;
-            };
-            for slot in &mut analysis.slots {
-                if let Some(num) = resolve_attr(&shape.node, &slot.attr) {
-                    slot.base = num.n;
-                    slot.trace = Arc::clone(&num.t);
+            for (slot, &node) in analysis.slots.iter_mut().zip(self.compiled.zone_slots(i)) {
+                if let Some(v) = sweep.get(node) {
+                    slot.base = v;
                 }
             }
-            let key = (analysis.shape, analysis.zone);
-            match Trigger::compute(analysis) {
-                Some(trigger) => {
-                    self.triggers.insert(key, trigger);
-                }
-                None => {
-                    self.triggers.remove(&key);
-                }
+            let Some(trigger) = self.triggers.get_mut(&(analysis.shape, analysis.zone)) else {
+                continue;
+            };
+            // A trigger's parts are the slots the chosen candidate assigns
+            // a location, in slot order (`Trigger::compute`).
+            let assigned = analysis
+                .slots
+                .iter()
+                .filter(|slot| analysis.loc_for(&slot.attr).is_some());
+            for (part, slot) in trigger.parts.iter_mut().zip(assigned) {
+                debug_assert_eq!(part.attr, slot.attr);
+                part.base = slot.base;
             }
         }
     }
@@ -581,6 +645,7 @@ impl LiveSync {
                 self.depindex = DepIndex::build(&self.assignments);
                 self.escaped = outcome.escaped;
                 self.rho0 = self.program.subst();
+                self.compiled = Compiled::build(&self.canvas, &self.assignments, &self.rho0);
                 LiveCounters::bump(&self.counters.partial_prepares);
                 Ok(())
             }
@@ -662,6 +727,7 @@ impl LiveSync {
         self.depindex = DepIndex::build(&self.assignments);
         self.escaped = outcome.escaped;
         self.rho0 = self.program.subst();
+        self.compiled = Compiled::build(&self.canvas, &self.assignments, &self.rho0);
         LiveCounters::bump(&self.counters.full_prepares);
     }
 }

@@ -11,13 +11,15 @@
 //!
 //! Every drag is also checked against the updated program evaluated in
 //! full ([`checked_drag`]): a drag builds no canvas, so this is what keeps
-//! the patched-canvas path honest between commits.
+//! the swept-canvas path honest between commits. After every fast-tier
+//! commit, the numbers the trace tape's sweep wrote in place are checked
+//! against a fresh full prepare ([`swept_commits_match_a_fresh_full_prepare_bitwise`]).
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use sns_eval::Program;
-use sns_svg::{Canvas, RenderOptions, ShapeId, Zone};
+use sns_svg::{Canvas, RenderOptions, ShapeId, SvgChild, SvgNode, Zone};
 use sns_sync::{DragResult, LiveConfig, LiveError, LiveSync, SetCodeClass, SolverChoice};
 
 /// Deterministic SplitMix64 (same generator as `sns-stats`' harness).
@@ -49,8 +51,8 @@ impl Rng {
 
 /// One drag step, checked against the updated program evaluated in full:
 /// the drag must fail exactly when that evaluation does, and when it
-/// succeeds the session's preview canvas (patched when a tier proves it
-/// safe) must equal the evaluated canvas bit for bit.
+/// succeeds the session's preview canvas (swept from the trace tape when
+/// a tier proves it safe) must equal the evaluated canvas bit for bit.
 fn checked_drag(
     live: &LiveSync,
     shape: ShapeId,
@@ -246,6 +248,108 @@ fn incremental_prepare_matches_full_prepare_across_the_corpus() {
             fallback_only.len() * 4 <= total,
             "fast path missed too many examples: {fallback_only:?}"
         );
+    });
+}
+
+/// Every number of a node tree, as bits, attributes before children.
+fn tree_bits(node: &SvgNode, out: &mut Vec<u64>) {
+    out.extend(node.attr_nums().iter().map(|n| n.n.to_bits()));
+    for child in &node.children {
+        if let SvgChild::Node(n) = child {
+            tree_bits(n, out);
+        }
+    }
+}
+
+/// The numbers a fast-tier commit writes in place, as bits: the canvas's
+/// root tree, each shape's copy, every slot base and every trigger part
+/// base.
+fn written_bits(live: &LiveSync) -> (Vec<u64>, Vec<Vec<u64>>, Vec<u64>, Vec<u64>) {
+    let mut root = Vec::new();
+    tree_bits(live.canvas().root(), &mut root);
+    let shapes = live
+        .canvas()
+        .shapes()
+        .iter()
+        .map(|s| {
+            let mut out = Vec::new();
+            tree_bits(&s.node, &mut out);
+            out
+        })
+        .collect();
+    let zones = &live.assignments().zones;
+    let slots = zones
+        .iter()
+        .flat_map(|z| z.slots.iter().map(|s| s.base.to_bits()))
+        .collect();
+    let parts = zones
+        .iter()
+        .filter_map(|z| live.trigger(z.shape, z.zone))
+        .flat_map(|t| t.parts.iter().map(|p| p.base.to_bits()))
+        .collect();
+    (root, shapes, slots, parts)
+}
+
+/// The trace tape's oracle: after every fast-tier commit, each number the
+/// sweep wrote in place — in the canvas's root tree and in its shapes'
+/// copies, in every slot base and every trigger part base — is bitwise
+/// what a fresh full prepare of the committed program computes.
+#[test]
+fn swept_commits_match_a_fresh_full_prepare_bitwise() {
+    sns_eval::with_big_stack(|| {
+        let forced = std::env::var("SNS_FORCE_PREPARE").as_deref() == Ok("full");
+        let full_only = LiveConfig {
+            full_prepare_only: true,
+            ..LiveConfig::default()
+        };
+        let mut swept = 0u64;
+        for example in sns_examples::ALL {
+            let program = Program::parse(example.source).expect("corpus parses");
+            let mut live = LiveSync::new(program, LiveConfig::default()).expect("corpus prepares");
+            let active: Vec<_> = live
+                .assignments()
+                .zones
+                .iter()
+                .filter(|z| z.is_active())
+                .map(|z| (z.shape, z.zone))
+                .collect();
+            if active.is_empty() {
+                continue;
+            }
+            let mut rng = Rng(0x7A9E ^ example.slug.len() as u64);
+            for _ in 0..4 {
+                let (shape, zone) = active[rng.below(active.len())];
+                let (dx, dy) = (rng.offset(), rng.offset());
+                let Ok(drag) = live.drag(shape, zone, dx, dy) else {
+                    continue;
+                };
+                if !live.control_flow_safe(&drag.subst) {
+                    continue;
+                }
+                let before = live.stats().incremental_prepares;
+                live.commit(&drag.subst)
+                    .expect("a fast-tier commit succeeds");
+                if !forced {
+                    assert_eq!(
+                        live.stats().incremental_prepares,
+                        before + 1,
+                        "{}: commit on {shape} {zone} left the fast tier",
+                        example.slug
+                    );
+                }
+                swept += 1;
+                let fresh =
+                    LiveSync::new(live.program().clone(), full_only).expect("committed program");
+                let (root, shapes, slots, parts) = written_bits(&live);
+                let (f_root, f_shapes, f_slots, f_parts) = written_bits(&fresh);
+                let at = format!("{}: after commit on {shape} {zone}", example.slug);
+                assert_eq!(root, f_root, "{at}: root numbers differ");
+                assert_eq!(shapes, f_shapes, "{at}: shape numbers differ");
+                assert_eq!(slots, f_slots, "{at}: slot bases differ");
+                assert_eq!(parts, f_parts, "{at}: trigger part bases differ");
+            }
+        }
+        assert!(swept >= 100, "only {swept} fast-tier commits exercised");
     });
 }
 

@@ -2,8 +2,9 @@
 //! example and seeded random substitutions ρ, `Program::code_with(&ρ)`
 //! (the cached text with ρ's literals spliced in) must equal unparsing the
 //! user expression of `with_subst(&ρ)`, byte for byte. A program whose
-//! literals were rewritten must also re-render its own text (the cache is
-//! dropped by `apply_subst`).
+//! literals were rewritten must also re-render its own text, which
+//! `apply_subst` splices into the cached text and whose literal spans it
+//! re-anchors rather than unparsing again.
 
 mod support;
 
@@ -105,9 +106,14 @@ fn spliced_code_equals_the_full_unparse_across_the_corpus() {
     }
 }
 
+/// Commits re-anchor the cached text instead of dropping it: after each
+/// of a run of `apply_subst`s the program's text is still the full
+/// unparse, its spans still splice the next preview correctly, and a
+/// clone taken before the run is unaffected.
 #[test]
-fn apply_subst_drops_the_cached_text() {
+fn apply_subst_reanchors_the_cached_text() {
     let mut rng = SplitMix64::seed_from_u64(0xCAC4E);
+    let mut cov = Coverage::default();
     for ex in sketch_n_sketch::examples::ALL {
         let mut program = Program::parse(ex.source).expect("corpus parses");
         let (prelude, user): (Vec<LocId>, Vec<LocId>) = program
@@ -116,22 +122,33 @@ fn apply_subst_drops_the_cached_text() {
             .partition(|&l| program.is_prelude_loc(l));
         let before = program.code();
         let snapshot = program.clone();
-        let rho = arb_subst(
-            &mut rng,
-            &program,
-            &user,
-            &prelude,
-            &mut Coverage::default(),
-        );
-        program.apply_subst(&rho);
-        assert_eq!(program.code(), unparse(program.user_expr()), "{}", ex.slug);
-        assert_eq!(
-            program.code(),
-            snapshot.code_with(&rho),
-            "{}: the commit and its preview disagree",
-            ex.slug
-        );
-        // The clone taken before the update shares nothing mutable.
+        for step in 0..6 {
+            let rho = arb_subst(&mut rng, &program, &user, &prelude, &mut cov);
+            let preview = program.code_with(&rho);
+            program.apply_subst(&rho);
+            assert_eq!(
+                program.code(),
+                unparse(program.user_expr()),
+                "{} step {step}: the re-anchored text differs from the unparse",
+                ex.slug
+            );
+            assert_eq!(
+                program.code(),
+                preview,
+                "{} step {step}: the commit and its preview disagree",
+                ex.slug
+            );
+            let next = arb_subst(&mut rng, &program, &user, &prelude, &mut cov);
+            let spliced = program.code_with(&next);
+            assert_eq!(
+                spliced,
+                unparse(program.with_subst(&next).user_expr()),
+                "{} step {step}: a splice through re-anchored spans differs",
+                ex.slug
+            );
+            assert_eq!(spliced, program.with_subst(&next).code(), "{}", ex.slug);
+        }
+        // The clone taken before the updates shares nothing mutable.
         assert_eq!(snapshot.code(), before, "{}", ex.slug);
         assert_eq!(
             snapshot.code(),
@@ -139,5 +156,14 @@ fn apply_subst_drops_the_cached_text() {
             "{}",
             ex.slug
         );
+    }
+    // Re-anchoring must meet the printer's length-changing cases.
+    for (what, n) in [
+        ("negative values", cov.negative),
+        ("fractional values", cov.fractional),
+        ("large values", cov.large),
+        ("Prelude locations", cov.prelude),
+    ] {
+        assert!(n > 0, "no ρ bound {what}");
     }
 }
