@@ -280,8 +280,6 @@ impl Fleet {
             "2".into(),
             "--data-dir".into(),
             self.dir_l.to_str().expect("utf8 tmp path").into(),
-            "--fsync".into(),
-            "always".into(),
             "--repl-listen".into(),
             self.leader_repl.clone(),
             "--replicate-to".into(),
@@ -304,8 +302,6 @@ impl Fleet {
             "2".into(),
             "--data-dir".into(),
             self.dir_f.to_str().expect("utf8 tmp path").into(),
-            "--fsync".into(),
-            "always".into(),
             "--follow".into(),
             self.leader_repl.clone(),
         ];

@@ -7,15 +7,16 @@
 //! ```sh
 //! cargo run --release -p bench --bin serve_throughput \
 //!     [SESSIONS] [DRAGS] [--idle N] [--threads N] [--reactors N] \
-//!     [--min-rps F] [--fsync always|batch|never] [--scaling]
+//!     [--min-rps F] [--fsync batch|never] [--scaling]
 //! ```
 //!
 //! Without `--idle` the numbers land in `BENCH_server.json`; with it, in
 //! `BENCH_server_idle.json` (so the two baselines never overwrite each
 //! other). `--fsync MODE` runs the server durably (temp data dir) under
-//! that journal policy and writes `BENCH_server_fsync_<mode>.json` —
-//! how the group-commit (`batch`) tail compares to fsync-per-record
-//! (`always`). `--min-rps` turns the run into a regression gate: the
+//! that journal policy, committing after every drag, and writes
+//! `BENCH_server_fsync_<mode>.json` — the throughput and tail of
+//! concurrent writers sharing group fsyncs (`batch`) or leaving syncing
+//! to the OS (`never`). `--min-rps` turns the run into a regression gate: the
 //! process exits non-zero when throughput falls below the floor.
 //!
 //! Every measured pass runs for at least [`MIN_RUN`]: the drivers keep
@@ -226,8 +227,7 @@ fn run_pass(args: &BenchArgs, trace: bool, pass_tag: &str) -> Pass {
 
     // Fsync-policy runs commit after every drag: commits are what carry
     // the WAL append + sync, so a commit-dominated workload is the one
-    // that separates `always` (fsync per record) from `batch` (group
-    // commit, one fsync per interval shared by every waiting writer).
+    // that shows what the group commit costs concurrent writers.
     let commit_each = args.fsync.is_some();
     eprintln!(
         "driving {sessions} sessions x {drags} drags/round against {addr} \

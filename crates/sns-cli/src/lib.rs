@@ -78,7 +78,7 @@ COMMANDS:\n\
   serve [--addr A] [--threads N] [--reactors N] [--max-conns N] [--max-sessions N]\n\
         [--max-sessions-per-ip N] [--max-durable-per-ip N] [--queue-depth N]\n\
         [--read-timeout-ms N] [--idle-timeout-ms N]\n\
-        [--data-dir DIR] [--fsync always|batch|never] [--auth-token T]\n\
+        [--data-dir DIR] [--fsync batch|never] [--auth-token T]\n\
         [--repl-listen A] [--replicate-to N] [--follow A]\n\
         [--no-trace] [--slow-ms N] [--stall-ms N] [--log-level L] [--log-format json|text]\n\
         [--fault-plan SPEC]\n\

@@ -1,9 +1,10 @@
 //! The durability contract, end to end against the real binary: `sns
-//! serve --data-dir … --fsync always` is `kill -9`ed — first at rest,
-//! then while a client is hammering commits mid-write — and after a
-//! restart every commit the server *acknowledged* must come back with
-//! bit-identical code and canvas. Unacknowledged work may come back or
-//! not; what is not allowed is a state the server never acked.
+//! serve --data-dir …` under its default fsync policy (group commit) is
+//! `kill -9`ed — first at rest, then while a client is hammering commits
+//! mid-write — and after a restart every commit the server
+//! *acknowledged* must come back with bit-identical code and canvas.
+//! Unacknowledged work may come back or not; what is not allowed is a
+//! state the server never acked.
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -48,8 +49,6 @@ fn spawn_server(data_dir: &Path) -> (Child, String) {
             "2",
             "--data-dir",
             data_dir.to_str().expect("utf8 tmp path"),
-            "--fsync",
-            "always",
         ])
         .stderr(Stdio::piped())
         .stdout(Stdio::null())
@@ -224,7 +223,7 @@ fn acked_commits_survive_kill_minus_nine() {
          (acked {} commits)",
         acked.len()
     );
-    // Specifically: no rollback. `--fsync always` makes an ack durable
+    // Specifically: no rollback. The group commit makes an ack durable
     // before the client sees it, so the recovered state is the last acked
     // commit (or the one un-acked step past it) — never anything earlier.
     if let Some(last) = acked.last() {
@@ -249,5 +248,26 @@ fn acked_commits_survive_kill_minus_nine() {
     assert_eq!(get_code(&addr, &extra), "(svg [(rect 'red' 3 2 3 4)])");
     kill_dash_nine(&mut child);
 
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+#[test]
+fn unknown_fsync_policy_is_refused_naming_the_valid_ones() {
+    let data_dir = std::env::temp_dir().join(format!("sns-fsync-flag-{}", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_sns"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--data-dir"])
+        .arg(&data_dir)
+        .args(["--fsync", "always"])
+        .output()
+        .expect("run sns serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success(),
+        "`--fsync always` was accepted: {stderr}"
+    );
+    assert!(
+        stderr.contains("batch|never"),
+        "error names no valid policy: {stderr}"
+    );
     let _ = std::fs::remove_dir_all(&data_dir);
 }

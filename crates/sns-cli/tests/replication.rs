@@ -81,8 +81,6 @@ fn spawn_leader(data_dir: &Path) -> (Child, String, String) {
             "2",
             "--data-dir",
             data_dir.to_str().expect("utf8 tmp path"),
-            "--fsync",
-            "always",
             "--repl-listen",
             "127.0.0.1:0",
             "--replicate-to",
@@ -106,8 +104,6 @@ fn spawn_follower(data_dir: &Path, leader_repl: &str) -> (Child, String) {
             "2",
             "--data-dir",
             data_dir.to_str().expect("utf8 tmp path"),
-            "--fsync",
-            "always",
             "--follow",
             leader_repl,
         ])

@@ -72,11 +72,17 @@ struct DragState {
     pending: Option<Subst>,
 }
 
+/// Undo points an editor keeps; pushing past this drops the oldest. A
+/// server session commits for as long as it lives, and each point holds
+/// a whole program.
+const UNDO_DEPTH: usize = 100;
+
 /// The headless Sketch-n-Sketch editor.
 #[derive(Debug)]
 pub struct Editor {
     live: LiveSync,
     config: EditorConfig,
+    /// At most [`UNDO_DEPTH`] points, oldest first.
     undo_stack: Vec<Program>,
     redo_stack: Vec<Program>,
     drag: Option<DragState>,
@@ -385,7 +391,7 @@ impl Editor {
             .pop()
             .ok_or_else(|| EditorError::action("nothing to redo"))?;
         let cur = self.live.program().clone();
-        self.undo_stack.push(cur);
+        self.push_undo(cur);
         self.live.set_program_diffed(next)?;
         Ok(())
     }
@@ -427,9 +433,16 @@ impl Editor {
     ) -> Result<(), EditorError> {
         let prev = self.live.program().clone();
         step(&mut self.live)?;
-        self.undo_stack.push(prev);
+        self.push_undo(prev);
         self.redo_stack.clear();
         Ok(())
+    }
+
+    fn push_undo(&mut self, program: Program) {
+        if self.undo_stack.len() == UNDO_DEPTH {
+            self.undo_stack.remove(0);
+        }
+        self.undo_stack.push(program);
     }
 
     /// Locations a color-number attribute of a shape could drive, exposing
@@ -567,6 +580,25 @@ mod tests {
         assert_eq!(ed.code(), original);
         ed.redo().unwrap();
         assert_eq!(ed.code(), dragged);
+    }
+
+    #[test]
+    fn undo_history_keeps_the_last_undo_depth_points() {
+        let mut ed = Editor::new("(def x 0{0-1000}) (svg [(rect 'red' x 2 3 4)])").unwrap();
+        let x = ed.sliders()[0].loc;
+        for step in 1..=UNDO_DEPTH + 5 {
+            ed.set_slider(x, step as f64).unwrap();
+        }
+        for _ in 0..UNDO_DEPTH {
+            ed.undo().unwrap();
+        }
+        assert!(
+            ed.undo().is_err(),
+            "more than {UNDO_DEPTH} undo points kept"
+        );
+        // The oldest point kept is the program from UNDO_DEPTH commits back.
+        assert_eq!(ed.sliders()[0].value, 5.0, "{}", ed.code());
+        assert!(ed.code().starts_with("(def x 5{0-1000})"), "{}", ed.code());
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub enum Stage {
     RejectedDegraded,
     /// Journal record written to the shard WAL.
     JournalAppended,
-    /// Journal record durable (direct or group-commit fsync).
+    /// Journal record durable (group-commit fsync).
     Fsynced,
     /// Synchronous-replication gate satisfied (`--replicate-to`).
     ReplAcked,

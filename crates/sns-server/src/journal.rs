@@ -25,18 +25,18 @@
 //! A torn or corrupt record — a crash mid-write — ends the journal: the
 //! file is truncated at the last valid record and the server boots with
 //! everything before it. Only acknowledged operations are ever fsynced
-//! past, so nothing acknowledged is lost (under `--fsync always`).
+//! past, so nothing acknowledged is lost (under `--fsync batch`).
 //!
 //! # Fsync policies
 //!
-//! `always` syncs every record before acknowledging. `batch` is a *group
-//! commit*: an appender that finds no fsync in flight leads one
-//! immediately (a lone writer pays what `always` pays); appenders that
-//! arrive during a sync wait for it and are covered by the next one — so
-//! a burst of W concurrent writers costs ~2 fsyncs instead of W, with
-//! durability identical to `always`. The maintenance tick
-//! ([`JournalConfig::batch_interval`], default 5 ms) bounds the wait if
-//! a sync leader dies. `never` leaves syncing to the OS.
+//! `batch` (the default) is a *group commit*: no append is acknowledged
+//! before an fsync covers it. An appender that finds no fsync in flight
+//! leads one immediately (a lone writer pays one fsync per record);
+//! appenders that arrive during a sync wait for it and are covered by the
+//! next one — so a burst of W concurrent writers costs ~2 fsyncs instead
+//! of W. A failed fsync fails every append of its group and degrades the
+//! shard. The maintenance thread also flushes any pending group every
+//! [`TICK`]. `never` leaves syncing to the OS.
 //!
 //! # Generations and compaction
 //!
@@ -87,18 +87,13 @@ use crate::store::SHARDS;
 /// When `fsync` runs relative to journal appends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
-    /// Sync every record before acknowledging — no acknowledged operation
-    /// can be lost to a crash. The default.
+    /// Group commit, the default: an appender with no fsync in progress
+    /// performs one immediately, covering every record written so far;
+    /// appenders that arrive while a sync runs wait for it and join the
+    /// next group. No acknowledged operation can be lost to a crash, and
+    /// one fsync is amortized across every writer in the group, so under
+    /// concurrency the tail pays one fsync, not one *per record*.
     #[default]
-    Always,
-    /// Group commit: an appender with no fsync in progress performs one
-    /// immediately, covering every record written so far; appenders that
-    /// arrive while a sync runs wait for it and join the next group. Same
-    /// durability as `Always` — no acknowledged operation can be lost —
-    /// but one fsync is amortized across every writer in the group, so
-    /// under concurrency the tail pays one fsync, not one *per record*.
-    /// A maintenance tick every [`JournalConfig::batch_interval`] is the
-    /// fallback bound on the wait.
     Batch,
     /// Never sync explicitly; the OS decides. Survives process crashes
     /// (the page cache persists) but not power loss.
@@ -110,20 +105,20 @@ impl std::str::FromStr for FsyncPolicy {
 
     fn from_str(s: &str) -> Result<FsyncPolicy, String> {
         match s {
-            "always" => Ok(FsyncPolicy::Always),
             "batch" => Ok(FsyncPolicy::Batch),
             "never" => Ok(FsyncPolicy::Never),
-            other => Err(format!(
-                "unknown fsync policy `{other}` (always|batch|never)"
-            )),
+            other => Err(format!("unknown fsync policy `{other}` (batch|never)")),
         }
     }
 }
 
-/// How long an append waits for its group fsync before giving up (the
-/// maintenance thread ticks every few milliseconds; this only fires if
-/// it has died or the disk has wedged).
+/// How long an append waits for its group fsync before giving up (only
+/// fires if the disk has wedged).
 const GROUP_COMMIT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// The maintenance thread's period: each tick flushes pending group
+/// fsyncs, probes degraded shards and compacts where thresholds crossed.
+const TICK: Duration = Duration::from_millis(5);
 
 /// How long an append waits for the configured number of follower acks
 /// (`--replicate-to`) before failing the request.
@@ -141,9 +136,6 @@ pub struct JournalConfig {
     /// Compact a shard once its record count exceeds this multiple of its
     /// live-session count (so replay cost tracks live state, not history).
     pub compact_factor: u64,
-    /// The group-commit time bound under [`FsyncPolicy::Batch`]: an
-    /// append waits at most this long for the shared fsync.
-    pub batch_interval: Duration,
     /// Fault injection handle (debug builds only; disarmed by default).
     /// Injection points: `journal.write`, `journal.fsync`,
     /// `journal.rename`.
@@ -152,23 +144,22 @@ pub struct JournalConfig {
 
 impl JournalConfig {
     /// Defaults tuned for tiny per-session state: compact at 1 MiB or 8
-    /// records per live session, whichever comes first; group commits
-    /// every 5 ms under `batch`.
+    /// records per live session, whichever comes first; group commit.
     pub fn new(dir: impl Into<PathBuf>) -> JournalConfig {
         JournalConfig {
             dir: dir.into(),
-            fsync: FsyncPolicy::Always,
+            fsync: FsyncPolicy::Batch,
             compact_bytes: 1 << 20,
             compact_factor: 8,
-            batch_interval: Duration::from_millis(5),
             faults: Faults::disabled(),
         }
     }
 }
 
-/// Consecutive append failures on one shard before it degrades to
+/// Consecutive failed journal writes on one shard before it degrades to
 /// read-only (a single failed write is the client's problem; a run of
-/// them means the disk, not the request).
+/// them means the disk, not the request). A failed fsync degrades at
+/// once: its group's records may sit anywhere behind the head.
 const DEGRADE_AFTER_FAILURES: u32 = 3;
 
 /// How often the maintenance thread probes a degraded shard's disk.
@@ -202,7 +193,7 @@ struct Shard {
     gen: u64,
     bytes: u64,
     records: u64,
-    /// Records appended since the last fsync (batch policy).
+    /// Records appended since the last fsync started (batch policy).
     unsynced: u64,
     /// Operations journaled but not yet reported via `applied` — while
     /// nonzero, compaction must not rotate the journal.
@@ -229,8 +220,8 @@ struct Shard {
     /// write + fsync round-trip succeeds again. Reads never consult this
     /// flag; a degraded shard keeps serving from its shadow.
     degraded: bool,
-    /// Consecutive failed appends; at [`DEGRADE_AFTER_FAILURES`] the
-    /// shard degrades. Reset by any successful append.
+    /// Consecutive failed journal writes; at [`DEGRADE_AFTER_FAILURES`]
+    /// the shard degrades. Reset by any successful append.
     append_failures: u32,
     /// When the shard degraded (for the recovery log's outage span).
     degraded_since: Option<Instant>,
@@ -279,17 +270,6 @@ impl GroupSync {
         self.state.lock().expect("group sync lock").epoch
     }
 
-    /// Publishes a completed fsync covering everything up to `upto` —
-    /// provided the generation it synced is still current.
-    fn advance(&self, epoch: u64, upto: u64) {
-        let mut st = self.state.lock().expect("group sync lock");
-        if st.epoch == epoch && upto > st.synced {
-            st.synced = upto;
-        }
-        drop(st);
-        self.cv.notify_all();
-    }
-
     /// Compaction reset: a fresh generation starts at offset zero, fully
     /// synced (rotation only runs with no waiters in flight).
     fn reset(&self) {
@@ -297,11 +277,6 @@ impl GroupSync {
         st.synced = 0;
         st.epoch += 1;
         drop(st);
-        self.cv.notify_all();
-    }
-
-    fn poison(&self) {
-        self.state.lock().expect("group sync lock").poisoned = true;
         self.cv.notify_all();
     }
 
@@ -479,7 +454,6 @@ pub(crate) type ShardState = (u64, u64, Vec<(String, String, Option<IpAddr>)>);
 pub(crate) struct JournalInner {
     dir: PathBuf,
     fsync: FsyncPolicy,
-    batch_interval: Duration,
     compact_bytes: u64,
     compact_factor: u64,
     shards: Vec<Mutex<Shard>>,
@@ -631,7 +605,6 @@ impl JournalBackend {
         let inner = Arc::new(JournalInner {
             dir: config.dir,
             fsync: config.fsync,
-            batch_interval: config.batch_interval.max(Duration::from_millis(1)),
             compact_bytes: config.compact_bytes.max(1),
             compact_factor: config.compact_factor.max(1),
             shards,
@@ -688,19 +661,15 @@ impl JournalBackend {
     }
 }
 
-/// The maintenance loop: every tick, performs the pending group fsync for
-/// each shard (batch policy) and any threshold-crossed compaction — both
-/// off the request path.
+/// The maintenance loop: every [`TICK`], performs the pending group fsync
+/// for each shard and any threshold-crossed compaction — both off the
+/// request path.
 fn maintenance_loop(inner: &JournalInner) {
-    let interval = match inner.fsync {
-        FsyncPolicy::Batch => inner.batch_interval,
-        _ => Duration::from_millis(10),
-    };
     let mut stop = inner.stop.lock().expect("journal stop lock");
     loop {
         let (guard, _) = inner
             .stop_cv
-            .wait_timeout(stop, interval)
+            .wait_timeout(stop, TICK)
             .expect("journal stop lock");
         stop = guard;
         if *stop {
@@ -744,28 +713,23 @@ impl JournalInner {
     }
 
     /// One maintenance pass over every shard: re-probe degraded disks,
-    /// flush the pending group fsync (batch policy), and compact where
-    /// thresholds crossed.
+    /// flush a pending group fsync, and compact where thresholds crossed.
     fn tick(&self) {
         for idx in 0..SHARDS {
             self.probe_degraded(idx);
-            if self.fsync == FsyncPolicy::Batch {
-                let pending = {
-                    let shard = self.shards[idx].lock().expect("journal shard lock");
-                    !shard.degraded && shard.unsynced > 0
-                };
-                if pending {
-                    match self.sync_shard_tail(idx) {
-                        Ok((end, epoch)) => self.group[idx].advance(epoch, end),
-                        Err(e) => {
-                            // Waiters must not be acked records the disk
-                            // never took; degrading beats false acks, as
-                            // in rollback.
-                            self.group[idx].poison();
-                            let mut shard = self.shards[idx].lock().expect("journal shard lock");
-                            self.enter_degraded(idx, &mut shard, "group_fsync", &e);
-                        }
-                    }
+            let pending = {
+                let shard = self.shards[idx].lock().expect("journal shard lock");
+                !shard.degraded && shard.unsynced > 0
+            };
+            if pending {
+                // Lead the group only if no appender is leading it: a
+                // second, racing fsync would cover nothing new.
+                let mut st = self.group[idx].state.lock().expect("group sync lock");
+                if !st.syncing && !st.poisoned {
+                    st.syncing = true;
+                    drop(st);
+                    // A failure poisons the group and degrades the shard.
+                    let _ = self.lead_group_sync(idx);
                 }
             }
             let mut shard = self.shards[idx].lock().expect("journal shard lock");
@@ -852,11 +816,11 @@ impl JournalInner {
     }
 
     /// Cuts a shard's journal back to its last complete, acknowledged
-    /// record after a failed append or fsync (a partial or
-    /// unacknowledged frame must not survive to replay). If the file
-    /// cannot be restored — truncate or its fsync fails — the shard
-    /// degrades immediately: refusing appends until the probe repairs
-    /// the tail beats acknowledging records that replay may discard.
+    /// record after a failed write (a partial or unacknowledged frame
+    /// must not survive to replay). If the file cannot be restored —
+    /// truncate or its fsync fails — the shard degrades immediately:
+    /// refusing appends until the probe repairs the tail beats
+    /// acknowledging records that replay may discard.
     fn rollback_tail(&self, idx: usize, shard: &mut Shard, cause: &io::Error) {
         let recovered = shard
             .wal
@@ -876,7 +840,7 @@ impl JournalInner {
         }
     }
 
-    /// Counts a failed append; a run of [`DEGRADE_AFTER_FAILURES`]
+    /// Counts a failed journal write; a run of [`DEGRADE_AFTER_FAILURES`]
     /// consecutive failures means the disk, not the request, and the
     /// shard degrades to read-only.
     fn note_append_failure(&self, idx: usize, shard: &mut Shard, error: &io::Error) {
@@ -1043,20 +1007,33 @@ impl JournalInner {
 
     /// Fsyncs shard `idx`'s journal as it stands; returns the offset the
     /// sync is guaranteed to cover plus the group epoch it belongs to
-    /// (publishable only while that epoch is current). The fsync itself runs on a cloned
-    /// file handle *outside* the shard lock — that is the whole point of
-    /// the group commit: writers keep appending (and joining the next
-    /// group) while the disk works. Records appended after the clone may
-    /// get synced too; the returned offset only under-claims. The caller
-    /// degrades the shard on failure (unsynced records may be anywhere
-    /// behind the head; no rollback can be exact).
+    /// (publishable only while that epoch is current). The fsync itself
+    /// runs on a cloned file handle *outside* the shard lock — that is the
+    /// whole point of the group commit: writers keep appending (and
+    /// joining the next group) while the disk works. Records appended
+    /// after the clone may get synced too; the returned offset only
+    /// under-claims. A failure degrades the shard (unsynced records may
+    /// be anywhere behind the head; no rollback can be exact). With no
+    /// record appended since the last sync began there is nothing to
+    /// sync: whatever zeroed `unsynced` — the previous group leader (only
+    /// one leads at a time) or a compaction — has already synced the
+    /// head.
     fn sync_shard_tail(&self, idx: usize) -> io::Result<(u64, u64)> {
         let (wal, end, epoch) = {
             let mut shard = self.shards[idx].lock().expect("journal shard lock");
             if shard.degraded {
                 return Err(io::Error::other("journal shard degraded"));
             }
-            let wal = shard.wal.try_clone()?;
+            if shard.unsynced == 0 {
+                return Ok((shard.bytes, self.group[idx].epoch()));
+            }
+            let wal = match shard.wal.try_clone() {
+                Ok(wal) => wal,
+                Err(e) => {
+                    self.enter_degraded(idx, &mut shard, "tail_fsync", &e);
+                    return Err(e);
+                }
+            };
             shard.unsynced = 0;
             // Epoch captured under the shard lock (rotation bumps it
             // while holding the same lock), so a rotation racing this
@@ -1074,12 +1051,39 @@ impl JournalInner {
         }
     }
 
+    /// Runs one group fsync as its leader (the caller has set `syncing`)
+    /// and wakes every waiter. Success publishes the covered offset;
+    /// failure poisons the group, so each waiting append fails too, and
+    /// [`sync_shard_tail`](Self::sync_shard_tail) has degraded the shard.
+    fn lead_group_sync(&self, idx: usize) -> io::Result<()> {
+        let result = self.sync_shard_tail(idx);
+        let gs = &self.group[idx];
+        let mut st = gs.state.lock().expect("group sync lock");
+        st.syncing = false;
+        let out = match result {
+            Ok((covered, epoch)) => {
+                // An fsync of a retired generation must not mark the
+                // fresh one's offsets as covered.
+                if st.epoch == epoch && covered > st.synced {
+                    st.synced = covered;
+                }
+                Ok(())
+            }
+            Err(e) => {
+                st.poisoned = true;
+                Err(e)
+            }
+        };
+        drop(st);
+        gs.cv.notify_all();
+        out
+    }
+
     /// The group commit: blocks until a successful fsync covers `end`.
     /// An appender that finds no sync in flight *leads* one immediately —
-    /// a lone writer pays exactly what `Always` pays — while appenders
-    /// that arrive during a sync wait for it and join the next group, so
-    /// a burst of W writers costs ~2 fsyncs, not W. The maintenance tick
-    /// ([`JournalConfig::batch_interval`]) is only the liveness fallback.
+    /// a lone writer pays one fsync — while appenders that arrive during
+    /// a sync wait for it and join the next group, so a burst of W
+    /// writers costs ~2 fsyncs, not W.
     fn group_commit(&self, idx: usize, end: u64) -> io::Result<()> {
         let gs = &self.group[idx];
         let deadline = Instant::now() + GROUP_COMMIT_TIMEOUT;
@@ -1094,28 +1098,7 @@ impl JournalInner {
             if !st.syncing {
                 st.syncing = true;
                 drop(st);
-                let result = self.sync_shard_tail(idx);
-                st = gs.state.lock().expect("group sync lock");
-                st.syncing = false;
-                match result {
-                    Ok((covered, epoch)) => {
-                        // Epoch-guarded like `advance`: the leader holds
-                        // `in_flight > 0` so rotation cannot actually race
-                        // this path today, but the guard keeps the
-                        // invariant local instead of action-at-a-distance.
-                        if st.epoch == epoch && covered > st.synced {
-                            st.synced = covered;
-                        }
-                    }
-                    Err(e) => {
-                        st.poisoned = true;
-                        drop(st);
-                        gs.cv.notify_all();
-                        return Err(e);
-                    }
-                }
-                drop(st);
-                gs.cv.notify_all();
+                self.lead_group_sync(idx)?;
                 st = gs.state.lock().expect("group sync lock");
                 continue;
             }
@@ -1265,26 +1248,11 @@ impl SessionBackend for JournalBackend {
                 }
             };
             obs_trace::stamp_current(obs_trace::Stage::JournalAppended);
-            match inner.fsync {
-                FsyncPolicy::Always => {
-                    if let Err(e) = inner.sync(&shard.wal) {
-                        // The frame is fully written but the client will be
-                        // told failure: remove it, or replay would apply an
-                        // operation that was never acknowledged.
-                        inner.rollback_tail(idx, &mut shard, &e);
-                        inner.note_append_failure(idx, &mut shard, &e);
-                        return Err(e);
-                    }
-                    obs_trace::stamp_current(obs_trace::Stage::Fsynced);
-                }
-                FsyncPolicy::Batch => {
-                    // Group-committed outside the shard lock, so the
-                    // writers this sync is amortized across can append
-                    // meanwhile.
-                    shard.unsynced += 1;
-                    group_wait = Some(shard.bytes + wrote);
-                }
-                FsyncPolicy::Never => {}
+            if inner.fsync == FsyncPolicy::Batch {
+                // Group-committed outside the shard lock, so the writers
+                // this sync is amortized across can append meanwhile.
+                shard.unsynced += 1;
+                group_wait = Some(shard.bytes + wrote);
             }
             shard.bytes += wrote;
             shard.records += 1;
@@ -1295,8 +1263,8 @@ impl SessionBackend for JournalBackend {
         inner.signal.bump();
         // Post-append waits (group fsync, follower acks) can fail after
         // the record is in the WAL, and later appends may already sit
-        // behind it, so it cannot be rolled back like the `Always` sync
-        // path rolls back. The client is told failure; the record itself
+        // behind it, so it cannot be rolled back like a failed write.
+        // The client is told failure; the record itself
         // is in the *un-acked* state every crash already produces (a kill
         // between journal append and HTTP response): a restart may
         // surface it or a compaction may drop it, and either is legal —
@@ -2124,12 +2092,7 @@ mod tests {
         let dir = tmp_dir("batch");
         let src = "(svg [(rect 'red' 1 2 3 4)])";
         {
-            let config = JournalConfig {
-                fsync: FsyncPolicy::Batch,
-                batch_interval: Duration::from_millis(2),
-                ..JournalConfig::new(&dir)
-            };
-            let (backend, _) = JournalBackend::open(config).unwrap();
+            let (backend, _) = JournalBackend::open(JournalConfig::new(&dir)).unwrap();
             // A lone append has no group to join: it must lead its own
             // sync and return promptly, not park on a timer waiting for
             // writers that never come.
@@ -2147,7 +2110,13 @@ mod tests {
                 "group commit not time-bounded: {:?}",
                 started.elapsed()
             );
-            assert!(backend.gauges().fsyncs >= 1, "append acked without sync");
+            // Exactly one: the maintenance tick never races the leader
+            // with a second fsync of the same record.
+            assert_eq!(
+                backend.gauges().fsyncs,
+                1,
+                "a lone writer leads one group fsync"
+            );
         }
         // And the acked record really is on disk.
         let (backend, recovered) = JournalBackend::open(JournalConfig::new(&dir)).unwrap();
@@ -2561,41 +2530,146 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn fsync_failures_degrade_and_probe_recovers() {
+        use sns_svg::{ShapeId, Zone};
         let dir = tmp_dir("fsync-fault");
         let src = "(svg [(rect 'red' 1 2 3 4)])";
-        let config = JournalConfig {
-            // Hit 1 is the create's fsync; hits 2..6 fail. Each failed
-            // commit costs one hit; each probe costs two (frame + cut).
-            faults: Faults::from_spec("journal.fsync=fail@2..6").unwrap(),
-            ..JournalConfig::new(&dir)
-        };
-        let (backend, _) = JournalBackend::open(config).unwrap();
-        backend
-            .append(Op::Create {
-                id: "a",
-                source: src,
-                owner: None,
-            })
-            .unwrap();
-        backend.applied_create("a", src, None);
-        let subst = Subst::from_pairs([(LocId(0), 9.0)]);
-        for _ in 0..3 {
+        {
+            let config = JournalConfig {
+                // Hit 1 is the create's group fsync; hit 2 (the commit's)
+                // fails, and so do the first two probes' syncs (hits 3
+                // and 4), which keeps the shard degraded for at least one
+                // probe interval. The third probe (hits 5, 6) succeeds.
+                faults: Faults::from_spec("journal.fsync=fail@2..4").unwrap(),
+                ..JournalConfig::new(&dir)
+            };
+            let (backend, _) = JournalBackend::open(config).unwrap();
+            backend
+                .append(Op::Create {
+                    id: "a",
+                    source: src,
+                    owner: None,
+                })
+                .unwrap();
+            backend.applied_create("a", src, None);
+            // One failed group fsync fails its append and degrades the
+            // shard at once: the group's records may sit anywhere behind
+            // the head, so there is no strike count to wait out.
+            let mut failed = Session::create("a".into(), src).unwrap();
+            failed.drag(ShapeId(0), Zone::Interior, 3.0, 0.0).unwrap();
+            let pending = failed.pending_commit().unwrap();
             backend
                 .append(Op::Commit {
                     id: "a",
-                    subst: &subst,
+                    subst: &pending,
                 })
                 .unwrap_err();
+            assert!(backend.degraded(), "a failed fsync should degrade at once");
+            // Appends are refused at the gate until the probe recovers.
+            let err = backend
+                .append(Op::Commit {
+                    id: "a",
+                    subst: &pending,
+                })
+                .unwrap_err();
+            assert!(err.to_string().contains("degraded"), "{err}");
+            wait_for(|| !backend.degraded(), "probe recovery");
+            let mut s = Session::create("a".into(), src).unwrap();
+            s.drag(ShapeId(0), Zone::Interior, 5.0, 0.0).unwrap();
+            let pending = s.pending_commit().unwrap();
+            backend
+                .append(Op::Commit {
+                    id: "a",
+                    subst: &pending,
+                })
+                .unwrap();
+            s.commit().unwrap();
+            backend.applied("a", Some(&s.code()));
         }
-        assert!(backend.degraded(), "three fsync failures should degrade");
-        wait_for(|| !backend.degraded(), "probe recovery");
-        backend
-            .append(Op::Commit {
-                id: "a",
-                subst: &subst,
-            })
-            .unwrap();
-        backend.applied("a", Some(src));
+        // The acked commit is durable. The failed one stays in the journal
+        // un-acked (replay may surface it), and the acked commit's
+        // absolute values overwrite it either way.
+        let (backend, recovered) = JournalBackend::open(JournalConfig::new(&dir)).unwrap();
+        assert_eq!(recovered.len(), 1);
+        assert_eq!(recovered[0].code(), "(svg [(rect 'red' 6 2 3 4)])");
+        drop(backend);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn concurrent_writers_share_group_fsyncs() {
+        use sns_svg::{ShapeId, Zone};
+        const WRITERS: usize = 16;
+        let dir = tmp_dir("group-burst");
+        let src = "(svg [(rect 'red' 1 2 3 4)])";
+        // Sixteen sessions on one shard, so the burst shares one group.
+        let shard = shard_index("w0");
+        let ids: Vec<String> = (0..)
+            .map(|n| format!("w{n}"))
+            .filter(|id| shard_index(id) == shard)
+            .take(WRITERS)
+            .collect();
+        {
+            let config = JournalConfig {
+                // A slow disk: every fsync takes 50 ms, so the writers
+                // that arrive during one sync pile up behind it.
+                faults: Faults::from_spec("journal.fsync=delay:50@1..").unwrap(),
+                ..JournalConfig::new(&dir)
+            };
+            let (backend, _) = JournalBackend::open(config).unwrap();
+            for id in &ids {
+                backend
+                    .append(Op::Create {
+                        id,
+                        source: src,
+                        owner: None,
+                    })
+                    .unwrap();
+                backend.applied_create(id, src, None);
+            }
+            let before = backend.gauges().fsyncs;
+            let barrier = std::sync::Barrier::new(WRITERS);
+            std::thread::scope(|scope| {
+                for (k, id) in ids.iter().enumerate() {
+                    let (backend, barrier) = (&backend, &barrier);
+                    scope.spawn(move || {
+                        let mut s = Session::create(id.clone(), src).unwrap();
+                        s.drag(ShapeId(0), Zone::Interior, 1.0 + k as f64, 0.0)
+                            .unwrap();
+                        let pending = s.pending_commit().unwrap();
+                        barrier.wait();
+                        backend
+                            .append(Op::Commit {
+                                id,
+                                subst: &pending,
+                            })
+                            .unwrap();
+                        s.commit().unwrap();
+                        backend.applied(id, Some(&s.code()));
+                    });
+                }
+            });
+            let burst = backend.gauges().fsyncs - before;
+            assert!(
+                burst <= 8,
+                "{WRITERS} concurrent commits cost {burst} fsyncs"
+            );
+        }
+        // Every acked commit survives a reopen.
+        let (backend, recovered) = JournalBackend::open(JournalConfig::new(&dir)).unwrap();
+        let codes: HashMap<String, String> =
+            recovered.iter().map(|s| (s.id.clone(), s.code())).collect();
+        for (k, id) in ids.iter().enumerate() {
+            let code = match codes.get(id) {
+                Some(code) => code.clone(),
+                None => backend.fault_in(id).expect("fault-in").code(),
+            };
+            assert_eq!(
+                code,
+                format!("(svg [(rect 'red' {} 2 3 4)])", 2 + k),
+                "{id}"
+            );
+        }
         drop(backend);
         fs::remove_dir_all(&dir).unwrap();
     }

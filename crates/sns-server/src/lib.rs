@@ -190,7 +190,7 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(60),
             max_sessions_per_ip: 0,
             data_dir: None,
-            fsync: FsyncPolicy::Always,
+            fsync: FsyncPolicy::Batch,
             auth_token: None,
             max_durable_per_ip: 0,
             repl_listen: None,

@@ -75,8 +75,8 @@
 //! `sns-cli/tests/replication.rs`):
 //!
 //! 1. **No acked commit is lost on fail-over** under `--replicate-to ≥ 1`
-//!    with `--fsync always`: the leader does not ack until the follower
-//!    has journaled and applied the record.
+//!    with the default `--fsync batch`: the leader does not ack until the
+//!    follower has journaled and applied the record.
 //! 2. **A follower never serves a state the leader did not produce**: it
 //!    applies only leader-journaled records, in journal order per
 //!    session, through the replay path.

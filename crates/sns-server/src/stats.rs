@@ -141,7 +141,7 @@ impl ServerStats {
         );
         let stage_fsync_us = r.histogram(
             "sns_stage_fsync_us",
-            "Time spent waiting for the journal fsync (direct or group commit), in microseconds.",
+            "Time spent waiting for the journal fsync (group commit), in microseconds.",
         );
         let stage_repl_ack_us = r.histogram(
             "sns_stage_repl_ack_us",

@@ -256,7 +256,10 @@ fn replay_after_compaction_is_bounded_by_live_state() {
             g.journal_records < commits as u64 / 2,
             "journal should have been compacted away: {g:?}"
         );
-        assert!(g.fsyncs > commits as u64, "fsync-per-append policy: {g:?}");
+        assert!(
+            g.fsyncs > commits as u64,
+            "a lone writer leads its own group fsync per append: {g:?}"
+        );
     }
     let g = open_store(&dir, 8).journal_gauges();
     assert_eq!(g.durable_sessions, 1);
