@@ -22,7 +22,9 @@
 //! Every measured pass runs for at least [`MIN_RUN`]: the drivers keep
 //! cycling drag rounds over their (fixed) sessions until the clock says
 //! enough, so a pass is never a sub-100ms blip whose rps is mostly
-//! thread start-up noise.
+//! thread start-up noise. Every mode first runs one discarded warm-up
+//! pass (for `--scaling`, of the sweep's first row), so no measured pass
+//! pays the process's cold start.
 //!
 //! The plain (`BENCH_server.json`) run doubles as the **tracing-overhead
 //! gate**: it benchmarks once with per-request tracing disabled and once
@@ -386,6 +388,19 @@ fn run_scaling(args: &BenchArgs) {
 
 fn main() {
     let args = parse_args();
+    // The process's first pass pays its cold start (page faults,
+    // allocator growth, clock ramp-up) and reads low; discard it.
+    let warmup = if args.scaling {
+        BenchArgs {
+            reactors: 1,
+            idle: 0,
+            fsync: None,
+            ..args.clone()
+        }
+    } else {
+        args.clone()
+    };
+    run_pass(&warmup, true, "warmup");
     if args.scaling {
         run_scaling(&args);
         return;
@@ -398,10 +413,9 @@ fn main() {
     // compared *across* attempts (not paired within one) because each
     // pass is an independent estimate of the same maximum throughput —
     // pairing let whichever pass ran first eat the cold-start penalty
-    // and report absurd negative overheads. A discarded warm-up pass
-    // pays that penalty up front.
+    // and report absurd negative overheads (the warm-up pass above pays
+    // that penalty up front).
     let (pass, baseline) = if plain {
-        run_pass(&args, true, "warmup");
         let mut best_on: Option<Pass> = None;
         let mut best_off: Option<Pass> = None;
         for attempt in 1..=OVERHEAD_ATTEMPTS {

@@ -3,10 +3,13 @@
 //! server registers is documented in `docs/observability.md`, and the
 //! `GET /stats` keys are exactly the `/metrics` names under the `/stats`
 //! key rule — the drift gate: a metric missing from the docs or served
-//! on only one surface fails CI here.
+//! on only one surface fails CI here. The same file gates the log-event
+//! table: its event column must name exactly the events the sources log.
 
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
@@ -178,5 +181,68 @@ fn scrape_parses_and_every_metric_is_documented() {
         only_stats.is_empty() && only_metrics.is_empty(),
         "/stats and /metrics disagree: keys only on /stats {only_stats:?}, \
          keys the /metrics names imply but /stats lacks {only_metrics:?}"
+    );
+}
+
+/// The event names passed to `obs_log::{error,warn,info,debug}` in every
+/// `.rs` file under `dir`. Each call's first argument must be a string
+/// literal, or the gate could not see the event.
+fn logged_events(dir: &Path, events: &mut BTreeSet<String>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            logged_events(&path, events);
+            continue;
+        }
+        if path.extension().is_none_or(|x| x != "rs") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("read source");
+        for level in ["error", "warn", "info", "debug"] {
+            let call = format!("obs_log::{level}(");
+            for (at, _) in text.match_indices(&call) {
+                let args = text[at + call.len()..].trim_start();
+                let event = args
+                    .strip_prefix('"')
+                    .and_then(|rest| rest.split_once('"'))
+                    .map(|(name, _)| name)
+                    .unwrap_or_else(|| {
+                        panic!("{}: {call} without a literal event name", path.display())
+                    });
+                events.insert(event.to_string());
+            }
+        }
+    }
+}
+
+#[test]
+fn log_event_table_matches_the_logged_events() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut logged = BTreeSet::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates dir") {
+        let src = krate.expect("crate entry").path().join("src");
+        if src.is_dir() {
+            logged_events(&src, &mut logged);
+        }
+    }
+    let doc = std::fs::read_to_string(root.join("docs/observability.md")).expect("read doc");
+    let (_, section) = doc
+        .split_once("## Log events")
+        .expect("docs/observability.md has a Log events section");
+    let section = section.split("\n## ").next().unwrap_or(section);
+    let documented: BTreeSet<String> = section
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .filter_map(|rest| rest.split_once('`'))
+        .map(|(event, _)| event.to_string())
+        .collect();
+    assert!(logged.len() >= 10, "implausibly few log events: {logged:?}");
+    let undocumented: Vec<&String> = logged.difference(&documented).collect();
+    let unlogged: Vec<&String> = documented.difference(&logged).collect();
+    assert!(
+        undocumented.is_empty() && unlogged.is_empty(),
+        "docs/observability.md's log-event table disagrees with the sources: \
+         logged but not documented {undocumented:?}, documented but never \
+         logged {unlogged:?}"
     );
 }

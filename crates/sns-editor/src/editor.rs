@@ -273,6 +273,11 @@ impl Editor {
         self.drag = None;
     }
 
+    /// The shape and zone of the in-flight drag, if any.
+    pub fn drag_target(&self) -> Option<(ShapeId, Zone)> {
+        self.drag.as_ref().map(|d| (d.shape, d.zone))
+    }
+
     /// The substitution the in-flight drag would commit on mouse-up, if
     /// any — what a write-ahead journal must record *before* calling
     /// [`end_drag`](Editor::end_drag).

@@ -1436,9 +1436,9 @@ impl SessionBackend for JournalBackend {
     }
 }
 
-// The FNV-1a shard map lives in `store` (the store's in-memory shards now
-// share it, and the reactor keys core-local routing off it); the journal
-// and replication protocol keep using it through this alias.
+// The FNV-1a shard map lives in `store` (the store's in-memory shards
+// share it); the journal and replication protocol use it through this
+// alias.
 pub(crate) use crate::store::shard_index;
 
 fn shard_file(dir: &Path, idx: usize, gen: u64, ext: &str) -> PathBuf {
@@ -1715,61 +1715,52 @@ fn replay_shard(dir: &Path, idx: usize) -> io::Result<(Shard, Vec<Session>)> {
             continue;
         };
         records += 1;
-        match op {
+        // Recovered commits and code replacements take the follower's
+        // apply path; a recovering session has no backend attached, so
+        // nothing is re-journaled.
+        let (id, name, outcome) = match op {
             OwnedOp::Create(id, source, owner) => {
                 if shadow.contains_key(&id) || live.contains_key(&id) {
                     // Re-created id: only possible replaying records that
                     // an interrupted compaction already snapshotted.
                     continue;
                 }
-                match Session::create(id.clone(), &source) {
-                    Ok(s) => {
-                        owners.insert(id.clone(), owner);
-                        live.insert(id, s);
-                    }
-                    Err(e) => obs_log::warn(
-                        "journal_replay_skipped",
-                        &[
-                            ("op", Value::Str("create")),
-                            ("session", Value::Str(&id)),
-                            ("error", Value::Str(&e.msg)),
-                        ],
-                    ),
-                }
+                let outcome = Session::create(id.clone(), &source).map(|s| {
+                    owners.insert(id.clone(), owner);
+                    live.insert(id.clone(), s);
+                });
+                (id, "create", outcome)
             }
             OwnedOp::SetCode(id, source) => {
-                if let Some(s) = materialize(&mut live, &mut shadow, &mut owners, &id) {
-                    if let Err(e) = s.replay_set_code(&source) {
-                        obs_log::warn(
-                            "journal_replay_skipped",
-                            &[
-                                ("op", Value::Str("set_code")),
-                                ("session", Value::Str(&id)),
-                                ("error", Value::Str(&e.msg)),
-                            ],
-                        );
-                    }
-                }
+                let Some(s) = materialize(&mut live, &mut shadow, &mut owners, &id) else {
+                    continue;
+                };
+                let outcome = s.apply_recorded_set_code(&source);
+                (id, "set_code", outcome)
             }
             OwnedOp::Commit(id, subst) => {
-                if let Some(s) = materialize(&mut live, &mut shadow, &mut owners, &id) {
-                    if let Err(e) = s.replay_commit(&subst) {
-                        obs_log::warn(
-                            "journal_replay_skipped",
-                            &[
-                                ("op", Value::Str("commit")),
-                                ("session", Value::Str(&id)),
-                                ("error", Value::Str(&e.msg)),
-                            ],
-                        );
-                    }
-                }
+                let Some(s) = materialize(&mut live, &mut shadow, &mut owners, &id) else {
+                    continue;
+                };
+                let outcome = s.apply_recorded_commit(&subst);
+                (id, "commit", outcome)
             }
             OwnedOp::Delete(id) => {
                 live.remove(&id);
                 shadow.remove(&id);
                 owners.remove(&id);
+                continue;
             }
+        };
+        if let Err(e) = outcome {
+            obs_log::warn(
+                "journal_replay_skipped",
+                &[
+                    ("op", Value::Str(name)),
+                    ("session", Value::Str(&id)),
+                    ("error", Value::Str(&e.msg)),
+                ],
+            );
         }
     }
     if valid_end < buf.len() {

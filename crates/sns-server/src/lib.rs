@@ -223,9 +223,8 @@ impl ServerConfig {
         (self.resolved_threads() * 16).max(64)
     }
 
-    /// The reactor count `reactors` resolves to (0 = auto). Capped at the
-    /// store's shard count — more loops than shards could not each own a
-    /// session-id residue class.
+    /// The reactor count `reactors` resolves to (0 = auto), capped at the
+    /// store's shard count.
     pub fn resolved_reactors(&self) -> usize {
         let n = if self.reactors > 0 {
             self.reactors
@@ -238,12 +237,16 @@ impl ServerConfig {
     }
 }
 
-/// A bound, not-yet-running server.
+/// A bound, not-yet-running server. Dropping it (which [`Server::run`]
+/// does once every reactor has exited) stops and joins the replication
+/// threads that [`Server::bind`] started.
 pub struct Server {
     reactors: Vec<Reactor>,
     shared: Arc<ReactorShared>,
     http_addr: std::net::SocketAddr,
     repl_addr: Option<std::net::SocketAddr>,
+    repl: Arc<ReplControl>,
+    follower: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
@@ -320,7 +323,7 @@ impl Server {
         let state = Arc::new_cyclic(|weak| ServerState {
             store,
             stats: ServerStats::with_reactors(reactors, weak),
-            telemetry: routes::Telemetry::with_cluster(
+            telemetry: routes::Telemetry::new(
                 config.trace,
                 sns_obs::flight::DEFAULT_CAPACITY,
                 config.slow_ms.saturating_mul(1_000),
@@ -336,23 +339,6 @@ impl Server {
             repl: Arc::clone(&repl),
             faults: faults.clone(),
         });
-        let mut repl_addr = None;
-        if let Some(addr) = &config.repl_listen {
-            let backend = journal.as_ref().expect("checked above");
-            let hub = ReplHub::start(
-                addr,
-                backend.inner(),
-                http_addr.to_string(),
-                config.replicate_to,
-                config.auth_token.clone(),
-                faults.clone(),
-            )?;
-            repl_addr = Some(hub.listen_addr());
-            repl.set_hub(hub);
-        }
-        if let Some(leader) = &config.follow {
-            replicate::start_follower(Arc::clone(&state), leader.clone());
-        }
         // Each reactor gets its own worker pool: `--threads` and the
         // queue depth are whole-server budgets, divided (rounding up)
         // across the loops so the aggregate stays at least what a single
@@ -378,12 +364,33 @@ impl Server {
                 wake_rx,
             )?);
         }
-        Ok(Server {
+        // From here on, an early return drops the server, which stops
+        // whatever replication thread was already started.
+        let mut server = Server {
             reactors: loops,
             shared,
             http_addr,
-            repl_addr,
-        })
+            repl_addr: None,
+            repl: Arc::clone(&repl),
+            follower: None,
+        };
+        if let Some(addr) = &config.repl_listen {
+            let backend = journal.as_ref().expect("checked above");
+            let hub = ReplHub::start(
+                addr,
+                backend.inner(),
+                http_addr.to_string(),
+                config.replicate_to,
+                config.auth_token.clone(),
+                faults.clone(),
+            )?;
+            server.repl_addr = Some(hub.listen_addr());
+            repl.set_hub(hub);
+        }
+        if let Some(leader) = &config.follow {
+            server.follower = Some(replicate::start_follower(state, leader.clone())?);
+        }
+        Ok(server)
     }
 
     /// The bound replication-listener address, when `repl_listen` was
@@ -420,13 +427,15 @@ impl Server {
     /// deep (`sns serve` runs under [`sns_eval::with_big_stack`]).
     /// Blocks until the server is drained (via
     /// [`ShutdownHandle::shutdown`] or SIGTERM after
-    /// [`install_sigterm_drain`]) and every loop has exited.
+    /// [`install_sigterm_drain`]), every loop has exited, and the
+    /// replication threads have stopped — after which the data directory
+    /// and the replication port are free to bind again.
     ///
     /// # Errors
     ///
     /// Returns the first fatal epoll error any reactor hit.
-    pub fn run(self) -> std::io::Result<()> {
-        let mut reactors = self.reactors.into_iter();
+    pub fn run(mut self) -> std::io::Result<()> {
+        let mut reactors = std::mem::take(&mut self.reactors).into_iter();
         let first = reactors
             .next()
             .ok_or_else(|| std::io::Error::other("server has no reactors"))?;
@@ -449,6 +458,15 @@ impl Server {
             }
         }
         result
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.repl.shutdown();
+        if let Some(follower) = self.follower.take() {
+            let _ = follower.join();
+        }
     }
 }
 

@@ -1,5 +1,5 @@
-//! The event-driven transport: per-core epoll readiness loops that
-//! decouple *connections* from *CPU*.
+//! The event-driven transport: epoll readiness loops (one per core by
+//! default) that decouple *connections* from *CPU*.
 //!
 //! The reactor is *sharded*: `--reactors N` (default: one per core,
 //! capped at the store's shard count) spawns N independent loops, each
@@ -7,10 +7,11 @@
 //! spreads incoming connections across them), its own bounded worker
 //! pool, its own completion queue + wake pipe, and its own deadline
 //! sweep. A connection accepted by reactor R lives its whole life on R:
-//! no socket, parser buffer, or response buffer ever crosses a core.
-//! Session ids minted on R are chosen so their store/journal shard is
-//! ≡ R mod N (see [`crate::store::shard_index`]), making the drag fast
-//! path core-local end-to-end.
+//! no socket, parser buffer, or response buffer ever changes loops.
+//! Sessions are not tied to a loop: any reactor serves any session id
+//! through the shared store. No thread is pinned to a core, so "one loop
+//! per core" is a count, not a placement; `docs/server.md` records the
+//! throughput that count buys over a single loop.
 //!
 //! Within one reactor, the loop is unchanged: non-blocking reads feed
 //! each connection's resumable [`ConnParser`]; the moment a complete
@@ -64,7 +65,7 @@ use sns_obs::trace::{self, Stage, Trace};
 
 use crate::http::{ConnParser, Parsed, Request, Response};
 use crate::json::Json;
-use crate::routes::{self, ReactorId, ServerState};
+use crate::routes::{self, ServerState};
 use crate::stats::ConnGauges;
 use crate::threadpool::ThreadPool;
 
@@ -538,8 +539,7 @@ pub(crate) struct Reactor {
     /// This reactor's accept socket (one `SO_REUSEPORT` listener per
     /// reactor).
     listener: TcpListener,
-    /// This reactor's index (also the residue class of the store shards
-    /// whose sessions it mints).
+    /// This reactor's index (its per-loop gauges and watchdog slot).
     index: usize,
     conns: HashMap<u64, Conn>,
     next_token: u64,
@@ -615,15 +615,6 @@ impl Reactor {
             next_gauge_push: now,
             next_stall_sweep: now,
         })
-    }
-
-    /// Which reactor this is, for routing (`index` picks the session-id
-    /// residue, `count` the modulus).
-    fn reactor_id(&self) -> ReactorId {
-        ReactorId {
-            index: self.index,
-            count: self.shared.notifiers.len(),
-        }
     }
 
     /// The readiness loop. Returns `Ok(())` once a drain request (the
@@ -923,12 +914,11 @@ impl Reactor {
         // does a drag that needs no evaluation and no commit (the hand-off
         // to a worker and back would cost more than the drag). It runs as
         // a pool job does: its trace is current and a panic becomes a 500.
-        let reactor_id = self.reactor_id();
         let start = Instant::now();
         let inline = {
             let _current = request_trace.as_ref().map(trace::set_current);
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                routes::inline(&self.state, &request, peer, reactor_id)
+                routes::inline(&self.state, &request, peer)
             }))
             .unwrap_or_else(|_| Some(internal_error()))
         };
@@ -974,7 +964,7 @@ impl Reactor {
             // it, `in_flight` never reaches zero again, the connection
             // wedges in Dispatched, and graceful drain can never finish.
             let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                routes::dispatch(&state, &request, peer, reactor_id)
+                routes::dispatch(&state, &request, peer)
             }))
             .unwrap_or_else(|_| internal_error());
             drop(guard);

@@ -85,7 +85,8 @@ use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
 use sns_faults::{FaultAction, Faults, SplitMix64};
@@ -373,6 +374,8 @@ pub struct ReplControl {
     snapshots_applied: AtomicU64,
     connects: AtomicU64,
     reconnect_backoff_ms: AtomicU64,
+    /// Set by [`shutdown`](ReplControl::shutdown): the follower loop exits.
+    stopping: AtomicBool,
 }
 
 impl ReplControl {
@@ -389,6 +392,7 @@ impl ReplControl {
             snapshots_applied: AtomicU64::new(0),
             connects: AtomicU64::new(0),
             reconnect_backoff_ms: AtomicU64::new(0),
+            stopping: AtomicBool::new(false),
         }
     }
 
@@ -442,6 +446,28 @@ impl ReplControl {
                 .0;
         }
         true
+    }
+
+    /// Stops this node's replication threads once its reactors have
+    /// drained: the follower loop exits at its next check (within one
+    /// read timeout or backoff slice), and a leader's hub closes its
+    /// listener and every follower stream, joining their threads. Runs
+    /// from `Server`'s `Drop`, so it must not panic: a poisoned lock still
+    /// holds a valid `Option`.
+    pub(crate) fn shutdown(&self) {
+        self.stopping.store(true, Ordering::Release);
+        let hub = self
+            .hub
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(hub) = hub {
+            hub.stop();
+        }
+    }
+
+    fn stopping(&self) -> bool {
+        self.stopping.load(Ordering::Acquire)
     }
 
     pub(crate) fn set_hub(&self, hub: Arc<ReplHub>) {
@@ -518,6 +544,10 @@ pub struct ReplHub {
     /// compiled out in release) unless the server was armed with a
     /// fault plan.
     faults: Faults,
+    /// Set by [`stop`](ReplHub::stop): the accept loop and every
+    /// streamer exit.
+    stopping: AtomicBool,
+    accept: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl ReplHub {
@@ -551,25 +581,35 @@ impl ReplHub {
             followers: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             faults,
+            stopping: AtomicBool::new(false),
+            accept: Mutex::new(None),
         });
         let accept_hub = Arc::clone(&hub);
-        std::thread::Builder::new()
+        let accept = std::thread::Builder::new()
             .name("sns-repl-accept".to_string())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    match conn {
-                        Ok(stream) => {
-                            let hub = Arc::clone(&accept_hub);
-                            let _ = std::thread::Builder::new()
-                                .name("sns-repl-stream".to_string())
-                                .spawn(move || serve_follower(&hub, stream));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(50)),
-                    }
-                }
-            })
+            .spawn(move || accept_loop(&accept_hub, &listener))
             .map_err(io::Error::other)?;
+        *hub.accept.lock().expect("accept lock") = Some(accept);
         Ok(hub)
+    }
+
+    /// Closes the listener and every follower stream, and joins the
+    /// threads serving them (a streamer stops within one [`STREAM_PARK`];
+    /// one blocked writing to a follower that stopped reading, within
+    /// [`LEADER_ACK_TIMEOUT`]). A throwaway connection to the listener wakes
+    /// the accept loop out of its blocking accept (on Linux, connecting
+    /// to a wildcard address reaches the local host).
+    fn stop(&self) {
+        self.stopping.store(true, Ordering::Release);
+        let _ = TcpStream::connect_timeout(&self.listen_addr, CONNECT_TIMEOUT);
+        let accept = self
+            .accept
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(accept) = accept {
+            let _ = accept.join();
+        }
     }
 
     /// The bound replication address (resolves port 0).
@@ -632,6 +672,33 @@ impl ReplHub {
                 info.apply_us = us;
             }
         }
+    }
+}
+
+/// Accepts followers, one streamer thread each, until the hub stops;
+/// then joins the streamers, which stop at their next pass.
+fn accept_loop(hub: &Arc<ReplHub>, listener: &TcpListener) {
+    let mut streamers: Vec<JoinHandle<()>> = Vec::new();
+    for conn in listener.incoming() {
+        if hub.stopping.load(Ordering::Acquire) {
+            break;
+        }
+        match conn {
+            Ok(stream) => {
+                streamers.retain(|streamer| !streamer.is_finished());
+                let hub = Arc::clone(hub);
+                if let Ok(streamer) = std::thread::Builder::new()
+                    .name("sns-repl-stream".to_string())
+                    .spawn(move || serve_follower(&hub, stream))
+                {
+                    streamers.push(streamer);
+                }
+            }
+            Err(_) => std::thread::sleep(Duration::from_millis(50)),
+        }
+    }
+    for streamer in streamers {
+        let _ = streamer.join();
     }
 }
 
@@ -799,7 +866,7 @@ fn stream_to_follower(
 ) -> io::Result<()> {
     let inner = &hub.inner;
     loop {
-        if closed.load(Ordering::Acquire) {
+        if closed.load(Ordering::Acquire) || hub.stopping.load(Ordering::Acquire) {
             return Ok(());
         }
         let seen = inner.signal.current();
@@ -898,13 +965,20 @@ fn stream_to_follower(
 // ---------------------------------------------------------------------------
 
 /// Spawns the follower loop: connect to the leader, apply its stream into
-/// the local store, serve reads, and promote on request.
-pub(crate) fn start_follower(state: Arc<ServerState>, leader: String) {
+/// the local store, serve reads, and promote on request. The loop runs
+/// until promotion or [`ReplControl::shutdown`].
+///
+/// # Errors
+///
+/// Fails when the thread cannot be spawned.
+pub(crate) fn start_follower(
+    state: Arc<ServerState>,
+    leader: String,
+) -> io::Result<JoinHandle<()>> {
     std::thread::Builder::new()
         .name("sns-repl-follower".to_string())
         .stack_size(WORKER_STACK)
         .spawn(move || follower_loop(&state, &leader))
-        .expect("spawn replication follower thread");
 }
 
 fn follower_loop(state: &Arc<ServerState>, leader: &str) {
@@ -926,6 +1000,9 @@ fn follower_loop(state: &Arc<ServerState>, leader: &str) {
     let mut resync = known.iter().any(|s| !s.is_empty());
     let mut backoff = Backoff::new();
     loop {
+        if control.stopping() {
+            return;
+        }
         if control.promotion_requested() {
             control.complete_promotion();
             obs_log::info("repl_promoted", &[("reason", Value::Str("stream_closed"))]);
@@ -967,6 +1044,9 @@ fn follower_loop(state: &Arc<ServerState>, leader: &str) {
                 return;
             }
             Err(e) => {
+                if control.stopping() {
+                    return;
+                }
                 if control.promotion_requested() {
                     control.complete_promotion();
                     obs_log::info(
@@ -1026,11 +1106,11 @@ fn connect_leader(leader: &str) -> io::Result<TcpStream> {
 
 /// Sleeps out a reconnect delay in short slices so a promotion request
 /// (fail-over is exactly when the leader is unreachable and the backoff
-/// is at its cap) is honored within ~50 ms, not seconds.
+/// is at its cap) or a shutdown is honored within ~50 ms, not seconds.
 fn sleep_backoff(control: &ReplControl, delay: Duration) {
     let deadline = Instant::now() + delay;
     loop {
-        if control.promotion_requested() {
+        if control.promotion_requested() || control.stopping() {
             return;
         }
         let left = deadline.saturating_duration_since(Instant::now());
@@ -1117,6 +1197,9 @@ fn apply_stream(
     // lineage could survive in the shards that were never reconciled.
     let mut snapped: HashSet<usize> = HashSet::new();
     loop {
+        if control.stopping() {
+            return Err(io::Error::new(io::ErrorKind::Interrupted, "server stopped"));
+        }
         match reader.next()? {
             Some(msg) => {
                 if *resync && msg.get("t").and_then(Json::as_str) == Some("snap") {
@@ -1303,11 +1386,11 @@ fn apply_msg(
                 }
                 Some(OwnedOp::SetCode(id, source)) => {
                     apply_session_op(state, &id, "set_code", |s| {
-                        s.apply_replicated_set_code(&source)
+                        s.apply_recorded_set_code(&source)
                     })?;
                 }
                 Some(OwnedOp::Commit(id, subst)) => {
-                    apply_session_op(state, &id, "commit", |s| s.apply_replicated(&subst))?;
+                    apply_session_op(state, &id, "commit", |s| s.apply_recorded_commit(&subst))?;
                 }
                 Some(OwnedOp::Delete(id)) => {
                     state.store.remove(&id)?;

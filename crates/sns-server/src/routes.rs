@@ -19,25 +19,6 @@ use crate::stats::ServerStats;
 use crate::store::{InsertError, SessionStore};
 use crate::timeline::{Kind as TimelineKind, Timelines};
 
-/// Identity of the reactor a request arrived on, threaded through
-/// dispatch so session creation can mint ids whose store shard is
-/// aligned with that reactor (`shard_index(id) % count == index`).
-/// Alignment is a locality optimization, never a correctness
-/// requirement: the store is shared, so any reactor serves any id.
-#[derive(Clone, Copy, Debug)]
-pub struct ReactorId {
-    /// This reactor's position in `0..count`.
-    pub index: usize,
-    /// Total number of reactors the server is running.
-    pub count: usize,
-}
-
-impl Default for ReactorId {
-    fn default() -> Self {
-        ReactorId { index: 0, count: 1 }
-    }
-}
-
 /// Per-request tracing state shared between the reactor (which allocates
 /// and finishes traces) and the routes (which dump them).
 pub struct Telemetry {
@@ -56,25 +37,12 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Creates telemetry state; `enabled = false` (`--no-trace`) makes
-    /// [`start_trace`](Telemetry::start_trace) a no-op returning `None`.
-    /// Single-reactor defaults; servers use
-    /// [`with_cluster`](Telemetry::with_cluster).
-    pub fn new(enabled: bool, ring_capacity: usize, slow_threshold_us: u64) -> Telemetry {
-        Telemetry::with_cluster(
-            enabled,
-            ring_capacity,
-            slow_threshold_us,
-            1_000_000,
-            1,
-            "local".to_string(),
-        )
-    }
-
-    /// Full constructor: `stall_us` arms the watchdog (0 disables),
-    /// `reactors` sizes the in-flight registry, `node` names this process
-    /// in propagated trace contexts.
-    pub fn with_cluster(
+    /// Creates telemetry state. `enabled = false` (`--no-trace`) makes
+    /// [`start_trace`](Telemetry::start_trace) a no-op returning `None`;
+    /// `stall_us` arms the watchdog (0 disables), `reactors` sizes the
+    /// in-flight registry, `node` names this process in propagated trace
+    /// contexts.
+    pub fn new(
         enabled: bool,
         ring_capacity: usize,
         slow_threshold_us: u64,
@@ -425,14 +393,8 @@ fn refuse(state: &Arc<ServerState>, segments: &[&str], why: Refusal) -> Response
 }
 
 /// Dispatches one parsed request against the state. `peer` is the client
-/// address the reactor accepted the connection from (quota accounting);
-/// `reactor` identifies the loop it arrived on (shard-aligned id minting).
-pub fn dispatch(
-    state: &Arc<ServerState>,
-    request: &Request,
-    peer: IpAddr,
-    reactor: ReactorId,
-) -> Response {
+/// address the reactor accepted the connection from (quota accounting).
+pub fn dispatch(state: &Arc<ServerState>, request: &Request, peer: IpAddr) -> Response {
     let segments = segments(request);
     if let Some(why) = refusal(state, request, &segments) {
         return refuse(state, &segments, why);
@@ -455,7 +417,7 @@ pub fn dispatch(
             Some(body) => Response::with_body(200, "application/x-ndjson", body),
             None => error_response(404, "no timeline for that session"),
         },
-        ("POST", ["sessions"]) => create_session(state, &request.body, peer, reactor),
+        ("POST", ["sessions"]) => create_session(state, &request.body, peer),
         ("GET", ["sessions", id, "canvas"]) => with_session(state, id, |s| Ok(s.canvas_json())),
         ("GET", ["sessions", id, "code"]) => with_session(state, id, |s| {
             Ok(Json::obj([("code", Json::str(s.code()))]))
@@ -497,17 +459,12 @@ pub fn dispatch(
 /// The reactor installs the request's trace as the current one around
 /// this call; the route stamps `Dispatched` once it is committed to
 /// answering.
-pub fn inline(
-    state: &Arc<ServerState>,
-    request: &Request,
-    peer: IpAddr,
-    reactor: ReactorId,
-) -> Option<Response> {
+pub fn inline(state: &Arc<ServerState>, request: &Request, peer: IpAddr) -> Option<Response> {
     let segments = segments(request);
     match (request.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz" | "stats" | "metrics"]) => {
             stamp_current(Stage::Dispatched);
-            Some(dispatch(state, request, peer, reactor))
+            Some(dispatch(state, request, peer))
         }
         ("POST", ["sessions", id, "drag"]) if refusal(state, request, &segments).is_none() => {
             inline_drag(state, request, id)
@@ -594,12 +551,7 @@ fn durable_quota_response(state: &Arc<ServerState>) -> Response {
     )
 }
 
-fn create_session(
-    state: &Arc<ServerState>,
-    body: &[u8],
-    peer: IpAddr,
-    reactor: ReactorId,
-) -> Response {
+fn create_session(state: &Arc<ServerState>, body: &[u8], peer: IpAddr) -> Response {
     let quota = state.max_sessions_per_ip;
     let durable_quota = state.max_durable_per_ip;
     // Cheap pre-checks: a client at quota is refused before its program
@@ -627,9 +579,7 @@ fn create_session(
     } else {
         return error_response(400, "body must carry `source` or `example`");
     };
-    let id = state
-        .store
-        .fresh_id_for(reactor.index, reactor.count.max(1));
+    let id = state.store.fresh_id();
     match Session::create(id.clone(), &source) {
         Ok(mut session) => {
             stamp_current(Stage::PrepareDone);

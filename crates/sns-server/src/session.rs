@@ -1,6 +1,5 @@
-//! One live-synchronization session: an [`Editor`] plus the in-flight drag
-//! bookkeeping that maps the editor's mouse-down/move/up protocol onto
-//! stateless HTTP requests.
+//! One live-synchronization session: an [`Editor`] whose mouse-down/move/up
+//! protocol is mapped onto stateless HTTP requests.
 //!
 //! The expensive `prepare` (zone assignments + triggers) lives inside the
 //! editor's `LiveSync` and is computed when the session is created and
@@ -34,8 +33,6 @@ pub struct Session {
     /// The session id (also the store key).
     pub id: String,
     editor: Editor,
-    /// The zone a drag is in progress on, if any.
-    drag: Option<(ShapeId, Zone)>,
     /// Monotone count of requests served by this session.
     pub requests: u64,
     /// Live-sync counters as of the last [`Session::live_stats_delta`]
@@ -65,9 +62,11 @@ struct JournalGuard {
 }
 
 impl JournalGuard {
-    fn finish(mut self, code: Option<&str>) {
+    /// Reports the post-apply editor on success, `None` on failure. The
+    /// program text is rendered only when a journal awaits it.
+    fn finish(mut self, applied: Option<&Editor>) {
         if let Some((backend, id)) = self.pending.take() {
-            backend.applied(&id, code);
+            backend.applied(&id, applied.map(Editor::code).as_deref());
         }
     }
 }
@@ -84,7 +83,7 @@ impl fmt::Debug for Session {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Session")
             .field("id", &self.id)
-            .field("drag", &self.drag)
+            .field("drag", &self.editor.drag_target())
             .field("requests", &self.requests)
             .field("durable", &self.persist.is_some())
             .finish_non_exhaustive()
@@ -124,7 +123,6 @@ impl Session {
         Ok(Session {
             id,
             editor,
-            drag: None,
             requests: 0,
             reported: sns_sync::LiveStats::default(),
             persist: None,
@@ -157,7 +155,7 @@ impl Session {
     /// Whether a drag is in progress (uncommitted preview state, which is
     /// deliberately *not* durable — the store must not demote it away).
     pub fn dragging(&self) -> bool {
-        self.drag.is_some()
+        self.editor.drag_target().is_some()
     }
 
     /// Whether a drag on `zone` of `shape` runs without evaluating or
@@ -166,7 +164,7 @@ impl Session {
     /// the live sync proves every step on that zone without evaluating
     /// ([`sns_sync::LiveSync::drag_is_proof_only`]).
     pub fn drag_is_proof_only(&self, shape: ShapeId, zone: Zone) -> bool {
-        self.drag.is_none_or(|d| d == (shape, zone))
+        self.editor.drag_target().is_none_or(|d| d == (shape, zone))
             && self.editor.live().drag_is_proof_only(shape, zone)
     }
 
@@ -216,13 +214,10 @@ impl Session {
             },
         })?;
         let result = apply(&mut self.editor);
-        match &result {
-            Ok(_) => {
-                stamp_current(Stage::PrepareDone);
-                guard.finish(Some(&self.editor.code()));
-            }
-            Err(_) => guard.finish(None),
+        if result.is_ok() {
+            stamp_current(Stage::PrepareDone);
         }
+        guard.finish(result.is_ok().then_some(&self.editor));
         result.map_err(|e| SessionError::bad(e.to_string()))
     }
 
@@ -319,16 +314,17 @@ impl Session {
         dx: f64,
         dy: f64,
     ) -> Result<Json, SessionError> {
-        if let Some(current) = self.drag {
-            if current != (shape, zone) {
-                self.commit()?;
-            }
+        if self
+            .editor
+            .drag_target()
+            .is_some_and(|d| d != (shape, zone))
+        {
+            self.commit()?;
         }
-        if self.drag.is_none() {
+        if self.editor.drag_target().is_none() {
             self.editor
                 .start_drag(shape, zone)
                 .map_err(|e| SessionError::bad(e.to_string()))?;
-            self.drag = Some((shape, zone));
         }
         match self.editor.drag_to(dx, dy) {
             Ok(feedback) => {
@@ -359,7 +355,9 @@ impl Session {
                 ]))
             }
             Err(e) => {
-                self.abort_drag();
+                // Leaving the editor's drag state behind would make every
+                // later `start_drag` fail, wedging the session.
+                self.editor.cancel_drag();
                 Err(SessionError::bad(e.to_string()))
             }
         }
@@ -383,7 +381,7 @@ impl Session {
     /// rather than applied un-durably) or the committed program no longer
     /// runs.
     pub fn commit(&mut self) -> Result<(), SessionError> {
-        if self.drag.take().is_none() {
+        if self.editor.drag_target().is_none() {
             return Ok(());
         }
         let Some(subst) = self.editor.pending_subst().cloned() else {
@@ -405,7 +403,6 @@ impl Session {
     /// The substitution [`commit`](Session::commit) would journal and
     /// apply right now — for harnesses that drive the journal by hand.
     pub fn pending_commit(&self) -> Option<Subst> {
-        self.drag.as_ref()?;
         self.editor.pending_subst().cloned()
     }
 
@@ -427,66 +424,33 @@ impl Session {
         ]))
     }
 
-    /// Replication: applies a commit streamed from the leader — the
-    /// follower-side twin of [`replay_commit`](Session::replay_commit),
-    /// but journaled into the follower's *own* WAL first (when one is
-    /// attached), so a promoted follower is durable in its own right.
-    /// Runs through the same incremental-prepare path as live traffic:
-    /// every replicated commit re-exercises `LiveSync::commit` as a
-    /// correctness oracle, exactly like boot recovery does.
+    /// Applies a commit read back from a journal record: the local WAL
+    /// on boot recovery, or the leader's stream on a follower. It runs
+    /// through the same incremental-prepare path as live traffic, so
+    /// every recovered or replicated commit re-exercises
+    /// `LiveSync::commit` as a correctness oracle. A follower journals it
+    /// into its *own* WAL first, so a promoted follower is durable in its
+    /// own right; a session being recovered has no backend attached yet,
+    /// so nothing is re-journaled.
     ///
     /// # Errors
     ///
     /// Fails when the record cannot be journaled locally or the program
-    /// no longer runs (deterministic — the same ops failed on the leader).
-    pub fn apply_replicated(&mut self, subst: &Subst) -> Result<(), SessionError> {
+    /// no longer runs (deterministic — the same op failed when first
+    /// journaled).
+    pub fn apply_recorded_commit(&mut self, subst: &Subst) -> Result<(), SessionError> {
         self.journaled_apply(MutOp::Commit(subst), |ed| ed.apply_subst(subst))
     }
 
-    /// Replication: applies a code replacement streamed from the leader,
-    /// journaled locally first (see [`apply_replicated`](Session::apply_replicated)).
+    /// Applies a code replacement read back from a journal record (see
+    /// [`apply_recorded_commit`](Session::apply_recorded_commit)).
     ///
     /// # Errors
     ///
     /// Fails when the record cannot be journaled locally or the text does
     /// not parse, evaluate, or render.
-    pub fn apply_replicated_set_code(&mut self, source: &str) -> Result<(), SessionError> {
+    pub fn apply_recorded_set_code(&mut self, source: &str) -> Result<(), SessionError> {
         self.journaled_apply(MutOp::SetCode(source), |ed| ed.set_code(source))
-    }
-
-    /// Journal replay: re-commits a recovered substitution through the
-    /// normal editor path (incremental prepare and all), *without*
-    /// re-journaling it.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the program no longer runs — deterministic, so this is
-    /// exactly the set of ops that also failed when first journaled.
-    pub fn replay_commit(&mut self, subst: &Subst) -> Result<(), SessionError> {
-        self.editor
-            .apply_subst(subst)
-            .map_err(|e| SessionError::bad(e.to_string()))
-    }
-
-    /// Journal replay: re-applies a recovered code replacement without
-    /// re-journaling it.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the text does not parse, evaluate, or render.
-    pub fn replay_set_code(&mut self, source: &str) -> Result<(), SessionError> {
-        self.editor
-            .set_code(source)
-            .map_err(|e| SessionError::bad(e.to_string()))
-    }
-
-    /// Abandons an in-flight drag in *both* the session bookkeeping and
-    /// the editor — leaving the editor's drag state behind would make
-    /// every later `start_drag` fail with "a drag is already in progress",
-    /// wedging the session permanently.
-    fn abort_drag(&mut self) {
-        self.drag = None;
-        self.editor.cancel_drag();
     }
 
     /// Ranks and applies the best update reconciling ad-hoc output edits

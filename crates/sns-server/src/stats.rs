@@ -571,7 +571,7 @@ mod tests {
         Arc::new_cyclic(|state| ServerState {
             store: SessionStore::new(8),
             stats: ServerStats::with_reactors(1, state),
-            telemetry: Telemetry::new(true, 16, 0),
+            telemetry: Telemetry::new(true, 16, 0, 0, 1, "local".to_string()),
             timelines: Arc::new(Timelines::new()),
             started: Instant::now(),
             max_sessions_per_ip: 0,

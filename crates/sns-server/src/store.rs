@@ -48,9 +48,7 @@ pub const SHARDS: usize = 16;
 /// unspecified across std versions — a data directory must read back under
 /// a binary built years later. One map serves three layers: the store's
 /// in-memory shards, the journal's per-shard WALs, and the replication
-/// protocol (a leader and follower agree on every record's shard). The
-/// reactor leans on it too: session ids minted on reactor R are chosen so
-/// `shard_index(id) % reactors == R`, making the drag fast path core-local.
+/// protocol (a leader and follower agree on every record's shard).
 pub fn shard_index(id: &str) -> usize {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in id.as_bytes() {
@@ -153,30 +151,6 @@ impl SessionStore {
         let mut h = self.id_key.build_hasher();
         h.write_u64(n);
         format!("s{n:04}-{:016x}", h.finish())
-    }
-
-    /// Allocates a fresh id whose shard is owned by reactor `reactor` out
-    /// of `reactors` — i.e. `shard_index(id) % reactors == reactor` — so
-    /// every later request for the session that arrives on its home
-    /// reactor touches only locks that reactor's sessions hash to.
-    /// Rejection sampling: each draw hits the right residue with
-    /// probability ~1/reactors, so the expected cost is `reactors` cheap
-    /// SipHash evaluations (bounded only probabilistically, but a miss
-    /// streak of even 64 is astronomically unlikely).
-    ///
-    /// `reactors` must not exceed [`SHARDS`] or some residues would be
-    /// unreachable; the server caps its reactor count accordingly.
-    pub fn fresh_id_for(&self, reactor: usize, reactors: usize) -> String {
-        debug_assert!(reactors <= SHARDS, "more reactors than shards");
-        if reactors <= 1 {
-            return self.fresh_id();
-        }
-        loop {
-            let id = self.fresh_id();
-            if shard_index(&id) % reactors == reactor % reactors {
-                return id;
-            }
-        }
     }
 
     /// Inserts a session, evicting (or demoting) the LRU session if the
@@ -612,20 +586,5 @@ mod tests {
         let a = store.fresh_id();
         let b = store.fresh_id();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn reactor_aligned_ids_land_on_their_reactor() {
-        let store = SessionStore::new(4);
-        for reactors in [1usize, 2, 3, 4, SHARDS] {
-            for reactor in 0..reactors {
-                let id = store.fresh_id_for(reactor, reactors);
-                assert_eq!(
-                    shard_index(&id) % reactors,
-                    reactor,
-                    "id {id} minted for reactor {reactor}/{reactors}"
-                );
-            }
-        }
     }
 }

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use sns_server::http::{Request, Response};
 use sns_server::json::{self, Json};
-use sns_server::routes::{self, ReactorId, ServerState, Telemetry};
+use sns_server::routes::{self, ServerState, Telemetry};
 use sns_server::stats::ServerStats;
 use sns_server::store::SessionStore;
 use sns_server::timeline::Timelines;
@@ -43,7 +43,7 @@ fn state(follower: bool, auth_token: Option<&str>) -> Arc<ServerState> {
     Arc::new_cyclic(|state| ServerState {
         store: SessionStore::new(64),
         stats: ServerStats::with_reactors(1, state),
-        telemetry: Telemetry::new(true, 64, u64::MAX),
+        telemetry: Telemetry::new(true, 64, u64::MAX, 0, 1, "local".to_string()),
         timelines: Arc::new(Timelines::new()),
         started: Instant::now(),
         max_sessions_per_ip: 0,
@@ -64,7 +64,7 @@ fn request(method: &str, path: &str, body: &str) -> Request {
 }
 
 fn dispatch(state: &Arc<ServerState>, req: &Request) -> Response {
-    routes::dispatch(state, req, PEER, ReactorId::default())
+    routes::dispatch(state, req, PEER)
 }
 
 fn create(state: &Arc<ServerState>) -> String {
@@ -105,7 +105,7 @@ impl Twins {
     fn drag(&self, shape: usize, zone: &str, dx: f64) -> bool {
         let body = format!("{{\"shape\":{shape},\"zone\":\"{zone}\",\"dx\":{dx},\"dy\":1}}");
         let req = request("POST", &format!("/sessions/{}/drag", self.subject), &body);
-        let (got, inlined) = match routes::inline(&self.state, &req, PEER, ReactorId::default()) {
+        let (got, inlined) = match routes::inline(&self.state, &req, PEER) {
             Some(resp) => (resp, true),
             None => (dispatch(&self.state, &req), false),
         };
@@ -171,7 +171,7 @@ fn a_locked_session_goes_to_the_pool() {
     locked_rx.recv().unwrap();
     let body = "{\"shape\":1,\"zone\":\"Interior\",\"dx\":7,\"dy\":1}";
     let req = request("POST", &format!("/sessions/{}/drag", twins.subject), body);
-    assert!(routes::inline(&twins.state, &req, PEER, ReactorId::default()).is_none());
+    assert!(routes::inline(&twins.state, &req, PEER).is_none());
     release_tx.send(()).unwrap();
     holder.join().unwrap();
     // The pool then serves it exactly as the reference.
@@ -187,7 +187,7 @@ fn a_locked_session_goes_to_the_pool() {
 fn refused_and_unroutable_drags_go_to_the_pool() {
     let body = "{\"shape\":1,\"zone\":\"Interior\",\"dx\":7,\"dy\":1}";
     let inline = |state: &Arc<ServerState>, req: &Request| {
-        routes::inline(state, req, PEER, ReactorId::default()).map(|r| r.status)
+        routes::inline(state, req, PEER).map(|r| r.status)
     };
     // Missing bearer token: the pool answers 401.
     let authed = state(false, Some("secret"));
