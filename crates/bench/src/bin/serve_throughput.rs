@@ -155,7 +155,9 @@ struct Pass {
     p99: f64,
     queue_p99: f64,
     fsyncs: f64,
-    journal_records: f64,
+    /// Journaled writes the run sent: every session create, and each
+    /// commit.
+    writes: u64,
     /// The six per-stage `(name, p50_ms, p99_ms)` rows from `/stats`
     /// (zeros when tracing is off).
     stages: Vec<(&'static str, f64, f64)>,
@@ -249,9 +251,11 @@ fn run_pass(args: &BenchArgs, trace: bool, pass_tag: &str) -> Pass {
             std::thread::spawn(move || drive_session(&addr, i, drags, commit_each, run_until))
         })
         .collect();
-    let mut requests = 0u64;
+    let (mut requests, mut writes) = (0u64, idle as u64);
     for w in workers {
-        requests += w.join().expect("worker");
+        let (r, w) = w.join().expect("worker");
+        requests += r;
+        writes += w;
     }
     let elapsed = start.elapsed().as_secs_f64();
     let rps = requests as f64 / elapsed;
@@ -292,7 +296,7 @@ fn run_pass(args: &BenchArgs, trace: bool, pass_tag: &str) -> Pass {
         p99: drive_quantiles.map_or_else(|| field("request_p99_ms"), |(_, p99)| p99),
         queue_p99: field("stage_queue_p99_ms"),
         fsyncs: field("fsyncs"),
-        journal_records: field("journal_records"),
+        writes,
         stages,
     };
     // Capture the debug surfaces while the server is still up; a gate
@@ -476,10 +480,11 @@ fn main() {
         (None, true) => "BENCH_server_idle.json".to_string(),
         (None, false) => "BENCH_server.json".to_string(),
     };
+    let fsyncs_per_write = pass.fsyncs / pass.writes.max(1) as f64;
     if args.fsync.is_some() {
         eprintln!(
-            "journal: {:.0} records, {:.0} fsyncs",
-            pass.journal_records, pass.fsyncs
+            "journal: {} durable writes sent, {:.0} fsyncs ({fsyncs_per_write:.3} per write)",
+            pass.writes, pass.fsyncs
         );
     }
     let fsync_field = args
@@ -488,8 +493,9 @@ fn main() {
         .map(|m| {
             format!(
                 "\n  \"fsync\": \"{m}\",\n  \"commit_per_drag\": true,\n  \
-                 \"fsyncs\": {:.0},\n  \"journal_records\": {:.0},",
-                pass.fsyncs, pass.journal_records
+                 \"fsyncs\": {:.0},\n  \"durable_writes\": {},\n  \
+                 \"fsyncs_per_write\": {fsyncs_per_write:.3},",
+                pass.fsyncs, pass.writes
             )
         })
         .unwrap_or_default();
@@ -598,8 +604,15 @@ fn connect(addr: &str) -> BufReader<TcpStream> {
 /// One client: create a session, then cycle rounds of `drags` drag
 /// requests (keep-alive) until `run_until` has passed — committing after
 /// every drag when `commit_each` (the durable/fsync workload), else once
-/// at the very end — and return the requests issued.
-fn drive_session(addr: &str, i: usize, drags: usize, commit_each: bool, run_until: Instant) -> u64 {
+/// at the very end — and return the requests issued and, of those, the
+/// journaled writes (the create and every commit).
+fn drive_session(
+    addr: &str,
+    i: usize,
+    drags: usize,
+    commit_each: bool,
+    run_until: Instant,
+) -> (u64, u64) {
     let mut stream = connect(addr);
     let source = format!(
         "(def [x0 y0 w h sep] [{} 28 60 130 110]) \
@@ -614,7 +627,7 @@ fn drive_session(addr: &str, i: usize, drags: usize, commit_each: bool, run_unti
     let (_, resp) = http_on(&mut stream, "POST", "/sessions", Some(&body));
     let id = str_field(&resp, "id");
 
-    let mut requests = 1u64;
+    let (mut requests, mut writes) = (1u64, 1u64);
     loop {
         for step in 1..=drags {
             let body = format!(
@@ -639,6 +652,7 @@ fn drive_session(addr: &str, i: usize, drags: usize, commit_each: bool, run_unti
                 );
                 assert_eq!(status, 200);
                 requests += 1;
+                writes += 1;
             }
         }
         if Instant::now() >= run_until {
@@ -646,7 +660,7 @@ fn drive_session(addr: &str, i: usize, drags: usize, commit_each: bool, run_unti
         }
     }
     if commit_each {
-        return requests;
+        return (requests, writes);
     }
     let (status, _) = http_on(
         &mut stream,
@@ -655,7 +669,7 @@ fn drive_session(addr: &str, i: usize, drags: usize, commit_each: bool, run_unti
         Some("{}"),
     );
     assert_eq!(status, 200);
-    requests + 1
+    (requests + 1, writes + 1)
 }
 
 /// One-shot request on a fresh connection.

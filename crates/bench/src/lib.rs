@@ -387,11 +387,14 @@ pub fn time_set_code(label: &'static str, src_a: &str, src_b: &str, edits: usize
     }
 }
 
-/// Sources for the `set_code` workloads: `base` is a canvas of
-/// independent rects whose first x is `(* 2 15)`; `literal` nudges that
-/// rect's y (a literal no control flow observes); `subtree` swaps the
-/// operator (same literals, one region); `structural` appends a shape.
-pub fn set_code_workload_sources() -> (String, String, String, String) {
+/// Sources for the `set_code` workloads: `base` is an unused definition
+/// followed by a canvas of independent rects whose first x is
+/// `(* 2 15)`, and each labelled edit of it is a workload: `literal`
+/// nudges that rect's y (a literal no control flow observes); `subtree`
+/// swaps that rect's operator (same literals, one region); `subtree_dead`
+/// swaps the unused definition's operator (a region no zone depends on);
+/// `structural` appends a shape.
+pub fn set_code_workload_sources() -> (String, Vec<(&'static str, String)>) {
     let mut shapes = String::from("(rect 'c0' (* 2 15) 10 20 20) ");
     for j in 1..40 {
         shapes.push_str(&format!(
@@ -400,11 +403,18 @@ pub fn set_code_workload_sources() -> (String, String, String, String) {
             60 + (j % 7) * 30
         ));
     }
-    let base = format!("(svg [{shapes}])");
-    let literal = base.replace("(* 2 15) 10 ", "(* 2 15) 11 ");
-    let subtree = base.replace("(* 2 15)", "(+ 2 15)");
-    let structural = format!("(svg [{shapes}(rect 'extra' 900 200 12 12)])");
-    (base, literal, subtree, structural)
+    let dead = "(def unused (* 7 1313))";
+    let base = format!("{dead}\n(svg [{shapes}])");
+    let edits = vec![
+        ("literal", base.replace("(* 2 15) 10 ", "(* 2 15) 11 ")),
+        ("subtree", base.replace("(* 2 15)", "(+ 2 15)")),
+        ("subtree_dead", base.replace("(* 7 1313)", "(+ 7 1313)")),
+        (
+            "structural",
+            format!("{dead}\n(svg [{shapes}(rect 'extra' 900 200 12 12)])"),
+        ),
+    ];
+    (base, edits)
 }
 
 /// Times `steps` consecutive drag steps (one simulated mouse-move each)

@@ -359,13 +359,15 @@ impl Editor {
     }
 
     /// Replaces the program text (a programmatic edit in the code pane),
-    /// pushing an undo point.
+    /// pushing an undo point. The new program keeps the current one's
+    /// evaluation limits.
     ///
     /// # Errors
     ///
     /// Fails when the new text does not parse, evaluate, or render.
     pub fn set_code(&mut self, source: &str) -> Result<(), EditorError> {
-        let program = Program::parse(source)?;
+        let mut program = Program::parse(source)?;
+        program.set_limits(self.live.program().limits());
         self.undoable(|live| live.set_program_diffed(program).map(drop))
     }
 

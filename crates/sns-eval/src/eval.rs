@@ -160,7 +160,7 @@ impl Evaluator {
             Expr::Lambda(params, body) => Ok(Value::Closure(Arc::new(Closure {
                 rec_name: None,
                 params: params.clone(),
-                body: (**body).clone(),
+                body: Arc::clone(body),
                 env: env.clone(),
             }))),
             Expr::App(head, args) => {
@@ -193,7 +193,7 @@ impl Evaluator {
                         (Pat::Var(name), Value::Closure(c)) => Value::Closure(Arc::new(Closure {
                             rec_name: Some(name.clone()),
                             params: c.params.clone(),
-                            body: c.body.clone(),
+                            body: Arc::clone(&c.body),
                             env: c.env.clone(),
                         })),
                         (Pat::Var(_), other) => {
@@ -288,7 +288,7 @@ impl Evaluator {
             return Ok(Value::Closure(Arc::new(Closure {
                 rec_name: None,
                 params: clos.params[n..].to_vec(),
-                body: clos.body.clone(),
+                body: Arc::clone(&clos.body),
                 env,
             })));
         }

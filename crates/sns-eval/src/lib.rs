@@ -41,7 +41,7 @@ pub use eval::{
 };
 pub use patch::{Sweep, TapeBuilder, TraceTape};
 pub use program::{EvalOutcome, FreezeMode, LocInfo, Program, PRELUDE_SRC};
-pub use trace::Trace;
+pub use trace::{LocMemo, Trace};
 pub use value::{Closure, Value};
 
 /// Runs `f` on a thread with a large stack and returns its result.

@@ -16,13 +16,13 @@
 //! binds, recomputing only the nodes downstream of a changed location.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use sns_lang::{LocId, Op, Subst};
 
 use crate::eval::apply_num_op;
-use crate::trace::Trace;
+use crate::trace::{AddrHasher, Trace};
 
 /// One tape node. A node's arguments always precede it.
 #[derive(Debug, Clone, Copy)]
@@ -264,27 +264,6 @@ impl<'t> TapeBuilder<'t, '_> {
             },
             val,
         )
-    }
-}
-
-/// Hashes a node address with one multiply: addresses are distinct and
-/// 8-aligned, so SipHash's collision resistance buys nothing here.
-#[derive(Debug, Default)]
-struct AddrHasher(u64);
-
-impl Hasher for AddrHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.0 = (n as u64 >> 3).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     }
 }
 

@@ -268,6 +268,11 @@ impl Program {
         self.limits = limits;
     }
 
+    /// The evaluation resource limits.
+    pub fn limits(&self) -> Limits {
+        self.limits
+    }
+
     /// The user-program AST (excluding the Prelude).
     pub fn user_expr(&self) -> &Expr {
         &self.user_expr
@@ -431,14 +436,12 @@ fn extend_with_defs(ev: &mut Evaluator, env: Env, expr: &Expr) -> Result<Env, Ev
         let bound_v = ev.eval(&env, bound)?;
         let bound_v = if *recursive {
             match (pat, bound_v) {
-                (Pat::Var(name), Value::Closure(c)) => {
-                    Value::Closure(std::sync::Arc::new(Closure {
-                        rec_name: Some(name.clone()),
-                        params: c.params.clone(),
-                        body: c.body.clone(),
-                        env: c.env.clone(),
-                    }))
-                }
+                (Pat::Var(name), Value::Closure(c)) => Value::Closure(Arc::new(Closure {
+                    rec_name: Some(name.clone()),
+                    params: c.params.clone(),
+                    body: Arc::clone(&c.body),
+                    env: c.env.clone(),
+                })),
                 _ => return Err(EvalError::new("defrec requires a function")),
             }
         } else {

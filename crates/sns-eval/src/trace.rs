@@ -9,8 +9,9 @@
 //! A value `n` paired with its trace `t` forms a *value-trace equation*
 //! `n = t`, the raw material of trace-based program synthesis.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use sns_lang::{LocId, Op};
@@ -71,9 +72,9 @@ impl Trace {
         }
     }
 
-    /// Counts occurrences of every location (used by the biased heuristic's
-    /// `Count(ℓ)` and by trace-size statistics).
-    pub fn count_locs_into(&self, counts: &mut std::collections::HashMap<LocId, usize>) {
+    /// Counts occurrences of every location, walking the trace as a tree:
+    /// the definition [`LocMemo::counts`] memoizes over the DAG.
+    pub fn count_locs_into(&self, counts: &mut HashMap<LocId, usize>) {
         match self {
             Trace::Loc(l) => *counts.entry(*l).or_insert(0) += 1,
             Trace::Op(_, args) => {
@@ -102,6 +103,153 @@ impl Trace {
             Trace::Op(..) => false,
         }
     }
+}
+
+/// Hashes a node address with one multiply: addresses are distinct and
+/// 8-aligned, so SipHash's collision resistance buys nothing here.
+#[derive(Debug, Default)]
+pub(crate) struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (n as u64 >> 3).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// A trace's locations with their occurrence counts, ascending by
+/// location: `Locs(t)` and every `Count(ℓ)` within `t` in one list.
+type LocCounts = Arc<[(LocId, u64)]>;
+
+/// The location counts of traces, memoized by trace address.
+///
+/// Traces are DAGs: a number used twice shares its trace node, so a tree
+/// walk of a canvas's traces ([`Trace::locs`], [`Trace::count_locs_into`])
+/// revisits shared sub-traces once per path to them. The memo visits each
+/// node once, with an explicit work list (no recursion follows trace
+/// depth), and keeps the counts of shared nodes and of every trace asked
+/// for. Keys are addresses, so the memo borrows the traces it has seen
+/// for `'t`: it cannot outlive them, and an address cannot be reused
+/// while it is alive.
+#[derive(Debug)]
+pub struct LocMemo<'t> {
+    by_addr: HashMap<*const Trace, LocCounts, BuildHasherDefault<AddrHasher>>,
+    /// The counts of each location's leaf, by location id.
+    leaves: Vec<Option<LocCounts>>,
+    /// Depth-first work list: visit a trace, or merge the counts of an
+    /// operation whose arguments are done.
+    work: Vec<(&'t Arc<Trace>, bool)>,
+    /// Counts of visited traces not yet consumed by their operation.
+    done: Vec<LocCounts>,
+    empty: LocCounts,
+}
+
+impl Default for LocMemo<'_> {
+    fn default() -> Self {
+        LocMemo {
+            by_addr: HashMap::default(),
+            leaves: Vec::new(),
+            work: Vec::new(),
+            done: Vec::new(),
+            empty: Arc::new([]),
+        }
+    }
+}
+
+impl<'t> LocMemo<'t> {
+    /// The locations of `t` with their occurrence counts (as in
+    /// [`Trace::count_locs_into`], saturating), ascending by location.
+    pub fn counts(&mut self, t: &'t Arc<Trace>) -> &[(LocId, u64)] {
+        let key = Arc::as_ptr(t);
+        if !self.by_addr.contains_key(&key) {
+            self.work.push((t, false));
+            while let Some((t, merge)) = self.work.pop() {
+                // Only the asked-for trace itself leaves an empty work
+                // list; it is always kept.
+                let shared = self.work.is_empty() || Arc::strong_count(t) > 1;
+                let counts = match &**t {
+                    Trace::Op(_, args) if merge => {
+                        let first = self.done.len() - args.len();
+                        let counts = merge_counts(&self.done[first..], &self.empty);
+                        self.done.truncate(first);
+                        counts
+                    }
+                    _ if shared && self.by_addr.contains_key(&Arc::as_ptr(t)) => {
+                        self.done.push(Arc::clone(&self.by_addr[&Arc::as_ptr(t)]));
+                        continue;
+                    }
+                    Trace::Loc(l) => self.leaf(*l),
+                    Trace::Op(_, args) => {
+                        self.work.push((t, true));
+                        self.work.extend(args.iter().rev().map(|a| (a, false)));
+                        continue;
+                    }
+                };
+                if shared {
+                    self.by_addr.insert(Arc::as_ptr(t), Arc::clone(&counts));
+                }
+                self.done.push(counts);
+            }
+            self.done.clear();
+        }
+        &self.by_addr[&key]
+    }
+
+    fn leaf(&mut self, l: LocId) -> LocCounts {
+        let slot = l.0 as usize;
+        if self.leaves.len() <= slot {
+            self.leaves.resize(slot + 1, None);
+        }
+        Arc::clone(self.leaves[slot].get_or_insert_with(|| Arc::new([(l, 1)])))
+    }
+}
+
+/// The counts of an operation: its arguments' counts summed location by
+/// location. An operation with one counted argument shares its list.
+fn merge_counts(args: &[LocCounts], empty: &LocCounts) -> LocCounts {
+    let mut counted = args.iter().filter(|c| !c.is_empty());
+    let Some(first) = counted.next() else {
+        return Arc::clone(empty);
+    };
+    let Some(second) = counted.next() else {
+        return Arc::clone(first);
+    };
+    let mut acc = first.to_vec();
+    for next in std::iter::once(second).chain(counted) {
+        let mut merged = Vec::with_capacity(acc.len() + next.len());
+        let (mut i, mut j) = (0, 0);
+        while i < acc.len() && j < next.len() {
+            let ((la, ca), (lb, cb)) = (acc[i], next[j]);
+            merged.push(match la.cmp(&lb) {
+                std::cmp::Ordering::Less => {
+                    i += 1;
+                    (la, ca)
+                }
+                std::cmp::Ordering::Greater => {
+                    j += 1;
+                    (lb, cb)
+                }
+                std::cmp::Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                    (la, ca.saturating_add(cb))
+                }
+            });
+        }
+        merged.extend_from_slice(&acc[i..]);
+        merged.extend_from_slice(&next[j..]);
+        acc = merged;
+    }
+    acc.into()
 }
 
 impl fmt::Display for Trace {
@@ -154,6 +302,26 @@ mod tests {
         assert!(t.is_addition_only());
         let t = Trace::op(Op::Add, vec![l(1), Trace::op(Op::Mul, vec![l(2), l(3)])]);
         assert!(!t.is_addition_only());
+    }
+
+    #[test]
+    fn memoized_counts_match_the_tree_walk_on_shared_dags() {
+        // s = (+ l1 l2) is used twice, and the result once more: the tree
+        // walk counts every path.
+        let s = Trace::op(Op::Add, vec![l(1), l(2)]);
+        let t = Trace::op(Op::Mul, vec![Arc::clone(&s), s]);
+        let u = Trace::op(Op::Add, vec![Arc::clone(&t), Trace::op(Op::Sin, vec![t])]);
+        let (pi, leaf) = (Trace::op(Op::Pi, vec![]), l(7));
+        let mut memo = LocMemo::default();
+        for trace in [&u, &pi, &leaf] {
+            let mut want = std::collections::HashMap::new();
+            trace.count_locs_into(&mut want);
+            let mut want: Vec<(LocId, u64)> =
+                want.into_iter().map(|(l, c)| (l, c as u64)).collect();
+            want.sort();
+            assert_eq!(memo.counts(trace), &want[..], "{trace}");
+        }
+        assert_eq!(memo.counts(&u), &[(LocId(1), 4), (LocId(2), 4)]);
     }
 
     #[test]

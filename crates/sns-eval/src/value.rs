@@ -37,8 +37,8 @@ pub struct Closure {
     pub rec_name: Option<String>,
     /// Parameter patterns (multi-parameter lambdas are applied curried).
     pub params: Vec<Pat>,
-    /// The function body.
-    pub body: Expr,
+    /// The function body, shared with the λ it was evaluated from.
+    pub body: Arc<Expr>,
     /// The captured environment.
     pub env: Env,
 }

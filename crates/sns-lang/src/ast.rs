@@ -7,6 +7,7 @@
 //! slider for the constant.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A program location: the identity of one numeric literal in the AST.
 ///
@@ -289,8 +290,9 @@ pub enum Expr {
     Var(String),
     /// List literal `[e1 … em]` or `[e1 … em|e0]`. `List(vec![], None)` is `[]`.
     List(Vec<Expr>, Option<Box<Expr>>),
-    /// Function `(λ p1 … pm e)` (multi-parameter sugar retained).
-    Lambda(Vec<Pat>, Box<Expr>),
+    /// Function `(λ p1 … pm e)` (multi-parameter sugar retained). The body
+    /// is shared: every closure the λ evaluates to holds the same body.
+    Lambda(Vec<Pat>, Arc<Expr>),
     /// Application `(e0 e1 … em)` (curried sugar retained).
     App(Box<Expr>, Vec<Expr>),
     /// Primitive operation `(opm e1 … em)`.
@@ -359,7 +361,9 @@ impl Expr {
         }
     }
 
-    /// Walks the expression tree mutably (pre-order).
+    /// Walks the expression tree mutably (pre-order). A λ body shared with
+    /// another tree (or a closure) is copied before it is visited, so the
+    /// walk's writes stay private to this tree.
     pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
         f(self);
         match self {
@@ -372,7 +376,7 @@ impl Expr {
                     t.walk_mut(f);
                 }
             }
-            Expr::Lambda(_, body) => body.walk_mut(f),
+            Expr::Lambda(_, body) => Arc::make_mut(body).walk_mut(f),
             Expr::App(e0, es) => {
                 e0.walk_mut(f);
                 for e in es {

@@ -9,6 +9,8 @@
 //! next free location into [`parse_with_locs`] so user-program locations
 //! never collide with Prelude locations.
 
+use std::sync::Arc;
+
 use crate::ast::{Expr, LetStyle, NumLit, Op, Pat};
 use crate::error::{ParseError, Pos};
 use crate::token::{lex, Token, TokenKind};
@@ -199,7 +201,7 @@ impl Parser {
                 let params = self.parse_params()?;
                 let body = self.parse_expr()?;
                 self.expect(&TokenKind::RParen, "`)` to close lambda")?;
-                Ok(Expr::Lambda(params, Box::new(body)))
+                Ok(Expr::Lambda(params, Arc::new(body)))
             }
             Some(TokenKind::Sym(s)) => {
                 let s = s.clone();

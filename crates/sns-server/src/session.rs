@@ -533,6 +533,21 @@ mod tests {
     }
 
     #[test]
+    fn set_code_keeps_the_server_limits() {
+        // Recursion deeper than the server's depth limit but within the
+        // library default: refused on create and on set_code alike.
+        let deep = "(defrec f (λ n (if (< n 1) 0 (+ 1 (f (- n 1))))))
+                    (svg [(rect 'gold' (f 1500) 20 30 40)])";
+        assert!(Program::parse(deep).unwrap().eval().is_ok());
+        let err = Session::create("s0".into(), deep).unwrap_err();
+        assert!(err.msg.contains("limit"), "{}", err.msg);
+        let mut s = Session::create("s1".into(), "(svg [(rect 'gold' 10 20 30 40)])").unwrap();
+        let err = s.set_code(deep).unwrap_err();
+        assert!(err.msg.contains("limit"), "{}", err.msg);
+        assert_eq!(s.code(), "(svg [(rect 'gold' 10 20 30 40)])");
+    }
+
+    #[test]
     fn failed_drag_does_not_wedge_the_session() {
         // A drag whose re-evaluation fails must fully unwind the editor's
         // drag state, or every later drag dies with "already in progress".

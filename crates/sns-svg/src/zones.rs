@@ -146,7 +146,7 @@ impl fmt::Display for AttrRef {
 }
 
 /// How an attribute responds to a mouse drag (Figure 5's ±dx / ±dy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Offset {
     /// Covariant with horizontal movement (`+dx`).
     PlusDx,

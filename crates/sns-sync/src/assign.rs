@@ -13,13 +13,24 @@
 //! * the **biased** heuristic prefers location sets whose locations occur in
 //!   few run-time traces (`Score = Π Count(ℓ)`), falling back to fair
 //!   rotation on ties.
+//!
+//! One analysis shares its work across zones through a `PrepareMemo`:
+//! each trace's locations are computed once per trace address, and
+//! candidates are enumerated once per distinct *slot signature* — the
+//! zone's (attribute, offset, non-frozen locations) list, which is all
+//! enumeration reads. A canvas of many look-alike shapes (a keyboard's
+//! keys, a tessellation's tiles) has far fewer signatures than zones, and
+//! zones of one signature share one candidate list. The memo lives for one
+//! prepare; nothing is cached across prepares.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use sns_eval::Trace;
+use sns_eval::{LocMemo, Trace};
 use sns_lang::LocId;
-use sns_svg::{resolve_attr, AttrRef, Canvas, Offset, ShapeId, Zone};
+use sns_svg::{resolve_attr, AttrRef, Canvas, Offset, Shape, ShapeId, Zone, ZoneSpec};
 
 /// Disambiguation strategy (§4.1 "Fair", Appendix B.1 "Biased").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,8 +81,9 @@ pub struct ZoneAnalysis {
     pub zone: Zone,
     /// Attribute slots (in Figure 5 order).
     pub slots: Vec<AttrSlot>,
-    /// Distinct candidate location sets (deduplicated, capped).
-    pub candidates: Vec<Candidate>,
+    /// Distinct candidate location sets (deduplicated, capped), shared by
+    /// every zone of the prepare with the same slot signature.
+    pub candidates: Arc<[Candidate]>,
     /// Whether enumeration hit [`CANDIDATE_CAP`].
     pub overflow: bool,
     /// Index into `candidates` of the heuristic's choice; `None` when the
@@ -178,24 +190,88 @@ pub fn analyze_canvas(
     is_frozen: &dyn Fn(LocId) -> bool,
     heuristic: Heuristic,
 ) -> Assignments {
-    let counts = heuristic_counts(canvas, heuristic);
+    analyze_canvas_with(canvas, is_frozen, heuristic, &mut PrepareMemo::default())
+}
+
+/// [`analyze_canvas`] feeding `memo`, which the caller may go on using
+/// for the same prepare (the dependence index reads its trace locations).
+pub(crate) fn analyze_canvas_with<'t>(
+    canvas: &'t Canvas,
+    is_frozen: &dyn Fn(LocId) -> bool,
+    heuristic: Heuristic,
+    memo: &mut PrepareMemo<'t>,
+) -> Assignments {
+    let counts = heuristic_counts(canvas, heuristic, &mut memo.locs);
     let mut zones = Vec::new();
     for shape in canvas.shapes() {
-        zones.extend(analyze_shape_zones(shape, is_frozen));
+        zones.extend(analyze_shape_zones(shape, is_frozen, memo));
     }
     choose_all(&mut zones, heuristic, &counts);
     Assignments { heuristic, zones }
 }
 
+/// What one prepare shares across zones: each trace's locations, by trace
+/// address, and each distinct slot signature's candidates.
+#[derive(Debug, Default)]
+pub(crate) struct PrepareMemo<'t> {
+    pub(crate) locs: LocMemo<'t>,
+    /// Signature hash → the signatures with that hash, each with its
+    /// candidates.
+    candidates: HashMap<u64, Vec<(Vec<SlotSig>, Enumerated)>>,
+}
+
+/// What candidate enumeration reads of one slot.
+type SlotSig = (AttrRef, Offset, Vec<LocId>);
+
+/// A zone's candidates and whether their enumeration overflowed.
+type Enumerated = (Arc<[Candidate]>, bool);
+
+impl PrepareMemo<'_> {
+    /// The candidates of a zone with these slots, enumerated on the first
+    /// request for their signature.
+    fn candidates(&mut self, slots: &[AttrSlot]) -> Enumerated {
+        let mut hasher = DefaultHasher::new();
+        for slot in slots {
+            (&slot.attr, slot.offset, &slot.locs).hash(&mut hasher);
+        }
+        let bucket = self.candidates.entry(hasher.finish()).or_default();
+        let same = |sig: &[SlotSig]| {
+            sig.len() == slots.len()
+                && sig.iter().zip(slots).all(|((attr, offset, locs), s)| {
+                    (attr, offset, locs) == (&s.attr, &s.offset, &s.locs)
+                })
+        };
+        if let Some((_, (candidates, overflow))) = bucket.iter().find(|(sig, _)| same(sig)) {
+            return (Arc::clone(candidates), *overflow);
+        }
+        let (candidates, overflow) = enumerate_candidates(slots);
+        let candidates: Arc<[Candidate]> = candidates.into();
+        let sig = slots
+            .iter()
+            .map(|s| (s.attr.clone(), s.offset, s.locs.clone()))
+            .collect();
+        bucket.push((sig, (Arc::clone(&candidates), overflow)));
+        (candidates, overflow)
+    }
+}
+
 /// Global occurrence counts Count(ℓ) for the biased heuristic. The fair
 /// heuristic never reads counts (its score term is constant), so the map is
 /// left empty to skip the canvas walk.
-pub(crate) fn heuristic_counts(canvas: &Canvas, heuristic: Heuristic) -> HashMap<LocId, usize> {
+pub(crate) fn heuristic_counts<'t>(
+    canvas: &'t Canvas,
+    heuristic: Heuristic,
+    memo: &mut LocMemo<'t>,
+) -> HashMap<LocId, usize> {
     let mut counts: HashMap<LocId, usize> = HashMap::new();
     if heuristic == Heuristic::Biased {
         for shape in canvas.shapes() {
             for num in shape.node.attr_nums() {
-                num.t.count_locs_into(&mut counts);
+                for &(l, n) in memo.counts(&num.t) {
+                    let n = usize::try_from(n).unwrap_or(usize::MAX);
+                    let count = counts.entry(l).or_insert(0);
+                    *count = count.saturating_add(n);
+                }
             }
         }
     }
@@ -207,42 +283,54 @@ pub(crate) fn heuristic_counts(canvas: &Canvas, heuristic: Heuristic) -> HashMap
 /// shape's analyses depend only on its own node and the frozen set, so a
 /// stitched re-prepare can reuse them for structurally unchanged shapes and
 /// re-run only the sequential [`choose_all`] pass.
-pub(crate) fn analyze_shape_zones(
-    shape: &sns_svg::Shape,
+pub(crate) fn analyze_shape_zones<'t>(
+    shape: &'t Shape,
     is_frozen: &dyn Fn(LocId) -> bool,
+    memo: &mut PrepareMemo<'t>,
 ) -> Vec<ZoneAnalysis> {
-    let mut zones = Vec::new();
-    for spec in shape.zones() {
-        let mut slots = Vec::new();
-        for (attr, offset) in &spec.effects {
-            let Some(num) = resolve_attr(&shape.node, attr) else {
-                continue;
-            };
-            let locs: Vec<LocId> = num
-                .t
-                .locs()
-                .into_iter()
-                .filter(|l| !is_frozen(*l))
-                .collect();
-            slots.push(AttrSlot {
-                attr: attr.clone(),
-                offset: *offset,
-                base: num.n,
-                trace: Arc::clone(&num.t),
-                locs,
-            });
-        }
-        let (candidates, overflow) = enumerate_candidates(&slots);
-        zones.push(ZoneAnalysis {
-            shape: shape.id,
-            zone: spec.zone,
-            slots,
-            candidates,
-            overflow,
-            chosen: None,
+    shape
+        .zones()
+        .iter()
+        .map(|spec| analyze_zone(shape, spec, is_frozen, memo))
+        .collect()
+}
+
+/// One zone's slots and candidates, with `chosen` left `None`.
+fn analyze_zone<'t>(
+    shape: &'t Shape,
+    spec: &ZoneSpec,
+    is_frozen: &dyn Fn(LocId) -> bool,
+    memo: &mut PrepareMemo<'t>,
+) -> ZoneAnalysis {
+    let mut slots = Vec::new();
+    for (attr, offset) in &spec.effects {
+        let Some(num) = resolve_attr(&shape.node, attr) else {
+            continue;
+        };
+        let locs: Vec<LocId> = memo
+            .locs
+            .counts(&num.t)
+            .iter()
+            .map(|&(l, _)| l)
+            .filter(|l| !is_frozen(*l))
+            .collect();
+        slots.push(AttrSlot {
+            attr: attr.clone(),
+            offset: *offset,
+            base: num.n,
+            trace: Arc::clone(&num.t),
+            locs,
         });
     }
-    zones
+    let (candidates, overflow) = memo.candidates(&slots);
+    ZoneAnalysis {
+        shape: shape.id,
+        zone: spec.zone,
+        slots,
+        candidates,
+        overflow,
+        chosen: None,
+    }
 }
 
 /// The sequential disambiguation pass of [`analyze_canvas`]: walks the
@@ -527,6 +615,164 @@ mod tests {
         assert_eq!(z.candidates.len(), 1);
         let c = z.chosen_candidate().unwrap();
         assert_eq!(c.loc_set.len(), 2); // {x, y} literal locations
+    }
+
+    /// The analysis with nothing shared between zones: a fresh memo per
+    /// zone, and the biased heuristic's counts from a tree walk.
+    fn analyze_unshared(
+        canvas: &Canvas,
+        is_frozen: &dyn Fn(LocId) -> bool,
+        heuristic: Heuristic,
+    ) -> Assignments {
+        let mut counts = HashMap::new();
+        if heuristic == Heuristic::Biased {
+            for shape in canvas.shapes() {
+                for num in shape.node.attr_nums() {
+                    num.t.count_locs_into(&mut counts);
+                }
+            }
+        }
+        let mut zones = Vec::new();
+        for shape in canvas.shapes() {
+            for spec in shape.zones() {
+                let mut memo = PrepareMemo::default();
+                zones.push(analyze_zone(shape, &spec, is_frozen, &mut memo));
+            }
+        }
+        choose_all(&mut zones, heuristic, &counts);
+        Assignments { heuristic, zones }
+    }
+
+    /// A zone's analysis as text, with each slot's trace by address.
+    fn describe(z: &ZoneAnalysis) -> String {
+        let slots: Vec<_> = z
+            .slots
+            .iter()
+            .map(|s| {
+                let at = Arc::as_ptr(&s.trace);
+                (&s.attr, s.offset, s.base.to_bits(), &s.locs, at)
+            })
+            .collect();
+        let candidates: Vec<_> = z
+            .candidates
+            .iter()
+            .map(|c| (&c.loc_set, &c.assignment))
+            .collect();
+        format!(
+            "{} {} {slots:?} {candidates:?} overflow={} chosen={:?}",
+            z.shape, z.zone, z.overflow, z.chosen
+        )
+    }
+
+    #[test]
+    fn shared_analysis_matches_an_unshared_one_across_the_corpus() {
+        sns_eval::with_big_stack(|| {
+            let modes = [
+                FreezeMode::annotated_only(),
+                FreezeMode::all_except_thawed(),
+                FreezeMode::nothing_frozen(),
+            ];
+            for example in sns_examples::ALL {
+                let program = Program::parse(example.source).unwrap();
+                let canvas = Canvas::from_value(&program.eval().unwrap()).unwrap();
+                for mode in modes {
+                    let frozen = |l: LocId| program.is_frozen(l, mode);
+                    for heuristic in [Heuristic::Fair, Heuristic::Biased] {
+                        let shared = analyze_canvas(&canvas, &frozen, heuristic);
+                        let unshared = analyze_unshared(&canvas, &frozen, heuristic);
+                        let at = format!("{} {mode:?} {heuristic:?}", example.slug);
+                        assert_eq!(shared.zones.len(), unshared.zones.len(), "{at}");
+                        for (a, b) in shared.zones.iter().zip(&unshared.zones) {
+                            assert_eq!(describe(a), describe(b), "{at}");
+                            for slot in &a.slots {
+                                let walked: Vec<LocId> = slot
+                                    .trace
+                                    .locs()
+                                    .into_iter()
+                                    .filter(|l| !frozen(*l))
+                                    .collect();
+                                assert_eq!(slot.locs, walked, "{at}: {}", slot.attr);
+                            }
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn look_alike_zones_share_one_candidate_list() {
+        let example = sns_examples::by_slug("keyboard").unwrap();
+        let program = Program::parse(example.source).unwrap();
+        let canvas = Canvas::from_value(&program.eval().unwrap()).unwrap();
+        let frozen = |l: LocId| program.is_frozen(l, FreezeMode::default());
+        let a = analyze_canvas(&canvas, &frozen, Heuristic::Fair);
+        let lists: BTreeSet<*const Candidate> =
+            a.zones.iter().map(|z| z.candidates.as_ptr()).collect();
+        assert!(
+            lists.len() * 10 < a.zones.len(),
+            "{} candidate lists for {} zones",
+            lists.len(),
+            a.zones.len()
+        );
+    }
+
+    /// Drops a trace without recursing on its depth.
+    fn drop_flat(t: Arc<Trace>) {
+        let mut work = vec![t];
+        while let Some(t) = work.pop() {
+            if let Ok(Trace::Op(_, args)) = Arc::try_unwrap(t) {
+                work.extend(args);
+            }
+        }
+    }
+
+    #[test]
+    fn a_deep_trace_prepares_on_a_default_thread_stack() {
+        use sns_eval::Value;
+        use sns_lang::Op;
+
+        // Rust's default stack for a spawned thread: 2 MiB.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let (a, b) = (LocId(0), LocId(1));
+                let deep = (0..100_000).fold(Trace::loc(a), |t, _| {
+                    Trace::op(Op::Add, vec![t, Trace::loc(b)])
+                });
+                let pair = |k: &str, v: Value| Value::from_vec(vec![Value::str(k), v]);
+                let num = |t: Arc<Trace>| Value::Num(7.0, t);
+                let rect = Value::from_vec(vec![
+                    Value::str("rect"),
+                    Value::from_vec(vec![
+                        pair("x", num(Arc::clone(&deep))),
+                        pair("y", num(Trace::loc(LocId(2)))),
+                        pair("width", num(Trace::loc(LocId(3)))),
+                        pair("height", num(Trace::loc(LocId(4)))),
+                    ]),
+                    Value::Nil,
+                ]);
+                let svg = Value::from_vec(vec![
+                    Value::str("svg"),
+                    Value::Nil,
+                    Value::from_vec(vec![rect]),
+                ]);
+                let canvas = Canvas::from_value(&svg).unwrap();
+                drop(svg);
+                for heuristic in [Heuristic::Fair, Heuristic::Biased] {
+                    let mut memo = PrepareMemo::default();
+                    let a = analyze_canvas_with(&canvas, &|_| false, heuristic, &mut memo);
+                    let index = crate::DepIndex::build(&a, &mut memo.locs);
+                    let x = a.zone(ShapeId(0), Zone::Interior).unwrap();
+                    assert_eq!(x.slots[0].locs, vec![LocId(0), LocId(1)]);
+                    assert!(!index.zones_for(LocId(1)).is_empty());
+                }
+                drop(canvas);
+                drop_flat(deep);
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

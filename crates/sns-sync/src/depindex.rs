@@ -18,6 +18,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
+use sns_eval::LocMemo;
 use sns_lang::LocId;
 
 use crate::assign::Assignments;
@@ -25,7 +26,7 @@ use crate::assign::Assignments;
 /// Maps every location to the zones (indices into
 /// [`Assignments::zones`]) whose attribute traces mention it, plus the
 /// zone→zone dependence components.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct DepIndex {
     by_loc: HashMap<LocId, Vec<usize>>,
     /// Zone index → connected-component id.
@@ -50,21 +51,29 @@ fn union(parent: &mut [usize], a: usize, b: usize) {
 }
 
 impl DepIndex {
-    /// Builds the index by one pass over every zone's attribute traces.
-    pub fn build(assignments: &Assignments) -> DepIndex {
-        let zone_count = assignments.zones.len();
+    /// Builds the index by one pass over every zone's attribute traces,
+    /// reading each trace's locations from `memo` (shared with the
+    /// analysis of the same prepare).
+    pub fn build<'t>(assignments: &'t Assignments, memo: &mut LocMemo<'t>) -> DepIndex {
         let mut by_loc: HashMap<LocId, Vec<usize>> = HashMap::new();
-        let mut locs = BTreeSet::new();
+        let mut locs = Vec::new();
         for (i, zone) in assignments.zones.iter().enumerate() {
             locs.clear();
             for slot in &zone.slots {
-                slot.trace.collect_locs_into(&mut locs);
+                locs.extend(memo.counts(&slot.trace).iter().map(|&(l, _)| l));
             }
+            locs.sort_unstable();
+            locs.dedup();
             for &l in &locs {
                 by_loc.entry(l).or_default().push(i);
             }
         }
+        DepIndex::from_locs(by_loc, assignments.zones.len())
+    }
 
+    /// The index of `by_loc` (location → ascending dependent zones) over
+    /// `zone_count` zones.
+    fn from_locs(by_loc: HashMap<LocId, Vec<usize>>, zone_count: usize) -> DepIndex {
         // Zones sharing any location are coupled through the choice pass.
         let mut parent: Vec<usize> = (0..zone_count).collect();
         for zones in by_loc.values() {
@@ -150,8 +159,42 @@ mod tests {
         let mode = FreezeMode::default();
         let frozen = |l: LocId| program.is_frozen(l, mode);
         let assignments = analyze_canvas(&canvas, &frozen, Heuristic::Fair);
-        let index = DepIndex::build(&assignments);
+        let index = DepIndex::build(&assignments, &mut LocMemo::default());
         (program, assignments, index)
+    }
+
+    /// The index as built before the memo: every slot trace walked as a
+    /// tree.
+    fn tree_walk_index(assignments: &Assignments) -> DepIndex {
+        let mut by_loc: HashMap<LocId, Vec<usize>> = HashMap::new();
+        for (i, zone) in assignments.zones.iter().enumerate() {
+            let mut locs = BTreeSet::new();
+            for slot in &zone.slots {
+                slot.trace.collect_locs_into(&mut locs);
+            }
+            for l in locs {
+                by_loc.entry(l).or_default().push(i);
+            }
+        }
+        DepIndex::from_locs(by_loc, assignments.zones.len())
+    }
+
+    #[test]
+    fn memo_fed_index_matches_the_tree_walk_across_the_corpus() {
+        sns_eval::with_big_stack(|| {
+            for example in sns_examples::ALL {
+                let program = Program::parse(example.source).unwrap();
+                let canvas = Canvas::from_value(&program.eval().unwrap()).unwrap();
+                let frozen = |l: LocId| program.is_frozen(l, FreezeMode::default());
+                let assignments = analyze_canvas(&canvas, &frozen, Heuristic::Fair);
+                assert_eq!(
+                    DepIndex::build(&assignments, &mut LocMemo::default()),
+                    tree_walk_index(&assignments),
+                    "{}",
+                    example.slug
+                );
+            }
+        });
     }
 
     #[test]

@@ -47,8 +47,14 @@
 //! [`sns_lang::diff_exprs`]. Literal-only edits become substitutions
 //! through the commit path above; single-subtree edits re-evaluate but
 //! re-analyze only the zones in usage-coupled components touched by the
-//! edit, reusing every other shape's candidate enumeration and re-running
-//! just the sequential choice pass.
+//! edit, reusing every other shape's analyses and re-running just the
+//! sequential choice pass and the triggers. An edit no zone depends on
+//! re-analyzes nothing, so it keeps the analyses, triggers and dependence
+//! index as they are and rebuilds only the trace tape.
+//!
+//! Every prepare (full or stitched) shares one memo across its zones:
+//! trace locations by trace address, candidates by slot signature (see
+//! [`crate::assign`]). It is dropped when the prepare ends.
 //!
 //! Whenever a proof obligation fails (a sweep trips on anything
 //! unexpected, a stitch comparator finds a structural change), the session
@@ -68,7 +74,8 @@ use sns_svg::node::{PathCmd, TransformCmd};
 use sns_svg::{resolve_attr, AttrValue, Canvas, NumTr, ShapeId, SvgChild, SvgError, SvgNode, Zone};
 
 use crate::assign::{
-    analyze_canvas, analyze_shape_zones, choose_all, heuristic_counts, Assignments, Heuristic,
+    analyze_canvas_with, analyze_shape_zones, choose_all, heuristic_counts, Assignments, Heuristic,
+    PrepareMemo,
 };
 use crate::depindex::DepIndex;
 use crate::trigger::{SolverChoice, Trigger, TriggerFire};
@@ -93,9 +100,6 @@ pub enum SetCodeClass {
     /// The program shape changed; a full prepare ran.
     Structural,
 }
-
-/// The reusable prepare state a successful stitch produces.
-type Stitched = (Assignments, HashMap<(ShapeId, Zone), Trigger>);
 
 /// Configuration of a live-synchronization session.
 #[derive(Debug, Clone, Copy, Default)]
@@ -307,8 +311,9 @@ impl LiveSync {
         };
         let outcome = program.eval_traced()?;
         let canvas = Canvas::from_value(&outcome.value)?;
-        let (assignments, triggers) = prepare(&program, &canvas, config);
-        let depindex = DepIndex::build(&assignments);
+        let mut memo = PrepareMemo::default();
+        let (assignments, triggers) = prepare_with(&program, &canvas, config, &mut memo);
+        let depindex = DepIndex::build(&assignments, &mut memo.locs);
         let rho0 = program.subst();
         let compiled = Compiled::build(&canvas, &assignments, &rho0);
         let counters = LiveCounters::default();
@@ -626,9 +631,11 @@ impl LiveSync {
     /// the program is re-evaluated (control flow may have changed inside
     /// the edited regions), but zone analyses are recomputed only for the
     /// usage-coupled components the edit touches; every other shape's
-    /// candidate enumeration is reused after a structural comparator
-    /// verifies its node is bit-identical. The sequential choice pass and
-    /// all triggers are re-run in full — both are cheap and order-coupled.
+    /// analyses are reused after a structural comparator verifies its
+    /// node is bit-identical. When no zone is re-analyzed, the analyses,
+    /// triggers and dependence index all stand; otherwise the sequential
+    /// choice pass and all triggers are re-run in full — both are cheap
+    /// and order-coupled.
     fn stitched_set_program(
         &mut self,
         program: Program,
@@ -637,34 +644,28 @@ impl LiveSync {
         let outcome = program.eval_traced()?;
         let canvas = Canvas::from_value(&outcome.value)?;
         self.program = program;
-        match self.try_stitch(&canvas, changed_locs) {
-            Some((assignments, triggers)) => {
-                self.canvas = canvas;
-                self.assignments = assignments;
-                self.triggers = triggers;
-                self.depindex = DepIndex::build(&self.assignments);
-                self.escaped = outcome.escaped;
-                self.rho0 = self.program.subst();
-                self.compiled = Compiled::build(&self.canvas, &self.assignments, &self.rho0);
-                LiveCounters::bump(&self.counters.partial_prepares);
-                Ok(())
-            }
-            None => {
-                LiveCounters::bump(&self.counters.fallback_reconcile);
-                self.install_full_prepare(outcome, canvas);
-                Ok(())
-            }
+        if !self.stitch(&canvas, changed_locs) {
+            LiveCounters::bump(&self.counters.fallback_reconcile);
+            self.install_full_prepare(outcome, canvas);
+            return Ok(());
         }
+        self.canvas = canvas;
+        self.escaped = outcome.escaped;
+        self.rho0 = self.program.subst();
+        self.compiled = Compiled::build(&self.canvas, &self.assignments, &self.rho0);
+        LiveCounters::bump(&self.counters.partial_prepares);
+        Ok(())
     }
 
-    /// Builds stitched assignments and triggers for `canvas`, or `None`
-    /// when any reused shape fails the structural comparator and a full
-    /// prepare is required.
-    fn try_stitch(&self, canvas: &Canvas, changed_locs: &BTreeSet<LocId>) -> Option<Stitched> {
+    /// Re-prepares the analyses, triggers and index for `canvas` by
+    /// stitching. Returns false, with them untouched, when any reused
+    /// shape fails the structural comparator and a full prepare is
+    /// required.
+    fn stitch(&mut self, canvas: &Canvas, changed_locs: &BTreeSet<LocId>) -> bool {
         let old_shapes = self.canvas.shapes();
         let new_shapes = canvas.shapes();
         if old_shapes.len() != new_shapes.len() {
-            return None;
+            return false;
         }
         let affected_zones = self.depindex.affected_closure(changed_locs);
         let affected_shapes: BTreeSet<ShapeId> = affected_zones
@@ -674,57 +675,54 @@ impl LiveSync {
         let mut eq = TraceEq::default();
         for (old, new) in old_shapes.iter().zip(new_shapes) {
             if old.id != new.id {
-                return None;
+                return false;
             }
             if !affected_shapes.contains(&old.id) && !eq.node_eq(&old.node, &new.node) {
-                return None;
+                return false;
             }
+        }
+        if affected_shapes.is_empty() {
+            // Every shape is bit-identical to the one analyzed, so every
+            // candidate list, the biased heuristic's counts, and hence
+            // every choice and trigger are unchanged.
+            return true;
         }
 
         let frozen = |l: LocId| self.program.is_frozen(l, self.config.freeze_mode);
-        let counts = heuristic_counts(canvas, self.config.heuristic);
+        let mut memo = PrepareMemo::default();
+        let counts = heuristic_counts(canvas, self.config.heuristic, &mut memo.locs);
+        // Zones run shape by shape in canvas order, so each shape's old
+        // analyses are the next run of the old list.
+        let mut old_zones = std::mem::take(&mut self.assignments.zones)
+            .into_iter()
+            .peekable();
         let mut zones = Vec::new();
-        for (old_shape, new_shape) in old_shapes.iter().zip(new_shapes) {
-            if affected_shapes.contains(&old_shape.id) {
-                zones.extend(analyze_shape_zones(new_shape, &frozen));
+        for new_shape in new_shapes {
+            let run = std::iter::from_fn(|| old_zones.next_if(|z| z.shape == new_shape.id));
+            if affected_shapes.contains(&new_shape.id) {
+                run.for_each(drop);
+                zones.extend(analyze_shape_zones(new_shape, &frozen, &mut memo));
             } else {
                 // Reused analyses keep the old canvas's (structurally
                 // identical) traces; only `chosen` is recomputed below.
-                for z in self
-                    .assignments
-                    .zones
-                    .iter()
-                    .filter(|z| z.shape == old_shape.id)
-                {
-                    let mut z = z.clone();
-                    z.chosen = None;
-                    zones.push(z);
-                }
+                zones.extend(run);
             }
         }
         choose_all(&mut zones, self.config.heuristic, &counts);
-        let mut triggers = HashMap::new();
-        for analysis in &zones {
-            if let Some(trigger) = Trigger::compute(analysis) {
-                triggers.insert((analysis.shape, analysis.zone), trigger);
-            }
-        }
-        Some((
-            Assignments {
-                heuristic: self.config.heuristic,
-                zones,
-            },
-            triggers,
-        ))
+        self.assignments.zones = zones;
+        self.triggers = triggers_for(&self.assignments);
+        self.depindex = DepIndex::build(&self.assignments, &mut memo.locs);
+        true
     }
 
     /// Finishes a full prepare from an already-computed evaluation.
     fn install_full_prepare(&mut self, outcome: EvalOutcome, canvas: Canvas) {
+        let mut memo = PrepareMemo::default();
+        let (assignments, triggers) = prepare_with(&self.program, &canvas, self.config, &mut memo);
+        self.depindex = DepIndex::build(&assignments, &mut memo.locs);
         self.canvas = canvas;
-        let (assignments, triggers) = prepare(&self.program, &self.canvas, self.config);
         self.assignments = assignments;
         self.triggers = triggers;
-        self.depindex = DepIndex::build(&self.assignments);
         self.escaped = outcome.escaped;
         self.rho0 = self.program.subst();
         self.compiled = Compiled::build(&self.canvas, &self.assignments, &self.rho0);
@@ -829,15 +827,33 @@ pub fn prepare(
     canvas: &Canvas,
     config: LiveConfig,
 ) -> (Assignments, HashMap<(ShapeId, Zone), Trigger>) {
-    let frozen = |l: sns_lang::LocId| program.is_frozen(l, config.freeze_mode);
-    let assignments = analyze_canvas(canvas, &frozen, config.heuristic);
-    let mut triggers = HashMap::new();
-    for analysis in &assignments.zones {
-        if let Some(trigger) = Trigger::compute(analysis) {
-            triggers.insert((analysis.shape, analysis.zone), trigger);
-        }
-    }
+    prepare_with(program, canvas, config, &mut PrepareMemo::default())
+}
+
+/// [`prepare`] feeding `memo`, which the caller goes on using for the
+/// same prepare.
+fn prepare_with<'t>(
+    program: &Program,
+    canvas: &'t Canvas,
+    config: LiveConfig,
+    memo: &mut PrepareMemo<'t>,
+) -> (Assignments, HashMap<(ShapeId, Zone), Trigger>) {
+    let frozen = |l: LocId| program.is_frozen(l, config.freeze_mode);
+    let assignments = analyze_canvas_with(canvas, &frozen, config.heuristic, memo);
+    let triggers = triggers_for(&assignments);
     (assignments, triggers)
+}
+
+/// The trigger of every active zone.
+fn triggers_for(assignments: &Assignments) -> HashMap<(ShapeId, Zone), Trigger> {
+    assignments
+        .zones
+        .iter()
+        .filter_map(|analysis| {
+            let trigger = Trigger::compute(analysis)?;
+            Some(((analysis.shape, analysis.zone), trigger))
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -173,7 +173,7 @@ pub fn location_stats(
     let mut opportunities: HashMap<LocId, usize> = HashMap::new();
     for z in &assignments.zones {
         let mut candidate_locs: HashSet<LocId> = HashSet::new();
-        for c in &z.candidates {
+        for c in z.candidates.iter() {
             candidate_locs.extend(c.loc_set.iter().copied());
         }
         for l in candidate_locs {

@@ -7,7 +7,8 @@
 //! (incremental) configuration, one with `full_prepare_only`. After every
 //! drag the inferred substitutions must agree; after every commit the
 //! program text, the rendered canvas, every zone analysis (slots, bases,
-//! candidates, chosen index), and every trigger must agree.
+//! candidates with their assignments, chosen index), and every trigger
+//! must agree.
 //!
 //! Every drag is also checked against the updated program evaluated in
 //! full ([`checked_drag`]): a drag builds no canvas, so this is what keeps
@@ -125,8 +126,8 @@ fn fingerprint(live: &LiveSync) -> String {
             )
             .unwrap();
         }
-        for c in &z.candidates {
-            write!(out, " cand({:?})", c.loc_set).unwrap();
+        for c in z.candidates.iter() {
+            write!(out, " cand({:?},{:?})", c.loc_set, c.assignment).unwrap();
         }
         out.push('\n');
         if let Some(t) = live.trigger(z.shape, z.zone) {
@@ -641,6 +642,121 @@ fn set_code_edits_match_full_replace_bitwise() {
             diffed.commit(&a.subst).unwrap();
             full.commit(&b.subst).unwrap();
             assert_eq!(fingerprint(&diffed), fingerprint(&full));
+        }
+    });
+}
+
+/// A literal edit of `live`'s program, as the code pane would send it:
+/// the update a small drag on the first active zone infers, or the
+/// anchor's second literal moved by one where that changes no text.
+fn literal_edit(live: &LiveSync) -> String {
+    let program = live.program();
+    let code = program.code();
+    live.assignments()
+        .zones
+        .iter()
+        .find_map(|z| live.trigger(z.shape, z.zone))
+        .map(|t| {
+            let fire = t.fire(&program.subst(), 3.0, -2.0, SolverChoice::default());
+            program.with_subst(&fire.subst).code()
+        })
+        .filter(|edited| *edited != code)
+        .unwrap_or_else(|| code.replacen("(* 7 1313)", "(* 7 1314)", 1))
+}
+
+/// Applies one code edit to both sessions: diff-classified on `diffed`,
+/// wholesale on `full`. Both must accept or both refuse; the class is
+/// `None` on refusal.
+fn set_both(diffed: &mut LiveSync, full: &mut LiveSync, program: &Program) -> Option<SetCodeClass> {
+    match (
+        diffed.set_program_diffed(program.clone()),
+        full.replace_program(program.clone()),
+    ) {
+        (Ok(class), Ok(())) => Some(class),
+        (Err(_), Err(_)) => None,
+        (a, b) => panic!("set_code outcomes diverged: {a:?} vs {b:?}"),
+    }
+}
+
+/// `set_code` over the whole corpus. Each example sits behind the dead
+/// `benchK` anchor the benchmark prefixes, and takes a literal edit, an
+/// operator swap in the anchor (a subtree edit no zone depends on, so no
+/// zone is re-analyzed), a wrap of the anchor (a structural edit that
+/// renumbers every later location), then two undos and two redos that
+/// re-install earlier programs, as the editor's undo stack does. After
+/// every step a diff-classified session must be bit-identical to one that
+/// replaces the program wholesale.
+#[test]
+fn set_code_matches_full_replace_across_the_corpus() {
+    sns_eval::with_big_stack(|| {
+        let forced = std::env::var("SNS_FORCE_PREPARE").as_deref() == Ok("full");
+        let full_only = LiveConfig {
+            full_prepare_only: true,
+            ..LiveConfig::default()
+        };
+        for example in sns_examples::ALL {
+            let source = format!("(def benchK (* 7 1313))\n{}", example.source);
+            let program = Program::parse(&source).expect("corpus parses");
+            let mut diffed =
+                LiveSync::new(program.clone(), LiveConfig::default()).expect("corpus prepares");
+            let mut full = LiveSync::new(program.clone(), full_only).expect("corpus prepares");
+
+            // Each installed program with the class of the edit that
+            // installed it.
+            let mut history = vec![(program, SetCodeClass::Identical)];
+            for (label, want) in [
+                ("literal", SetCodeClass::Literals),
+                ("swap", SetCodeClass::Subtree),
+                ("wrap", SetCodeClass::Structural),
+            ] {
+                let code = diffed.program().code();
+                let text = match label {
+                    "literal" => literal_edit(&diffed),
+                    "swap" => code.replacen("(* 7 1313)", "(+ 7 1313)", 1),
+                    _ => code.replacen("(+ 7 1313)", "[(+ 7 1313) 0]", 1),
+                };
+                let program = Program::parse(&text).expect("edit parses");
+                let before = diffed.stats();
+                let at = format!("{}: {label}", example.slug);
+                let Some(class) = set_both(&mut diffed, &mut full, &program) else {
+                    assert_eq!(label, "literal", "{at}: an anchor edit was refused");
+                    continue;
+                };
+                if !forced {
+                    assert_eq!(class, want, "{at}: misclassified");
+                }
+                if !forced && label == "swap" {
+                    let after = diffed.stats();
+                    assert_eq!(
+                        (after.partial_prepares, after.fallback_reconcile),
+                        (before.partial_prepares + 1, before.fallback_reconcile),
+                        "{at}: the swap must stitch"
+                    );
+                }
+                assert_eq!(fingerprint(&diffed), fingerprint(&full), "{at}");
+                history.push((program, want));
+            }
+
+            // Undo twice, then redo twice: (program installed, the edit
+            // whose class the step shares).
+            let n = history.len();
+            for (k, (to, class_of)) in [
+                (n - 2, n - 1),
+                (n - 3, n - 2),
+                (n - 2, n - 2),
+                (n - 1, n - 1),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let at = format!("{}: undo/redo step {k}", example.slug);
+                let class = set_both(&mut diffed, &mut full, &history[to].0)
+                    .unwrap_or_else(|| panic!("{at}: refused"));
+                if !forced {
+                    assert_eq!(class, history[class_of].1, "{at}: misclassified");
+                }
+                assert_eq!(fingerprint(&diffed), fingerprint(&full), "{at}");
+            }
         }
     });
 }

@@ -4,6 +4,8 @@
 
 mod support;
 
+use std::sync::Arc;
+
 use support::{ident, GenExt, SplitMix64};
 
 use sketch_n_sketch::lang::{
@@ -83,7 +85,7 @@ fn arb_expr(rng: &mut SplitMix64, depth: u32) -> Expr {
         },
         5 => Expr::Lambda(
             vec![Pat::Var(ident(rng))],
-            Box::new(arb_expr(rng, depth - 1)),
+            Arc::new(arb_expr(rng, depth - 1)),
         ),
         _ => Expr::If(
             Box::new(arb_expr(rng, depth - 1)),
