@@ -33,8 +33,13 @@ const EDITS: usize = 20;
 /// The "largest examples" window the gate and headline median use.
 const LARGEST: usize = 10;
 
-/// The gate on the largest examples' median commit speedup.
-const SPEEDUP_FLOOR: f64 = 40.0;
+/// The gate on the largest examples' median of tape rebuild over
+/// incremental commit.
+const REBUILD_FLOOR: f64 = 1.0;
+
+/// The gate on the largest examples' median share of the tape an
+/// incremental commit's sweep changes.
+const SWEPT_CEILING: f64 = 0.5;
 
 /// The gate on the `subtree_dead` `set_code` speedup. Keeping every
 /// analysis, trigger and the index when no zone is re-analyzed measured
@@ -63,20 +68,31 @@ fn run(slugs: &[String]) -> bool {
     };
 
     println!(
-        "{:<24} {:>6} {:>6} {:>12} {:>12} {:>9}  path",
-        "Example", "shapes", "zones", "full/commit", "incr/commit", "speedup"
+        "{:<24} {:>6} {:>6} {:>12} {:>12} {:>9} {:>12} {:>8} {:>6}  path",
+        "Example",
+        "shapes",
+        "zones",
+        "full/commit",
+        "incr/commit",
+        "speedup",
+        "tape build",
+        "rebuild",
+        "swept"
     );
     let mut rows: Vec<CommitTiming> = Vec::with_capacity(selected.len());
     for ex in &selected {
         let t = time_commit_paths(ex, COMMITS);
         println!(
-            "{:<24} {:>6} {:>6} {:>12} {:>12} {:>8.1}x  {}",
+            "{:<24} {:>6} {:>6} {:>12} {:>12} {:>8.1}x {:>12} {:>7.2}x {:>6.3}  {}",
             t.name,
             t.shapes,
             t.zones,
             ms(t.full),
             ms(t.incremental),
             t.speedup(),
+            ms(t.tape_rebuild),
+            t.rebuild_ratio(),
+            t.swept_share(),
             if t.fast_path {
                 "incremental"
             } else {
@@ -107,6 +123,10 @@ fn run(slugs: &[String]) -> bool {
     let largest_speedups: Vec<f64> = largest.iter().map(|t| t.speedup()).collect();
     let all_speedups: Vec<f64> = corpus.iter().map(|t| t.speedup()).collect();
     let largest_median = summarize(&largest_speedups).med;
+    let rebuild_ratios: Vec<f64> = largest.iter().map(|t| t.rebuild_ratio()).collect();
+    let rebuild_median = summarize(&rebuild_ratios).med;
+    let swept_shares: Vec<f64> = largest.iter().map(|t| t.swept_share()).collect();
+    let swept_median = summarize(&swept_shares).med;
     let overall_median = summarize(&all_speedups).med;
     let fast = corpus.iter().filter(|t| t.fast_path).count();
 
@@ -130,6 +150,14 @@ fn run(slugs: &[String]) -> bool {
         "median speedup (all {})     {overall_median:.1}x",
         corpus.len()
     );
+    println!(
+        "median rebuild/commit (largest {})  {rebuild_median:.2}x",
+        largest.len()
+    );
+    println!(
+        "median swept share (largest {})     {swept_median:.3}",
+        largest.len()
+    );
     for t in &set_codes {
         println!(
             "set_code {:<12}       {} full / {} diffed = {:.1}x ({:?})",
@@ -151,6 +179,14 @@ fn run(slugs: &[String]) -> bool {
         "  \"median_speedup_all\": {overall_median:.2},\n  \"corpus_examples\": {},\n",
         corpus.len()
     ));
+    json.push_str(&format!(
+        "  \"median_rebuild_ratio_largest_{}\": {rebuild_median:.2},\n",
+        largest.len()
+    ));
+    json.push_str(&format!(
+        "  \"median_swept_share_largest_{}\": {swept_median:.3},\n",
+        largest.len()
+    ));
     json.push_str("  \"set_code_workload\": {\n");
     for (i, t) in set_codes.iter().enumerate() {
         json.push_str(&format!(
@@ -168,13 +204,17 @@ fn run(slugs: &[String]) -> bool {
     for (i, t) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"slug\": \"{}\", \"shapes\": {}, \"zones\": {}, \"full_ms\": {:.4}, \
-             \"incremental_ms\": {:.4}, \"speedup\": {:.2}, \"fast_path\": {}}}{}\n",
+             \"incremental_ms\": {:.4}, \"speedup\": {:.2}, \"tape_rebuild_ms\": {:.4}, \
+             \"rebuild_ratio\": {:.2}, \"swept_share\": {:.3}, \"fast_path\": {}}}{}\n",
             t.slug,
             t.shapes,
             t.zones,
             t.full * 1000.0,
             t.incremental * 1000.0,
             t.speedup(),
+            t.tape_rebuild * 1000.0,
+            t.rebuild_ratio(),
+            t.swept_share(),
             t.fast_path,
             if i + 1 == rows.len() { "" } else { "," },
         ));
@@ -188,16 +228,22 @@ fn run(slugs: &[String]) -> bool {
         &[
             ("speedup_largest_median", largest_median),
             ("speedup_all_median", overall_median),
+            ("rebuild_ratio_largest_median", rebuild_median),
             ("set_code_subtree_speedup", set_codes[1].speedup()),
             ("set_code_subtree_dead_speedup", set_codes[2].speedup()),
         ],
     );
 
-    gates(&largest, largest_median, &set_codes)
+    gates(&largest, rebuild_median, swept_median, &set_codes)
 }
 
 /// Regression gates. Each failure is reported; any failure exits non-zero.
-fn gates(largest: &[&CommitTiming], largest_median: f64, set_codes: &[SetCodeTiming]) -> bool {
+fn gates(
+    largest: &[&CommitTiming],
+    rebuild_median: f64,
+    swept_median: f64,
+    set_codes: &[SetCodeTiming],
+) -> bool {
     let mut ok = true;
 
     // Incremental must beat full on the largest examples, and must
@@ -213,14 +259,33 @@ fn gates(largest: &[&CommitTiming], largest_median: f64, set_codes: &[SetCodeTim
         eprintln!("FAIL: fast path disabled on large examples: {fallbacks:?}");
         ok = false;
     }
-    // The tape sweep makes a fast-tier commit ~100x cheaper than a full
-    // prepare on the largest examples; re-evaluating every trace per
-    // commit (the pre-tape path) measured ~16x, so this floor catches a
-    // regression to it.
-    if largest_median < SPEEDUP_FLOOR {
+    // A fast-tier commit sweeps the tape from the first changed leaf and
+    // writes the changed values in place; it compiles nothing. Gated
+    // against a tape compile of the same canvas, not against the full
+    // prepare, so a faster evaluation or analysis cannot lower it.
+    if rebuild_median < REBUILD_FLOOR {
         eprintln!(
-            "FAIL: incremental commit only {largest_median:.2}x faster than full prepare \
-             (floor {SPEEDUP_FLOOR}x)"
+            "FAIL: a tape rebuild is only {rebuild_median:.2}x an incremental commit \
+             (floor {REBUILD_FLOOR}x)"
+        );
+        ok = false;
+    }
+    // The same by count, free of timing noise: a commit compiles no tape
+    // node, and its sweep changes only the nodes downstream of the
+    // update's leaves.
+    let compiling: Vec<&str> = largest
+        .iter()
+        .filter(|t| t.commit_tape_work.compiled > 0)
+        .map(|t| t.slug)
+        .collect();
+    if !compiling.is_empty() {
+        eprintln!("FAIL: incremental commits compiled tape nodes on {compiling:?}");
+        ok = false;
+    }
+    if swept_median > SWEPT_CEILING {
+        eprintln!(
+            "FAIL: incremental commits changed {swept_median:.3} of their tapes \
+             (ceiling {SWEPT_CEILING})"
         );
         ok = false;
     }

@@ -216,6 +216,13 @@ pub struct CommitTiming {
     pub full: f64,
     /// Median seconds per commit on the incremental path.
     pub incremental: f64,
+    /// Median seconds to compile the incremental session's traces onto a
+    /// fresh trace tape: the work a prepare does per canvas and a commit
+    /// must not. Evaluation and analysis are not in it, so it is the
+    /// reference a faster full prepare does not move.
+    pub tape_rebuild: f64,
+    /// The trace-tape work of the timed incremental commits.
+    pub commit_tape_work: sns_sync::TapeWork,
     /// Whether the measured commits actually ran incrementally (a
     /// control-flow-safe zone existed); when false both columns measured
     /// the fallback and the speedup is ~1 by construction.
@@ -231,6 +238,48 @@ impl CommitTiming {
             f64::INFINITY
         }
     }
+
+    /// The share of their tapes the incremental commits' sweeps changed.
+    pub fn swept_share(&self) -> f64 {
+        let work = self.commit_tape_work;
+        if work.swept_of > 0 {
+            work.swept as f64 / work.swept_of as f64
+        } else {
+            0.0
+        }
+    }
+
+    /// Tape-rebuild time over incremental-commit time: how many commits
+    /// fit in the tape compile a commit skips.
+    pub fn rebuild_ratio(&self) -> f64 {
+        if self.incremental > 0.0 {
+            self.tape_rebuild / self.incremental
+        } else {
+            f64::INFINITY
+        }
+    }
+}
+
+/// Seconds per compile of `live`'s canvas and zone-slot traces onto a
+/// fresh [`sns_eval::TraceTape`], as a prepare compiles them.
+fn time_tape_rebuilds(live: &sns_sync::LiveSync, rebuilds: usize) -> Vec<f64> {
+    let rho0 = live.program().subst();
+    (0..rebuilds)
+        .map(|_| {
+            let t0 = Instant::now();
+            let mut tape = sns_eval::TraceTape::builder(&rho0);
+            live.canvas().for_each_num(|num| {
+                tape.push(&num.t);
+            });
+            for zone in &live.assignments().zones {
+                for slot in &zone.slots {
+                    tape.push(&slot.trace);
+                }
+            }
+            std::hint::black_box(tape.finish());
+            t0.elapsed().as_secs_f64()
+        })
+        .collect()
 }
 
 /// Drives `commits` drag+commit cycles on one session and returns seconds
@@ -297,7 +346,10 @@ pub fn time_commit_paths(example: &Example, commits: usize) -> CommitTiming {
 
     let shapes = incremental.canvas().shapes().len();
     let zones = incremental.assignments().zones.len();
+    let before = incremental.tape_work();
     let incr_times = time_commits(&mut incremental, shape, zone, commits);
+    let after = incremental.tape_work();
+    let rebuild_times = time_tape_rebuilds(&incremental, commits);
     let full_times = time_commits(&mut full, shape, zone, commits);
     CommitTiming {
         slug: example.slug,
@@ -306,6 +358,12 @@ pub fn time_commit_paths(example: &Example, commits: usize) -> CommitTiming {
         zones,
         full: summarize(&full_times).med,
         incremental: summarize(&incr_times).med,
+        tape_rebuild: summarize(&rebuild_times).med,
+        commit_tape_work: sns_sync::TapeWork {
+            compiled: after.compiled - before.compiled,
+            swept: after.swept - before.swept,
+            swept_of: after.swept_of - before.swept_of,
+        },
         fast_path: incremental.stats().incremental_prepares >= commits as u64,
     }
 }

@@ -6,6 +6,8 @@
 //! while being updated, red when the solver fails, and gray when they
 //! contributed to an attribute but were not selected by the heuristics.
 
+use std::fmt;
+
 use sns_eval::Program;
 use sns_lang::LocId;
 use sns_sync::ZoneAnalysis;
@@ -36,26 +38,45 @@ pub struct Caption {
 
 /// Builds the hover caption for an analyzed zone.
 pub fn caption_for(program: &Program, analysis: &ZoneAnalysis) -> Caption {
-    match analysis.chosen_candidate() {
-        None => Caption {
-            active: false,
-            text: "Inactive".to_string(),
-            locs: Vec::new(),
-        },
-        Some(c) => {
-            let locs: Vec<(LocId, String)> = c
-                .loc_set
+    let mut text = String::new();
+    write_caption(&mut text, program, analysis).expect("writing to a String cannot fail");
+    Caption {
+        active: analysis.is_active(),
+        text,
+        locs: analysis.chosen_candidate().map_or_else(Vec::new, |c| {
+            c.loc_set
                 .iter()
                 .map(|l| (*l, program.display_loc(*l)))
-                .collect();
-            let names: Vec<&str> = locs.iter().map(|(_, n)| n.as_str()).collect();
-            Caption {
-                active: true,
-                text: format!("Active: changes {}", names.join(", ")),
-                locs,
-            }
+                .collect()
+        }),
+    }
+}
+
+/// Writes the caption text of [`caption_for`] into `out`, naming each
+/// constant in place.
+///
+/// # Errors
+///
+/// Fails only when `out` does.
+pub fn write_caption(
+    out: &mut impl fmt::Write,
+    program: &Program,
+    analysis: &ZoneAnalysis,
+) -> fmt::Result {
+    let Some(c) = analysis.chosen_candidate() else {
+        return out.write_str("Inactive");
+    };
+    out.write_str("Active: changes ")?;
+    for (i, l) in c.loc_set.iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        match program.loc_info(*l).and_then(|info| info.name.as_deref()) {
+            Some(name) => out.write_str(name)?,
+            None => write!(out, "{l}")?,
         }
     }
+    Ok(())
 }
 
 /// Computes the idle (pre-manipulation) highlights for a zone: yellow for

@@ -143,9 +143,22 @@ impl Editor {
 
     /// The current canvas as SVG text, honoring the hidden-layer toggle.
     pub fn canvas_svg(&self) -> String {
-        self.live.canvas().to_svg(RenderOptions {
+        self.live.canvas().to_svg(self.render_options())
+    }
+
+    /// Writes the text [`Editor::canvas_svg`] returns into `out`.
+    ///
+    /// # Errors
+    ///
+    /// Fails only when `out` does.
+    pub fn write_canvas_svg(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+        self.live.canvas().write_svg(out, self.render_options())
+    }
+
+    fn render_options(&self) -> RenderOptions {
+        RenderOptions {
             hide_hidden: !self.config.show_hidden,
-        })
+        }
     }
 
     /// Exports final SVG (helper shapes always hidden), for pasting into

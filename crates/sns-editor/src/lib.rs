@@ -34,7 +34,7 @@ pub mod caption;
 pub mod editor;
 pub mod error;
 
-pub use caption::{caption_for, idle_highlights, Caption, Highlight};
+pub use caption::{caption_for, idle_highlights, write_caption, Caption, Highlight};
 pub use editor::{DragFeedback, Editor, EditorConfig, Slider};
 pub use error::EditorError;
 

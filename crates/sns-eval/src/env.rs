@@ -15,7 +15,7 @@ pub struct Env(Option<Arc<Frame>>);
 
 #[derive(Debug)]
 struct Frame {
-    name: String,
+    name: Arc<str>,
     value: Value,
     parent: Env,
 }
@@ -27,8 +27,9 @@ impl Env {
     }
 
     /// Returns a new environment with `name` bound to `value`; the receiver
-    /// is unchanged.
-    pub fn bind(&self, name: impl Into<String>, value: Value) -> Env {
+    /// is unchanged. Binding a name shared with the AST allocates only the
+    /// frame.
+    pub fn bind(&self, name: impl Into<Arc<str>>, value: Value) -> Env {
         Env(Some(Arc::new(Frame {
             name: name.into(),
             value,
@@ -40,7 +41,7 @@ impl Env {
     pub fn lookup(&self, name: &str) -> Option<&Value> {
         let mut cur = self;
         while let Env(Some(frame)) = cur {
-            if frame.name == name {
+            if *frame.name == *name {
                 return Some(&frame.value);
             }
             cur = &frame.parent;

@@ -16,12 +16,13 @@
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
-use sns_lang::{Expr, Op, Pat};
+use sns_lang::{Expr, LocId, Op, Pat};
 
 use crate::env::Env;
-use crate::escape::Escapes;
+use crate::escape::{EscapeMarker, Escapes};
 use crate::trace::Trace;
 use crate::value::{Closure, Value};
 
@@ -72,7 +73,56 @@ pub struct Evaluator {
     steps_left: u64,
     depth: u32,
     max_depth: u32,
-    escaped: Escapes,
+    escaped: EscapeMarker,
+    /// The trace of each literal evaluated so far, by location: every
+    /// number a literal evaluates to shares one leaf.
+    leaves: Vec<Option<Arc<Trace>>>,
+}
+
+/// Evaluated arguments of an application, a primitive or a list literal.
+/// Up to two are held inline, so the common unary and binary cases
+/// allocate no vector.
+enum Args {
+    Inline([Value; 2], usize),
+    Heap(Vec<Value>),
+}
+
+impl Deref for Args {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        match self {
+            Args::Inline(vals, n) => &vals[..*n],
+            Args::Heap(vals) => vals,
+        }
+    }
+}
+
+impl Args {
+    /// Conses the arguments onto `tail`, last first.
+    fn cons_onto(self, tail: Value) -> Value {
+        let cons = |tail, head| Value::cons(head, tail);
+        match self {
+            Args::Inline(vals, n) => vals.into_iter().take(n).rev().fold(tail, cons),
+            Args::Heap(vals) => vals.into_iter().rev().fold(tail, cons),
+        }
+    }
+}
+
+/// The closure `c` under the `letrec`/`defrec` name `name`. A closure no
+/// one else holds yet (the λ just evaluated) is named in place.
+pub(crate) fn named_rec(mut c: Arc<Closure>, name: &Arc<str>) -> Arc<Closure> {
+    if let Some(unique) = Arc::get_mut(&mut c) {
+        unique.rec_name = Some(Arc::clone(name));
+        return c;
+    }
+    Arc::new(Closure {
+        rec_name: Some(Arc::clone(name)),
+        params: Arc::clone(&c.params),
+        first_param: c.first_param,
+        body: Arc::clone(&c.body),
+        env: c.env.clone(),
+    })
 }
 
 impl Default for Evaluator {
@@ -88,7 +138,8 @@ impl Evaluator {
             steps_left: limits.max_steps,
             depth: 0,
             max_depth: limits.max_depth,
-            escaped: Escapes::new(),
+            escaped: EscapeMarker::default(),
+            leaves: Vec::new(),
         }
     }
 
@@ -97,12 +148,12 @@ impl Evaluator {
     /// `=`, `toString`, or a numeric literal pattern. A substitution
     /// touching none of these cannot change control flow.
     pub fn escaped_locs(&self) -> &Escapes {
-        &self.escaped
+        self.escaped.escapes()
     }
 
     /// Consumes the evaluator, returning the escape record.
     pub fn take_escaped(self) -> Escapes {
-        self.escaped
+        self.escaped.into_escapes()
     }
 
     /// Pattern matching that records trace escapes (numeric literal
@@ -136,46 +187,35 @@ impl Evaluator {
 
     fn eval_inner(&mut self, env: &Env, expr: &Expr) -> Result<Value, EvalError> {
         match expr {
-            Expr::Num(n) => Ok(Value::Num(n.value, Trace::loc(n.loc))),
-            Expr::Str(s) => Ok(Value::str(s.as_str())),
+            Expr::Num(n) => Ok(Value::Num(n.value, self.leaf(n.loc))),
+            Expr::Str(s) => Ok(Value::Str(Arc::clone(s))),
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::Var(x) => env
                 .lookup(x)
                 .cloned()
                 .ok_or_else(|| EvalError::new(format!("unbound variable `{x}`"))),
             Expr::List(elems, tail) => {
-                let mut items = Vec::with_capacity(elems.len());
-                for e in elems {
-                    items.push(self.eval(env, e)?);
-                }
-                let mut out = match tail {
+                let items = self.eval_args(env, elems)?;
+                let tail = match tail {
                     Some(t) => self.eval(env, t)?,
                     None => Value::Nil,
                 };
-                for v in items.into_iter().rev() {
-                    out = Value::Cons(Arc::new(v), Arc::new(out));
-                }
-                Ok(out)
+                Ok(items.cons_onto(tail))
             }
             Expr::Lambda(params, body) => Ok(Value::Closure(Arc::new(Closure {
                 rec_name: None,
-                params: params.clone(),
+                params: Arc::clone(params),
+                first_param: 0,
                 body: Arc::clone(body),
                 env: env.clone(),
             }))),
             Expr::App(head, args) => {
                 let f = self.eval(env, head)?;
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(env, a)?);
-                }
-                self.apply(f, vals)
+                let vals = self.eval_args(env, args)?;
+                self.apply(f, &vals)
             }
             Expr::Prim(op, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(env, a)?);
-                }
+                let vals = self.eval_args(env, args)?;
                 let result = eval_prim(*op, &vals)?;
                 self.record_escapes(*op, &vals);
                 Ok(result)
@@ -190,12 +230,7 @@ impl Evaluator {
                 let bound_v = self.eval(env, bound)?;
                 let bound_v = if *recursive {
                     match (&pat, bound_v) {
-                        (Pat::Var(name), Value::Closure(c)) => Value::Closure(Arc::new(Closure {
-                            rec_name: Some(name.clone()),
-                            params: c.params.clone(),
-                            body: Arc::clone(&c.body),
-                            env: c.env.clone(),
-                        })),
+                        (Pat::Var(name), Value::Closure(c)) => Value::Closure(named_rec(c, name)),
                         (Pat::Var(_), other) => {
                             return Err(EvalError::new(format!(
                                 "letrec requires a function, found {}",
@@ -239,6 +274,31 @@ impl Evaluator {
         }
     }
 
+    /// The shared trace of literal `loc`.
+    fn leaf(&mut self, loc: LocId) -> Arc<Trace> {
+        let slot = loc.0 as usize;
+        if self.leaves.len() <= slot {
+            self.leaves.resize(slot + 1, None);
+        }
+        Arc::clone(self.leaves[slot].get_or_insert_with(|| Trace::loc(loc)))
+    }
+
+    /// Evaluates `exprs` left to right.
+    fn eval_args(&mut self, env: &Env, exprs: &[Expr]) -> Result<Args, EvalError> {
+        if exprs.len() > 2 {
+            return exprs
+                .iter()
+                .map(|e| self.eval(env, e))
+                .collect::<Result<_, _>>()
+                .map(Args::Heap);
+        }
+        let mut vals = [Value::Nil, Value::Nil];
+        for (slot, e) in vals.iter_mut().zip(exprs) {
+            *slot = self.eval(env, e)?;
+        }
+        Ok(Args::Inline(vals, exprs.len()))
+    }
+
     /// Records trace escapes for one primitive application, *after* it
     /// succeeded: a comparison observes its operands' traces, `=` and
     /// `toString` every traced number inside their arguments.
@@ -261,7 +321,7 @@ impl Evaluator {
 
     /// Applies a closure to arguments, currying: missing arguments yield a
     /// partial closure, extra arguments are applied to the result.
-    pub fn apply(&mut self, f: Value, args: Vec<Value>) -> Result<Value, EvalError> {
+    pub fn apply(&mut self, f: Value, args: &[Value]) -> Result<Value, EvalError> {
         let Value::Closure(clos) = f else {
             return Err(EvalError::new(format!(
                 "cannot apply a {} as a function",
@@ -270,33 +330,33 @@ impl Evaluator {
         };
         let mut env = clos.env.clone();
         if let Some(name) = &clos.rec_name {
-            env = env.bind(name.clone(), Value::Closure(Arc::clone(&clos)));
+            env = env.bind(Arc::clone(name), Value::Closure(Arc::clone(&clos)));
         }
-        let n = args.len().min(clos.params.len());
-        let mut args = args;
-        let rest = args.split_off(n);
-        for (p, v) in clos.params[..n].iter().zip(args) {
-            env = self.match_pat_in(p, &v, &env).ok_or_else(|| {
+        let params = clos.remaining_params();
+        let n = args.len().min(params.len());
+        for (p, v) in params[..n].iter().zip(args) {
+            env = self.match_pat_in(p, v, &env).ok_or_else(|| {
                 EvalError::new(format!(
                     "argument does not match parameter pattern `{}`",
                     sns_lang::unparse_pat(p)
                 ))
             })?;
         }
-        if n < clos.params.len() {
+        if n < params.len() {
             // Partial application: capture bound arguments, keep the rest.
             return Ok(Value::Closure(Arc::new(Closure {
                 rec_name: None,
-                params: clos.params[n..].to_vec(),
+                params: Arc::clone(&clos.params),
+                first_param: clos.first_param + n,
                 body: Arc::clone(&clos.body),
                 env,
             })));
         }
         let result = self.eval(&env, &clos.body)?;
-        if rest.is_empty() {
+        if n == args.len() {
             Ok(result)
         } else {
-            self.apply(result, rest)
+            self.apply(result, &args[n..])
         }
     }
 }
@@ -305,21 +365,21 @@ impl Evaluator {
 /// `None` if the value does not match. Does not record trace escapes; use
 /// [`Evaluator::match_pat_in`] during evaluation.
 pub fn match_pat(pat: &Pat, value: &Value, env: &Env) -> Option<Env> {
-    let mut scratch = Escapes::new();
+    let mut scratch = EscapeMarker::default();
     match_pat_escaping(pat, value, env, &mut scratch)
 }
 
 /// Pattern matching that additionally records locations observed by numeric
 /// literal patterns into `escaped` (a numeric pattern branches on the
 /// matched number's value, so its trace locations escape).
-pub fn match_pat_escaping(
+fn match_pat_escaping(
     pat: &Pat,
     value: &Value,
     env: &Env,
-    escaped: &mut Escapes,
+    escaped: &mut EscapeMarker,
 ) -> Option<Env> {
     match pat {
-        Pat::Var(x) => Some(env.bind(x.clone(), value.clone())),
+        Pat::Var(x) => Some(env.bind(Arc::clone(x), value.clone())),
         Pat::Num(n) => match value {
             Value::Num(m, t) => {
                 escaped.mark_trace(t);
@@ -336,19 +396,17 @@ pub fn match_pat_escaping(
             _ => None,
         },
         Pat::List(ps, tail) => {
-            let mut cur = value.clone();
+            let mut cur = value;
             let mut env = env.clone();
             for p in ps {
-                match cur {
-                    Value::Cons(h, t) => {
-                        env = match_pat_escaping(p, &h, &env, escaped)?;
-                        cur = (*t).clone();
-                    }
-                    _ => return None,
-                }
+                let Value::Cons(cell) = cur else {
+                    return None;
+                };
+                env = match_pat_escaping(p, &cell.0, &env, escaped)?;
+                cur = &cell.1;
             }
             match tail {
-                Some(tp) => match_pat_escaping(tp, &cur, &env, escaped),
+                Some(tp) => match_pat_escaping(tp, cur, &env, escaped),
                 None => match cur {
                     Value::Nil => Some(env),
                     _ => None,
@@ -416,12 +474,12 @@ pub fn eval_prim(op: Op, args: &[Value]) -> Result<Value, EvalError> {
     match op {
         Pi => Ok(Value::Num(
             apply_num_op(Pi, &[]).expect("pi is numeric"),
-            Trace::op(Pi, vec![]),
+            Trace::op(Pi, []),
         )),
         Cos | Sin | ArcCos | ArcSin | Round | Floor | Ceiling | Sqrt => {
             let (n, t) = num(0)?;
             let r = apply_num_op(op, &[n]).expect("unary numeric op");
-            Ok(Value::Num(r, Trace::op(op, vec![t])))
+            Ok(Value::Num(r, Trace::op(op, [t])))
         }
         Add => match (&args[0], &args[1]) {
             (Value::Str(a), Value::Str(b)) => Ok(Value::str(format!("{a}{b}"))),
@@ -429,14 +487,14 @@ pub fn eval_prim(op: Op, args: &[Value]) -> Result<Value, EvalError> {
                 let (a, ta) = num(0)?;
                 let (b, tb) = num(1)?;
                 let r = apply_num_op(Add, &[a, b]).expect("binary numeric op");
-                Ok(Value::Num(r, Trace::op(Add, vec![ta, tb])))
+                Ok(Value::Num(r, Trace::op(Add, [ta, tb])))
             }
         },
         Sub | Mul | Div | Mod | Pow | ArcTan2 => {
             let (a, ta) = num(0)?;
             let (b, tb) = num(1)?;
             let r = apply_num_op(op, &[a, b]).expect("binary numeric op");
-            Ok(Value::Num(r, Trace::op(op, vec![ta, tb])))
+            Ok(Value::Num(r, Trace::op(op, [ta, tb])))
         }
         Lt | Gt | Le | Ge => {
             let (a, _) = num(0)?;
@@ -615,6 +673,56 @@ mod tests {
         let mut ev = Evaluator::default();
         ev.eval(&Env::new(), &p.expr).unwrap();
         assert_eq!(ev.escaped_locs().len(), 3);
+    }
+
+    /// Evaluates `src` under the Prelude and returns the escaped set with
+    /// each trace node marked once, and the set the tree walk marks.
+    fn escape_sets(src: &str) -> (Vec<LocId>, Vec<LocId>) {
+        let program = crate::Program::parse(src).unwrap();
+        let mut ev = Evaluator::default();
+        let env =
+            crate::program::extend_with_defs(&mut ev, Env::new(), program.prelude_expr()).unwrap();
+        ev.eval(&env, program.user_expr()).unwrap();
+        let memoized = ev.escaped_locs().iter().copied().collect();
+        let tree_walk = ev.escaped.tree_walk.iter().copied().collect();
+        (memoized, tree_walk)
+    }
+
+    #[test]
+    fn escape_marking_matches_the_tree_walk_on_the_corpus() {
+        for ex in sns_examples::ALL {
+            let (memoized, tree_walk) = escape_sets(ex.source);
+            assert_eq!(memoized, tree_walk, "{}", ex.slug);
+        }
+    }
+
+    #[test]
+    fn escape_marking_matches_the_tree_walk_on_deep_counter_loops() {
+        // Counters whose traces grow by a node per iteration, compared on
+        // every iteration, nested and shared between loops; deterministic
+        // sizes and literals (SplitMix64).
+        let mut state = 0x5eed_u64;
+        let mut next = move |n: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        for _ in 0..8 {
+            let (n, k, step, inner) = (100 + next(200), next(50), 1 + next(3), 1 + next(6));
+            let src = format!(
+                "(defrec count (λ(i j acc) (if (> i j) acc (count (+ i {step}) j (+ acc i))))) \
+                 (def total (count 0 {n} 0)) \
+                 (map (λ i (if (< (+ i {k}) (mod total 97)) \
+                              (count i (+ i {inner}) 0) \
+                              (toString [i (* i 2)]))) \
+                      (range {k} (+ {k} {n})))"
+            );
+            let (memoized, tree_walk) = escape_sets(&src);
+            assert!(!memoized.is_empty(), "{src}");
+            assert_eq!(memoized, tree_walk, "{src}");
+        }
     }
 
     #[test]

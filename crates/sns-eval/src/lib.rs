@@ -36,12 +36,10 @@ pub mod value;
 
 pub use env::Env;
 pub use escape::Escapes;
-pub use eval::{
-    apply_num_op, eval_prim, match_pat, match_pat_escaping, EvalError, Evaluator, Limits,
-};
+pub use eval::{apply_num_op, eval_prim, match_pat, EvalError, Evaluator, Limits};
 pub use patch::{Sweep, TapeBuilder, TraceTape};
 pub use program::{EvalOutcome, FreezeMode, LocInfo, Program, PRELUDE_SRC};
-pub use trace::{LocMemo, Trace};
+pub use trace::{LocMemo, Trace, TraceArgs};
 pub use value::{Closure, Value};
 
 /// Runs `f` on a thread with a large stack and returns its result.

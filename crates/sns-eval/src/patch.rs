@@ -62,6 +62,9 @@ const NO_LEAF: u32 = u32::MAX;
 pub struct Sweep {
     vals: Vec<f64>,
     dirty: Vec<bool>,
+    /// Nodes the sweep changed: the update's leaves and every operation
+    /// it recomputed.
+    swept: usize,
 }
 
 impl Sweep {
@@ -70,6 +73,12 @@ impl Sweep {
     pub fn get(&self, node: u32) -> Option<f64> {
         let i = node as usize;
         self.dirty.get(i)?.then(|| self.vals[i])
+    }
+
+    /// Number of tape nodes the sweep changed: the update's leaves and
+    /// the operations it recomputed.
+    pub fn swept(&self) -> usize {
+        self.swept
     }
 }
 
@@ -87,9 +96,13 @@ impl TraceTape {
     }
 
     /// Number of distinct trace nodes on the tape.
-    #[cfg(test)]
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Whether the tape has no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
     }
 
     /// The node's value under ρ₀, `None` when it cannot be evaluated.
@@ -112,12 +125,14 @@ impl TraceTape {
         let mut dirty = vec![false; n];
         let mut vals = self.vals.clone();
         let mut first = n;
+        let mut swept = 0;
         for (loc, v) in update.iter() {
             if let Some(i) = self.leaf(loc) {
                 let i = i as usize;
                 dirty[i] = true;
                 vals[i] = v;
                 first = first.min(i);
+                swept += 1;
             }
         }
         let mut xs = Vec::new();
@@ -139,8 +154,9 @@ impl TraceTape {
             }
             vals[i] = apply_num_op(op, &xs)?;
             dirty[i] = true;
+            swept += 1;
         }
-        Some(Sweep { vals, dirty })
+        Some(Sweep { vals, dirty, swept })
     }
 
     /// The leaf of location `l`, if any trace on the tape mentions it.
@@ -339,7 +355,7 @@ mod tests {
     #[test]
     fn a_location_bound_only_by_the_update_gets_its_value() {
         // ρ₀ binds l1 but not l0; the update binds l0 and nothing else.
-        let t = Trace::op(Op::Mul, vec![Trace::loc(LocId(0)), Trace::loc(LocId(1))]);
+        let t = Trace::op(Op::Mul, [Trace::loc(LocId(0)), Trace::loc(LocId(1))]);
         let rho0 = Subst::from_pairs([(LocId(1), 3.0)]);
         let (mut tape, node) = tape_of(&t, &rho0);
         assert_eq!(tape.value(node), None);
@@ -353,8 +369,8 @@ mod tests {
     fn a_non_numeric_op_fails_the_sweep_and_leaves_the_tape_unchanged() {
         // `(+ l0 (< l0 l1))`: the comparison is not number → number.
         let l0 = Trace::loc(LocId(0));
-        let lt = Trace::op(Op::Lt, vec![Arc::clone(&l0), Trace::loc(LocId(1))]);
-        let t = Trace::op(Op::Add, vec![l0, Arc::clone(&lt)]);
+        let lt = Trace::op(Op::Lt, [Arc::clone(&l0), Trace::loc(LocId(1))]);
+        let t = Trace::op(Op::Add, [l0, Arc::clone(&lt)]);
         let rho0 = Subst::from_pairs([(LocId(0), 1.0), (LocId(1), 2.0)]);
         let mut b = TraceTape::builder(&rho0);
         let node = b.push(&t);
@@ -374,7 +390,7 @@ mod tests {
         let x = Trace::loc(LocId(0));
         let mut t = Arc::clone(&x);
         for _ in 0..100_000 {
-            t = Trace::op(Op::Add, vec![t, Arc::clone(&x)]);
+            t = Trace::op(Op::Add, [t, Arc::clone(&x)]);
         }
         let rho0 = Subst::from_pairs([(LocId(0), 1.0)]);
         let mut b = TraceTape::builder(&rho0);
@@ -387,8 +403,8 @@ mod tests {
         assert_eq!(sweep.get(node), Some(200_002.0));
         // Dropping a chain that deep recurses in `Arc`'s destructor; unwind
         // it iteratively.
-        while let Ok(Trace::Op(_, mut args)) = Arc::try_unwrap(t) {
-            t = args.swap_remove(0);
+        while let Ok(Trace::Op(_, args)) = Arc::try_unwrap(t) {
+            t = args.into_iter().next().expect("an addition");
         }
     }
 }

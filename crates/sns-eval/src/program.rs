@@ -21,8 +21,8 @@ use sns_lang::{
 };
 
 use crate::env::Env;
-use crate::eval::{EvalError, Evaluator, Limits};
-use crate::value::{Closure, Value};
+use crate::eval::{named_rec, EvalError, Evaluator, Limits};
+use crate::value::Value;
 
 /// The `little` Prelude source embedded in every program (Appendix C).
 pub const PRELUDE_SRC: &str = include_str!("prelude.little");
@@ -84,12 +84,47 @@ impl FreezeMode {
     }
 }
 
-fn prelude_template() -> &'static (Arc<Expr>, u32) {
-    static TEMPLATE: OnceLock<(Arc<Expr>, u32)> = OnceLock::new();
+/// Location metadata by location.
+type LocTable = HashMap<LocId, LocInfo>;
+
+/// The parsed Prelude every program shares, with its half of the
+/// location metadata: built once per process, not once per parse.
+struct PreludeTemplate {
+    expr: Arc<Expr>,
+    next_loc: u32,
+    loc_info: Arc<LocTable>,
+}
+
+fn prelude_template() -> &'static PreludeTemplate {
+    static TEMPLATE: OnceLock<PreludeTemplate> = OnceLock::new();
     TEMPLATE.get_or_init(|| {
         let parsed = sns_lang::parse(PRELUDE_SRC).expect("the embedded Prelude must always parse");
-        (Arc::new(parsed.expr), parsed.next_loc)
+        PreludeTemplate {
+            loc_info: Arc::new(loc_table(&parsed.expr, true)),
+            expr: Arc::new(parsed.expr),
+            next_loc: parsed.next_loc,
+        }
     })
+}
+
+/// The metadata of every literal in `expr`, the Prelude's or the user's.
+fn loc_table(expr: &Expr, prelude: bool) -> LocTable {
+    let names = loc_names(expr);
+    let mut info = HashMap::new();
+    expr.walk(&mut |e| {
+        if let Expr::Num(n) = e {
+            info.insert(
+                n.loc,
+                LocInfo {
+                    name: names.get(&n.loc).cloned(),
+                    annotation: n.annotation,
+                    range: n.range,
+                    prelude,
+                },
+            );
+        }
+    });
+    info
 }
 
 /// The user code's text plus the span of every literal's value in it,
@@ -185,8 +220,11 @@ pub struct Program {
     user_expr: Expr,
     prelude_next_loc: u32,
     next_loc: u32,
-    /// Never changed by a substitution, so shared by every clone.
-    loc_info: Arc<HashMap<LocId, LocInfo>>,
+    /// The Prelude's location metadata, shared with the template.
+    prelude_info: Arc<LocTable>,
+    /// The user code's location metadata. Never changed by a
+    /// substitution, so shared by every clone.
+    user_info: Arc<LocTable>,
     limits: Limits,
     /// The unparsed user code, built on first use and re-anchored by
     /// [`Program::apply_subst`].
@@ -200,11 +238,12 @@ impl Program {
     ///
     /// Returns a [`ParseError`] if the user source is malformed.
     pub fn parse(user_src: &str) -> Result<Program, ParseError> {
-        let (prelude_expr, prelude_next_loc) = prelude_template().clone();
-        let user = parse_with_locs(user_src, prelude_next_loc)?;
+        let prelude = prelude_template();
+        let user = parse_with_locs(user_src, prelude.next_loc)?;
         Ok(Self::assemble(
-            prelude_expr,
-            prelude_next_loc,
+            Arc::clone(&prelude.expr),
+            prelude.next_loc,
+            Arc::clone(&prelude.loc_info),
             user.expr,
             user.next_loc,
         ))
@@ -219,48 +258,41 @@ impl Program {
         let user = sns_lang::parse(user_src)?;
         // A trivial prelude: a single dummy literal that binds nothing.
         let prelude_expr = Arc::new(Expr::Bool(true));
-        Ok(Self::assemble(prelude_expr, 0, user.expr, user.next_loc))
+        Ok(Self::assemble(
+            prelude_expr,
+            0,
+            Arc::default(),
+            user.expr,
+            user.next_loc,
+        ))
     }
 
     fn assemble(
         prelude_expr: Arc<Expr>,
         prelude_next_loc: u32,
+        prelude_info: Arc<LocTable>,
         user_expr: Expr,
         next_loc: u32,
     ) -> Program {
-        let mut program = Program {
+        Program {
+            user_info: Arc::new(loc_table(&user_expr, false)),
             prelude_expr,
             user_expr,
             prelude_next_loc,
             next_loc,
-            loc_info: Arc::default(),
+            prelude_info,
             limits: Limits::default(),
             code: OnceLock::new(),
-        };
-        program.rebuild_loc_info();
-        program
+        }
     }
 
-    fn rebuild_loc_info(&mut self) {
-        let mut info = HashMap::new();
-        let mut names = loc_names(&self.prelude_expr);
-        names.extend(loc_names(&self.user_expr));
-        for (expr, prelude) in [(&*self.prelude_expr, true), (&self.user_expr, false)] {
-            expr.walk(&mut |e| {
-                if let Expr::Num(n) = e {
-                    info.insert(
-                        n.loc,
-                        LocInfo {
-                            name: names.get(&n.loc).cloned(),
-                            annotation: n.annotation,
-                            range: n.range,
-                            prelude,
-                        },
-                    );
-                }
-            });
-        }
-        self.loc_info = Arc::new(info);
+    /// Every location's metadata, the Prelude's first, in no particular
+    /// order within each half.
+    fn loc_infos(&self) -> impl Iterator<Item = (LocId, &LocInfo)> {
+        self.prelude_info
+            .iter()
+            .chain(self.user_info.iter())
+            .map(|(l, i)| (*l, i))
     }
 
     /// Overrides the evaluation resource limits.
@@ -295,20 +327,23 @@ impl Program {
 
     /// Metadata for a location, if it exists in the program.
     pub fn loc_info(&self, loc: LocId) -> Option<&LocInfo> {
-        self.loc_info.get(&loc)
+        if self.is_prelude_loc(loc) {
+            self.prelude_info.get(&loc)
+        } else {
+            self.user_info.get(&loc)
+        }
     }
 
     /// Canonical display name for a location (`x0` / `sep` / `l17`).
     pub fn display_loc(&self, loc: LocId) -> String {
-        self.loc_info
-            .get(&loc)
+        self.loc_info(loc)
             .and_then(|i| i.name.clone())
             .unwrap_or_else(|| loc.to_string())
     }
 
     /// Whether the given freeze mode forbids changing `loc` (§2.2).
     pub fn is_frozen(&self, loc: LocId, mode: FreezeMode) -> bool {
-        let Some(info) = self.loc_info.get(&loc) else {
+        let Some(info) = self.loc_info(loc) else {
             // Unknown locations are conservatively frozen.
             return true;
         };
@@ -401,9 +436,8 @@ impl Program {
     /// (§2.4), in location order.
     pub fn slider_locs(&self) -> Vec<(LocId, (f64, f64))> {
         let mut out: Vec<(LocId, (f64, f64))> = self
-            .loc_info
-            .iter()
-            .filter_map(|(l, i)| i.range.map(|r| (*l, r)))
+            .loc_infos()
+            .filter_map(|(l, i)| i.range.map(|r| (l, r)))
             .collect();
         out.sort_by_key(|(l, _)| *l);
         out
@@ -422,7 +456,11 @@ pub struct EvalOutcome {
 
 /// Evaluates a chain of `def`/`defrec` bindings into an environment,
 /// stopping at the first non-`let` expression (the Prelude's end marker).
-fn extend_with_defs(ev: &mut Evaluator, env: Env, expr: &Expr) -> Result<Env, EvalError> {
+pub(crate) fn extend_with_defs(
+    ev: &mut Evaluator,
+    env: Env,
+    expr: &Expr,
+) -> Result<Env, EvalError> {
     let mut env = env;
     let mut cur = expr;
     while let Expr::Let {
@@ -436,12 +474,7 @@ fn extend_with_defs(ev: &mut Evaluator, env: Env, expr: &Expr) -> Result<Env, Ev
         let bound_v = ev.eval(&env, bound)?;
         let bound_v = if *recursive {
             match (pat, bound_v) {
-                (Pat::Var(name), Value::Closure(c)) => Value::Closure(Arc::new(Closure {
-                    rec_name: Some(name.clone()),
-                    params: c.params.clone(),
-                    body: Arc::clone(&c.body),
-                    env: c.env.clone(),
-                })),
+                (Pat::Var(name), Value::Closure(c)) => Value::Closure(named_rec(c, name)),
                 _ => return Err(EvalError::new("defrec requires a function")),
             }
         } else {
@@ -470,6 +503,49 @@ mod tests {
             .map(|x| x.as_num().unwrap().0)
             .collect();
         assert_eq!(nums, vec![0.0, 1.0, 4.0, 9.0]);
+    }
+
+    /// The location metadata as every parse used to build it: both halves
+    /// from scratch.
+    fn rebuilt_loc_info(p: &Program) -> HashMap<LocId, LocInfo> {
+        let mut info = HashMap::new();
+        let mut names = loc_names(p.prelude_expr());
+        names.extend(loc_names(p.user_expr()));
+        for (expr, prelude) in [(p.prelude_expr(), true), (p.user_expr(), false)] {
+            expr.walk(&mut |e| {
+                if let Expr::Num(n) = e {
+                    info.insert(
+                        n.loc,
+                        LocInfo {
+                            name: names.get(&n.loc).cloned(),
+                            annotation: n.annotation,
+                            range: n.range,
+                            prelude,
+                        },
+                    );
+                }
+            });
+        }
+        info
+    }
+
+    #[test]
+    fn shared_prelude_loc_info_equals_a_fresh_rebuild_on_the_corpus() {
+        for ex in sns_examples::ALL {
+            let p = Program::parse(ex.source).unwrap();
+            let want = rebuilt_loc_info(&p);
+            let got: HashMap<LocId, LocInfo> = p.loc_infos().map(|(l, i)| (l, i.clone())).collect();
+            assert_eq!(
+                got.len(),
+                p.loc_infos().count(),
+                "{}: no duplicates",
+                ex.slug
+            );
+            assert_eq!(got, want, "{}", ex.slug);
+            for l in (0..p.next_loc() + 2).map(LocId) {
+                assert_eq!(p.loc_info(l), want.get(&l), "{} {l}", ex.slug);
+            }
+        }
     }
 
     #[test]

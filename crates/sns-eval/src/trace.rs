@@ -12,6 +12,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 use sns_lang::{LocId, Op};
@@ -23,7 +24,74 @@ pub enum Trace {
     /// The number originated at program location ℓ.
     Loc(LocId),
     /// The number is the result of `op` applied to traced arguments.
-    Op(Op, Vec<Arc<Trace>>),
+    Op(Op, TraceArgs),
+}
+
+/// The arguments of an operation trace. A primitive takes at most two,
+/// so they live inside the trace node: building an operation trace
+/// allocates the node alone.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TraceArgs {
+    /// A nullary operation's (`pi`).
+    Zero,
+    /// A unary operation's.
+    One([Arc<Trace>; 1]),
+    /// A binary operation's.
+    Two([Arc<Trace>; 2]),
+}
+
+impl Deref for TraceArgs {
+    type Target = [Arc<Trace>];
+
+    fn deref(&self) -> &[Arc<Trace>] {
+        match self {
+            TraceArgs::Zero => &[],
+            TraceArgs::One(args) => args,
+            TraceArgs::Two(args) => args,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a TraceArgs {
+    type Item = &'a Arc<Trace>;
+    type IntoIter = std::slice::Iter<'a, Arc<Trace>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl IntoIterator for TraceArgs {
+    type Item = Arc<Trace>;
+    type IntoIter =
+        std::iter::Chain<std::option::IntoIter<Arc<Trace>>, std::option::IntoIter<Arc<Trace>>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let (a, b) = match self {
+            TraceArgs::Zero => (None, None),
+            TraceArgs::One([a]) => (Some(a), None),
+            TraceArgs::Two([a, b]) => (Some(a), Some(b)),
+        };
+        a.into_iter().chain(b)
+    }
+}
+
+impl From<[Arc<Trace>; 0]> for TraceArgs {
+    fn from(_: [Arc<Trace>; 0]) -> TraceArgs {
+        TraceArgs::Zero
+    }
+}
+
+impl From<[Arc<Trace>; 1]> for TraceArgs {
+    fn from(args: [Arc<Trace>; 1]) -> TraceArgs {
+        TraceArgs::One(args)
+    }
+}
+
+impl From<[Arc<Trace>; 2]> for TraceArgs {
+    fn from(args: [Arc<Trace>; 2]) -> TraceArgs {
+        TraceArgs::Two(args)
+    }
 }
 
 impl Trace {
@@ -33,8 +101,8 @@ impl Trace {
     }
 
     /// A shared operation trace.
-    pub fn op(op: Op, args: Vec<Arc<Trace>>) -> Arc<Trace> {
-        Arc::new(Trace::Op(op, args))
+    pub fn op(op: Op, args: impl Into<TraceArgs>) -> Arc<Trace> {
+        Arc::new(Trace::Op(op, args.into()))
     }
 
     /// The set of locations mentioned anywhere in the trace.
@@ -277,14 +345,14 @@ mod tests {
 
     #[test]
     fn locs_deduplicates() {
-        let t = Trace::op(Op::Add, vec![l(1), Trace::op(Op::Mul, vec![l(1), l(2)])]);
+        let t = Trace::op(Op::Add, [l(1), Trace::op(Op::Mul, [l(1), l(2)])]);
         let locs: Vec<u32> = t.locs().into_iter().map(|x| x.0).collect();
         assert_eq!(locs, vec![1, 2]);
     }
 
     #[test]
     fn count_loc_counts_occurrences() {
-        let t = Trace::op(Op::Add, vec![l(1), Trace::op(Op::Mul, vec![l(1), l(2)])]);
+        let t = Trace::op(Op::Add, [l(1), Trace::op(Op::Mul, [l(1), l(2)])]);
         assert_eq!(t.count_loc(LocId(1)), 2);
         assert_eq!(t.count_loc(LocId(2)), 1);
         assert_eq!(t.count_loc(LocId(3)), 0);
@@ -292,15 +360,15 @@ mod tests {
 
     #[test]
     fn size_counts_nodes() {
-        let t = Trace::op(Op::Add, vec![l(1), Trace::op(Op::Mul, vec![l(1), l(2)])]);
+        let t = Trace::op(Op::Add, [l(1), Trace::op(Op::Mul, [l(1), l(2)])]);
         assert_eq!(t.size(), 5);
     }
 
     #[test]
     fn addition_only_fragment() {
-        let t = Trace::op(Op::Add, vec![l(1), Trace::op(Op::Add, vec![l(2), l(3)])]);
+        let t = Trace::op(Op::Add, [l(1), Trace::op(Op::Add, [l(2), l(3)])]);
         assert!(t.is_addition_only());
-        let t = Trace::op(Op::Add, vec![l(1), Trace::op(Op::Mul, vec![l(2), l(3)])]);
+        let t = Trace::op(Op::Add, [l(1), Trace::op(Op::Mul, [l(2), l(3)])]);
         assert!(!t.is_addition_only());
     }
 
@@ -308,10 +376,10 @@ mod tests {
     fn memoized_counts_match_the_tree_walk_on_shared_dags() {
         // s = (+ l1 l2) is used twice, and the result once more: the tree
         // walk counts every path.
-        let s = Trace::op(Op::Add, vec![l(1), l(2)]);
-        let t = Trace::op(Op::Mul, vec![Arc::clone(&s), s]);
-        let u = Trace::op(Op::Add, vec![Arc::clone(&t), Trace::op(Op::Sin, vec![t])]);
-        let (pi, leaf) = (Trace::op(Op::Pi, vec![]), l(7));
+        let s = Trace::op(Op::Add, [l(1), l(2)]);
+        let t = Trace::op(Op::Mul, [Arc::clone(&s), s]);
+        let u = Trace::op(Op::Add, [Arc::clone(&t), Trace::op(Op::Sin, [t])]);
+        let (pi, leaf) = (Trace::op(Op::Pi, []), l(7));
         let mut memo = LocMemo::default();
         for trace in [&u, &pi, &leaf] {
             let mut want = std::collections::HashMap::new();
@@ -326,7 +394,7 @@ mod tests {
 
     #[test]
     fn display_uses_prefix_notation() {
-        let t = Trace::op(Op::Add, vec![l(0), Trace::op(Op::Mul, vec![l(1), l(2)])]);
+        let t = Trace::op(Op::Add, [l(0), Trace::op(Op::Mul, [l(1), l(2)])]);
         assert_eq!(t.to_string(), "(+ l0 (* l1 l2))");
     }
 }

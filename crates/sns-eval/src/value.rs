@@ -22,8 +22,8 @@ pub enum Value {
     Bool(bool),
     /// The empty list `[]`.
     Nil,
-    /// A cons cell `[v1|v2]`.
-    Cons(Arc<Value>, Arc<Value>),
+    /// A cons cell `[v1|v2]`: head and tail in one allocation.
+    Cons(Arc<(Value, Value)>),
     /// A function closure.
     Closure(Arc<Closure>),
 }
@@ -34,16 +34,32 @@ pub enum Value {
 #[derive(Debug)]
 pub struct Closure {
     /// For recursive closures, the self-reference name bound at application.
-    pub rec_name: Option<String>,
-    /// Parameter patterns (multi-parameter lambdas are applied curried).
-    pub params: Vec<Pat>,
+    pub rec_name: Option<Arc<str>>,
+    /// The λ's parameter patterns, shared with it (multi-parameter lambdas
+    /// are applied curried).
+    pub params: Arc<[Pat]>,
+    /// How many leading parameters a partial application has already
+    /// bound: the closure expects `params[first_param..]`.
+    pub first_param: usize,
     /// The function body, shared with the λ it was evaluated from.
     pub body: Arc<Expr>,
     /// The captured environment.
     pub env: Env,
 }
 
+impl Closure {
+    /// The parameters the closure still expects.
+    pub fn remaining_params(&self) -> &[Pat] {
+        &self.params[self.first_param..]
+    }
+}
+
 impl Value {
+    /// Builds a cons cell `[head|tail]`.
+    pub fn cons(head: Value, tail: Value) -> Value {
+        Value::Cons(Arc::new((head, tail)))
+    }
+
     /// Builds a traced number.
     pub fn num(n: f64, t: Arc<Trace>) -> Value {
         Value::Num(n, t)
@@ -58,7 +74,7 @@ impl Value {
     pub fn from_vec(items: Vec<Value>) -> Value {
         let mut out = Value::Nil;
         for v in items.into_iter().rev() {
-            out = Value::Cons(Arc::new(v), Arc::new(out));
+            out = Value::cons(v, out);
         }
         out
     }
@@ -71,9 +87,9 @@ impl Value {
         loop {
             match cur {
                 Value::Nil => return Some(out),
-                Value::Cons(h, t) => {
-                    out.push((**h).clone());
-                    cur = t;
+                Value::Cons(cell) => {
+                    out.push(cell.0.clone());
+                    cur = &cell.1;
                 }
                 _ => return None,
             }
@@ -108,13 +124,16 @@ impl Value {
     /// value (numbers nested in lists included; closure environments are
     /// not traversed — closures are opaque to `=`/`toString`).
     pub fn collect_locs(&self, out: &mut std::collections::BTreeSet<sns_lang::LocId>) {
-        match self {
-            Value::Num(_, t) => t.collect_locs_into(out),
-            Value::Cons(h, t) => {
-                h.collect_locs(out);
-                t.collect_locs(out);
+        let mut cur = self;
+        loop {
+            match cur {
+                Value::Num(_, t) => return t.collect_locs_into(out),
+                Value::Cons(cell) => {
+                    cell.0.collect_locs(out);
+                    cur = &cell.1;
+                }
+                Value::Str(_) | Value::Bool(_) | Value::Nil | Value::Closure(_) => return,
             }
-            Value::Str(_) | Value::Bool(_) | Value::Nil | Value::Closure(_) => {}
         }
     }
 
@@ -134,15 +153,22 @@ impl Value {
     /// This is the dynamic behaviour of the `=` primitive on lists and the
     /// basis of value-context comparison in the synthesis framework.
     pub fn structurally_eq(&self, other: &Value) -> bool {
-        match (self, other) {
-            (Value::Num(a, _), Value::Num(b, _)) => a == b,
-            (Value::Str(a), Value::Str(b)) => a == b,
-            (Value::Bool(a), Value::Bool(b)) => a == b,
-            (Value::Nil, Value::Nil) => true,
-            (Value::Cons(h1, t1), Value::Cons(h2, t2)) => {
-                h1.structurally_eq(h2) && t1.structurally_eq(t2)
-            }
-            _ => false,
+        let (mut a, mut b) = (self, other);
+        loop {
+            return match (a, b) {
+                (Value::Num(x, _), Value::Num(y, _)) => x == y,
+                (Value::Str(x), Value::Str(y)) => x == y,
+                (Value::Bool(x), Value::Bool(y)) => x == y,
+                (Value::Nil, Value::Nil) => true,
+                (Value::Cons(x), Value::Cons(y)) => {
+                    if !x.0.structurally_eq(&y.0) {
+                        return false;
+                    }
+                    (a, b) = (&x.1, &y.1);
+                    continue;
+                }
+                _ => false,
+            };
         }
     }
 }
@@ -160,13 +186,13 @@ impl fmt::Display for Value {
                 let mut first = true;
                 loop {
                     match cur {
-                        Value::Cons(h, t) => {
+                        Value::Cons(cell) => {
                             if !first {
                                 f.write_str(" ")?;
                             }
-                            write!(f, "{h}")?;
+                            write!(f, "{}", cell.0)?;
                             first = false;
-                            cur = t;
+                            cur = &cell.1;
                         }
                         Value::Nil => break,
                         other => {
@@ -201,7 +227,7 @@ mod tests {
 
     #[test]
     fn improper_list_is_not_a_vec() {
-        let v = Value::Cons(Arc::new(Value::Bool(true)), Arc::new(Value::Bool(false)));
+        let v = Value::cons(Value::Bool(true), Value::Bool(false));
         assert!(v.to_vec().is_none());
     }
 

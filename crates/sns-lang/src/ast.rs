@@ -240,8 +240,9 @@ pub enum LetStyle {
 /// Patterns (`p` in Figure 2).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Pat {
-    /// A variable binder.
-    Var(String),
+    /// A variable binder. The name is shared with every environment
+    /// frame and closure that binds it, so binding allocates no string.
+    Var(Arc<str>),
     /// A numeric constant pattern.
     Num(f64),
     /// A string constant pattern.
@@ -282,17 +283,19 @@ impl Pat {
 pub enum Expr {
     /// Numeric literal.
     Num(NumLit),
-    /// String literal (single-quoted in the surface syntax).
-    Str(String),
+    /// String literal (single-quoted in the surface syntax), shared with
+    /// every string value it evaluates to.
+    Str(Arc<str>),
     /// Boolean literal.
     Bool(bool),
     /// Variable reference.
     Var(String),
     /// List literal `[e1 … em]` or `[e1 … em|e0]`. `List(vec![], None)` is `[]`.
     List(Vec<Expr>, Option<Box<Expr>>),
-    /// Function `(λ p1 … pm e)` (multi-parameter sugar retained). The body
-    /// is shared: every closure the λ evaluates to holds the same body.
-    Lambda(Vec<Pat>, Arc<Expr>),
+    /// Function `(λ p1 … pm e)` (multi-parameter sugar retained). The
+    /// parameters and body are shared: every closure the λ evaluates to
+    /// holds the same ones.
+    Lambda(Arc<[Pat]>, Arc<Expr>),
     /// Application `(e0 e1 … em)` (curried sugar retained).
     App(Box<Expr>, Vec<Expr>),
     /// Primitive operation `(opm e1 … em)`.
@@ -437,15 +440,24 @@ impl Expr {
 /// assert_eq!(sns_lang::fmt_num(-0.25), "-0.25");
 /// ```
 pub fn fmt_num(x: f64) -> String {
-    if !x.is_finite() {
-        // Unparseable placeholder; evaluation never produces these in
-        // well-formed programs, but Debug output should not panic.
-        return format!("{x}");
-    }
-    if x == x.trunc() && x.abs() < 1e15 {
-        format!("{}", x as i64)
+    let mut out = String::new();
+    write_num(&mut out, x).expect("writing to a String cannot fail");
+    out
+}
+
+/// Writes `x` the way [`fmt_num`] formats it, without building a string.
+///
+/// # Errors
+///
+/// Fails only when `out` does.
+pub fn write_num(out: &mut (impl fmt::Write + ?Sized), x: f64) -> fmt::Result {
+    // A non-finite number is an unparseable placeholder; evaluation never
+    // produces these in well-formed programs, but Debug output should not
+    // panic.
+    if x.is_finite() && x == x.trunc() && x.abs() < 1e15 {
+        write!(out, "{}", x as i64)
     } else {
-        format!("{x}")
+        write!(out, "{x}")
     }
 }
 

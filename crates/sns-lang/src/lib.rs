@@ -51,7 +51,7 @@ pub mod token;
 pub mod unparse;
 
 pub use ast::LocId;
-pub use ast::{fmt_num, Expr, FreezeAnnotation, LetStyle, NumLit, Op, Pat};
+pub use ast::{fmt_num, write_num, Expr, FreezeAnnotation, LetStyle, NumLit, Op, Pat};
 pub use diff::{diff_exprs, AstDiff, MAX_DIFF_REGIONS};
 pub use error::{ParseError, Pos};
 pub use names::{display_loc, loc_names};

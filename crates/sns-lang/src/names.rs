@@ -36,7 +36,7 @@ pub fn loc_names(expr: &Expr) -> HashMap<LocId, String> {
 fn record_pat_binding(pat: &Pat, bound: &Expr, names: &mut HashMap<LocId, String>) {
     match (pat, bound) {
         (Pat::Var(x), Expr::Num(n)) => {
-            names.insert(n.loc, x.clone());
+            names.insert(n.loc, x.to_string());
         }
         (Pat::List(ps, None), Expr::List(es, None)) if ps.len() == es.len() => {
             for (p, e) in ps.iter().zip(es) {

@@ -159,7 +159,7 @@ impl Parser {
                 annotation,
                 range,
             })),
-            TokenKind::Str(s) => Ok(Expr::Str(s)),
+            TokenKind::Str(s) => Ok(Expr::Str(s.into())),
             TokenKind::Sym(s) => match s.as_str() {
                 "true" => Ok(Expr::Bool(true)),
                 "false" => Ok(Expr::Bool(false)),
@@ -201,7 +201,7 @@ impl Parser {
                 let params = self.parse_params()?;
                 let body = self.parse_expr()?;
                 self.expect(&TokenKind::RParen, "`)` to close lambda")?;
-                Ok(Expr::Lambda(params, Arc::new(body)))
+                Ok(Expr::Lambda(params.into(), Arc::new(body)))
             }
             Some(TokenKind::Sym(s)) => {
                 let s = s.clone();
@@ -332,7 +332,7 @@ impl Parser {
             TokenKind::Sym(s) => match s.as_str() {
                 "true" => Ok(Pat::Bool(true)),
                 "false" => Ok(Pat::Bool(false)),
-                _ => Ok(Pat::Var(s)),
+                _ => Ok(Pat::Var(s.into())),
             },
             TokenKind::Num { value, .. } => Ok(Pat::Num(value)),
             TokenKind::Str(s) => Ok(Pat::Str(s)),
@@ -410,7 +410,7 @@ mod tests {
                 body,
                 ..
             } => {
-                assert_eq!(x, "x");
+                assert_eq!(&**x, "x");
                 assert!(matches!(**body, Expr::Let { .. }));
             }
             other => panic!("expected def, got {other:?}"),

@@ -22,6 +22,11 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, insertion-ordered.
     Obj(Vec<(String, Json)>),
+    /// A value already encoded as JSON text, written verbatim: a reply
+    /// part streamed by its own writer rides inside a reply tree without
+    /// being built as one. The parser never produces it, and the accessors
+    /// do not look inside it.
+    Raw(String),
 }
 
 impl Json {
@@ -85,7 +90,8 @@ impl fmt::Display for Json {
                     f.write_str("null")
                 }
             }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Str(s) => write_str(f, s),
+            Json::Raw(text) => f.write_str(text),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -102,7 +108,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write_escaped(f, k)?;
+                    write_str(f, k)?;
                     f.write_str(":")?;
                     v.fmt(f)?;
                 }
@@ -112,14 +118,36 @@ impl fmt::Display for Json {
     }
 }
 
-/// Writes `s` as a quoted JSON string. Bytes that need no escaping are
-/// copied a whole run at a time, so the cost is one `write_str` per
-/// escaped byte plus one per run between them. Escapes are `"`, `\`,
-/// `\n`, `\r`, `\t` and `\u00xx` for the other control bytes below 0x20;
-/// everything else (DEL and all non-ASCII text included) passes through.
-/// Every escaped byte is ASCII, so each run boundary is a char boundary.
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
+/// Writes `s` as a quoted JSON string, escaped as by [`Escaped`].
+///
+/// # Errors
+///
+/// Fails only when `out` does.
+pub fn write_str(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_str("\"")?;
+    write_escaped(out, s)?;
+    out.write_str("\"")
+}
+
+/// A writer that escapes what is written through it as the inside of a
+/// JSON string (no quotes): text formatted into it lands in a string of
+/// the JSON being written without being built on the side.
+pub struct Escaped<'a, W: fmt::Write>(pub &'a mut W);
+
+impl<W: fmt::Write> fmt::Write for Escaped<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        write_escaped(self.0, s)
+    }
+}
+
+/// Writes `s` escaped for the inside of a JSON string. Bytes that need no
+/// escaping are copied a whole run at a time, so the cost is one
+/// `write_str` per escaped byte plus one per run between them. Escapes are
+/// `"`, `\`, `\n`, `\r`, `\t` and `\u00xx` for the other control bytes
+/// below 0x20; everything else (DEL and all non-ASCII text included)
+/// passes through. Every escaped byte is ASCII, so each run boundary is a
+/// char boundary.
+fn write_escaped(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
     let mut run = 0;
     for (i, &b) in s.as_bytes().iter().enumerate() {
         let escape = match b {
@@ -138,8 +166,7 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
         }
         run = i + 1;
     }
-    f.write_str(&s[run..])?;
-    f.write_str("\"")
+    f.write_str(&s[run..])
 }
 
 /// A JSON parse error with a byte offset.

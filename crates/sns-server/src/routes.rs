@@ -418,7 +418,9 @@ pub fn dispatch(state: &Arc<ServerState>, request: &Request, peer: IpAddr) -> Re
             None => error_response(404, "no timeline for that session"),
         },
         ("POST", ["sessions"]) => create_session(state, &request.body, peer),
-        ("GET", ["sessions", id, "canvas"]) => with_session(state, id, |s| Ok(s.canvas_json())),
+        ("GET", ["sessions", id, "canvas"]) => {
+            with_session(state, id, |s| Ok(Json::Raw(s.canvas_body())))
+        }
         ("GET", ["sessions", id, "code"]) => with_session(state, id, |s| {
             Ok(Json::obj([("code", Json::str(s.code()))]))
         }),
@@ -584,7 +586,7 @@ fn create_session(state: &Arc<ServerState>, body: &[u8], peer: IpAddr) -> Respon
         Ok(mut session) => {
             stamp_current(Stage::PrepareDone);
             let code = session.code();
-            let canvas = session.canvas_json();
+            let canvas = Json::Raw(session.canvas_body());
             let live_delta = session.live_stats_delta();
             // Authoritative quota check: the insert itself is atomic with
             // the per-IP count, so concurrent creates cannot sneak past.

@@ -6,7 +6,7 @@
 //! after each *commit* — never per drag request, mirroring the editor's
 //! mouse-up semantics (§4, §5.2.3).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use sns_editor::{Editor, EditorConfig};
@@ -15,7 +15,7 @@ use sns_lang::Subst;
 use sns_obs::trace::{stamp_current, Stage};
 use sns_svg::{ShapeId, Zone};
 
-use crate::json::Json;
+use crate::json::{self, Escaped, Json};
 use crate::persist::{Op, SessionBackend};
 
 /// Server-side per-request evaluation limits: far below [`Limits::default`]
@@ -255,49 +255,66 @@ impl Session {
         delta
     }
 
+    /// The session's editor, read-only.
+    pub fn editor(&self) -> &Editor {
+        &self.editor
+    }
+
     /// The current program text.
     pub fn code(&self) -> String {
         self.editor.code()
     }
 
-    /// The canvas payload: rendered SVG plus zone/caption metadata.
+    /// The canvas payload as a walkable tree: the parse of
+    /// [`Session::canvas_body`], so it cannot drift from the wire.
     pub fn canvas_json(&self) -> Json {
-        let shapes: Vec<Json> = self
-            .editor
-            .shapes()
-            .iter()
-            .map(|shape| {
-                let zones: Vec<Json> = shape
-                    .zones()
-                    .iter()
-                    .map(|spec| {
-                        let (active, caption) = match self.editor.zone_analysis(shape.id, spec.zone)
-                        {
-                            Some(a) => {
-                                let c = sns_editor::caption_for(self.editor.program(), a);
-                                (a.is_active(), c.text)
-                            }
-                            None => (false, "Inactive".to_string()),
-                        };
-                        Json::obj([
-                            ("zone", Json::str(spec.zone.to_string())),
-                            ("active", Json::Bool(active)),
-                            ("caption", Json::str(caption)),
-                        ])
-                    })
-                    .collect();
-                Json::obj([
-                    ("id", Json::Num(shape.id.0 as f64)),
-                    ("kind", Json::str(shape.node.kind.clone())),
-                    ("hidden", Json::Bool(shape.hidden())),
-                    ("zones", Json::Arr(zones)),
-                ])
-            })
-            .collect();
-        Json::obj([
-            ("svg", Json::str(self.editor.canvas_svg())),
-            ("shapes", Json::Arr(shapes)),
-        ])
+        json::parse(&self.canvas_body()).expect("the canvas writer emits valid JSON")
+    }
+
+    /// The canvas payload as JSON text: rendered SVG plus zone/caption
+    /// metadata, `{"svg":…,"shapes":[{"id","kind","hidden","zones":[{"zone",
+    /// "active","caption"}]}]}`. Written in one pass: the SVG, zone names
+    /// and captions are escaped straight into the text, so a reply
+    /// allocates a constant number of times whatever the zone count.
+    pub fn canvas_body(&self) -> String {
+        let mut out = String::new();
+        self.write_canvas(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    fn write_canvas(&self, out: &mut String) -> fmt::Result {
+        let program = self.editor.program();
+        // One analysis per (shape, zone), in canvas order.
+        let mut zones = self.editor.live().assignments().zones.iter().peekable();
+        out.push_str("{\"svg\":\"");
+        self.editor.write_canvas_svg(&mut Escaped(out))?;
+        out.push_str("\",\"shapes\":[");
+        for (i, shape) in self.editor.shapes().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write!(out, "{{\"id\":{},\"kind\":", shape.id.0)?;
+            json::write_str(out, &shape.node.kind)?;
+            write!(out, ",\"hidden\":{},\"zones\":[", shape.hidden())?;
+            let mut first = true;
+            while let Some(a) = zones.next_if(|a| a.shape == shape.id) {
+                if !std::mem::take(&mut first) {
+                    out.push(',');
+                }
+                write!(
+                    out,
+                    "{{\"zone\":\"{}\",\"active\":{},\"caption\":\"",
+                    a.zone,
+                    a.is_active()
+                )?;
+                sns_editor::write_caption(&mut Escaped(out), program, a)?;
+                out.push_str("\"}");
+            }
+            out.push_str("]}");
+        }
+        out.push_str("]}");
+        Ok(())
     }
 
     /// Applies one drag movement. `dx`/`dy` are total offsets from the
@@ -420,7 +437,7 @@ impl Session {
         self.journaled_apply(MutOp::SetCode(source), |ed| ed.set_code(source))?;
         Ok(Json::obj([
             ("code", Json::str(self.code())),
-            ("canvas", self.canvas_json()),
+            ("canvas", Json::Raw(self.canvas_body())),
         ]))
     }
 

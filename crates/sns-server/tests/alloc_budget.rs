@@ -1,0 +1,112 @@
+//! Allocation budgets for the `set_code` path, counted exactly by a
+//! counting global allocator: what a timing gate cannot resolve on a
+//! small, noisy host, a count resolves deterministically.
+//!
+//! * Evaluating a program allocates per binding, cons cell, closure and
+//!   operation trace, and nothing more: no name strings, argument vectors
+//!   or trace argument vectors. The budgets are the counts measured when
+//!   that was made so, plus 10%.
+//! * The canvas body of a reply is written in one pass into one string:
+//!   its allocations do not grow with the canvas's zone count.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use sns_eval::Program;
+use sns_server::session::Session;
+
+/// Counts the allocations (and reallocations) of the current thread, so
+/// tests running in parallel do not see each other's.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // A thread being torn down may allocate after its locals are gone.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards to the system allocator with the caller's
+// arguments unchanged; counting touches only a thread-local integer.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// The allocations `f` makes on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// Post-change allocation counts of one evaluation, plus 10%. The
+/// evaluator these replaced allocated 5 056, 24 424 and 15 342 times.
+const EVAL_BUDGETS: [(&str, u64); 3] = [
+    ("keyboard", 2_016 * 11 / 10),
+    ("us13_flag", 9_458 * 11 / 10),
+    ("us50_flag", 5_974 * 11 / 10),
+];
+
+#[test]
+fn evaluation_stays_within_its_allocation_budget() {
+    for (slug, budget) in EVAL_BUDGETS {
+        let src = sns_examples::by_slug(slug).expect("corpus example").source;
+        let program = Program::parse(src).expect("corpus parses");
+        program.eval_traced().expect("corpus runs");
+        let (n, outcome) = allocations(|| program.eval_traced());
+        outcome.expect("corpus runs");
+        eprintln!("{slug}: {n} allocations per evaluation (budget {budget})");
+        assert!(n <= budget, "{slug}: {n} allocations > budget {budget}");
+    }
+}
+
+/// Allocations one canvas body may make: the string it is written into
+/// and that string's growth, which is logarithmic in its length.
+const CANVAS_BUDGET: u64 = 16;
+
+#[test]
+fn the_canvas_body_allocates_o1_per_reply() {
+    let mut counts = Vec::new();
+    for ex in sns_examples::ALL {
+        let session = Session::create(ex.slug.to_string(), ex.source).expect("corpus runs");
+        let zones = session.editor().live().assignments().zones.len();
+        let (n, body) = allocations(|| session.canvas_body());
+        assert!(
+            n <= CANVAS_BUDGET,
+            "{}: {n} allocations for {zones} zones ({} bytes)",
+            ex.slug,
+            body.len()
+        );
+        counts.push((zones, n));
+    }
+    counts.sort_unstable();
+    let (few, most) = (counts[0], counts[counts.len() - 1]);
+    eprintln!("canvas body allocations: {few:?} .. {most:?} (zones, allocations)");
+    assert!(most.0 >= 40 * few.0.max(1), "the corpus spans zone counts");
+}

@@ -48,7 +48,7 @@ impl std::fmt::Display for Equation {
 /// use sns_eval::Trace;
 /// use sns_lang::{LocId, Op, Subst};
 ///
-/// let t = Trace::op(Op::Mul, vec![Trace::loc(LocId(0)), Trace::loc(LocId(1))]);
+/// let t = Trace::op(Op::Mul, [Trace::loc(LocId(0)), Trace::loc(LocId(1))]);
 /// let rho = Subst::from_pairs([(LocId(0), 6.0), (LocId(1), 7.0)]);
 /// assert_eq!(sns_solver::eval_trace(&rho, &t), Some(42.0));
 /// ```
@@ -98,9 +98,9 @@ mod tests {
         // (+ l0 (* l1 l2)) with l0=50, l1=2, l2=30 → 110.
         let t = Trace::op(
             Op::Add,
-            vec![
+            [
                 Trace::loc(LocId(0)),
-                Trace::op(Op::Mul, vec![Trace::loc(LocId(1)), Trace::loc(LocId(2))]),
+                Trace::op(Op::Mul, [Trace::loc(LocId(1)), Trace::loc(LocId(2))]),
             ],
         );
         let rho = Subst::from_pairs([(LocId(0), 50.0), (LocId(1), 2.0), (LocId(2), 30.0)]);
@@ -115,13 +115,13 @@ mod tests {
 
     #[test]
     fn pi_evaluates_without_bindings() {
-        let t = Trace::op(Op::Pi, vec![]);
+        let t = Trace::op(Op::Pi, []);
         assert_eq!(eval_trace(&Subst::new(), &t), Some(std::f64::consts::PI));
     }
 
     #[test]
     fn non_numeric_ops_are_rejected() {
-        let t = Trace::op(Op::Lt, vec![Trace::loc(LocId(0)), Trace::loc(LocId(1))]);
+        let t = Trace::op(Op::Lt, [Trace::loc(LocId(0)), Trace::loc(LocId(1))]);
         let rho = Subst::from_pairs([(LocId(0), 1.0), (LocId(1), 2.0)]);
         assert_eq!(eval_trace(&rho, &t), None);
     }

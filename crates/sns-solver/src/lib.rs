@@ -24,9 +24,9 @@
 //!
 //! // 155 = (+ x0 (* 2 sep))  with x0 = 50, sep = 30:
 //! let idx = Trace::loc(LocId(2));
-//! let t = Trace::op(Op::Add, vec![
+//! let t = Trace::op(Op::Add, [
 //!     Trace::loc(LocId(0)),
-//!     Trace::op(Op::Mul, vec![idx, Trace::loc(LocId(1))]),
+//!     Trace::op(Op::Mul, [idx, Trace::loc(LocId(1))]),
 //! ]);
 //! let rho = Subst::from_pairs([(LocId(0), 50.0), (LocId(1), 30.0), (LocId(2), 2.0)]);
 //! let eq = Equation::new(155.0, t);

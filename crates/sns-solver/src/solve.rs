@@ -263,8 +263,8 @@ mod tests {
     /// The sine-wave x-trace for box index 2: (+ x0 (* (+ 1 (+ 1 0)) sep))
     /// with x0 = l0, sep = l1, the Prelude `1` = l2, the Prelude `0` = l3.
     fn sine_wave_eq() -> (Subst, Equation) {
-        let idx = Trace::op(Op::Add, vec![l(2), Trace::op(Op::Add, vec![l(2), l(3)])]);
-        let t = Trace::op(Op::Add, vec![l(0), Trace::op(Op::Mul, vec![idx, l(1)])]);
+        let idx = Trace::op(Op::Add, [l(2), Trace::op(Op::Add, [l(2), l(3)])]);
+        let t = Trace::op(Op::Add, [l(0), Trace::op(Op::Mul, [idx, l(1)])]);
         let rho = Subst::from_pairs([
             (LocId(0), 50.0),
             (LocId(1), 30.0),
@@ -300,7 +300,7 @@ mod tests {
     #[test]
     fn extended_solver_rejects_straddling_unknowns() {
         // 12 = (* l0 l0): the unknown sits on both sides of `*`.
-        let t = Trace::op(Op::Mul, vec![l(0), l(0)]);
+        let t = Trace::op(Op::Mul, [l(0), l(0)]);
         let rho = Subst::from_pairs([(LocId(0), 2.0)]);
         assert_eq!(
             solve_extended(&rho, LocId(0), &Equation::new(12.0, t)),
@@ -311,7 +311,7 @@ mod tests {
     #[test]
     fn solve_a_handles_repeated_unknowns() {
         // 10 = (+ l0 (+ l0 l1)), l1 = 4  ⇒  l0 = 3.
-        let t = Trace::op(Op::Add, vec![l(0), Trace::op(Op::Add, vec![l(0), l(1)])]);
+        let t = Trace::op(Op::Add, [l(0), Trace::op(Op::Add, [l(0), l(1)])]);
         let rho = Subst::from_pairs([(LocId(0), 0.0), (LocId(1), 4.0)]);
         let eq = Equation::new(10.0, t);
         assert_eq!(solve_a(&rho, LocId(0), &eq), Some(3.0));
@@ -324,7 +324,7 @@ mod tests {
     #[test]
     fn solve_b_inverts_trig() {
         // 0.5 = (cos l0) ⇒ l0 = arccos 0.5 = π/3.
-        let t = Trace::op(Op::Cos, vec![l(0)]);
+        let t = Trace::op(Op::Cos, [l(0)]);
         let rho = Subst::from_pairs([(LocId(0), 0.0)]);
         let k = solve(&rho, LocId(0), &Equation::new(0.5, t)).unwrap();
         assert!((k - std::f64::consts::FRAC_PI_3).abs() < 1e-12);
@@ -334,7 +334,7 @@ mod tests {
     fn cosine_bounded_equations_fail_for_large_targets() {
         // §5.2.2: n + d = f(cos l) has no solution when the target leaves
         // the range of cosine.
-        let t = Trace::op(Op::Mul, vec![l(1), Trace::op(Op::Cos, vec![l(0)])]);
+        let t = Trace::op(Op::Mul, [l(1), Trace::op(Op::Cos, [l(0)])]);
         let rho = Subst::from_pairs([(LocId(0), 0.0), (LocId(1), 60.0)]);
         // target 30 is fine (cos = 0.5)…
         assert!(solve(&rho, LocId(0), &Equation::new(30.0, t.clone())).is_some());
@@ -345,29 +345,29 @@ mod tests {
     #[test]
     fn subtraction_and_division_inverses() {
         // 20 = (- l0 5) ⇒ l0 = 25.
-        let t = Trace::op(Op::Sub, vec![l(0), l(1)]);
+        let t = Trace::op(Op::Sub, [l(0), l(1)]);
         let rho = Subst::from_pairs([(LocId(1), 5.0)]);
         assert_eq!(solve(&rho, LocId(0), &Equation::new(20.0, t)), Some(25.0));
         // 20 = (- 5 l0) ⇒ l0 = -15.
-        let t = Trace::op(Op::Sub, vec![l(1), l(0)]);
+        let t = Trace::op(Op::Sub, [l(1), l(0)]);
         assert_eq!(solve(&rho, LocId(0), &Equation::new(20.0, t)), Some(-15.0));
         // 4 = (/ l0 3) ⇒ l0 = 12.
-        let t = Trace::op(Op::Div, vec![l(0), l(1)]);
+        let t = Trace::op(Op::Div, [l(0), l(1)]);
         let rho = Subst::from_pairs([(LocId(1), 3.0)]);
         assert_eq!(solve(&rho, LocId(0), &Equation::new(4.0, t)), Some(12.0));
         // 4 = (/ 3 l0) ⇒ l0 = 0.75.
-        let t = Trace::op(Op::Div, vec![l(1), l(0)]);
+        let t = Trace::op(Op::Div, [l(1), l(0)]);
         assert_eq!(solve(&rho, LocId(0), &Equation::new(4.0, t)), Some(0.75));
     }
 
     #[test]
     fn pow_inverses() {
         // 8 = (pow l0 3) ⇒ l0 = 2.
-        let t = Trace::op(Op::Pow, vec![l(0), l(1)]);
+        let t = Trace::op(Op::Pow, [l(0), l(1)]);
         let rho = Subst::from_pairs([(LocId(1), 3.0)]);
         assert_eq!(solve(&rho, LocId(0), &Equation::new(8.0, t)), Some(2.0));
         // 8 = (pow 2 l0) ⇒ l0 = 3.
-        let t = Trace::op(Op::Pow, vec![l(1), l(0)]);
+        let t = Trace::op(Op::Pow, [l(1), l(0)]);
         let rho = Subst::from_pairs([(LocId(1), 2.0)]);
         let k = solve(&rho, LocId(0), &Equation::new(8.0, t)).unwrap();
         assert!((k - 3.0).abs() < 1e-12);
@@ -375,7 +375,7 @@ mod tests {
 
     #[test]
     fn round_is_not_invertible() {
-        let t = Trace::op(Op::Round, vec![l(0)]);
+        let t = Trace::op(Op::Round, [l(0)]);
         let rho = Subst::from_pairs([(LocId(0), 1.0)]);
         assert_eq!(solve(&rho, LocId(0), &Equation::new(3.0, t)), None);
     }
@@ -383,29 +383,29 @@ mod tests {
     #[test]
     fn mul_by_zero_coefficient_fails() {
         // Appendix B.2: 155 = (+ 50 (* 0 sep)) has no solution for sep.
-        let t = Trace::op(Op::Add, vec![l(0), Trace::op(Op::Mul, vec![l(2), l(1)])]);
+        let t = Trace::op(Op::Add, [l(0), Trace::op(Op::Mul, [l(2), l(1)])]);
         let rho = Subst::from_pairs([(LocId(0), 50.0), (LocId(1), 30.0), (LocId(2), 0.0)]);
         assert_eq!(solve(&rho, LocId(1), &Equation::new(155.0, t)), None);
     }
 
     #[test]
     fn unknown_absent_from_trace_fails() {
-        let t = Trace::op(Op::Add, vec![l(0), l(1)]);
+        let t = Trace::op(Op::Add, [l(0), l(1)]);
         let rho = Subst::from_pairs([(LocId(0), 1.0), (LocId(1), 2.0)]);
         assert_eq!(solve(&rho, LocId(9), &Equation::new(5.0, t)), None);
     }
 
     #[test]
     fn classify_fragments() {
-        let additive = Trace::op(Op::Add, vec![l(0), Trace::op(Op::Add, vec![l(0), l(1)])]);
+        let additive = Trace::op(Op::Add, [l(0), Trace::op(Op::Add, [l(0), l(1)])]);
         let c = classify(&additive, LocId(0));
         assert!(c.addition_only && !c.single_occurrence && c.in_fragment());
 
-        let single = Trace::op(Op::Mul, vec![l(0), l(1)]);
+        let single = Trace::op(Op::Mul, [l(0), l(1)]);
         let c = classify(&single, LocId(0));
         assert!(!c.addition_only && c.single_occurrence);
 
-        let outside = Trace::op(Op::Mul, vec![l(0), Trace::op(Op::Add, vec![l(0), l(1)])]);
+        let outside = Trace::op(Op::Mul, [l(0), Trace::op(Op::Add, [l(0), l(1)])]);
         let c = classify(&outside, LocId(0));
         assert!(!c.in_fragment());
     }

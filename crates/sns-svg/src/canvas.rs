@@ -6,7 +6,7 @@ use sns_eval::Value;
 use crate::node::{
     for_each_num, for_each_num_mut, node_from_value, NumTr, SvgChild, SvgError, SvgNode,
 };
-use crate::render::{render, RenderOptions};
+use crate::render::{render, render_to, RenderOptions};
 use crate::zones::{zones_of, ZoneSpec};
 
 /// Stable identity of a shape within one canvas (pre-order index).
@@ -86,6 +86,19 @@ impl Canvas {
     /// Renders the canvas to SVG text (the editor's export feature).
     pub fn to_svg(&self, options: RenderOptions) -> String {
         render(&self.root, options)
+    }
+
+    /// Writes the SVG text [`Canvas::to_svg`] returns into `out`.
+    ///
+    /// # Errors
+    ///
+    /// Fails only when `out` does.
+    pub fn write_svg(
+        &self,
+        out: &mut impl std::fmt::Write,
+        options: RenderOptions,
+    ) -> std::fmt::Result {
+        render_to(out, &self.root, options)
     }
 
     /// Visits every traced number of the canvas: those of the root tree,

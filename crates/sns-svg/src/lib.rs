@@ -33,5 +33,5 @@ pub mod zones;
 
 pub use canvas::{Canvas, Shape, ShapeId};
 pub use node::{node_from_value, AttrValue, NumTr, PathCmd, SvgChild, SvgError, SvgNode};
-pub use render::{render, RenderOptions};
+pub use render::{render, render_to, RenderOptions};
 pub use zones::{resolve_attr, zones_of, AttrRef, Offset, ParseZoneError, Zone, ZoneSpec};

@@ -6,11 +6,11 @@
 //! The non-standard `'ZONES'` and `'HIDDEN'` attributes are dropped, as in
 //! the paper.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
-use sns_lang::fmt_num;
+use sns_lang::write_num;
 
-use crate::node::{AttrValue, NumTr, PathCmd, SvgChild, SvgNode};
+use crate::node::{AttrValue, NumTr, SvgChild, SvgNode};
 
 /// Rendering options.
 #[derive(Debug, Clone, Copy, Default)]
@@ -35,135 +35,150 @@ pub struct RenderOptions {
 /// ```
 pub fn render(node: &SvgNode, options: RenderOptions) -> String {
     let mut out = String::new();
-    write_node(&mut out, node, options, 0);
+    render_to(&mut out, node, options).expect("writing to a String cannot fail");
     out
 }
 
-fn write_node(out: &mut String, node: &SvgNode, options: RenderOptions, depth: usize) {
-    if options.hide_hidden && node.hidden() {
-        return;
-    }
+/// Renders a node tree into `out`, the text [`render`] returns. Nothing
+/// is built on the side: every attribute and number is written straight
+/// into `out`.
+///
+/// # Errors
+///
+/// Fails only when `out` does.
+pub fn render_to(out: &mut impl Write, node: &SvgNode, options: RenderOptions) -> fmt::Result {
+    write_node(out, node, options, 0)
+}
+
+fn indent(out: &mut impl Write, depth: usize) -> fmt::Result {
     for _ in 0..depth {
-        out.push_str("  ");
+        out.write_str("  ")?;
     }
-    let _ = write!(out, "<{}", node.kind);
+    Ok(())
+}
+
+fn write_node(
+    out: &mut impl Write,
+    node: &SvgNode,
+    options: RenderOptions,
+    depth: usize,
+) -> fmt::Result {
+    if options.hide_hidden && node.hidden() {
+        return Ok(());
+    }
+    indent(out, depth)?;
+    write!(out, "<{}", node.kind)?;
     if node.kind == "svg" && depth == 0 {
-        out.push_str(" xmlns='http://www.w3.org/2000/svg'");
+        out.write_str(" xmlns='http://www.w3.org/2000/svg'")?;
     }
     for (key, value) in &node.attrs {
         if key == "ZONES" || key == "HIDDEN" {
             continue;
         }
-        let _ = write!(out, " {}='{}'", key, render_attr_value(value));
+        write!(out, " {key}='")?;
+        write_attr_value(out, value)?;
+        out.write_str("'")?;
     }
     if node.children.is_empty() {
-        out.push_str("/>\n");
-        return;
+        return out.write_str("/>\n");
     }
-    out.push_str(">\n");
+    out.write_str(">\n")?;
     for child in &node.children {
         match child {
-            SvgChild::Node(n) => write_node(out, n, options, depth + 1),
+            SvgChild::Node(n) => write_node(out, n, options, depth + 1)?,
             SvgChild::Text(s) => {
-                for _ in 0..depth + 1 {
-                    out.push_str("  ");
-                }
-                out.push_str(&escape_xml(s));
-                out.push('\n');
+                indent(out, depth + 1)?;
+                write_xml_escaped(out, s)?;
+                out.write_str("\n")?;
             }
         }
     }
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-    let _ = writeln!(out, "</{}>", node.kind);
+    indent(out, depth)?;
+    writeln!(out, "</{}>", node.kind)
 }
 
-fn render_attr_value(value: &AttrValue) -> String {
+/// Writes `items` separated by `sep`.
+fn write_sep<T>(
+    out: &mut dyn Write,
+    items: &[T],
+    sep: &str,
+    mut item: impl FnMut(&mut dyn Write, &T) -> fmt::Result,
+) -> fmt::Result {
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.write_str(sep)?;
+        }
+        item(out, x)?;
+    }
+    Ok(())
+}
+
+fn write_attr_value(out: &mut impl Write, value: &AttrValue) -> fmt::Result {
     match value {
-        AttrValue::Num(n) => fmt_num(n.n),
-        AttrValue::Str(s) => escape_xml(s),
-        AttrValue::Points(pts) => {
-            let mut s = String::new();
-            for (i, (x, y)) in pts.iter().enumerate() {
-                if i > 0 {
-                    s.push(' ');
-                }
-                let _ = write!(s, "{},{}", fmt_num(x.n), fmt_num(y.n));
+        AttrValue::Num(n) => write_num(out, n.n),
+        AttrValue::Str(s) => write_xml_escaped(out, s),
+        AttrValue::Points(pts) => write_sep(out, pts, " ", |out, (x, y)| {
+            write_num(out, x.n)?;
+            out.write_str(",")?;
+            write_num(out, y.n)
+        }),
+        AttrValue::Rgba(rgba) => {
+            out.write_str("rgba(")?;
+            write_sep(out, rgba, ",", |out, c| write_num(out, c.n))?;
+            out.write_str(")")
+        }
+        AttrValue::ColorNum(n) => write_color_num(out, n),
+        AttrValue::Path(cmds) => write_sep(out, cmds, " ", |out, cmd| {
+            out.write_str(&cmd.cmd)?;
+            for a in &cmd.args {
+                out.write_str(" ")?;
+                write_num(out, a.n)?;
             }
-            s
-        }
-        AttrValue::Rgba([r, g, b, a]) => {
-            format!(
-                "rgba({},{},{},{})",
-                fmt_num(r.n),
-                fmt_num(g.n),
-                fmt_num(b.n),
-                fmt_num(a.n)
-            )
-        }
-        AttrValue::ColorNum(n) => color_num_to_css(n),
-        AttrValue::Path(cmds) => render_path(cmds),
-        AttrValue::Transform(cmds) => {
-            let mut s = String::new();
-            for (i, cmd) in cmds.iter().enumerate() {
-                if i > 0 {
-                    s.push(' ');
-                }
-                let _ = write!(s, "{}(", cmd.cmd);
-                for (j, a) in cmd.args.iter().enumerate() {
-                    if j > 0 {
-                        s.push(' ');
-                    }
-                    s.push_str(&fmt_num(a.n));
-                }
-                s.push(')');
-            }
-            s
-        }
+            Ok(())
+        }),
+        AttrValue::Transform(cmds) => write_sep(out, cmds, " ", |out, cmd| {
+            write!(out, "{}(", cmd.cmd)?;
+            write_sep(out, &cmd.args, " ", |out, a| write_num(out, a.n))?;
+            out.write_str(")")
+        }),
     }
 }
 
 /// Maps a *color number* in `[0, 500]` to a CSS color (Appendix C): values
 /// in `[0, 360)` are hues at full saturation; `[360, 500]` is a grayscale
 /// ramp from black to white.
-fn color_num_to_css(n: &NumTr) -> String {
+fn write_color_num(out: &mut impl Write, n: &NumTr) -> fmt::Result {
     let v = n.n.clamp(0.0, 500.0);
     if v < 360.0 {
-        format!("hsl({},100%,50%)", fmt_num(v.round()))
+        out.write_str("hsl(")?;
+        write_num(out, v.round())?;
+        out.write_str(",100%,50%)")
     } else {
         let lightness = ((v - 360.0) / 140.0 * 100.0).round();
-        format!("hsl(0,0%,{}%)", fmt_num(lightness))
+        out.write_str("hsl(0,0%,")?;
+        write_num(out, lightness)?;
+        out.write_str("%)")
     }
 }
 
-fn render_path(cmds: &[PathCmd]) -> String {
-    let mut s = String::new();
-    for (i, cmd) in cmds.iter().enumerate() {
-        if i > 0 {
-            s.push(' ');
-        }
-        s.push_str(&cmd.cmd);
-        for a in &cmd.args {
-            let _ = write!(s, " {}", fmt_num(a.n));
-        }
+/// Writes `s` with the XML special characters escaped, a run of plain
+/// text at a time.
+fn write_xml_escaped(out: &mut impl Write, s: &str) -> fmt::Result {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'\'' => "&apos;",
+            b'"' => "&quot;",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        out.write_str(escape)?;
+        run = i + 1;
     }
-    s
-}
-
-fn escape_xml(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '\'' => out.push_str("&apos;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
-        }
-    }
-    out
+    out.write_str(&s[run..])
 }
 
 #[cfg(test)]

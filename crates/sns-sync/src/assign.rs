@@ -737,9 +737,8 @@ mod tests {
             .stack_size(2 << 20)
             .spawn(|| {
                 let (a, b) = (LocId(0), LocId(1));
-                let deep = (0..100_000).fold(Trace::loc(a), |t, _| {
-                    Trace::op(Op::Add, vec![t, Trace::loc(b)])
-                });
+                let deep =
+                    (0..100_000).fold(Trace::loc(a), |t, _| Trace::op(Op::Add, [t, Trace::loc(b)]));
                 let pair = |k: &str, v: Value| Value::from_vec(vec![Value::str(k), v]);
                 let num = |t: Arc<Trace>| Value::Num(7.0, t);
                 let rect = Value::from_vec(vec![

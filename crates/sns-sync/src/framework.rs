@@ -35,9 +35,9 @@ pub fn numeric_leaves(value: &Value) -> Vec<f64> {
 fn collect_leaves(value: &Value, out: &mut Vec<f64>) {
     match value {
         Value::Num(n, _) => out.push(*n),
-        Value::Cons(h, t) => {
-            collect_leaves(h, out);
-            collect_leaves(t, out);
+        Value::Cons(cell) => {
+            collect_leaves(&cell.0, out);
+            collect_leaves(&cell.1, out);
         }
         Value::Str(_) | Value::Bool(_) | Value::Nil | Value::Closure(_) => {}
     }
@@ -53,7 +53,7 @@ pub fn similar(a: &Value, b: &Value) -> bool {
         (Value::Str(x), Value::Str(y)) => x == y,
         (Value::Bool(x), Value::Bool(y)) => x == y,
         (Value::Nil, Value::Nil) => true,
-        (Value::Cons(h1, t1), Value::Cons(h2, t2)) => similar(h1, h2) && similar(t1, t2),
+        (Value::Cons(x), Value::Cons(y)) => similar(&x.0, &y.0) && similar(&x.1, &y.1),
         (Value::Closure(_), Value::Closure(_)) => true,
         _ => false,
     }

@@ -51,7 +51,9 @@ pub use assign::{
 };
 pub use depindex::DepIndex;
 pub use framework::{judge, numeric_leaves, similar, Judgment, UserUpdate};
-pub use live::{prepare, DragResult, LiveConfig, LiveError, LiveStats, LiveSync, SetCodeClass};
+pub use live::{
+    prepare, DragResult, LiveConfig, LiveError, LiveStats, LiveSync, SetCodeClass, TapeWork,
+};
 pub use reconcile::{reconcile, OutputEdit, RankedUpdate, ReconcileJudgment};
 pub use stats::{
     location_stats, pre_equations, solvability, unique_pre_equations, LocationStats, PreEquation,

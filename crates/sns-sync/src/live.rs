@@ -139,6 +139,19 @@ pub struct LiveStats {
     pub fallback_reconcile: u64,
 }
 
+/// Trace-tape work a session has done, in tape nodes: deterministic
+/// counts of what its prepares compiled and its commits swept.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TapeWork {
+    /// Nodes compiled onto tapes (each prepare compiles its canvas's).
+    pub compiled: u64,
+    /// Nodes the sweeps of fast-tier commits changed.
+    pub swept: u64,
+    /// The lengths of the tapes those sweeps ran on, summed: what
+    /// recomputing each whole tape would have changed.
+    pub swept_of: u64,
+}
+
 #[derive(Debug, Default)]
 struct LiveCounters {
     full_prepares: AtomicU64,
@@ -241,6 +254,7 @@ pub struct LiveSync {
     /// The canvas's traces, compiled when the canvas was installed.
     compiled: Compiled,
     counters: LiveCounters,
+    tape_work: TapeWork,
 }
 
 /// Where a slot reads no canvas number (its attribute is absent).
@@ -263,7 +277,12 @@ struct Compiled {
 }
 
 impl Compiled {
-    fn build(canvas: &Canvas, assignments: &Assignments, rho0: &Subst) -> Compiled {
+    fn build(
+        canvas: &Canvas,
+        assignments: &Assignments,
+        rho0: &Subst,
+        work: &mut TapeWork,
+    ) -> Compiled {
         let mut tape = TraceTape::builder(rho0);
         let mut outputs = Vec::new();
         canvas.for_each_num(|num| outputs.push(tape.push(&num.t)));
@@ -278,8 +297,10 @@ impl Compiled {
             }));
             slot_start.push(slots.len() as u32);
         }
+        let tape = tape.finish();
+        work.compiled += tape.len() as u64;
         Compiled {
-            tape: tape.finish(),
+            tape,
             outputs,
             slots,
             slot_start,
@@ -315,7 +336,8 @@ impl LiveSync {
         let (assignments, triggers) = prepare_with(&program, &canvas, config, &mut memo);
         let depindex = DepIndex::build(&assignments, &mut memo.locs);
         let rho0 = program.subst();
-        let compiled = Compiled::build(&canvas, &assignments, &rho0);
+        let mut tape_work = TapeWork::default();
+        let compiled = Compiled::build(&canvas, &assignments, &rho0, &mut tape_work);
         let counters = LiveCounters::default();
         LiveCounters::bump(&counters.full_prepares);
         Ok(LiveSync {
@@ -329,6 +351,7 @@ impl LiveSync {
             depindex,
             compiled,
             counters,
+            tape_work,
         })
     }
 
@@ -466,6 +489,8 @@ impl LiveSync {
     ) -> Result<(), LiveError> {
         if self.fast_tier(subst) {
             if let Some(sweep) = self.compiled.tape.sweep(subst) {
+                self.tape_work.swept += sweep.swept() as u64;
+                self.tape_work.swept_of += self.compiled.tape.len() as u64;
                 match replacement {
                     Some(program) => self.program = program,
                     None => self.program.apply_subst(subst),
@@ -526,6 +551,11 @@ impl LiveSync {
     /// Cache-effectiveness counters for this session.
     pub fn stats(&self) -> LiveStats {
         self.counters.snapshot()
+    }
+
+    /// The trace-tape work this session has done.
+    pub fn tape_work(&self) -> TapeWork {
+        self.tape_work
     }
 
     /// The locations that escaped during the last full evaluation.
@@ -652,7 +682,12 @@ impl LiveSync {
         self.canvas = canvas;
         self.escaped = outcome.escaped;
         self.rho0 = self.program.subst();
-        self.compiled = Compiled::build(&self.canvas, &self.assignments, &self.rho0);
+        self.compiled = Compiled::build(
+            &self.canvas,
+            &self.assignments,
+            &self.rho0,
+            &mut self.tape_work,
+        );
         LiveCounters::bump(&self.counters.partial_prepares);
         Ok(())
     }
@@ -725,7 +760,12 @@ impl LiveSync {
         self.triggers = triggers;
         self.escaped = outcome.escaped;
         self.rho0 = self.program.subst();
-        self.compiled = Compiled::build(&self.canvas, &self.assignments, &self.rho0);
+        self.compiled = Compiled::build(
+            &self.canvas,
+            &self.assignments,
+            &self.rho0,
+            &mut self.tape_work,
+        );
         LiveCounters::bump(&self.counters.full_prepares);
     }
 }

@@ -148,8 +148,8 @@ mod tests {
     /// Equation 3′ from §2.2: 155 = (+ x0 (* (+ l1 (+ l1 l0)) sep)).
     fn sine_eq() -> (Subst, Arc<Trace>) {
         let l = |i: u32| Trace::loc(LocId(i));
-        let idx = Trace::op(Op::Add, vec![l(2), Trace::op(Op::Add, vec![l(2), l(3)])]);
-        let t = Trace::op(Op::Add, vec![l(0), Trace::op(Op::Mul, vec![idx, l(1)])]);
+        let idx = Trace::op(Op::Add, [l(2), Trace::op(Op::Add, [l(2), l(3)])]);
+        let t = Trace::op(Op::Add, [l(0), Trace::op(Op::Mul, [idx, l(1)])]);
         let rho = Subst::from_pairs([
             (LocId(0), 50.0),
             (LocId(1), 30.0),
@@ -215,9 +215,9 @@ mod tests {
         // 3^10 tuples; the cap keeps it finite and deterministic.
         let t = Trace::op(
             Op::Add,
-            vec![
+            [
                 Trace::loc(LocId(0)),
-                Trace::op(Op::Add, vec![Trace::loc(LocId(1)), Trace::loc(LocId(2))]),
+                Trace::op(Op::Add, [Trace::loc(LocId(1)), Trace::loc(LocId(2))]),
             ],
         );
         let eqs: Vec<Equation> = (0..10)

@@ -52,7 +52,7 @@ fn arb_leaf(rng: &mut SplitMix64) -> Expr {
                     (b'a' + rng.index(26) as u8) as char
                 });
             }
-            Expr::Str(s)
+            Expr::Str(s.into())
         }
         _ => Expr::List(vec![], None),
     }
@@ -79,12 +79,12 @@ fn arb_expr(rng: &mut SplitMix64, depth: u32) -> Expr {
         4 => Expr::Let {
             recursive: false,
             style: LetStyle::Let,
-            pat: Pat::Var(ident(rng)),
+            pat: Pat::Var(ident(rng).into()),
             bound: Box::new(arb_expr(rng, depth - 1)),
             body: Box::new(arb_expr(rng, depth - 1)),
         },
         5 => Expr::Lambda(
-            vec![Pat::Var(ident(rng))],
+            vec![Pat::Var(ident(rng).into())].into(),
             Arc::new(arb_expr(rng, depth - 1)),
         ),
         _ => Expr::If(

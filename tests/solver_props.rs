@@ -24,9 +24,9 @@ fn single_occurrence_trace(rng: &mut SplitMix64, depth: u32) -> Arc<Trace> {
         let op = [Op::Add, Op::Sub, Op::Mul, Op::Div][rng.index(4)];
         let other = Trace::loc(LocId(rng.u32_in(1, 5)));
         with_l0 = if rng.flag() {
-            Trace::op(op, vec![with_l0, other])
+            Trace::op(op, [with_l0, other])
         } else {
-            Trace::op(op, vec![other, with_l0])
+            Trace::op(op, [other, with_l0])
         };
     }
     with_l0
@@ -39,7 +39,7 @@ fn additive_trace(rng: &mut SplitMix64, depth: u32) -> Arc<Trace> {
     }
     Trace::op(
         Op::Add,
-        vec![
+        [
             additive_trace(rng, depth - 1),
             additive_trace(rng, depth - 1),
         ],
@@ -152,7 +152,7 @@ fn outside_fragment_is_never_solved() {
         let b = additive_trace(&mut rng, 5);
         let rho = rho_for(&mut rng, 5);
         let target = rng.f64_in(-500.0, 500.0);
-        let trace = Trace::op(Op::Mul, vec![a, b]);
+        let trace = Trace::op(Op::Mul, [a, b]);
         let class = classify(&trace, LocId(0));
         if !class.in_fragment() {
             let eq = Equation::new(target, Arc::clone(&trace));
