@@ -16,7 +16,10 @@
 //! Baselines only compare within one host label (`SNS_BENCH_HOST`, or
 //! the kernel hostname): absolute throughput on a laptop says nothing
 //! about a CI box. A series with no prior same-host row passes — the
-//! first run on a box *establishes* its baseline.
+//! first run on a box *establishes* its baseline. CI sets no
+//! `SNS_BENCH_HOST`, so a CI row's label is its runner's kernel hostname;
+//! a row only meets a baseline when an earlier row came from a machine of
+//! that same name.
 
 use std::collections::BTreeMap;
 

@@ -18,7 +18,7 @@ use bench::{
     ms, set_code_workload_sources, summarize, time_commit_paths, time_set_code, CommitTiming,
     SetCodeTiming,
 };
-use sns_sync::SetCodeClass;
+use sns_sync::{LiveStats, SetCodeClass};
 
 /// Commits timed per selected example per path.
 const COMMITS: usize = 30;
@@ -42,9 +42,9 @@ const REBUILD_FLOOR: f64 = 1.0;
 const SWEPT_CEILING: f64 = 0.5;
 
 /// The gate on the `subtree_dead` `set_code` speedup. Keeping every
-/// analysis, trigger and the index when no zone is re-analyzed measured
-/// 2.6–3.1x (sixteen runs, 2-vCPU VM); re-choosing and rebuilding them all
-/// measured 1.3–1.9x (eight runs).
+/// analysis, trigger and the index when the re-evaluated canvas is
+/// unchanged measured 3.1–3.8x (fourteen runs, 2-vCPU VM, pinned);
+/// re-choosing and rebuilding them all measured 1.3–1.9x (eight runs).
 const DEAD_FLOOR: f64 = 2.2;
 
 fn main() {
@@ -191,12 +191,14 @@ fn run(slugs: &[String]) -> bool {
     for (i, t) in set_codes.iter().enumerate() {
         json.push_str(&format!(
             "    \"{}\": {{\"full_ms\": {:.4}, \"diffed_ms\": {:.4}, \"speedup\": {:.2}, \
-             \"class\": \"{:?}\"}}{}\n",
+             \"class\": \"{:?}\", \"full_prepares\": {}, \"partial_prepares\": {}}}{}\n",
             t.label,
             t.full * 1000.0,
             t.diffed * 1000.0,
             t.speedup(),
             t.class,
+            t.counted.full_prepares,
+            t.counted.partial_prepares,
             if i + 1 == set_codes.len() { "" } else { "," },
         ));
     }
@@ -291,21 +293,51 @@ fn gates(
     }
 
     for t in set_codes {
-        let (want_class, floor) = match t.label {
-            "literal" => (SetCodeClass::Literals, 3.0),
-            "subtree" => (SetCodeClass::Subtree, 0.9),
-            // No zone depends on the edited region, so the stitch keeps
-            // every analysis, trigger and the index.
-            "subtree_dead" => (SetCodeClass::Subtree, DEAD_FLOOR),
-            // Structural edits take the full path on both sides; the gate
-            // only guards against classification drift and pathological
-            // diff overhead.
-            _ => (SetCodeClass::Structural, 0.5),
+        // What the timed edits must add to the session's counters: the
+        // path each took, by count, free of timing noise.
+        let n = t.edits as u64;
+        let full = LiveStats {
+            full_prepares: n,
+            fallback_structural: n,
+            ..LiveStats::default()
+        };
+        let (want_class, floor, want_counted) = match t.label {
+            "literal" => (
+                SetCodeClass::Literals,
+                3.0,
+                LiveStats {
+                    incremental_prepares: n,
+                    ..LiveStats::default()
+                },
+            ),
+            // The swapped operator is drawn, so the canvas changes and
+            // each edit prepares in full.
+            "subtree" => (SetCodeClass::Reevaluated, 0.9, full),
+            // No zone depends on the edited region, so the canvas is
+            // unchanged and every analysis, trigger and the index stand.
+            "subtree_dead" => (
+                SetCodeClass::Reevaluated,
+                DEAD_FLOOR,
+                LiveStats {
+                    partial_prepares: n,
+                    ..LiveStats::default()
+                },
+            ),
+            // A new shape: the full path on both sides; the floor only
+            // guards against pathological overhead before it.
+            _ => (SetCodeClass::Reevaluated, 0.5, full),
         };
         if t.class != want_class {
             eprintln!(
                 "FAIL: set_code {} workload classified as {:?}, expected {:?}",
                 t.label, t.class, want_class
+            );
+            ok = false;
+        }
+        if t.counted != want_counted {
+            eprintln!(
+                "FAIL: set_code {} workload counted {:?} over {n} edits, expected {:?}",
+                t.label, t.counted, want_counted
             );
             ok = false;
         }

@@ -113,7 +113,9 @@ pub fn git_sha() -> String {
 }
 
 /// This machine's identity for baseline matching: `SNS_BENCH_HOST` when
-/// set (CI pins a stable label), else the kernel hostname.
+/// set, else the kernel hostname. CI sets no `SNS_BENCH_HOST`, so its rows
+/// carry the runner's kernel hostname, which names the runner VM of that
+/// job rather than a stable label.
 pub fn host() -> String {
     if let Ok(h) = std::env::var("SNS_BENCH_HOST") {
         return h;

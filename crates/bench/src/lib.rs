@@ -380,6 +380,10 @@ pub struct SetCodeTiming {
     pub diffed: f64,
     /// Median seconds per edit via [`sns_sync::LiveSync::replace_program`].
     pub full: f64,
+    /// Edits timed per path.
+    pub edits: usize,
+    /// What the timed edits added to the diffed session's counters.
+    pub counted: sns_sync::LiveStats,
 }
 
 impl SetCodeTiming {
@@ -417,6 +421,7 @@ pub fn time_set_code(label: &'static str, src_a: &str, src_b: &str, edits: usize
     .expect("run");
 
     let mut class = None;
+    let before = diffed.stats();
     let mut diffed_times = Vec::with_capacity(edits);
     let mut full_times = Vec::with_capacity(edits);
     for i in 0..edits {
@@ -442,6 +447,8 @@ pub fn time_set_code(label: &'static str, src_a: &str, src_b: &str, edits: usize
         class: class.expect("at least one edit"),
         diffed: summarize(&diffed_times).med,
         full: summarize(&full_times).med,
+        edits,
+        counted: diffed.stats().since(&before),
     }
 }
 
@@ -449,9 +456,10 @@ pub fn time_set_code(label: &'static str, src_a: &str, src_b: &str, edits: usize
 /// followed by a canvas of independent rects whose first x is
 /// `(* 2 15)`, and each labelled edit of it is a workload: `literal`
 /// nudges that rect's y (a literal no control flow observes); `subtree`
-/// swaps that rect's operator (same literals, one region); `subtree_dead`
-/// swaps the unused definition's operator (a region no zone depends on);
-/// `structural` appends a shape.
+/// swaps that rect's operator (same literals, a drawn region, so the
+/// canvas changes); `subtree_dead` swaps the unused definition's operator
+/// (a region no zone depends on, so the canvas stays); `structural`
+/// appends a shape.
 pub fn set_code_workload_sources() -> (String, Vec<(&'static str, String)>) {
     let mut shapes = String::from("(rect 'c0' (* 2 15) 10 20 20) ");
     for j in 1..40 {

@@ -8,9 +8,7 @@
 //!   edit is exactly a substitution over the unchanged program, so it can
 //!   ride the live-sync commit path (trace patching + dirty-zone refresh).
 //! * [`AstDiff::Subtree`] — a handful of local subtrees changed, each
-//!   containing the same number of numeric literals before and after. The
-//!   session can re-prepare only the zones whose traces reach the changed
-//!   regions and reuse the rest.
+//!   containing the same number of numeric literals before and after.
 //! * [`AstDiff::Structural`] — anything else: full re-prepare.
 //!
 //! The classification leans on one invariant of the parser: location ids

@@ -183,15 +183,18 @@ impl<'a> Lexer<'a> {
     fn read_string(&mut self) -> Result<TokenKind, ParseError> {
         // Opening quote already peeked by caller.
         self.bump();
-        let mut s = String::new();
+        // Bytes, decoded once at the end: the quote and the escapes are
+        // ASCII bytes, which never occur inside a multi-byte UTF-8
+        // sequence, so the bytes between them are whole characters.
+        let mut s = Vec::new();
         loop {
             match self.bump() {
                 None => return Err(self.error("unterminated string literal")),
                 Some(b'\'') => break,
                 Some(b'\\') => match self.bump() {
-                    Some(b'\'') => s.push('\''),
-                    Some(b'\\') => s.push('\\'),
-                    Some(b'n') => s.push('\n'),
+                    Some(b'\'') => s.push(b'\''),
+                    Some(b'\\') => s.push(b'\\'),
+                    Some(b'n') => s.push(b'\n'),
                     other => {
                         return Err(self.error(format!(
                             "unknown escape `\\{}`",
@@ -199,9 +202,10 @@ impl<'a> Lexer<'a> {
                         )))
                     }
                 },
-                Some(c) => s.push(c as char),
+                Some(c) => s.push(c),
             }
         }
+        let s = String::from_utf8(s).expect("a slice of a `&str` between ASCII bytes is UTF-8");
         Ok(TokenKind::Str(s))
     }
 
@@ -395,6 +399,7 @@ mod tests {
             vec![TokenKind::Str("lightblue".into())]
         );
         assert_eq!(kinds(r"'it\'s'"), vec![TokenKind::Str("it's".into())]);
+        assert_eq!(kinds("'tab λ'"), vec![TokenKind::Str("tab λ".into())]);
     }
 
     #[test]

@@ -229,28 +229,7 @@ impl Session {
         let now = self.editor.live_stats();
         // Saturating: editor reconfiguration (heuristic/freeze-mode swaps)
         // rebuilds the LiveSync and resets its counters below `reported`.
-        let delta = sns_sync::LiveStats {
-            full_prepares: now
-                .full_prepares
-                .saturating_sub(self.reported.full_prepares),
-            incremental_prepares: now
-                .incremental_prepares
-                .saturating_sub(self.reported.incremental_prepares),
-            partial_prepares: now
-                .partial_prepares
-                .saturating_sub(self.reported.partial_prepares),
-            fast_evals: now.fast_evals.saturating_sub(self.reported.fast_evals),
-            full_evals: now.full_evals.saturating_sub(self.reported.full_evals),
-            fallback_escaped: now
-                .fallback_escaped
-                .saturating_sub(self.reported.fallback_escaped),
-            fallback_structural: now
-                .fallback_structural
-                .saturating_sub(self.reported.fallback_structural),
-            fallback_reconcile: now
-                .fallback_reconcile
-                .saturating_sub(self.reported.fallback_reconcile),
-        };
+        let delta = now.since(&self.reported);
         self.reported = now;
         delta
     }

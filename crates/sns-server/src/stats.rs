@@ -158,13 +158,14 @@ impl ServerStats {
         );
         let prepare_partial = r.counter(
             "sns_prepare_partial_total",
-            "Partial prepares: stitched re-prepares after subtree code edits.",
+            "Partial prepares: re-evaluated code edits whose canvas was unchanged, \
+             so the prepare was kept.",
         );
         let prepare_fallback = r.counter_vec(
             "sns_prepare_fallback_total",
             "Full-prepare fallbacks by reason: a commit touched an escaped \
-             location, a code edit was structural, or a cheaper tier's \
-             verification failed.",
+             location, a re-evaluated code edit changed what the prepare \
+             reads, or a cheaper tier's verification failed.",
             "reason",
             ["escaped", "structural", "reconcile"].map(String::from),
         );

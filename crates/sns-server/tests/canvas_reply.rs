@@ -151,6 +151,13 @@ fn escapes_in_strings_and_text_survive_the_stream() {
     ] {
         assert!(body.contains(escaped), "{escaped} in {body}");
     }
+    // Non-ASCII text survives the lexer, the unparser and the SVG.
+    assert!(body.contains("tab λ"), "tab λ in {body}");
+    let program = sns_eval::Program::parse(src).unwrap();
+    let unparsed = sns_lang::unparse(program.user_expr());
+    assert!(unparsed.contains("tab λ'"), "{unparsed}");
+    let reparsed = sns_eval::Program::parse(&unparsed).unwrap();
+    assert_eq!(sns_lang::unparse(reparsed.user_expr()), unparsed);
     assert!(session.editor().shapes().iter().any(|s| s.hidden()));
     check(&session, "escapes");
 }

@@ -201,10 +201,26 @@ pub(crate) fn analyze_canvas_with<'t>(
     heuristic: Heuristic,
     memo: &mut PrepareMemo<'t>,
 ) -> Assignments {
-    let counts = heuristic_counts(canvas, heuristic, &mut memo.locs);
+    // Global occurrence counts Count(ℓ) for the biased heuristic. The fair
+    // heuristic never reads them (its score term is constant), so the map
+    // is left empty to skip the canvas walk.
+    let mut counts: HashMap<LocId, usize> = HashMap::new();
+    if heuristic == Heuristic::Biased {
+        for shape in canvas.shapes() {
+            for num in shape.node.attr_nums() {
+                for &(l, n) in memo.locs.counts(&num.t) {
+                    let n = usize::try_from(n).unwrap_or(usize::MAX);
+                    let count = counts.entry(l).or_insert(0);
+                    *count = count.saturating_add(n);
+                }
+            }
+        }
+    }
     let mut zones = Vec::new();
     for shape in canvas.shapes() {
-        zones.extend(analyze_shape_zones(shape, is_frozen, memo));
+        for spec in shape.zones() {
+            zones.push(analyze_zone(shape, &spec, is_frozen, memo));
+        }
     }
     choose_all(&mut zones, heuristic, &counts);
     Assignments { heuristic, zones }
@@ -255,46 +271,6 @@ impl PrepareMemo<'_> {
     }
 }
 
-/// Global occurrence counts Count(ℓ) for the biased heuristic. The fair
-/// heuristic never reads counts (its score term is constant), so the map is
-/// left empty to skip the canvas walk.
-pub(crate) fn heuristic_counts<'t>(
-    canvas: &'t Canvas,
-    heuristic: Heuristic,
-    memo: &mut LocMemo<'t>,
-) -> HashMap<LocId, usize> {
-    let mut counts: HashMap<LocId, usize> = HashMap::new();
-    if heuristic == Heuristic::Biased {
-        for shape in canvas.shapes() {
-            for num in shape.node.attr_nums() {
-                for &(l, n) in memo.counts(&num.t) {
-                    let n = usize::try_from(n).unwrap_or(usize::MAX);
-                    let count = counts.entry(l).or_insert(0);
-                    *count = count.saturating_add(n);
-                }
-            }
-        }
-    }
-    counts
-}
-
-/// The per-shape half of [`analyze_canvas`]: slot resolution and candidate
-/// enumeration for every zone of one shape, with `chosen` left `None`. A
-/// shape's analyses depend only on its own node and the frozen set, so a
-/// stitched re-prepare can reuse them for structurally unchanged shapes and
-/// re-run only the sequential [`choose_all`] pass.
-pub(crate) fn analyze_shape_zones<'t>(
-    shape: &'t Shape,
-    is_frozen: &dyn Fn(LocId) -> bool,
-    memo: &mut PrepareMemo<'t>,
-) -> Vec<ZoneAnalysis> {
-    shape
-        .zones()
-        .iter()
-        .map(|spec| analyze_zone(shape, spec, is_frozen, memo))
-        .collect()
-}
-
 /// One zone's slots and candidates, with `chosen` left `None`.
 fn analyze_zone<'t>(
     shape: &'t Shape,
@@ -334,13 +310,9 @@ fn analyze_zone<'t>(
 }
 
 /// The sequential disambiguation pass of [`analyze_canvas`]: walks the
-/// zones in canvas order, choosing a candidate per zone and rotating the
-/// usage counts exactly as the one-pass analysis did.
-pub(crate) fn choose_all(
-    zones: &mut [ZoneAnalysis],
-    heuristic: Heuristic,
-    counts: &HashMap<LocId, usize>,
-) {
+/// zones in canvas order, choosing a candidate per zone and counting each
+/// chosen location set's uses for the fair rotation.
+fn choose_all(zones: &mut [ZoneAnalysis], heuristic: Heuristic, counts: &HashMap<LocId, usize>) {
     let mut usage: HashMap<BTreeSet<LocId>, usize> = HashMap::new();
     for zone in zones {
         let chosen = choose(&zone.candidates, heuristic, &usage, counts);

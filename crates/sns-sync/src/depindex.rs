@@ -10,11 +10,9 @@
 //! answers "which zones can a changed location reach" in O(edit) instead
 //! of rescanning the canvas.
 //!
-//! It also records the **zone ↔ zone** edges of the "shares a location"
-//! relation, as connected components ([`DepIndex::affected_closure`]). A
-//! stitched re-prepare after a subtree code edit must re-analyze every zone
-//! in a component the edit touches, because the heuristic's usage rotation
-//! couples zones that compete for the same locations.
+//! Its locations are every location the zones' slot traces mention, frozen
+//! or not: a re-evaluated code edit keeps the prepare only when each of
+//! them is frozen as it was ([`DepIndex::locs`]).
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -24,30 +22,10 @@ use sns_lang::LocId;
 use crate::assign::Assignments;
 
 /// Maps every location to the zones (indices into
-/// [`Assignments::zones`]) whose attribute traces mention it, plus the
-/// zone→zone dependence components.
+/// [`Assignments::zones`]) whose attribute traces mention it.
 #[derive(Debug, Default, PartialEq)]
 pub struct DepIndex {
     by_loc: HashMap<LocId, Vec<usize>>,
-    /// Zone index → connected-component id.
-    component_of: Vec<usize>,
-    /// Component id → member zone indices, ascending.
-    component_zones: Vec<Vec<usize>>,
-}
-
-fn find(parent: &mut [usize], mut i: usize) -> usize {
-    while parent[i] != i {
-        parent[i] = parent[parent[i]];
-        i = parent[i];
-    }
-    i
-}
-
-fn union(parent: &mut [usize], a: usize, b: usize) {
-    let (ra, rb) = (find(parent, a), find(parent, b));
-    if ra != rb {
-        parent[ra] = rb;
-    }
 }
 
 impl DepIndex {
@@ -68,37 +46,7 @@ impl DepIndex {
                 by_loc.entry(l).or_default().push(i);
             }
         }
-        DepIndex::from_locs(by_loc, assignments.zones.len())
-    }
-
-    /// The index of `by_loc` (location → ascending dependent zones) over
-    /// `zone_count` zones.
-    fn from_locs(by_loc: HashMap<LocId, Vec<usize>>, zone_count: usize) -> DepIndex {
-        // Zones sharing any location are coupled through the choice pass.
-        let mut parent: Vec<usize> = (0..zone_count).collect();
-        for zones in by_loc.values() {
-            for &z in &zones[1..] {
-                union(&mut parent, zones[0], z);
-            }
-        }
-        let mut component_of = vec![0usize; zone_count];
-        let mut roots: HashMap<usize, usize> = HashMap::new();
-        let mut component_zones: Vec<Vec<usize>> = Vec::new();
-        for (i, slot) in component_of.iter_mut().enumerate() {
-            let root = find(&mut parent, i);
-            let id = *roots.entry(root).or_insert_with(|| {
-                component_zones.push(Vec::new());
-                component_zones.len() - 1
-            });
-            *slot = id;
-            component_zones[id].push(i);
-        }
-
-        DepIndex {
-            by_loc,
-            component_of,
-            component_zones,
-        }
+        DepIndex { by_loc }
     }
 
     /// The zones that depend on a single location, ascending.
@@ -115,23 +63,9 @@ impl DepIndex {
         out
     }
 
-    /// All zones in any usage-coupled component touched by a changed
-    /// location — the set a stitched re-prepare must re-analyze. A
-    /// conservative over-approximation: zones sharing no location with the
-    /// edit are provably unaffected by both the base-value motion and the
-    /// heuristic's usage rotation.
-    pub fn affected_closure(&self, changed: &BTreeSet<LocId>) -> BTreeSet<usize> {
-        let mut components = BTreeSet::new();
-        for &loc in changed {
-            for &z in self.zones_for(loc) {
-                components.insert(self.component_of[z]);
-            }
-        }
-        let mut out = BTreeSet::new();
-        for c in components {
-            out.extend(self.component_zones[c].iter().copied());
-        }
-        out
+    /// Every indexed location, in no particular order.
+    pub fn locs(&self) -> impl Iterator<Item = LocId> + '_ {
+        self.by_loc.keys().copied()
     }
 
     /// Number of distinct locations indexed.
@@ -176,7 +110,7 @@ mod tests {
                 by_loc.entry(l).or_default().push(i);
             }
         }
-        DepIndex::from_locs(by_loc, assignments.zones.len())
+        DepIndex { by_loc }
     }
 
     #[test]
@@ -206,6 +140,7 @@ mod tests {
 
         // 8 user literals; each appears in some zone of exactly one shape.
         assert_eq!(index.len(), 8);
+        assert_eq!(index.locs().count(), 8);
         let first_x = LocId(program.next_loc() - 8);
         let zones_of_first: BTreeSet<usize> = index.zones_for(first_x).iter().copied().collect();
         assert!(!zones_of_first.is_empty());
@@ -215,13 +150,6 @@ mod tests {
         // A dirty set over one rect's x never touches the other rect.
         let dirty = index.dirty_zones([first_x]);
         assert_eq!(dirty, zones_of_first);
-
-        // Independent rects form disjoint zone components: the closure of
-        // one rect's x stays within shape 0.
-        let closure = index.affected_closure(&[first_x].into_iter().collect());
-        for &i in &closure {
-            assert_eq!(assignments.zones[i].shape, sns_svg::ShapeId(0));
-        }
     }
 
     #[test]
@@ -233,14 +161,5 @@ mod tests {
         let shapes: BTreeSet<sns_svg::ShapeId> =
             dirty.iter().map(|&i| assignments.zones[i].shape).collect();
         assert_eq!(shapes.len(), 2, "both rects depend on s");
-
-        // The shared location couples both shapes into one component, so
-        // the affected closure spans zones of both.
-        let closure = index.affected_closure(&[s].into_iter().collect());
-        let closure_shapes: BTreeSet<sns_svg::ShapeId> = closure
-            .iter()
-            .map(|&i| assignments.zones[i].shape)
-            .collect();
-        assert_eq!(closure_shapes.len(), 2);
     }
 }

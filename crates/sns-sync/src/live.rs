@@ -41,28 +41,29 @@
 //! control flow, so it re-evaluates and re-prepares in full (§4, §5.2.3).
 //! So does one whose sweep fails (a changed trace node without a value).
 //!
-//! # Code edits: stitched re-prepare
+//! # Code edits
 //!
 //! [`LiveSync::set_program_diffed`] classifies a code edit with
 //! [`sns_lang::diff_exprs`]. Literal-only edits become substitutions
-//! through the commit path above; single-subtree edits re-evaluate but
-//! re-analyze only the zones in usage-coupled components touched by the
-//! edit, reusing every other shape's analyses and re-running just the
-//! sequential choice pass and the triggers. An edit no zone depends on
-//! re-analyzes nothing, so it keeps the analyses, triggers and dependence
-//! index as they are and rebuilds only the trace tape.
+//! through the commit path above. Every other edit is evaluated once and
+//! follows one rule: when the new canvas is what the current analyses
+//! describe (the same shapes, structurally trace-equal, and every
+//! location they read frozen as before), the analyses, triggers and
+//! dependence index stand and only the canvas, ρ₀, the escaped set and the
+//! trace tape are installed; otherwise the same evaluation is prepared in
+//! full.
 //!
-//! Every prepare (full or stitched) shares one memo across its zones:
-//! trace locations by trace address, candidates by slot signature (see
-//! [`crate::assign`]). It is dropped when the prepare ends.
+//! Every full prepare shares one memo across its zones: trace locations
+//! by trace address, candidates by slot signature (see [`crate::assign`]).
+//! It is dropped when the prepare ends.
 //!
 //! Whenever a proof obligation fails (a sweep trips on anything
-//! unexpected, a stitch comparator finds a structural change), the session
-//! falls back to the original full re-evaluate + re-prepare path, so
-//! observable behaviour is identical — the corpus-wide equivalence suite
-//! (`tests/incremental_equiv.rs`) checks this bit-for-bit.
+//! unexpected, a re-evaluated canvas differs from the analyzed one), the
+//! session falls back to the original full re-evaluate + re-prepare path,
+//! so observable behaviour is identical — the corpus-wide equivalence
+//! suite (`tests/incremental_equiv.rs`) checks this bit-for-bit.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,10 +74,7 @@ use sns_lang::{diff_exprs, AstDiff, LocId, Subst};
 use sns_svg::node::{PathCmd, TransformCmd};
 use sns_svg::{resolve_attr, AttrValue, Canvas, NumTr, ShapeId, SvgChild, SvgError, SvgNode, Zone};
 
-use crate::assign::{
-    analyze_canvas_with, analyze_shape_zones, choose_all, heuristic_counts, Assignments, Heuristic,
-    PrepareMemo,
-};
+use crate::assign::{analyze_canvas_with, Assignments, Heuristic, PrepareMemo};
 use crate::depindex::DepIndex;
 use crate::trigger::{SolverChoice, Trigger, TriggerFire};
 
@@ -95,10 +93,9 @@ pub enum SetCodeClass {
     Identical,
     /// Only numeric literals changed; the edit became a substitution.
     Literals,
-    /// A few subtrees changed; the session stitched the re-prepare.
-    Subtree,
-    /// The program shape changed; a full prepare ran.
-    Structural,
+    /// Any other edit: the program was evaluated again, and prepared in
+    /// full unless the new canvas is the one already analyzed.
+    Reevaluated,
 }
 
 /// Configuration of a live-synchronization session.
@@ -124,7 +121,8 @@ pub struct LiveStats {
     pub full_prepares: u64,
     /// Commits served by the incremental path (dirty zones only).
     pub incremental_prepares: u64,
-    /// Stitched re-prepares after subtree code edits.
+    /// Re-evaluated code edits whose canvas the current analyses already
+    /// describe, so only the canvas and its tape were installed.
     pub partial_prepares: u64,
     /// Drag steps the fast tier proved safe, so nothing was evaluated.
     pub fast_evals: u64,
@@ -132,11 +130,40 @@ pub struct LiveStats {
     pub full_evals: u64,
     /// Full-prepare fallbacks because a commit touched an escaped location.
     pub fallback_escaped: u64,
-    /// Full-prepare fallbacks because a code edit changed program shape.
+    /// Full-prepare fallbacks because a re-evaluated code edit changed
+    /// what the analyses read: the shapes, their traces, or which of
+    /// their locations are frozen.
     pub fallback_structural: u64,
     /// Full-prepare fallbacks because a cheaper tier's own verification
-    /// failed (patch bail, substitution mismatch, stitch mismatch).
+    /// failed (a failed sweep, a ρ disagreement).
     pub fallback_reconcile: u64,
+}
+
+impl LiveStats {
+    /// What was counted since `earlier`, field by field (saturating, so a
+    /// session rebuilt with fresh counters reads zero, not a wrap).
+    pub fn since(&self, earlier: &LiveStats) -> LiveStats {
+        LiveStats {
+            full_prepares: self.full_prepares.saturating_sub(earlier.full_prepares),
+            incremental_prepares: self
+                .incremental_prepares
+                .saturating_sub(earlier.incremental_prepares),
+            partial_prepares: self
+                .partial_prepares
+                .saturating_sub(earlier.partial_prepares),
+            fast_evals: self.fast_evals.saturating_sub(earlier.fast_evals),
+            full_evals: self.full_evals.saturating_sub(earlier.full_evals),
+            fallback_escaped: self
+                .fallback_escaped
+                .saturating_sub(earlier.fallback_escaped),
+            fallback_structural: self
+                .fallback_structural
+                .saturating_sub(earlier.fallback_structural),
+            fallback_reconcile: self
+                .fallback_reconcile
+                .saturating_sub(earlier.fallback_reconcile),
+        }
+    }
 }
 
 /// Trace-tape work a session has done, in tape nodes: deterministic
@@ -580,11 +607,11 @@ impl LiveSync {
 
     /// Replaces the program via AST diffing, reusing as much session state
     /// as the edit's classification allows: identical → nothing to do;
-    /// literal-only → a substitution through the commit path; single
-    /// subtrees → stitched re-prepare; anything else → full prepare.
-    /// Every cheaper tier self-verifies and falls back to the full path on
-    /// any mismatch, so the result is always bit-identical to
-    /// [`LiveSync::replace_program`].
+    /// literal-only → a substitution through the commit path; anything
+    /// else → one evaluation, keeping the prepare when the canvas and the
+    /// frozen status of its locations are unchanged. Every shortcut
+    /// verifies itself and falls back to the full path on any mismatch, so
+    /// the result is always bit-identical to [`LiveSync::replace_program`].
     ///
     /// # Errors
     ///
@@ -592,13 +619,13 @@ impl LiveSync {
     pub fn set_program_diffed(&mut self, program: Program) -> Result<SetCodeClass, LiveError> {
         if self.config.full_prepare_only {
             self.replace_program(program)?;
-            return Ok(SetCodeClass::Structural);
+            return Ok(SetCodeClass::Reevaluated);
         }
         match diff_exprs(self.program.user_expr(), program.user_expr()) {
             AstDiff::Identical => {
                 // Re-parsing identical source must also reproduce the
                 // current substitution for state reuse to be sound.
-                if self.rho_agrees(&program, &BTreeSet::new(), None) {
+                if self.rho_agrees(&program, None) {
                     return Ok(SetCodeClass::Identical);
                 }
                 LiveCounters::bump(&self.counters.fallback_reconcile);
@@ -607,7 +634,7 @@ impl LiveSync {
             }
             AstDiff::Literals(pairs) => {
                 let subst = Subst::from_pairs(pairs);
-                if !self.rho_agrees(&program, &BTreeSet::new(), Some(&subst)) {
+                if !self.rho_agrees(&program, Some(&subst)) {
                     LiveCounters::bump(&self.counters.fallback_reconcile);
                     self.replace_program(program)?;
                     return Ok(SetCodeClass::Literals);
@@ -615,67 +642,40 @@ impl LiveSync {
                 self.commit_with(&subst, Some(program))?;
                 Ok(SetCodeClass::Literals)
             }
-            AstDiff::Subtree { changed_locs } => {
-                if !self.rho_agrees(&program, &changed_locs, None) {
-                    LiveCounters::bump(&self.counters.fallback_reconcile);
-                    self.replace_program(program)?;
-                    return Ok(SetCodeClass::Subtree);
-                }
-                self.stitched_set_program(program, &changed_locs)?;
-                Ok(SetCodeClass::Subtree)
-            }
-            AstDiff::Structural => {
-                LiveCounters::bump(&self.counters.fallback_structural);
-                self.replace_program(program)?;
-                Ok(SetCodeClass::Structural)
+            _ => {
+                self.reevaluate(program)?;
+                Ok(SetCodeClass::Reevaluated)
             }
         }
     }
 
     /// Verifies that `new_program`'s substitution matches the session's ρ₀
-    /// bit-for-bit outside `changed` — with `subst` (if given) overlaying
-    /// ρ₀ first. This is the oracle guarding every diff-based shortcut: it
-    /// catches location-numbering drift, prelude divergence, and diff
+    /// bit-for-bit, with `subst` (if given) overlaying ρ₀ first. This is
+    /// the oracle guarding the identical and literal shortcuts: it catches
+    /// location-numbering drift, prelude divergence, and diff
     /// misclassification in one bitwise sweep.
-    fn rho_agrees(
-        &self,
-        new_program: &Program,
-        changed: &BTreeSet<LocId>,
-        subst: Option<&Subst>,
-    ) -> bool {
+    fn rho_agrees(&self, new_program: &Program, subst: Option<&Subst>) -> bool {
         let new_rho = new_program.subst();
-        if new_rho.len() != self.rho0.len() {
-            return false;
-        }
-        let agrees = new_rho.iter().all(|(l, v)| {
-            if changed.contains(&l) {
-                return true;
-            }
-            let expected = subst.and_then(|s| s.get(l)).or_else(|| self.rho0.get(l));
-            expected.map(f64::to_bits) == Some(v.to_bits())
-        });
-        agrees
+        new_rho.len() == self.rho0.len()
+            && new_rho.iter().all(|(l, v)| {
+                let expected = subst.and_then(|s| s.get(l)).or_else(|| self.rho0.get(l));
+                expected.map(f64::to_bits) == Some(v.to_bits())
+            })
     }
 
-    /// Installs a subtree-edited program and re-prepares by *stitching*:
-    /// the program is re-evaluated (control flow may have changed inside
-    /// the edited regions), but zone analyses are recomputed only for the
-    /// usage-coupled components the edit touches; every other shape's
-    /// analyses are reused after a structural comparator verifies its
-    /// node is bit-identical. When no zone is re-analyzed, the analyses,
-    /// triggers and dependence index all stand; otherwise the sequential
-    /// choice pass and all triggers are re-run in full — both are cheap
-    /// and order-coupled.
-    fn stitched_set_program(
-        &mut self,
-        program: Program,
-        changed_locs: &BTreeSet<LocId>,
-    ) -> Result<(), LiveError> {
+    /// Installs a program by evaluating it once. When the analyses,
+    /// triggers and dependence index prepared for the current canvas are
+    /// also what a full prepare of the new one would compute
+    /// ([`LiveSync::prepare_stands`]), they stay, and only the canvas, ρ₀,
+    /// the escaped set and the trace tape are installed. Otherwise the
+    /// same evaluation is prepared in full.
+    fn reevaluate(&mut self, program: Program) -> Result<(), LiveError> {
         let outcome = program.eval_traced()?;
         let canvas = Canvas::from_value(&outcome.value)?;
+        let stands = self.prepare_stands(&program, &canvas);
         self.program = program;
-        if !self.stitch(&canvas, changed_locs) {
-            LiveCounters::bump(&self.counters.fallback_reconcile);
+        if !stands {
+            LiveCounters::bump(&self.counters.fallback_structural);
             self.install_full_prepare(outcome, canvas);
             return Ok(());
         }
@@ -692,62 +692,27 @@ impl LiveSync {
         Ok(())
     }
 
-    /// Re-prepares the analyses, triggers and index for `canvas` by
-    /// stitching. Returns false, with them untouched, when any reused
-    /// shape fails the structural comparator and a full prepare is
-    /// required.
-    fn stitch(&mut self, canvas: &Canvas, changed_locs: &BTreeSet<LocId>) -> bool {
-        let old_shapes = self.canvas.shapes();
-        let new_shapes = canvas.shapes();
-        if old_shapes.len() != new_shapes.len() {
-            return false;
-        }
-        let affected_zones = self.depindex.affected_closure(changed_locs);
-        let affected_shapes: BTreeSet<ShapeId> = affected_zones
-            .iter()
-            .map(|&i| self.assignments.zones[i].shape)
-            .collect();
+    /// Whether the current prepare also describes `canvas` under
+    /// `program`. A prepare reads the shapes' nodes and traces, and which
+    /// of the locations in their slot traces are frozen; the heuristic's
+    /// choices and the triggers are a deterministic function of those. So
+    /// it stands when the shape count is unchanged, every location the
+    /// dependence index holds (each slot trace's, frozen or not) is frozen
+    /// the same way under both programs, and every shape is structurally
+    /// trace-equal to the one analyzed.
+    fn prepare_stands(&self, program: &Program, canvas: &Canvas) -> bool {
+        let (old, new) = (self.canvas.shapes(), canvas.shapes());
+        let mode = self.config.freeze_mode;
         let mut eq = TraceEq::default();
-        for (old, new) in old_shapes.iter().zip(new_shapes) {
-            if old.id != new.id {
-                return false;
-            }
-            if !affected_shapes.contains(&old.id) && !eq.node_eq(&old.node, &new.node) {
-                return false;
-            }
-        }
-        if affected_shapes.is_empty() {
-            // Every shape is bit-identical to the one analyzed, so every
-            // candidate list, the biased heuristic's counts, and hence
-            // every choice and trigger are unchanged.
-            return true;
-        }
-
-        let frozen = |l: LocId| self.program.is_frozen(l, self.config.freeze_mode);
-        let mut memo = PrepareMemo::default();
-        let counts = heuristic_counts(canvas, self.config.heuristic, &mut memo.locs);
-        // Zones run shape by shape in canvas order, so each shape's old
-        // analyses are the next run of the old list.
-        let mut old_zones = std::mem::take(&mut self.assignments.zones)
-            .into_iter()
-            .peekable();
-        let mut zones = Vec::new();
-        for new_shape in new_shapes {
-            let run = std::iter::from_fn(|| old_zones.next_if(|z| z.shape == new_shape.id));
-            if affected_shapes.contains(&new_shape.id) {
-                run.for_each(drop);
-                zones.extend(analyze_shape_zones(new_shape, &frozen, &mut memo));
-            } else {
-                // Reused analyses keep the old canvas's (structurally
-                // identical) traces; only `chosen` is recomputed below.
-                zones.extend(run);
-            }
-        }
-        choose_all(&mut zones, self.config.heuristic, &counts);
-        self.assignments.zones = zones;
-        self.triggers = triggers_for(&self.assignments);
-        self.depindex = DepIndex::build(&self.assignments, &mut memo.locs);
-        true
+        old.len() == new.len()
+            && self
+                .depindex
+                .locs()
+                .all(|l| self.program.is_frozen(l, mode) == program.is_frozen(l, mode))
+            && old
+                .iter()
+                .zip(new)
+                .all(|(a, b)| a.id == b.id && eq.node_eq(&a.node, &b.node))
     }
 
     /// Finishes a full prepare from an already-computed evaluation.
@@ -773,8 +738,8 @@ impl LiveSync {
 /// Structural equality over SVG nodes with traced numbers compared by bit
 /// pattern and memoized (by pointer pair) structural trace equality —
 /// traces are shared DAGs, so derived recursion would blow up on deep
-/// sharing. Used by the stitch path to verify that a shape outside the
-/// edited regions is exactly what the cached analyses describe.
+/// sharing. Used by a re-evaluated code edit to verify that each shape is
+/// exactly what the cached analyses describe.
 #[derive(Default)]
 struct TraceEq {
     memo: HashMap<(usize, usize), bool>,
@@ -1184,26 +1149,27 @@ mod tests {
     }
 
     #[test]
-    fn set_code_subtree_edit_stitches_the_prepare() {
-        // Two independent rects; editing the first's x expression must not
-        // re-analyze the second.
+    fn set_code_edit_to_a_drawn_subtree_prepares_in_full() {
+        // The first rect's x is drawn, so swapping its operator changes the
+        // canvas: the edit is evaluated once and prepared in full.
         let src = "(svg [(rect 'a' (* 2 50) 10 20 30) (rect 'b' 200 10 20 30)])";
         let edited = "(svg [(rect 'a' (+ 2 50) 10 20 30) (rect 'b' 200 10 20 30)])";
         let mut live = session(src);
         let class = live
             .set_program_diffed(Program::parse(edited).unwrap())
             .unwrap();
-        assert_eq!(class, SetCodeClass::Subtree);
+        assert_eq!(class, SetCodeClass::Reevaluated);
         let stats = live.stats();
-        assert_eq!(stats.partial_prepares, 1, "stitch succeeded");
-        assert_eq!(stats.full_prepares, 1);
+        assert_eq!(stats.partial_prepares, 0);
+        assert_eq!(stats.fallback_structural, 1);
+        assert_eq!(stats.full_prepares, 2);
         let reference = session(edited);
         assert_eq!(live.program().code(), reference.program().code());
         assert_eq!(
             format!("{:?}", live.assignments()),
             format!("{:?}", reference.assignments())
         );
-        // And the stitched session is still fully functional.
+        // And the re-prepared session is still fully functional.
         let drag = live.drag(ShapeId(1), Zone::Interior, 5.0, 5.0).unwrap();
         live.commit(&drag.subst).unwrap();
     }
@@ -1214,7 +1180,7 @@ mod tests {
         let class = live
             .set_program_diffed(Program::parse("(svg [(circle 'red' 50 50 20)])").unwrap())
             .unwrap();
-        assert_eq!(class, SetCodeClass::Structural);
+        assert_eq!(class, SetCodeClass::Reevaluated);
         let stats = live.stats();
         assert_eq!(stats.fallback_structural, 1);
         assert_eq!(stats.full_prepares, 2);

@@ -21,7 +21,9 @@ use std::fmt::Write as _;
 
 use sns_eval::Program;
 use sns_svg::{Canvas, RenderOptions, ShapeId, SvgChild, SvgNode, Zone};
-use sns_sync::{DragResult, LiveConfig, LiveError, LiveSync, SetCodeClass, SolverChoice};
+use sns_sync::{
+    DragResult, LiveConfig, LiveError, LiveStats, LiveSync, SetCodeClass, SolverChoice,
+};
 
 /// Deterministic SplitMix64 (same generator as `sns-stats`' harness).
 struct Rng(u64);
@@ -555,9 +557,30 @@ fn drags_fail_exactly_when_the_full_evaluation_does() {
     });
 }
 
-/// Seeded `set_code` edits in all three diff classes must leave a
-/// diff-classified session bit-identical to one that always replaces the
-/// program wholesale.
+/// A `set_code`'s effect on a session's counters: full, incremental and
+/// partial prepares, then structural and reconcile fallbacks.
+type Counts = (u64, u64, u64, u64, u64);
+
+/// The counts of `d` a `set_code` may move.
+fn counts(d: LiveStats) -> Counts {
+    (
+        d.full_prepares,
+        d.incremental_prepares,
+        d.partial_prepares,
+        d.fallback_structural,
+        d.fallback_reconcile,
+    )
+}
+
+/// A `set_code` that re-evaluated and prepared in full.
+const FULL: Counts = (1, 0, 0, 1, 0);
+
+/// A code edit, as a rewrite of the session's current text.
+type Rewrite = Box<dyn Fn(&str) -> String>;
+
+/// Seeded `set_code` edits of every class must leave a diff-classified
+/// session bit-identical to one that always replaces the program
+/// wholesale, and each must take the path its row names.
 #[test]
 fn set_code_edits_match_full_replace_bitwise() {
     sns_eval::with_big_stack(|| {
@@ -569,33 +592,66 @@ fn set_code_edits_match_full_replace_bitwise() {
                 60 + (j % 7) * 30
             ));
         }
-        let base = format!("(svg [{shapes}])");
-        // `None` means "re-submit the session's current text" (the drags
-        // between edits rewrite literals, so only the live code is
-        // guaranteed Identical).
-        let edits: Vec<(Option<String>, SetCodeClass)> = vec![
-            // Literal-only: one coordinate nudged.
+        let base = format!("(def unused (* 7 1313))\n(svg [{shapes}])");
+        let fixed = |text: String| -> Rewrite { Box::new(move |_| text.clone()) };
+        // Each row rewrites the session's current text (the drags between
+        // edits rewrite literals, so only rewrites of the live code keep
+        // everything else unchanged), and names the class the edit gets and
+        // what it does to the counters.
+        let edits: Vec<(&str, Rewrite, SetCodeClass, Counts)> = vec![
             (
-                Some(base.replace("10 20 20", "11 20 20")),
+                "literal: one coordinate nudged",
+                fixed(base.replace("10 20 20", "11 20 20")),
                 SetCodeClass::Literals,
+                (0, 1, 0, 0, 0),
             ),
-            // Subtree: operator swap, same literal multiset.
             (
-                Some(base.replace("(* 2 15)", "(+ 2 15)")),
-                SetCodeClass::Subtree,
+                "operator swap in a drawn rect's x",
+                fixed(base.replace("(* 2 15)", "(+ 2 15)")),
+                SetCodeClass::Reevaluated,
+                FULL,
             ),
-            // Identical re-submit of the current text.
-            (None, SetCodeClass::Identical),
-            // Structural: a shape appears.
             (
-                Some(
+                "identical re-submit",
+                Box::new(str::to_string),
+                SetCodeClass::Identical,
+                (0, 0, 0, 0, 0),
+            ),
+            (
+                "a shape appears",
+                fixed(
                     base.replace("(* 2 15)", "(+ 2 15)")
                         .replace("])", "(circle 'red' 300 300 9)])"),
                 ),
-                SetCodeClass::Structural,
+                SetCodeClass::Reevaluated,
+                FULL,
             ),
-            // Structural again: the shape disappears.
-            (Some(base.clone()), SetCodeClass::Structural),
+            (
+                "the shape disappears",
+                fixed(base.clone()),
+                SetCodeClass::Reevaluated,
+                FULL,
+            ),
+            // The canvas is unchanged, but the second rect's x, which its
+            // zones read, stops (then starts again) being a candidate.
+            (
+                "`!` added to a drawn literal",
+                Box::new(|code| code.replacen(" 62 ", " 62! ", 1)),
+                SetCodeClass::Reevaluated,
+                FULL,
+            ),
+            (
+                "that `!` removed",
+                Box::new(|code| code.replacen(" 62! ", " 62 ", 1)),
+                SetCodeClass::Reevaluated,
+                FULL,
+            ),
+            (
+                "an unused definition renamed",
+                Box::new(|code| code.replacen("(def unused ", "(def spare ", 1)),
+                SetCodeClass::Reevaluated,
+                (0, 0, 1, 0, 0),
+            ),
         ];
 
         let mut diffed = LiveSync::new(
@@ -612,20 +668,30 @@ fn set_code_edits_match_full_replace_bitwise() {
         )
         .expect("prepares");
 
-        for (i, (src, want)) in edits.iter().enumerate() {
-            let src = src.clone().unwrap_or_else(|| diffed.program().code());
+        for (what, edit, want, want_counts) in &edits {
+            let code = diffed.program().code();
+            let src = edit(&code);
+            if *want != SetCodeClass::Identical {
+                assert_ne!(src, code, "{what}: the rewrite did not apply");
+            }
+            let before = diffed.stats();
             let class = diffed
                 .set_program_diffed(Program::parse(&src).expect("parses"))
                 .unwrap();
             full.replace_program(Program::parse(&src).expect("parses"))
                 .unwrap();
             if std::env::var("SNS_FORCE_PREPARE").as_deref() != Ok("full") {
-                assert_eq!(class, *want, "edit {i} misclassified");
+                assert_eq!(class, *want, "{what}: misclassified");
+                assert_eq!(
+                    counts(diffed.stats().since(&before)),
+                    *want_counts,
+                    "{what}: took the wrong path"
+                );
             }
             assert_eq!(
                 fingerprint(&diffed),
                 fingerprint(&full),
-                "state diverged after edit {i} ({class:?})"
+                "state diverged after {what} ({class:?})"
             );
             // The edited session must stay fully operational: drag + commit.
             let (shape, zone) = diffed
@@ -680,8 +746,8 @@ fn set_both(diffed: &mut LiveSync, full: &mut LiveSync, program: &Program) -> Op
 
 /// `set_code` over the whole corpus. Each example sits behind the dead
 /// `benchK` anchor the benchmark prefixes, and takes a literal edit, an
-/// operator swap in the anchor (a subtree edit no zone depends on, so no
-/// zone is re-analyzed), a wrap of the anchor (a structural edit that
+/// operator swap in the anchor (an edit no zone depends on, so the
+/// prepare is kept), a wrap of the anchor (a structural edit that
 /// renumbers every later location), then two undos and two redos that
 /// re-install earlier programs, as the editor's undo stack does. After
 /// every step a diff-classified session must be bit-identical to one that
@@ -706,8 +772,8 @@ fn set_code_matches_full_replace_across_the_corpus() {
             let mut history = vec![(program, SetCodeClass::Identical)];
             for (label, want) in [
                 ("literal", SetCodeClass::Literals),
-                ("swap", SetCodeClass::Subtree),
-                ("wrap", SetCodeClass::Structural),
+                ("swap", SetCodeClass::Reevaluated),
+                ("wrap", SetCodeClass::Reevaluated),
             ] {
                 let code = diffed.program().code();
                 let text = match label {
@@ -730,7 +796,7 @@ fn set_code_matches_full_replace_across_the_corpus() {
                     assert_eq!(
                         (after.partial_prepares, after.fallback_reconcile),
                         (before.partial_prepares + 1, before.fallback_reconcile),
-                        "{at}: the swap must stitch"
+                        "{at}: the swap must keep the prepare"
                     );
                 }
                 assert_eq!(fingerprint(&diffed), fingerprint(&full), "{at}");
