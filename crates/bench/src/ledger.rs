@@ -17,7 +17,9 @@
 //!
 //! The ledger lives in the repo (not a build directory) so the history
 //! survives `cargo clean` and rides along in commits; `SNS_BENCH_HISTORY`
-//! overrides the path for tests and throwaway runs.
+//! overrides the path for tests and throwaway runs. Set it to a scratch
+//! file for local measurements, so they do not dirty the committed
+//! ledger.
 
 use std::fmt::Write as _;
 use std::fs::OpenOptions;

@@ -260,23 +260,32 @@ impl CommitTiming {
     }
 }
 
-/// Seconds per compile of `live`'s canvas and zone-slot traces onto a
-/// fresh [`sns_eval::TraceTape`], as a prepare compiles them.
+/// Seconds per compile of `live`'s canvas numbers and trigger parts onto
+/// a fresh [`sns_eval::TraceTape`], as a prepare compiles them: each part
+/// reads its attribute's canvas number, already on the tape.
 fn time_tape_rebuilds(live: &sns_sync::LiveSync, rebuilds: usize) -> Vec<f64> {
     let rho0 = live.program().subst();
+    let canvas = live.canvas();
+    let triggers: Vec<_> = live
+        .assignments()
+        .zones
+        .iter()
+        .filter_map(|z| live.trigger(z.shape, z.zone))
+        .collect();
     (0..rebuilds)
         .map(|_| {
             let t0 = Instant::now();
             let mut tape = sns_eval::TraceTape::builder(&rho0);
-            live.canvas().for_each_num(|num| {
-                tape.push(&num.t);
-            });
-            for zone in &live.assignments().zones {
-                for slot in &zone.slots {
-                    tape.push(&slot.trace);
+            let mut outputs = Vec::new();
+            canvas.for_each_num(|num| outputs.push(tape.push(&num.t)));
+            for trigger in &triggers {
+                let shape = canvas.shape(trigger.shape);
+                for part in &trigger.parts {
+                    let num = shape.and_then(|s| sns_svg::resolve_attr(&s.node, &part.attr));
+                    std::hint::black_box(num.map(|num| tape.push(&num.t)));
                 }
             }
-            std::hint::black_box(tape.finish());
+            std::hint::black_box((tape.finish(), outputs));
             t0.elapsed().as_secs_f64()
         })
         .collect()
@@ -380,21 +389,14 @@ pub struct SetCodeTiming {
     pub diffed: f64,
     /// Median seconds per edit via [`sns_sync::LiveSync::replace_program`].
     pub full: f64,
+    /// Full-path time over diffed-path time: the median over edits of
+    /// each edit's ratio, its two paths timed back to back, so a slow
+    /// stretch of the host slows both sides of the pairs it spans.
+    pub speedup: f64,
     /// Edits timed per path.
     pub edits: usize,
     /// What the timed edits added to the diffed session's counters.
     pub counted: sns_sync::LiveStats,
-}
-
-impl SetCodeTiming {
-    /// Full-path time over diffed-path time.
-    pub fn speedup(&self) -> f64 {
-        if self.diffed > 0.0 {
-            self.full / self.diffed
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 /// Times `edits` alternating `src_a`→`src_b`→`src_a`→… code replacements
@@ -442,11 +444,17 @@ pub fn time_set_code(label: &'static str, src_a: &str, src_b: &str, edits: usize
         full.replace_program(program).expect("set_code");
         full_times.push(t0.elapsed().as_secs_f64());
     }
+    let ratios: Vec<f64> = full_times
+        .iter()
+        .zip(&diffed_times)
+        .map(|(f, d)| f / d)
+        .collect();
     SetCodeTiming {
         label,
         class: class.expect("at least one edit"),
         diffed: summarize(&diffed_times).med,
         full: summarize(&full_times).med,
+        speedup: summarize(&ratios).med,
         edits,
         counted: diffed.stats().since(&before),
     }

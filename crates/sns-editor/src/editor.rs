@@ -6,6 +6,8 @@
 //! sliders, toggling hidden helper shapes, undoing, and exporting SVG. Only
 //! pixel plotting is absent; all algorithmic code paths are identical.
 
+use std::collections::VecDeque;
+
 use sns_eval::{FreezeMode, Program};
 use sns_lang::{LocId, Subst};
 use sns_svg::{AttrRef, RenderOptions, Shape, ShapeId, Zone};
@@ -83,7 +85,7 @@ pub struct Editor {
     live: LiveSync,
     config: EditorConfig,
     /// At most [`UNDO_DEPTH`] points, oldest first.
-    undo_stack: Vec<Program>,
+    undo_stack: VecDeque<Program>,
     redo_stack: Vec<Program>,
     drag: Option<DragState>,
 }
@@ -120,7 +122,7 @@ impl Editor {
         Ok(Editor {
             live,
             config,
-            undo_stack: Vec::new(),
+            undo_stack: VecDeque::new(),
             redo_stack: Vec::new(),
             drag: None,
         })
@@ -217,7 +219,7 @@ impl Editor {
         if self.drag.is_some() {
             return Err(EditorError::action("a drag is already in progress"));
         }
-        if self.live.trigger(shape, zone).is_none() {
+        if !self.live.has_trigger(shape, zone) {
             return Err(EditorError::action(format!(
                 "zone {zone} of {shape} is inactive"
             )));
@@ -392,7 +394,7 @@ impl Editor {
     pub fn undo(&mut self) -> Result<(), EditorError> {
         let prev = self
             .undo_stack
-            .pop()
+            .pop_back()
             .ok_or_else(|| EditorError::action("nothing to undo"))?;
         let cur = self.live.program().clone();
         self.redo_stack.push(cur);
@@ -460,9 +462,9 @@ impl Editor {
 
     fn push_undo(&mut self, program: Program) {
         if self.undo_stack.len() == UNDO_DEPTH {
-            self.undo_stack.remove(0);
+            self.undo_stack.pop_front();
         }
-        self.undo_stack.push(program);
+        self.undo_stack.push_back(program);
     }
 
     /// Locations a color-number attribute of a shape could drive, exposing

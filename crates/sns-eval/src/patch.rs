@@ -105,8 +105,9 @@ impl TraceTape {
         self.nodes.is_empty()
     }
 
-    /// The node's value under ρ₀, `None` when it cannot be evaluated.
-    fn value(&self, node: u32) -> Option<f64> {
+    /// The node's value under ρ₀ (the last committed substitution),
+    /// `None` when it cannot be evaluated or `node` is not a tape node.
+    pub fn value(&self, node: u32) -> Option<f64> {
         let i = node as usize;
         self.evaluable.get(i)?.then(|| self.vals[i])
     }

@@ -154,7 +154,8 @@ impl ServerStats {
         let prepare_full = r.counter("sns_prepare_full_total", "Full (cold) prepares.");
         let prepare_incremental = r.counter(
             "sns_prepare_incremental_total",
-            "Incremental (cached) prepares.",
+            "Incremental prepares: fast-tier commits and literal-only code edits, \
+             served by a trace-tape sweep with nothing recomputed per zone.",
         );
         let prepare_partial = r.counter(
             "sns_prepare_partial_total",

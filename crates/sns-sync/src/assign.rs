@@ -46,15 +46,17 @@ pub enum Heuristic {
 /// the enumeration is truncated deterministically (`overflow` is set).
 pub const CANDIDATE_CAP: usize = 256;
 
-/// One manipulable attribute of a zone: its offset direction, current
-/// value, trace, and candidate (non-frozen) locations.
+/// One manipulable attribute of a zone: its offset direction, value when
+/// analyzed, trace, and candidate (non-frozen) locations.
 #[derive(Debug, Clone)]
 pub struct AttrSlot {
     /// Which attribute this slot controls.
     pub attr: AttrRef,
     /// How the attribute follows the mouse.
     pub offset: Offset,
-    /// The attribute's current value.
+    /// The attribute's value when the zone was analyzed. A live session
+    /// keeps an analysis across commits that move the value; the current
+    /// value is the canvas's.
     pub base: f64,
     /// The attribute's run-time trace.
     pub trace: Arc<Trace>,
@@ -736,7 +738,7 @@ mod tests {
                     let index = crate::DepIndex::build(&a, &mut memo.locs);
                     let x = a.zone(ShapeId(0), Zone::Interior).unwrap();
                     assert_eq!(x.slots[0].locs, vec![LocId(0), LocId(1)]);
-                    assert!(!index.zones_for(LocId(1)).is_empty());
+                    assert!(index.locs().any(|l| l == LocId(1)));
                 }
                 drop(canvas);
                 drop_flat(deep);

@@ -1,31 +1,23 @@
-//! The location→zone dependence index behind incremental preparation.
+//! The locations a prepare read, behind keeping it across a code edit.
 //!
 //! A zone's analysis is a function of the run-time traces of its
-//! manipulable attributes. After a commit with substitution ρ whose domain
-//! avoids every escaped location (so control flow — and therefore canvas
-//! structure, traces, candidate sets, and heuristic choices — is
-//! unchanged), the only zones whose analyses change *at all* are those
-//! whose traces mention a location in `dom(ρ)`, and for those only the
-//! attributes' base values move. This index, built once per full prepare,
-//! answers "which zones can a changed location reach" in O(edit) instead
-//! of rescanning the canvas.
+//! manipulable attributes and of which of their locations are frozen. This
+//! index holds every location the zones' slot traces mention, frozen or
+//! not, built once per full prepare: a re-evaluated code edit keeps the
+//! prepare only when each of them is frozen as it was ([`DepIndex::locs`]).
 //!
-//! Its locations are every location the zones' slot traces mention, frozen
-//! or not: a re-evaluated code edit keeps the prepare only when each of
-//! them is frozen as it was ([`DepIndex::locs`]).
-
-use std::collections::{BTreeSet, HashMap};
+//! A commit needs no location → zone map: a drag reads each trigger
+//! part's current base from the trace tape, which the commit sweeps.
 
 use sns_eval::LocMemo;
 use sns_lang::LocId;
 
 use crate::assign::Assignments;
 
-/// Maps every location to the zones (indices into
-/// [`Assignments::zones`]) whose attribute traces mention it.
-#[derive(Debug, Default, PartialEq)]
+/// Every location the zones' attribute traces mention, ascending.
+#[derive(Debug)]
 pub struct DepIndex {
-    by_loc: HashMap<LocId, Vec<usize>>,
+    locs: Vec<LocId>,
 }
 
 impl DepIndex {
@@ -33,60 +25,33 @@ impl DepIndex {
     /// reading each trace's locations from `memo` (shared with the
     /// analysis of the same prepare).
     pub fn build<'t>(assignments: &'t Assignments, memo: &mut LocMemo<'t>) -> DepIndex {
-        let mut by_loc: HashMap<LocId, Vec<usize>> = HashMap::new();
         let mut locs = Vec::new();
-        for (i, zone) in assignments.zones.iter().enumerate() {
-            locs.clear();
+        for zone in &assignments.zones {
             for slot in &zone.slots {
                 locs.extend(memo.counts(&slot.trace).iter().map(|&(l, _)| l));
             }
-            locs.sort_unstable();
-            locs.dedup();
-            for &l in &locs {
-                by_loc.entry(l).or_default().push(i);
-            }
         }
-        DepIndex { by_loc }
+        locs.sort_unstable();
+        locs.dedup();
+        DepIndex { locs }
     }
 
-    /// The zones that depend on a single location, ascending.
-    pub fn zones_for(&self, loc: LocId) -> &[usize] {
-        self.by_loc.get(&loc).map_or(&[], Vec::as_slice)
-    }
-
-    /// The union of zones reached by any changed location, deduplicated.
-    pub fn dirty_zones(&self, changed: impl IntoIterator<Item = LocId>) -> BTreeSet<usize> {
-        let mut out = BTreeSet::new();
-        for loc in changed {
-            out.extend(self.zones_for(loc).iter().copied());
-        }
-        out
-    }
-
-    /// Every indexed location, in no particular order.
+    /// Every indexed location, ascending.
     pub fn locs(&self) -> impl Iterator<Item = LocId> + '_ {
-        self.by_loc.keys().copied()
-    }
-
-    /// Number of distinct locations indexed.
-    pub fn len(&self) -> usize {
-        self.by_loc.len()
-    }
-
-    /// Whether the index is empty (a canvas with no manipulable numbers).
-    pub fn is_empty(&self) -> bool {
-        self.by_loc.is_empty()
+        self.locs.iter().copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
     use crate::assign::{analyze_canvas, Heuristic};
     use sns_eval::{FreezeMode, Program};
     use sns_svg::Canvas;
 
-    fn build_for(src: &str) -> (Program, Assignments, DepIndex) {
+    fn build_for(src: &str) -> (Program, DepIndex) {
         let program = Program::parse(src).unwrap();
         let outcome = program.eval_traced().unwrap();
         let canvas = Canvas::from_value(&outcome.value).unwrap();
@@ -94,23 +59,19 @@ mod tests {
         let frozen = |l: LocId| program.is_frozen(l, mode);
         let assignments = analyze_canvas(&canvas, &frozen, Heuristic::Fair);
         let index = DepIndex::build(&assignments, &mut LocMemo::default());
-        (program, assignments, index)
+        (program, index)
     }
 
     /// The index as built before the memo: every slot trace walked as a
     /// tree.
-    fn tree_walk_index(assignments: &Assignments) -> DepIndex {
-        let mut by_loc: HashMap<LocId, Vec<usize>> = HashMap::new();
-        for (i, zone) in assignments.zones.iter().enumerate() {
-            let mut locs = BTreeSet::new();
+    fn tree_walk_locs(assignments: &Assignments) -> Vec<LocId> {
+        let mut locs = BTreeSet::new();
+        for zone in &assignments.zones {
             for slot in &zone.slots {
                 slot.trace.collect_locs_into(&mut locs);
             }
-            for l in locs {
-                by_loc.entry(l).or_default().push(i);
-            }
         }
-        DepIndex { by_loc }
+        locs.into_iter().collect()
     }
 
     #[test]
@@ -121,9 +82,10 @@ mod tests {
                 let canvas = Canvas::from_value(&program.eval().unwrap()).unwrap();
                 let frozen = |l: LocId| program.is_frozen(l, FreezeMode::default());
                 let assignments = analyze_canvas(&canvas, &frozen, Heuristic::Fair);
+                let index = DepIndex::build(&assignments, &mut LocMemo::default());
                 assert_eq!(
-                    DepIndex::build(&assignments, &mut LocMemo::default()),
-                    tree_walk_index(&assignments),
+                    index.locs().collect::<Vec<_>>(),
+                    tree_walk_locs(&assignments),
                     "{}",
                     example.slug
                 );
@@ -132,34 +94,14 @@ mod tests {
     }
 
     #[test]
-    fn index_routes_locations_to_dependent_zones_only() {
-        // Two rects with independent coordinates: each rect's zones depend
-        // only on its own four literals.
-        let src = "(svg [(rect 'a' 10 20 30 40) (rect 'b' 50 60 70 80)])";
-        let (program, assignments, index) = build_for(src);
-
-        // 8 user literals; each appears in some zone of exactly one shape.
-        assert_eq!(index.len(), 8);
-        assert_eq!(index.locs().count(), 8);
-        let first_x = LocId(program.next_loc() - 8);
-        let zones_of_first: BTreeSet<usize> = index.zones_for(first_x).iter().copied().collect();
-        assert!(!zones_of_first.is_empty());
-        for &i in &zones_of_first {
-            assert_eq!(assignments.zones[i].shape, sns_svg::ShapeId(0));
-        }
-        // A dirty set over one rect's x never touches the other rect.
-        let dirty = index.dirty_zones([first_x]);
-        assert_eq!(dirty, zones_of_first);
-    }
-
-    #[test]
-    fn shared_locations_fan_out_to_all_dependents() {
-        let src = "(def s 10) (svg [(rect 'a' s 0 5 5) (rect 'b' s 20 5 5)])";
-        let (program, assignments, index) = build_for(src);
-        let s = LocId(program.next_loc() - 7);
-        let dirty = index.dirty_zones([s]);
-        let shapes: BTreeSet<sns_svg::ShapeId> =
-            dirty.iter().map(|&i| assignments.zones[i].shape).collect();
-        assert_eq!(shapes.len(), 2, "both rects depend on s");
+    fn index_holds_every_drawn_location_frozen_or_not() {
+        // Eight user literals, one frozen: all eight are indexed, since a
+        // code edit that unfreezes one changes the candidates.
+        let src = "(svg [(rect 'a' 10 20 30 40!) (rect 'b' 50 60 70 80)])";
+        let (program, index) = build_for(src);
+        let user: Vec<LocId> = (program.next_loc() - 8..program.next_loc())
+            .map(LocId)
+            .collect();
+        assert_eq!(index.locs().collect::<Vec<_>>(), user);
     }
 }

@@ -26,16 +26,18 @@
 //!   program fails;
 //! * **trace tape** — every prepare compiles the canvas's traces into a
 //!   [`TraceTape`] and records which tape node each canvas number and each
-//!   zone slot reads. A fast-tier commit *sweeps* the tape under the
+//!   trigger part reads. A fast-tier commit *sweeps* the tape under the
 //!   update — recomputing only the nodes downstream of a changed location
-//!   — and writes the swept values into the canvas in place;
-//!   [`LiveSync::preview_canvas`] writes them into a clone;
+//!   — writes the swept values into the canvas in place, and commits them
+//!   to the tape; [`LiveSync::preview_canvas`] writes them into a clone;
 //! * **incremental prepare** — with traces unchanged, candidate location
-//!   sets and heuristic choices are unchanged too, so a commit only needs
-//!   to refresh the attribute *base values* of zones whose traces mention
-//!   a changed location, in their analyses and their existing triggers.
-//!   The [`DepIndex`](crate::depindex::DepIndex) maps locations to those
-//!   zones directly.
+//!   sets, heuristic choices and triggers are unchanged too; only the
+//!   attributes' current values move, and the tape already holds them. A
+//!   drag reads each trigger part's base from its tape node, so a commit
+//!   touches nothing per zone. The analyses' slot bases
+//!   ([`AttrSlot::base`](crate::AttrSlot::base)) and the stored triggers'
+//!   bases keep their prepare-time values; [`LiveSync::trigger`] returns a
+//!   trigger with its current bases.
 //!
 //! A commit whose substitution touches an escaped location may change
 //! control flow, so it re-evaluates and re-prepares in full (§4, §5.2.3).
@@ -76,7 +78,7 @@ use sns_svg::{resolve_attr, AttrValue, Canvas, NumTr, ShapeId, SvgChild, SvgErro
 
 use crate::assign::{analyze_canvas_with, Assignments, Heuristic, PrepareMemo};
 use crate::depindex::DepIndex;
-use crate::trigger::{SolverChoice, Trigger, TriggerFire};
+use crate::trigger::{SolverChoice, Trigger, TriggerFire, TriggerPart, NO_NODE};
 
 /// Whether the `SNS_FORCE_PREPARE=full` environment override pins every
 /// session to the full path, as [`LiveConfig::full_prepare_only`] does. The
@@ -119,7 +121,8 @@ pub struct LiveConfig {
 pub struct LiveStats {
     /// Full prepares: initial, post-fallback, and `replace_program`.
     pub full_prepares: u64,
-    /// Commits served by the incremental path (dirty zones only).
+    /// Commits served by the incremental path (a tape sweep, nothing per
+    /// zone).
     pub incremental_prepares: u64,
     /// Re-evaluated code edits whose canvas the current analyses already
     /// describe, so only the canvas and its tape were installed.
@@ -276,7 +279,7 @@ pub struct LiveSync {
     /// Locations that escaped the trace system during the last full
     /// evaluation.
     escaped: Escapes,
-    /// Location → dependent-zone index from the last full prepare.
+    /// The locations the last full prepare's slot traces mention.
     depindex: DepIndex,
     /// The canvas's traces, compiled when the canvas was installed.
     compiled: Compiled,
@@ -284,54 +287,40 @@ pub struct LiveSync {
     tape_work: TapeWork,
 }
 
-/// Where a slot reads no canvas number (its attribute is absent).
-const NO_NODE: u32 = u32::MAX;
-
-/// The canvas's traces compiled onto a [`TraceTape`], with the tape node
-/// each canvas number and each zone slot reads. Rebuilt wherever a canvas
-/// is installed; a fast-tier commit only sweeps it.
+/// The canvas's traces compiled onto a [`TraceTape`], where every trigger
+/// part's current base lives. Rebuilt wherever a canvas is installed; a
+/// fast-tier commit only sweeps it.
 #[derive(Debug)]
 struct Compiled {
     tape: TraceTape,
     /// The tape node of every canvas number, in
     /// [`Canvas::for_each_num`] order.
     outputs: Vec<u32>,
-    /// The tape node of every zone slot, zone by zone ([`NO_NODE`] where
-    /// the slot's attribute is absent).
-    slots: Vec<u32>,
-    /// Where each zone's run in `slots` starts, plus the end.
-    slot_start: Vec<u32>,
 }
 
 impl Compiled {
+    /// Compiles `canvas`'s numbers and records in each trigger part the
+    /// tape node of its attribute (a canvas number, so already compiled).
     fn build(
         canvas: &Canvas,
-        assignments: &Assignments,
+        triggers: &mut HashMap<(ShapeId, Zone), Trigger>,
         rho0: &Subst,
         work: &mut TapeWork,
     ) -> Compiled {
         let mut tape = TraceTape::builder(rho0);
         let mut outputs = Vec::new();
         canvas.for_each_num(|num| outputs.push(tape.push(&num.t)));
-        let mut slots = Vec::new();
-        let mut slot_start = vec![0];
-        for analysis in &assignments.zones {
-            let shape = canvas.shape(analysis.shape);
-            slots.extend(analysis.slots.iter().map(|slot| {
-                shape
-                    .and_then(|s| resolve_attr(&s.node, &slot.attr))
-                    .map_or(NO_NODE, |num| tape.push(&num.t))
-            }));
-            slot_start.push(slots.len() as u32);
+        for trigger in triggers.values_mut() {
+            let shape = canvas.shape(trigger.shape);
+            for part in &mut trigger.parts {
+                part.node = shape
+                    .and_then(|s| resolve_attr(&s.node, &part.attr))
+                    .map_or(NO_NODE, |num| tape.push(&num.t));
+            }
         }
         let tape = tape.finish();
         work.compiled += tape.len() as u64;
-        Compiled {
-            tape,
-            outputs,
-            slots,
-            slot_start,
-        }
+        Compiled { tape, outputs }
     }
 
     /// Writes a sweep's changed values into `canvas`, which must be the
@@ -340,9 +329,10 @@ impl Compiled {
         canvas.write_nums(|i| sweep.get(self.outputs[i]));
     }
 
-    /// The tape nodes of zone `i`'s slots, in slot order.
-    fn zone_slots(&self, i: usize) -> &[u32] {
-        &self.slots[self.slot_start[i] as usize..self.slot_start[i + 1] as usize]
+    /// A trigger part's current base: its tape node's value, or the
+    /// prepared base where the node has none (no commit has changed it).
+    fn base(&self, part: &TriggerPart) -> f64 {
+        self.tape.value(part.node).unwrap_or(part.base)
     }
 }
 
@@ -360,11 +350,11 @@ impl LiveSync {
         let outcome = program.eval_traced()?;
         let canvas = Canvas::from_value(&outcome.value)?;
         let mut memo = PrepareMemo::default();
-        let (assignments, triggers) = prepare_with(&program, &canvas, config, &mut memo);
+        let (assignments, mut triggers) = prepare_with(&program, &canvas, config, &mut memo);
         let depindex = DepIndex::build(&assignments, &mut memo.locs);
         let rho0 = program.subst();
         let mut tape_work = TapeWork::default();
-        let compiled = Compiled::build(&canvas, &assignments, &rho0, &mut tape_work);
+        let compiled = Compiled::build(&canvas, &mut triggers, &rho0, &mut tape_work);
         let counters = LiveCounters::default();
         LiveCounters::bump(&counters.full_prepares);
         Ok(LiveSync {
@@ -393,13 +383,25 @@ impl LiveSync {
     }
 
     /// The current zone assignments (for captions, highlights, statistics).
+    /// Each [`AttrSlot::base`](crate::AttrSlot::base) is the value at the
+    /// last prepare; a commit since moves the canvas, not the analyses.
     pub fn assignments(&self) -> &Assignments {
         &self.assignments
     }
 
-    /// The trigger prepared for a zone, if it is active.
-    pub fn trigger(&self, shape: ShapeId, zone: Zone) -> Option<&Trigger> {
-        self.triggers.get(&(shape, zone))
+    /// The trigger of a zone as it fires now, each part's base being the
+    /// attribute's current value; `None` when the zone is inactive.
+    pub fn trigger(&self, shape: ShapeId, zone: Zone) -> Option<Trigger> {
+        let mut trigger = self.triggers.get(&(shape, zone))?.clone();
+        for part in &mut trigger.parts {
+            part.base = self.compiled.base(part);
+        }
+        Some(trigger)
+    }
+
+    /// Whether a zone is active (has a trigger).
+    pub fn has_trigger(&self, shape: ShapeId, zone: Zone) -> bool {
+        self.triggers.contains_key(&(shape, zone))
     }
 
     /// Simulates the mouse moving `(dx, dy)` while holding `zone` of
@@ -426,7 +428,13 @@ impl LiveSync {
             .triggers
             .get(&(shape, zone))
             .ok_or(LiveError::NoTrigger { shape, zone })?;
-        let TriggerFire { subst, failures } = trigger.fire(&self.rho0, dx, dy, self.config.solver);
+        let TriggerFire { subst, failures } = trigger.fire_from(
+            |part| self.compiled.base(part),
+            &self.rho0,
+            dx,
+            dy,
+            self.config.solver,
+        );
         if self.fast_tier(&subst) {
             LiveCounters::bump(&self.counters.fast_evals);
         } else {
@@ -532,7 +540,6 @@ impl LiveSync {
                     }
                 }
                 debug_assert_eq!(self.rho0, self.program.subst());
-                self.refresh_dirty_zones(subst, &sweep);
                 self.compiled.tape.commit(sweep);
                 LiveCounters::bump(&self.counters.incremental_prepares);
                 return Ok(());
@@ -543,36 +550,6 @@ impl LiveSync {
             LiveCounters::bump(&self.counters.fallback_escaped);
         }
         self.replace_program(replacement.unwrap_or_else(|| self.program.with_subst(subst)))
-    }
-
-    /// Incremental prepare: control flow is unchanged, so canvas
-    /// structure, traces, candidate sets, heuristic choices, and which
-    /// zones have triggers are all still valid — only the attribute base
-    /// values of zones whose traces mention a changed location have moved.
-    /// Refresh exactly those, in the analyses and in the triggers, from the
-    /// sweep.
-    fn refresh_dirty_zones(&mut self, subst: &Subst, sweep: &Sweep) {
-        for i in self.depindex.dirty_zones(subst.domain()) {
-            let analysis = &mut self.assignments.zones[i];
-            for (slot, &node) in analysis.slots.iter_mut().zip(self.compiled.zone_slots(i)) {
-                if let Some(v) = sweep.get(node) {
-                    slot.base = v;
-                }
-            }
-            let Some(trigger) = self.triggers.get_mut(&(analysis.shape, analysis.zone)) else {
-                continue;
-            };
-            // A trigger's parts are the slots the chosen candidate assigns
-            // a location, in slot order (`Trigger::compute`).
-            let assigned = analysis
-                .slots
-                .iter()
-                .filter(|slot| analysis.loc_for(&slot.attr).is_some());
-            for (part, slot) in trigger.parts.iter_mut().zip(assigned) {
-                debug_assert_eq!(part.attr, slot.attr);
-                part.base = slot.base;
-            }
-        }
     }
 
     /// Cache-effectiveness counters for this session.
@@ -684,7 +661,7 @@ impl LiveSync {
         self.rho0 = self.program.subst();
         self.compiled = Compiled::build(
             &self.canvas,
-            &self.assignments,
+            &mut self.triggers,
             &self.rho0,
             &mut self.tape_work,
         );
@@ -727,7 +704,7 @@ impl LiveSync {
         self.rho0 = self.program.subst();
         self.compiled = Compiled::build(
             &self.canvas,
-            &self.assignments,
+            &mut self.triggers,
             &self.rho0,
             &mut self.tape_work,
         );
@@ -879,6 +856,55 @@ mod tests {
         LiveSync::new(Program::parse(src).unwrap(), LiveConfig::default()).unwrap()
     }
 
+    /// The analyses with each slot's base replaced by its current value,
+    /// read from the canvas, then every trigger part's current base as
+    /// bits: what a full prepare of the current program would compute.
+    fn current_values(live: &LiveSync) -> String {
+        let mut assignments = live.assignments().clone();
+        for zone in &mut assignments.zones {
+            let shape = live.canvas().shape(zone.shape).unwrap();
+            for slot in &mut zone.slots {
+                slot.base = resolve_attr(&shape.node, &slot.attr).unwrap().n;
+            }
+        }
+        let parts: Vec<u64> = assignments
+            .zones
+            .iter()
+            .filter_map(|z| live.trigger(z.shape, z.zone))
+            .flat_map(|t| t.parts.into_iter().map(|p| p.base.to_bits()))
+            .collect();
+        format!("{assignments:?} {parts:?}")
+    }
+
+    #[test]
+    fn tape_values_equal_the_prepared_bases_across_the_corpus() {
+        sns_eval::with_big_stack(|| {
+            for example in sns_examples::ALL {
+                for heuristic in [Heuristic::Fair, Heuristic::Biased] {
+                    let config = LiveConfig {
+                        heuristic,
+                        ..LiveConfig::default()
+                    };
+                    let program = Program::parse(example.source).unwrap();
+                    let live = LiveSync::new(program, config).unwrap();
+                    for trigger in live.triggers.values() {
+                        for part in &trigger.parts {
+                            assert_eq!(
+                                live.compiled.tape.value(part.node).map(f64::to_bits),
+                                Some(part.base.to_bits()),
+                                "{} {heuristic:?}: {} {} {:?}",
+                                example.slug,
+                                trigger.shape,
+                                trigger.zone,
+                                part.attr
+                            );
+                        }
+                    }
+                }
+            }
+        });
+    }
+
     #[test]
     fn drag_preview_does_not_mutate_program() {
         let live = session(SINE_WAVE);
@@ -1022,10 +1048,7 @@ mod tests {
             incremental.commit(&a.subst).unwrap();
             full.commit(&b.subst).unwrap();
             assert_eq!(incremental.program().code(), full.program().code());
-            assert_eq!(
-                format!("{:?}", incremental.assignments()),
-                format!("{:?}", full.assignments())
-            );
+            assert_eq!(current_values(&incremental), current_values(&full));
         }
         assert_eq!(incremental.stats().incremental_prepares, 3);
         assert_eq!(full.stats().full_prepares, 4);
@@ -1088,10 +1111,7 @@ mod tests {
             live.commit(&a.subst).unwrap();
             full.commit(&b.subst).unwrap();
             assert_eq!(live.program().code(), full.program().code());
-            assert_eq!(
-                format!("{:?}", live.assignments()),
-                format!("{:?}", full.assignments())
-            );
+            assert_eq!(current_values(&live), current_values(&full));
         }
         assert!(
             live.program().code().contains("127.5"),
@@ -1132,10 +1152,7 @@ mod tests {
         // The committed state matches a reference that re-prepared fully.
         let reference = session(&edited);
         assert_eq!(live.program().code(), reference.program().code());
-        assert_eq!(
-            format!("{:?}", live.assignments()),
-            format!("{:?}", reference.assignments())
-        );
+        assert_eq!(current_values(&live), current_values(&reference));
     }
 
     #[test]
@@ -1165,10 +1182,7 @@ mod tests {
         assert_eq!(stats.full_prepares, 2);
         let reference = session(edited);
         assert_eq!(live.program().code(), reference.program().code());
-        assert_eq!(
-            format!("{:?}", live.assignments()),
-            format!("{:?}", reference.assignments())
-        );
+        assert_eq!(current_values(&live), current_values(&reference));
         // And the re-prepared session is still fully functional.
         let drag = live.drag(ShapeId(1), Zone::Interior, 5.0, 5.0).unwrap();
         live.commit(&drag.subst).unwrap();

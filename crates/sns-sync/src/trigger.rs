@@ -45,11 +45,17 @@ pub struct TriggerPart {
     pub offset: Offset,
     /// The location assigned by the heuristics (γ(v)(ζ)('k')).
     pub loc: LocId,
-    /// The attribute's value when the drag started.
+    /// The attribute's value when the drag starts.
     pub base: f64,
     /// The attribute's trace.
     pub trace: Arc<Trace>,
+    /// The trace-tape node a live session reads the attribute's current
+    /// value from ([`NO_NODE`] until a session compiles its tape).
+    pub(crate) node: u32,
 }
+
+/// The [`TriggerPart::node`] of a part no tape has compiled.
+pub(crate) const NO_NODE: u32 = u32::MAX;
 
 /// A prepared mouse trigger for one zone (`ComputeTrigger`'s result).
 #[derive(Debug, Clone)]
@@ -88,6 +94,7 @@ impl Trigger {
                     loc,
                     base: slot.base,
                     trace: Arc::clone(&slot.trace),
+                    node: NO_NODE,
                 });
             }
         }
@@ -104,10 +111,22 @@ impl Trigger {
     /// Failed equations contribute nothing to the substitution and are
     /// reported in [`TriggerFire::failures`].
     pub fn fire(&self, rho0: &Subst, dx: f64, dy: f64, solver: SolverChoice) -> TriggerFire {
+        self.fire_from(|part| part.base, rho0, dx, dy, solver)
+    }
+
+    /// [`Trigger::fire`] with each part's base read from `base`.
+    pub(crate) fn fire_from(
+        &self,
+        base: impl Fn(&TriggerPart) -> f64,
+        rho0: &Subst,
+        dx: f64,
+        dy: f64,
+        solver: SolverChoice,
+    ) -> TriggerFire {
         let mut subst = Subst::new();
         let mut failures = Vec::new();
         for part in &self.parts {
-            let target = part.base + part.offset.delta(dx, dy);
+            let target = base(part) + part.offset.delta(dx, dy);
             let eq = Equation::new(target, Arc::clone(&part.trace));
             match solver.run(rho0, part.loc, &eq) {
                 // Later bindings shadow earlier ones (plausible updates).

@@ -6,21 +6,23 @@
 //! Two sessions run the same program side by side: one with the default
 //! (incremental) configuration, one with `full_prepare_only`. After every
 //! drag the inferred substitutions must agree; after every commit the
-//! program text, the rendered canvas, every zone analysis (slots, bases,
-//! candidates with their assignments, chosen index), and every trigger
-//! must agree.
+//! program text, the rendered canvas, every zone analysis (slots with
+//! their current values, candidates with their assignments, chosen
+//! index), and every trigger with the bases a drag reads must agree.
 //!
 //! Every drag is also checked against the updated program evaluated in
 //! full ([`checked_drag`]): a drag builds no canvas, so this is what keeps
 //! the swept-canvas path honest between commits. After every fast-tier
-//! commit, the numbers the trace tape's sweep wrote in place are checked
-//! against a fresh full prepare ([`swept_commits_match_a_fresh_full_prepare_bitwise`]).
+//! commit, the numbers the trace tape's sweep wrote in place and the
+//! bases drags read from the tape are checked against a fresh full
+//! prepare, and every active zone of both sessions is fired
+//! ([`swept_commits_match_a_fresh_full_prepare_bitwise`]).
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use sns_eval::Program;
-use sns_svg::{Canvas, RenderOptions, ShapeId, SvgChild, SvgNode, Zone};
+use sns_svg::{resolve_attr, Canvas, RenderOptions, ShapeId, SvgChild, SvgNode, Zone};
 use sns_sync::{
     DragResult, LiveConfig, LiveError, LiveStats, LiveSync, SetCodeClass, SolverChoice,
 };
@@ -101,8 +103,20 @@ fn checked_drag(
     result
 }
 
+/// A slot's current value, as bits: its attribute's number on the canvas.
+/// (An analysis keeps the value it was prepared with.)
+fn current_bits(live: &LiveSync, shape: ShapeId, attr: &sns_svg::AttrRef) -> u64 {
+    let node = &live.canvas().shape(shape).expect("an analyzed shape").node;
+    resolve_attr(node, attr)
+        .expect("an analyzed attribute")
+        .n
+        .to_bits()
+}
+
 /// Everything observable about a prepared session, rendered to a string.
 /// `f64`s are captured via `to_bits`, so equality here is bit-equality.
+/// Slot values are read from the canvas and trigger bases through
+/// [`LiveSync::trigger`], which reads them as a drag does.
 fn fingerprint(live: &LiveSync) -> String {
     let mut out = String::new();
     out.push_str(&live.program().code());
@@ -122,7 +136,7 @@ fn fingerprint(live: &LiveSync) -> String {
                 " slot({:?},{:?},{:016x},tr{}:{:?})",
                 slot.attr,
                 slot.offset,
-                slot.base.to_bits(),
+                current_bits(live, z.shape, &slot.attr),
                 slot.trace.size(),
                 slot.locs,
             )
@@ -264,9 +278,10 @@ fn tree_bits(node: &SvgNode, out: &mut Vec<u64>) {
     }
 }
 
-/// The numbers a fast-tier commit writes in place, as bits: the canvas's
-/// root tree, each shape's copy, every slot base and every trigger part
-/// base.
+/// The numbers a fast-tier commit moves, as bits: the canvas's root tree
+/// and each shape's copy (written in place), every slot's current value
+/// (read from the canvas) and every trigger part's current base (read
+/// from the tape, as a drag reads it).
 fn written_bits(live: &LiveSync) -> (Vec<u64>, Vec<Vec<u64>>, Vec<u64>, Vec<u64>) {
     let mut root = Vec::new();
     tree_bits(live.canvas().root(), &mut root);
@@ -283,28 +298,41 @@ fn written_bits(live: &LiveSync) -> (Vec<u64>, Vec<Vec<u64>>, Vec<u64>, Vec<u64>
     let zones = &live.assignments().zones;
     let slots = zones
         .iter()
-        .flat_map(|z| z.slots.iter().map(|s| s.base.to_bits()))
+        .flat_map(|z| z.slots.iter().map(|s| current_bits(live, z.shape, &s.attr)))
         .collect();
     let parts = zones
         .iter()
         .filter_map(|z| live.trigger(z.shape, z.zone))
-        .flat_map(|t| t.parts.iter().map(|p| p.base.to_bits()))
+        .flat_map(|t| t.parts.into_iter().map(|p| p.base.to_bits()))
         .collect();
     (root, shapes, slots, parts)
 }
 
+/// Every active zone of `live` fired by a drag at one fixed offset: the
+/// substitution's bindings as bits, or the refusal.
+fn fired_bits(live: &LiveSync) -> Vec<Result<Vec<(u32, u64)>, String>> {
+    live.assignments()
+        .zones
+        .iter()
+        .filter(|z| z.is_active())
+        .map(|z| {
+            live.drag(z.shape, z.zone, 7.25, -3.5)
+                .map(|r| r.subst.iter().map(|(l, v)| (l.0, v.to_bits())).collect())
+                .map_err(|e| e.to_string())
+        })
+        .collect()
+}
+
 /// The trace tape's oracle: after every fast-tier commit, each number the
 /// sweep wrote in place — in the canvas's root tree and in its shapes'
-/// copies, in every slot base and every trigger part base — is bitwise
-/// what a fresh full prepare of the committed program computes.
+/// copies — every slot's current value and every trigger part base a drag
+/// reads from the tape is bitwise what a fresh full prepare of the
+/// committed program computes, and every active zone fires the same
+/// substitution in both sessions.
 #[test]
 fn swept_commits_match_a_fresh_full_prepare_bitwise() {
     sns_eval::with_big_stack(|| {
         let forced = std::env::var("SNS_FORCE_PREPARE").as_deref() == Ok("full");
-        let full_only = LiveConfig {
-            full_prepare_only: true,
-            ..LiveConfig::default()
-        };
         let mut swept = 0u64;
         for example in sns_examples::ALL {
             let program = Program::parse(example.source).expect("corpus parses");
@@ -341,15 +369,26 @@ fn swept_commits_match_a_fresh_full_prepare_bitwise() {
                     );
                 }
                 swept += 1;
-                let fresh =
-                    LiveSync::new(live.program().clone(), full_only).expect("committed program");
+                // A new session prepares in full; its drags take the same
+                // tiers as `live`'s, so only escaped zones evaluate.
+                let fresh = LiveSync::new(live.program().clone(), LiveConfig::default())
+                    .expect("committed program");
                 let (root, shapes, slots, parts) = written_bits(&live);
                 let (f_root, f_shapes, f_slots, f_parts) = written_bits(&fresh);
                 let at = format!("{}: after commit on {shape} {zone}", example.slug);
                 assert_eq!(root, f_root, "{at}: root numbers differ");
                 assert_eq!(shapes, f_shapes, "{at}: shape numbers differ");
-                assert_eq!(slots, f_slots, "{at}: slot bases differ");
+                assert_eq!(slots, f_slots, "{at}: slot values differ");
                 assert_eq!(parts, f_parts, "{at}: trigger part bases differ");
+                // Forced full prepares make both sessions the same
+                // computation, with every drag evaluated in full.
+                if !forced {
+                    assert_eq!(
+                        fired_bits(&live),
+                        fired_bits(&fresh),
+                        "{at}: fired zones differ"
+                    );
+                }
             }
         }
         assert!(swept >= 100, "only {swept} fast-tier commits exercised");
