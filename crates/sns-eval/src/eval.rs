@@ -19,7 +19,7 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use sns_lang::{Expr, LocId, Op, Pat};
+use sns_lang::{Expr, NumLit, Op, Pat, Subst};
 
 use crate::env::Env;
 use crate::escape::{EscapeMarker, Escapes};
@@ -67,16 +67,23 @@ impl Default for Limits {
     }
 }
 
-/// The evaluator. Holds resource counters; create one per program run.
+/// Binds nothing: a default evaluator reads each literal's value from the
+/// expression.
+static NO_SUBST: Subst = Subst::new();
+
+/// The evaluator. Holds resource counters and the substitution ρ₀ the
+/// literals' values are read from; create one per program run.
 #[derive(Debug)]
-pub struct Evaluator {
+pub struct Evaluator<'r> {
     steps_left: u64,
     depth: u32,
     max_depth: u32,
     escaped: EscapeMarker,
-    /// The trace of each literal evaluated so far, by location: every
-    /// number a literal evaluates to shares one leaf.
-    leaves: Vec<Option<Arc<Trace>>>,
+    rho0: &'r Subst,
+    /// The value and trace of each literal evaluated so far, by location:
+    /// ρ₀ is read once per location, and every number a literal evaluates
+    /// to shares one leaf.
+    leaves: Vec<Option<(f64, Arc<Trace>)>>,
 }
 
 /// Evaluated arguments of an application, a primitive or a list literal.
@@ -125,20 +132,22 @@ pub(crate) fn named_rec(mut c: Arc<Closure>, name: &Arc<str>) -> Arc<Closure> {
     })
 }
 
-impl Default for Evaluator {
+impl Default for Evaluator<'_> {
     fn default() -> Self {
-        Evaluator::new(Limits::default())
+        Evaluator::new(Limits::default(), &NO_SUBST)
     }
 }
 
-impl Evaluator {
-    /// Creates an evaluator with the given resource limits.
-    pub fn new(limits: Limits) -> Self {
+impl<'r> Evaluator<'r> {
+    /// Creates an evaluator with the given resource limits that reads the
+    /// value of each literal `rho0` binds from `rho0`, the program's ρ₀.
+    pub fn new(limits: Limits, rho0: &'r Subst) -> Self {
         Evaluator {
             steps_left: limits.max_steps,
             depth: 0,
             max_depth: limits.max_depth,
             escaped: EscapeMarker::default(),
+            rho0,
             leaves: Vec::new(),
         }
     }
@@ -187,7 +196,7 @@ impl Evaluator {
 
     fn eval_inner(&mut self, env: &Env, expr: &Expr) -> Result<Value, EvalError> {
         match expr {
-            Expr::Num(n) => Ok(Value::Num(n.value, self.leaf(n.loc))),
+            Expr::Num(n) => Ok(self.literal(n)),
             Expr::Str(s) => Ok(Value::Str(Arc::clone(s))),
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::Var(x) => env
@@ -274,13 +283,17 @@ impl Evaluator {
         }
     }
 
-    /// The shared trace of literal `loc`.
-    fn leaf(&mut self, loc: LocId) -> Arc<Trace> {
-        let slot = loc.0 as usize;
+    /// The number literal `n` evaluates to: its value in ρ₀, traced by
+    /// its location's shared leaf.
+    fn literal(&mut self, n: &NumLit) -> Value {
+        let slot = n.loc.0 as usize;
         if self.leaves.len() <= slot {
             self.leaves.resize(slot + 1, None);
         }
-        Arc::clone(self.leaves[slot].get_or_insert_with(|| Trace::loc(loc)))
+        let rho0 = self.rho0;
+        let (value, leaf) = self.leaves[slot]
+            .get_or_insert_with(|| (rho0.get(n.loc).unwrap_or(n.value), Trace::loc(n.loc)));
+        Value::Num(*value, Arc::clone(leaf))
     }
 
     /// Evaluates `exprs` left to right.
@@ -524,7 +537,7 @@ pub fn eval_prim(op: Op, args: &[Value]) -> Result<Value, EvalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sns_lang::parse;
+    use sns_lang::{parse, LocId};
 
     fn run(src: &str) -> Result<Value, EvalError> {
         let p = parse(src).expect("parse");
@@ -628,10 +641,11 @@ mod tests {
     #[test]
     fn step_limit_stops_infinite_recursion() {
         let p = parse("(letrec spin (λ n (spin n)) (spin 0))").unwrap();
-        let mut ev = Evaluator::new(Limits {
+        let limits = Limits {
             max_steps: 10_000,
             max_depth: 1_000_000,
-        });
+        };
+        let mut ev = Evaluator::new(limits, &NO_SUBST);
         let err = ev.eval(&Env::new(), &p.expr).unwrap_err();
         assert!(err.msg.contains("limit"));
     }
@@ -639,10 +653,11 @@ mod tests {
     #[test]
     fn depth_limit_stops_deep_recursion() {
         let p = parse("(letrec f (λ n (if (< n 1) 0 (+ 1 (f (- n 1))))) (f 100000))").unwrap();
-        let mut ev = Evaluator::new(Limits {
+        let limits = Limits {
             max_steps: u64::MAX - 1,
             max_depth: 5_000,
-        });
+        };
+        let mut ev = Evaluator::new(limits, &NO_SUBST);
         assert!(ev.eval(&Env::new(), &p.expr).is_err());
     }
 

@@ -5,12 +5,13 @@
 //! freeze/thaw annotation, range annotation, Prelude membership), and knows
 //! how to evaluate itself and how to apply local updates.
 //!
-//! The parts a local update never changes are shared, not copied: every
-//! program holds the Prelude AST and the location metadata behind an
-//! [`Arc`], so cloning a program (an undo point, a preview under ρ) costs
-//! O(user AST). The user code's text is unparsed once and cached together
-//! with each literal's span, so the text of a *previewed* update is a splice
-//! ([`Program::code_with`]) rather than a clone plus a full unparse.
+//! As in the paper, a program is a pair (e, ρ₀): the ASTs as parsed and one
+//! substitution ρ₀, the current value of every literal, which evaluation
+//! reads and a local update rebinds. The ASTs and the location metadata
+//! are shared behind [`Arc`]s by every clone (an undo point, a preview
+//! under ρ), which copies ρ₀ alone. The user code's text is unparsed once
+//! and cached with each literal's span, so the text of an update is a
+//! splice ([`Program::code_with`]), not a full unparse.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -88,11 +89,13 @@ impl FreezeMode {
 type LocTable = HashMap<LocId, LocInfo>;
 
 /// The parsed Prelude every program shares, with its half of the
-/// location metadata: built once per process, not once per parse.
+/// location metadata and of ρ₀: built once per process, not once per
+/// parse.
 struct PreludeTemplate {
     expr: Arc<Expr>,
     next_loc: u32,
     loc_info: Arc<LocTable>,
+    rho0: Subst,
 }
 
 fn prelude_template() -> &'static PreludeTemplate {
@@ -101,6 +104,7 @@ fn prelude_template() -> &'static PreludeTemplate {
         let parsed = sns_lang::parse(PRELUDE_SRC).expect("the embedded Prelude must always parse");
         PreludeTemplate {
             loc_info: Arc::new(loc_table(&parsed.expr, true)),
+            rho0: program_subst(&parsed.expr),
             expr: Arc::new(parsed.expr),
             next_loc: parsed.next_loc,
         }
@@ -214,20 +218,23 @@ impl CodeText {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Program {
-    /// Shared with the Prelude template and every clone until a
-    /// substitution rewrites a Prelude literal.
+    /// Shared with the Prelude template and every clone.
     prelude_expr: Arc<Expr>,
-    user_expr: Expr,
+    /// Shared with every clone.
+    user_expr: Arc<Expr>,
     prelude_next_loc: u32,
     next_loc: u32,
     /// The Prelude's location metadata, shared with the template.
     prelude_info: Arc<LocTable>,
-    /// The user code's location metadata. Never changed by a
-    /// substitution, so shared by every clone.
+    /// The user code's location metadata, shared with every clone.
     user_info: Arc<LocTable>,
     limits: Limits,
+    /// ρ₀: the current value of every literal, the Prelude's and the
+    /// user's. The ASTs keep the values as parsed.
+    rho0: Subst,
     /// The unparsed user code, built on first use and re-anchored by
-    /// [`Program::apply_subst`].
+    /// [`Program::apply_subst`]. Until it is built, ρ₀ binds every user
+    /// literal to its parsed value, so it is the unparse of `user_expr`.
     code: OnceLock<Arc<CodeText>>,
 }
 
@@ -244,6 +251,7 @@ impl Program {
             Arc::clone(&prelude.expr),
             prelude.next_loc,
             Arc::clone(&prelude.loc_info),
+            prelude.rho0.clone(),
             user.expr,
             user.next_loc,
         ))
@@ -262,6 +270,7 @@ impl Program {
             prelude_expr,
             0,
             Arc::default(),
+            Subst::new(),
             user.expr,
             user.next_loc,
         ))
@@ -271,17 +280,20 @@ impl Program {
         prelude_expr: Arc<Expr>,
         prelude_next_loc: u32,
         prelude_info: Arc<LocTable>,
+        mut rho0: Subst,
         user_expr: Expr,
         next_loc: u32,
     ) -> Program {
+        rho0.extend(program_subst(&user_expr).iter());
         Program {
             user_info: Arc::new(loc_table(&user_expr, false)),
             prelude_expr,
-            user_expr,
+            user_expr: Arc::new(user_expr),
             prelude_next_loc,
             next_loc,
             prelude_info,
             limits: Limits::default(),
+            rho0,
             code: OnceLock::new(),
         }
     }
@@ -305,12 +317,13 @@ impl Program {
         self.limits
     }
 
-    /// The user-program AST (excluding the Prelude).
+    /// The user-program AST (excluding the Prelude). Its literals hold
+    /// their values as parsed; [`Program::subst`] gives the current ones.
     pub fn user_expr(&self) -> &Expr {
         &self.user_expr
     }
 
-    /// The Prelude AST.
+    /// The Prelude AST, its literals holding their values as parsed.
     pub fn prelude_expr(&self) -> &Expr {
         &self.prelude_expr
     }
@@ -356,30 +369,34 @@ impl Program {
         }
     }
 
-    /// The substitution ρ₀ recording the current value of every literal.
+    /// A copy of [`Program::rho0`].
     pub fn subst(&self) -> Subst {
-        let mut rho = program_subst(&self.prelude_expr);
-        rho.extend(program_subst(&self.user_expr).iter());
-        rho
+        self.rho0.clone()
     }
 
-    /// Applies a local update to the program (both user code and, when the
-    /// update mentions Prelude locations, a private copy of the Prelude).
-    /// A cached code text is spliced and its spans re-anchored, so the
-    /// next [`Program::code`] needs no unparse.
+    /// The substitution ρ₀ recording the current value of every literal.
+    pub fn rho0(&self) -> &Subst {
+        &self.rho0
+    }
+
+    /// Applies a local update: rebinds in ρ₀ every location of `rho` the
+    /// program has, the Prelude's included, and splices the code text and
+    /// re-anchors its spans, so the next [`Program::code`] needs no
+    /// unparse. The ASTs are not touched.
     pub fn apply_subst(&mut self, rho: &Subst) {
-        rho.apply(&mut self.user_expr);
-        if rho.domain().any(|l| self.is_prelude_loc(l)) {
-            rho.apply(Arc::make_mut(&mut self.prelude_expr));
+        let code = self.code_text().with_subst(rho);
+        self.code = OnceLock::from(Arc::new(code));
+        for (loc, v) in rho.iter() {
+            if self.rho0.contains(loc) {
+                self.rho0.insert(loc, v);
+            }
         }
-        self.code = match self.code.get() {
-            Some(code) => OnceLock::from(Arc::new(code.with_subst(rho))),
-            None => OnceLock::new(),
-        };
     }
 
     /// Returns a copy of the program with `rho` applied (the paper's `ρe`).
     pub fn with_subst(&self, rho: &Subst) -> Program {
+        // Unparsed in `self`, the text is shared by every later copy.
+        self.code_text();
         let mut p = self.clone();
         p.apply_subst(rho);
         p
@@ -423,7 +440,7 @@ impl Program {
     ///
     /// Returns an [`EvalError`] from either Prelude or user evaluation.
     pub fn eval_traced(&self) -> Result<EvalOutcome, EvalError> {
-        let mut ev = Evaluator::new(self.limits);
+        let mut ev = Evaluator::new(self.limits, &self.rho0);
         let env = extend_with_defs(&mut ev, Env::new(), &self.prelude_expr)?;
         let value = ev.eval(&env, &self.user_expr)?;
         Ok(EvalOutcome {
@@ -592,13 +609,19 @@ mod tests {
         let mut p = Program::parse("(zeroTo 3)").unwrap();
         let snapshot = p.clone();
         let loc = LocId(0);
-        let old = program_subst(snapshot.prelude_expr()).get(loc).unwrap();
+        let old = snapshot.subst().get(loc).unwrap();
         p.apply_subst(&Subst::from_pairs([(loc, old + 1000.0)]));
-        assert_eq!(program_subst(p.prelude_expr()).get(loc), Some(old + 1000.0));
+        assert_eq!(p.subst().get(loc), Some(old + 1000.0));
         // Neither the clone nor the shared template saw the write.
-        assert_eq!(program_subst(snapshot.prelude_expr()).get(loc), Some(old));
+        assert_eq!(snapshot.subst().get(loc), Some(old));
         let fresh = Program::parse("(zeroTo 3)").unwrap();
-        assert_eq!(program_subst(fresh.prelude_expr()).get(loc), Some(old));
+        assert_eq!(fresh.subst().get(loc), Some(old));
+        // The write went to ρ₀ alone: both programs still share the
+        // template Prelude and the user AST.
+        let template = &prelude_template().expr;
+        assert!(Arc::ptr_eq(&p.prelude_expr, template));
+        assert!(Arc::ptr_eq(&snapshot.prelude_expr, template));
+        assert!(Arc::ptr_eq(&p.user_expr, &snapshot.user_expr));
     }
 
     #[test]

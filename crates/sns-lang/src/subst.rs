@@ -2,10 +2,10 @@
 //!
 //! A substitution is the paper's representation of a *local update*: the
 //! only program changes live synchronization ever infers are new values for
-//! numeric literals. Applying a substitution rewrites the literals in place;
-//! unparsing the result yields the updated program text.
+//! numeric literals. A program holds its substitution ρ₀, the current value
+//! of every literal, and an update rebinds locations of ρ₀. [`Subst::apply`]
+//! rewrites an expression's literals instead (the paper's `ρe`).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::ast::Expr;
@@ -14,82 +14,91 @@ use crate::LocId;
 /// A substitution ρ mapping locations ℓ to numbers n.
 ///
 /// The paper composes substitutions left-to-right with the rightmost binding
-/// winning; a `BTreeMap` with [`Subst::insert`] has exactly that semantics
-/// (later inserts shadow earlier ones), and iteration order is deterministic.
+/// winning; [`Subst::insert`] has exactly that semantics (later inserts
+/// shadow earlier ones), and iteration is in location order. The bindings
+/// are one sorted vector, so a clone is one allocation whatever its size.
 ///
 /// # Examples
 ///
 /// ```
 /// use sns_lang::{parse, unparse, LocId, Subst};
 ///
-/// let mut program = parse("(+ 50 (* 2 30))").unwrap();
+/// let program = parse("(+ 50 (* 2 30))").unwrap();
 /// let mut rho = Subst::new();
 /// rho.insert(LocId(2), 52.5); // the literal `30`
-/// rho.apply(&mut program.expr);
-/// assert_eq!(unparse(&program.expr), "(+ 50 (* 2 52.5))");
+/// assert_eq!(unparse(&rho.applied(&program.expr)), "(+ 50 (* 2 52.5))");
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Subst {
-    map: BTreeMap<LocId, f64>,
+    /// Sorted by location, at most one binding per location.
+    binds: Vec<(LocId, f64)>,
 }
 
 impl Subst {
     /// The empty substitution.
-    pub fn new() -> Self {
-        Subst::default()
+    pub const fn new() -> Self {
+        Subst { binds: Vec::new() }
     }
 
     /// Builds a substitution from `(location, value)` pairs.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (LocId, f64)>) -> Self {
-        Subst {
-            map: pairs.into_iter().collect(),
-        }
+        let mut rho = Subst::new();
+        rho.extend(pairs);
+        rho
+    }
+
+    fn find(&self, loc: LocId) -> Result<usize, usize> {
+        self.binds.binary_search_by_key(&loc, |(l, _)| *l)
     }
 
     /// Binds `loc` to `value` (the paper's `ρ ⊕ (ℓ ↦ n)`); a later binding
     /// for the same location shadows an earlier one.
     pub fn insert(&mut self, loc: LocId, value: f64) -> Option<f64> {
-        self.map.insert(loc, value)
+        match self.find(loc) {
+            Ok(i) => Some(std::mem::replace(&mut self.binds[i].1, value)),
+            Err(i) => {
+                self.binds.insert(i, (loc, value));
+                None
+            }
+        }
     }
 
     /// Looks up the value bound to `loc`.
     pub fn get(&self, loc: LocId) -> Option<f64> {
-        self.map.get(&loc).copied()
+        self.find(loc).ok().map(|i| self.binds[i].1)
     }
 
     /// Whether `loc` is bound.
     pub fn contains(&self, loc: LocId) -> bool {
-        self.map.contains_key(&loc)
+        self.find(loc).is_ok()
     }
 
     /// Number of bindings.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.binds.len()
     }
 
     /// Whether the substitution is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.binds.is_empty()
     }
 
     /// Iterates over `(location, value)` bindings in location order.
     pub fn iter(&self) -> impl Iterator<Item = (LocId, f64)> + '_ {
-        self.map.iter().map(|(l, v)| (*l, *v))
+        self.binds.iter().copied()
     }
 
     /// The locations changed by this substitution (the paper's essence of a
     /// local update: the *set* of constants that change).
     pub fn domain(&self) -> impl Iterator<Item = LocId> + '_ {
-        self.map.keys().copied()
+        self.binds.iter().map(|(l, _)| *l)
     }
 
     /// Concatenation `ρ ρ'`: bindings of `other` take precedence.
     pub fn extended(&self, other: &Subst) -> Subst {
-        let mut map = self.map.clone();
-        for (l, v) in &other.map {
-            map.insert(*l, *v);
-        }
-        Subst { map }
+        let mut rho = self.clone();
+        rho.extend(other.iter());
+        rho
     }
 
     /// Rewrites every numeric literal of `expr` whose location is bound.
@@ -99,8 +108,8 @@ impl Subst {
         }
         expr.walk_mut(&mut |e| {
             if let Expr::Num(n) = e {
-                if let Some(v) = self.map.get(&n.loc) {
-                    n.value = *v;
+                if let Some(v) = self.get(n.loc) {
+                    n.value = v;
                 }
             }
         });
@@ -122,26 +131,28 @@ impl FromIterator<(LocId, f64)> for Subst {
 
 impl Extend<(LocId, f64)> for Subst {
     fn extend<T: IntoIterator<Item = (LocId, f64)>>(&mut self, iter: T) {
-        self.map.extend(iter);
+        for (loc, value) in iter {
+            self.insert(loc, value);
+        }
     }
 }
 
 impl fmt::Display for Subst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, (l, v)) in self.map.iter().enumerate() {
+        for (i, (l, v)) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
-            write!(f, "{l} ↦ {}", crate::fmt_num(*v))?;
+            write!(f, "{l} ↦ {}", crate::fmt_num(v))?;
         }
         write!(f, "]")
     }
 }
 
-/// Extracts the substitution ρ₀ of a program: the current value of every
-/// numeric literal, keyed by location (§2.1's "substitution that records
-/// location-value mappings from the source program").
+/// Extracts the substitution ρ₀ of a parsed program: the value of every
+/// numeric literal as written, keyed by location (§2.1's "substitution
+/// that records location-value mappings from the source program").
 pub fn program_subst(expr: &Expr) -> Subst {
     let mut rho = Subst::new();
     expr.walk(&mut |e| {

@@ -1,6 +1,6 @@
-//! Allocation budgets for the `set_code` path, counted exactly by a
-//! counting global allocator: what a timing gate cannot resolve on a
-//! small, noisy host, a count resolves deterministically.
+//! Allocation budgets for the `set_code` and commit paths, counted
+//! exactly by a counting global allocator: what a timing gate cannot
+//! resolve on a small, noisy host, a count resolves deterministically.
 //!
 //! * Evaluating a program allocates per binding, cons cell, closure and
 //!   operation trace, and nothing more: no name strings, argument vectors
@@ -8,6 +8,10 @@
 //!   that was made so, plus 10%.
 //! * The canvas body of a reply is written in one pass into one string:
 //!   its allocations do not grow with the canvas's zone count.
+//! * A fast-tier commit copies no AST: the undo point shares the
+//!   program's expressions and copies its ρ₀ in one allocation, and the
+//!   update rebinds ρ₀ and splices the code text. Its allocations do not
+//!   grow with the program's size.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -109,4 +113,65 @@ fn the_canvas_body_allocates_o1_per_reply() {
     let (few, most) = (counts[0], counts[counts.len() - 1]);
     eprintln!("canvas body allocations: {few:?} .. {most:?} (zones, allocations)");
     assert!(most.0 >= 40 * few.0.max(1), "the corpus spans zone counts");
+}
+
+/// The programs of the livebench workloads (`drag_large` and
+/// `edit_durable`).
+const LIVEBENCH_PROGRAMS: [&str; 14] = [
+    "us50_flag",
+    "fractal_tree",
+    "sliders",
+    "keyboard",
+    "tessellation",
+    "us13_flag",
+    "spiral",
+    "wave_boxes",
+    "ferris_wheel",
+    "frank_lloyd_wright",
+    "solar_system",
+    "pie_chart",
+    "pop_pl_logo",
+    "bar_graph",
+];
+
+/// Allocations one fast-tier commit may make, whatever the program's
+/// size: 12–13 on these programs when it was made so, where copying the
+/// user AST for the undo point and rewriting its literals took 66–135,
+/// rising with the AST's size.
+const COMMIT_BUDGET: u64 = 16;
+
+#[test]
+fn a_fast_tier_commit_allocates_o1() {
+    let mut counts = Vec::new();
+    for slug in LIVEBENCH_PROGRAMS {
+        let src = sns_examples::by_slug(slug).expect("corpus example").source;
+        let mut session = Session::create(slug.to_string(), src).expect("corpus runs");
+        let live = session.editor().live();
+        let (shape, zone) = live
+            .assignments()
+            .zones
+            .iter()
+            .map(|z| (z.shape, z.zone))
+            .find(|&(shape, zone)| live.drag_is_proof_only(shape, zone))
+            .expect("a proof-only zone");
+        session.drag(shape, zone, 3.0, -2.0).expect("drags");
+        let before = session.editor().live_stats();
+        let (n, committed) = allocations(|| session.commit());
+        committed.expect("commits");
+        let took = session.editor().live_stats().since(&before);
+        assert_eq!(
+            took.incremental_prepares, 1,
+            "{slug}: not a fast-tier commit"
+        );
+        let size = session.editor().program().user_expr().size();
+        assert!(
+            n <= COMMIT_BUDGET,
+            "{slug}: {n} allocations for a commit on {size} AST nodes"
+        );
+        counts.push((size, n));
+    }
+    counts.sort_unstable();
+    let (few, most) = (counts[0], counts[counts.len() - 1]);
+    eprintln!("commit allocations: {few:?} .. {most:?} (AST nodes, allocations)");
+    assert!(most.0 >= 2 * few.0, "the programs span sizes");
 }

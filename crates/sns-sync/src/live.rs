@@ -46,14 +46,15 @@
 //! # Code edits
 //!
 //! [`LiveSync::set_program_diffed`] classifies a code edit with
-//! [`sns_lang::diff_exprs`]. Literal-only edits become substitutions
-//! through the commit path above. Every other edit is evaluated once and
-//! follows one rule: when the new canvas is what the current analyses
-//! describe (the same shapes, structurally trace-equal, and every
-//! location they read frozen as before), the analyses, triggers and
-//! dependence index stand and only the canvas, ρ₀, the escaped set and the
-//! trace tape are installed; otherwise the same evaluation is prepared in
-//! full.
+//! [`sns_lang::diff_exprs`]. An edit of literal values only is the
+//! bitwise difference of the two programs' ρ₀ (which [`Program`] holds;
+//! its ASTs keep the values as parsed) and takes the commit path above.
+//! Every other edit is evaluated once and follows one rule: when the new
+//! canvas is what the current analyses describe (the same shapes,
+//! structurally trace-equal, and every location they read frozen as
+//! before), the analyses, triggers and dependence index stand and only
+//! the program, the canvas, the escaped set and the trace tape are
+//! installed; otherwise the same evaluation is prepared in full.
 //!
 //! Every full prepare shares one memo across its zones: trace locations
 //! by trace address, candidates by slot signature (see [`crate::assign`]).
@@ -80,10 +81,9 @@ use crate::assign::{analyze_canvas_with, Assignments, Heuristic, PrepareMemo};
 use crate::depindex::DepIndex;
 use crate::trigger::{SolverChoice, Trigger, TriggerFire, TriggerPart, NO_NODE};
 
-/// Whether the `SNS_FORCE_PREPARE=full` environment override pins every
-/// session to the full path, as [`LiveConfig::full_prepare_only`] does. The
-/// equivalence suite runs under `full` and `fast` (the default routing,
-/// pinned) to check every tier against the reference.
+/// Whether `SNS_FORCE_PREPARE=full` (the override's only value) pins every
+/// session to the full path, as [`LiveConfig::full_prepare_only`] does;
+/// unset, sessions take the default routing.
 fn full_forced_by_env() -> bool {
     std::env::var("SNS_FORCE_PREPARE").as_deref() == Ok("full")
 }
@@ -137,8 +137,7 @@ pub struct LiveStats {
     /// what the analyses read: the shapes, their traces, or which of
     /// their locations are frozen.
     pub fallback_structural: u64,
-    /// Full-prepare fallbacks because a cheaper tier's own verification
-    /// failed (a failed sweep, a ρ disagreement).
+    /// Full-prepare fallbacks because a fast-tier commit's sweep failed.
     pub fallback_reconcile: u64,
 }
 
@@ -272,10 +271,6 @@ pub struct LiveSync {
     canvas: Canvas,
     assignments: Assignments,
     triggers: HashMap<(ShapeId, Zone), Trigger>,
-    /// The program's current substitution ρ₀ (cached; kept equal to
-    /// `program.subst()` across commits, updated in place by the fast
-    /// tier).
-    rho0: Subst,
     /// Locations that escaped the trace system during the last full
     /// evaluation.
     escaped: Escapes,
@@ -352,9 +347,8 @@ impl LiveSync {
         let mut memo = PrepareMemo::default();
         let (assignments, mut triggers) = prepare_with(&program, &canvas, config, &mut memo);
         let depindex = DepIndex::build(&assignments, &mut memo.locs);
-        let rho0 = program.subst();
         let mut tape_work = TapeWork::default();
-        let compiled = Compiled::build(&canvas, &mut triggers, &rho0, &mut tape_work);
+        let compiled = Compiled::build(&canvas, &mut triggers, program.rho0(), &mut tape_work);
         let counters = LiveCounters::default();
         LiveCounters::bump(&counters.full_prepares);
         Ok(LiveSync {
@@ -363,7 +357,6 @@ impl LiveSync {
             canvas,
             assignments,
             triggers,
-            rho0,
             escaped: outcome.escaped,
             depindex,
             compiled,
@@ -430,7 +423,7 @@ impl LiveSync {
             .ok_or(LiveError::NoTrigger { shape, zone })?;
         let TriggerFire { subst, failures } = trigger.fire_from(
             |part| self.compiled.base(part),
-            &self.rho0,
+            self.program.rho0(),
             dx,
             dy,
             self.config.solver,
@@ -510,36 +503,12 @@ impl LiveSync {
     /// Fails when the updated program does not evaluate to a canvas; the
     /// session is then left as it was.
     pub fn commit(&mut self, subst: &Subst) -> Result<(), LiveError> {
-        self.commit_with(subst, None)
-    }
-
-    /// Commits a substitution, optionally installing `replacement` as the
-    /// new program instead of applying `subst` to the current one (the
-    /// literal-edit `set_code` path; the caller has verified that
-    /// `replacement`'s substitution equals `ρ₀ ⊕ subst` bit-for-bit).
-    fn commit_with(
-        &mut self,
-        subst: &Subst,
-        replacement: Option<Program>,
-    ) -> Result<(), LiveError> {
         if self.fast_tier(subst) {
             if let Some(sweep) = self.compiled.tape.sweep(subst) {
                 self.tape_work.swept += sweep.swept() as u64;
                 self.tape_work.swept_of += self.compiled.tape.len() as u64;
-                match replacement {
-                    Some(program) => self.program = program,
-                    None => self.program.apply_subst(subst),
-                }
+                self.program.apply_subst(subst);
                 self.compiled.write(&mut self.canvas, &sweep);
-                // ρ₀ ⊕ subst, in place (a replacement's ρ₀ was verified to
-                // be exactly that). Bindings for locations the program
-                // lacks change nothing, as in `apply_subst`.
-                for (loc, v) in subst.iter() {
-                    if self.rho0.contains(loc) {
-                        self.rho0.insert(loc, v);
-                    }
-                }
-                debug_assert_eq!(self.rho0, self.program.subst());
                 self.compiled.tape.commit(sweep);
                 LiveCounters::bump(&self.counters.incremental_prepares);
                 return Ok(());
@@ -549,7 +518,7 @@ impl LiveSync {
         } else if !self.config.full_prepare_only {
             LiveCounters::bump(&self.counters.fallback_escaped);
         }
-        self.replace_program(replacement.unwrap_or_else(|| self.program.with_subst(subst)))
+        self.replace_program(self.program.with_subst(subst))
     }
 
     /// Cache-effectiveness counters for this session.
@@ -583,12 +552,13 @@ impl LiveSync {
     }
 
     /// Replaces the program via AST diffing, reusing as much session state
-    /// as the edit's classification allows: identical → nothing to do;
-    /// literal-only → a substitution through the commit path; anything
-    /// else → one evaluation, keeping the prepare when the canvas and the
-    /// frozen status of its locations are unchanged. Every shortcut
-    /// verifies itself and falls back to the full path on any mismatch, so
-    /// the result is always bit-identical to [`LiveSync::replace_program`].
+    /// as the edit's classification allows: literal values only → the
+    /// bitwise difference of the two ρ₀, nothing to do when empty, else a
+    /// substitution through the commit path; anything else → one
+    /// evaluation, keeping the prepare when the canvas and the frozen
+    /// status of its locations are unchanged. Every shortcut verifies
+    /// itself and falls back to the full path on any mismatch, so the
+    /// result is always bit-identical to [`LiveSync::replace_program`].
     ///
     /// # Errors
     ///
@@ -599,24 +569,14 @@ impl LiveSync {
             return Ok(SetCodeClass::Reevaluated);
         }
         match diff_exprs(self.program.user_expr(), program.user_expr()) {
-            AstDiff::Identical => {
-                // Re-parsing identical source must also reproduce the
-                // current substitution for state reuse to be sound.
-                if self.rho_agrees(&program, None) {
+            // The ASTs hold parse-time values: only ρ₀ holds current ones.
+            // The current program under their difference is the new one.
+            AstDiff::Identical | AstDiff::Literals(_) => {
+                let subst = literal_edit(self.program.rho0(), program.rho0());
+                if subst.is_empty() {
                     return Ok(SetCodeClass::Identical);
                 }
-                LiveCounters::bump(&self.counters.fallback_reconcile);
-                self.replace_program(program)?;
-                Ok(SetCodeClass::Identical)
-            }
-            AstDiff::Literals(pairs) => {
-                let subst = Subst::from_pairs(pairs);
-                if !self.rho_agrees(&program, Some(&subst)) {
-                    LiveCounters::bump(&self.counters.fallback_reconcile);
-                    self.replace_program(program)?;
-                    return Ok(SetCodeClass::Literals);
-                }
-                self.commit_with(&subst, Some(program))?;
+                self.commit(&subst)?;
                 Ok(SetCodeClass::Literals)
             }
             _ => {
@@ -626,26 +586,12 @@ impl LiveSync {
         }
     }
 
-    /// Verifies that `new_program`'s substitution matches the session's ρ₀
-    /// bit-for-bit, with `subst` (if given) overlaying ρ₀ first. This is
-    /// the oracle guarding the identical and literal shortcuts: it catches
-    /// location-numbering drift, prelude divergence, and diff
-    /// misclassification in one bitwise sweep.
-    fn rho_agrees(&self, new_program: &Program, subst: Option<&Subst>) -> bool {
-        let new_rho = new_program.subst();
-        new_rho.len() == self.rho0.len()
-            && new_rho.iter().all(|(l, v)| {
-                let expected = subst.and_then(|s| s.get(l)).or_else(|| self.rho0.get(l));
-                expected.map(f64::to_bits) == Some(v.to_bits())
-            })
-    }
-
     /// Installs a program by evaluating it once. When the analyses,
     /// triggers and dependence index prepared for the current canvas are
     /// also what a full prepare of the new one would compute
-    /// ([`LiveSync::prepare_stands`]), they stay, and only the canvas, ρ₀,
-    /// the escaped set and the trace tape are installed. Otherwise the
-    /// same evaluation is prepared in full.
+    /// ([`LiveSync::prepare_stands`]), they stay, and only the program,
+    /// the canvas, the escaped set and the trace tape are installed.
+    /// Otherwise the same evaluation is prepared in full.
     fn reevaluate(&mut self, program: Program) -> Result<(), LiveError> {
         let outcome = program.eval_traced()?;
         let canvas = Canvas::from_value(&outcome.value)?;
@@ -658,11 +604,10 @@ impl LiveSync {
         }
         self.canvas = canvas;
         self.escaped = outcome.escaped;
-        self.rho0 = self.program.subst();
         self.compiled = Compiled::build(
             &self.canvas,
             &mut self.triggers,
-            &self.rho0,
+            self.program.rho0(),
             &mut self.tape_work,
         );
         LiveCounters::bump(&self.counters.partial_prepares);
@@ -701,15 +646,24 @@ impl LiveSync {
         self.assignments = assignments;
         self.triggers = triggers;
         self.escaped = outcome.escaped;
-        self.rho0 = self.program.subst();
         self.compiled = Compiled::build(
             &self.canvas,
             &mut self.triggers,
-            &self.rho0,
+            self.program.rho0(),
             &mut self.tape_work,
         );
         LiveCounters::bump(&self.counters.full_prepares);
     }
+}
+
+/// The local update taking ρ₀ `old` to `new`: every binding of `new`
+/// whose value differs bitwise from its value in `old`. The two bind the
+/// same locations: ASTs equal up to literal values number them alike.
+fn literal_edit(old: &Subst, new: &Subst) -> Subst {
+    debug_assert!(old.domain().eq(new.domain()));
+    new.iter()
+        .filter(|&(l, v)| old.get(l).map(f64::to_bits) != Some(v.to_bits()))
+        .collect()
 }
 
 /// Structural equality over SVG nodes with traced numbers compared by bit

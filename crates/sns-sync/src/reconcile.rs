@@ -108,9 +108,9 @@ pub fn reconcile(
         equations.push(Equation::new(edit.new_value, std::sync::Arc::clone(&num.t)));
     }
     let frozen = |l: LocId| program.is_frozen(l, mode);
-    let candidates = synthesize_plausible(&program.subst(), &equations, &frozen, options);
+    let rho0 = program.rho0();
+    let candidates = synthesize_plausible(rho0, &equations, &frozen, options);
 
-    let rho0 = program.subst();
     let original: Vec<Vec<(String, f64)>> = snapshot(canvas);
     let mut ranked = Vec::with_capacity(candidates.len());
     for update in candidates {

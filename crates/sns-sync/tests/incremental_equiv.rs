@@ -240,8 +240,8 @@ fn incremental_prepare_matches_full_prepare_across_the_corpus() {
                 fallback_only.push(example.slug);
             }
             // Tier-aware counter check: which path served the safe commits
-            // depends on the SNS_FORCE_PREPARE override the suite runs
-            // under (CI pins both `full` and `fast`).
+            // depends on whether the suite runs under SNS_FORCE_PREPARE=full
+            // (its only value) or unset.
             let stats = incremental.stats();
             match std::env::var("SNS_FORCE_PREPARE").as_deref() {
                 Ok("full") => assert_eq!(
@@ -614,8 +614,9 @@ fn counts(d: LiveStats) -> Counts {
 /// A `set_code` that re-evaluated and prepared in full.
 const FULL: Counts = (1, 0, 0, 1, 0);
 
-/// A code edit, as a rewrite of the session's current text.
-type Rewrite = Box<dyn Fn(&str) -> String>;
+/// A code edit, as a rewrite of the session's current text and of its
+/// text before the last drag.
+type Rewrite = Box<dyn Fn(&str, &str) -> String>;
 
 /// Seeded `set_code` edits of every class must leave a diff-classified
 /// session bit-identical to one that always replaces the program
@@ -632,7 +633,7 @@ fn set_code_edits_match_full_replace_bitwise() {
             ));
         }
         let base = format!("(def unused (* 7 1313))\n(svg [{shapes}])");
-        let fixed = |text: String| -> Rewrite { Box::new(move |_| text.clone()) };
+        let fixed = |text: String| -> Rewrite { Box::new(move |_, _| text.clone()) };
         // Each row rewrites the session's current text (the drags between
         // edits rewrite literals, so only rewrites of the live code keep
         // everything else unchanged), and names the class the edit gets and
@@ -644,6 +645,14 @@ fn set_code_edits_match_full_replace_bitwise() {
                 SetCodeClass::Literals,
                 (0, 1, 0, 0, 0),
             ),
+            // The program was parsed from the text before the drag, so its
+            // AST holds the restored values; only ρ₀ holds the dragged ones.
+            (
+                "the dragged literals edited back",
+                Box::new(|_, undragged| undragged.to_string()),
+                SetCodeClass::Literals,
+                (0, 1, 0, 0, 0),
+            ),
             (
                 "operator swap in a drawn rect's x",
                 fixed(base.replace("(* 2 15)", "(+ 2 15)")),
@@ -652,7 +661,7 @@ fn set_code_edits_match_full_replace_bitwise() {
             ),
             (
                 "identical re-submit",
-                Box::new(str::to_string),
+                Box::new(|code, _| code.to_string()),
                 SetCodeClass::Identical,
                 (0, 0, 0, 0, 0),
             ),
@@ -675,19 +684,19 @@ fn set_code_edits_match_full_replace_bitwise() {
             // zones read, stops (then starts again) being a candidate.
             (
                 "`!` added to a drawn literal",
-                Box::new(|code| code.replacen(" 62 ", " 62! ", 1)),
+                Box::new(|code, _| code.replacen(" 62 ", " 62! ", 1)),
                 SetCodeClass::Reevaluated,
                 FULL,
             ),
             (
                 "that `!` removed",
-                Box::new(|code| code.replacen(" 62! ", " 62 ", 1)),
+                Box::new(|code, _| code.replacen(" 62! ", " 62 ", 1)),
                 SetCodeClass::Reevaluated,
                 FULL,
             ),
             (
                 "an unused definition renamed",
-                Box::new(|code| code.replacen("(def unused ", "(def spare ", 1)),
+                Box::new(|code, _| code.replacen("(def unused ", "(def spare ", 1)),
                 SetCodeClass::Reevaluated,
                 (0, 0, 1, 0, 0),
             ),
@@ -707,9 +716,10 @@ fn set_code_edits_match_full_replace_bitwise() {
         )
         .expect("prepares");
 
+        let mut undragged = base.clone();
         for (what, edit, want, want_counts) in &edits {
             let code = diffed.program().code();
-            let src = edit(&code);
+            let src = edit(&code, &undragged);
             if *want != SetCodeClass::Identical {
                 assert_ne!(src, code, "{what}: the rewrite did not apply");
             }
@@ -744,6 +754,7 @@ fn set_code_edits_match_full_replace_bitwise() {
             let a = checked_drag(&diffed, shape, zone, 3.0, -2.0).unwrap();
             let b = checked_drag(&full, shape, zone, 3.0, -2.0).unwrap();
             assert_eq!(a.subst, b.subst);
+            undragged = diffed.program().code();
             diffed.commit(&a.subst).unwrap();
             full.commit(&b.subst).unwrap();
             assert_eq!(fingerprint(&diffed), fingerprint(&full));

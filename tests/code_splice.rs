@@ -1,10 +1,11 @@
 //! The code pane's splice is bitwise the full unparse: for every corpus
 //! example and seeded random substitutions ρ, `Program::code_with(&ρ)`
-//! (the cached text with ρ's literals spliced in) must equal unparsing the
-//! user expression of `with_subst(&ρ)`, byte for byte. A program whose
-//! literals were rewritten must also re-render its own text, which
-//! `apply_subst` splices into the cached text and whose literal spans it
-//! re-anchors rather than unparsing again.
+//! (the cached text with ρ's literals spliced in) must equal the paper's
+//! `ρe` unparsed: the parsed user expression with the literals of ρ₀ ⊕ ρ
+//! rewritten (`Subst::applied`), byte for byte. A program whose ρ₀ was
+//! updated must also re-render its own text, which `apply_subst` splices
+//! into the cached text and whose literal spans it re-anchors rather than
+//! unparsing again.
 
 mod support;
 
@@ -69,6 +70,12 @@ fn arb_subst(
     rho
 }
 
+/// The reference text of `program` under `rho`: its user expression with
+/// every literal ρ₀ ⊕ ρ binds rewritten, unparsed in full.
+fn unparse_under(program: &Program, rho: &Subst) -> String {
+    unparse(&program.subst().extended(rho).applied(program.user_expr()))
+}
+
 #[test]
 fn spliced_code_equals_the_full_unparse_across_the_corpus() {
     let mut cov = Coverage::default();
@@ -78,11 +85,16 @@ fn spliced_code_equals_the_full_unparse_across_the_corpus() {
             .subst()
             .domain()
             .partition(|&l| program.is_prelude_loc(l));
-        assert_eq!(program.code(), unparse(program.user_expr()), "{}", ex.slug);
+        assert_eq!(
+            program.code(),
+            unparse_under(&program, &Subst::new()),
+            "{}",
+            ex.slug
+        );
         let mut rng = SplitMix64::seed_from_u64(0x5911CE ^ i as u64);
         for case in 0..24 {
             let rho = arb_subst(&mut rng, &program, &user, &prelude, &mut cov);
-            let expected = unparse(program.with_subst(&rho).user_expr());
+            let expected = unparse_under(&program, &rho);
             assert_eq!(
                 program.code_with(&rho),
                 expected,
@@ -128,7 +140,7 @@ fn apply_subst_reanchors_the_cached_text() {
             program.apply_subst(&rho);
             assert_eq!(
                 program.code(),
-                unparse(program.user_expr()),
+                unparse_under(&program, &Subst::new()),
                 "{} step {step}: the re-anchored text differs from the unparse",
                 ex.slug
             );
@@ -142,7 +154,7 @@ fn apply_subst_reanchors_the_cached_text() {
             let spliced = program.code_with(&next);
             assert_eq!(
                 spliced,
-                unparse(program.with_subst(&next).user_expr()),
+                unparse_under(&program, &next),
                 "{} step {step}: a splice through re-anchored spans differs",
                 ex.slug
             );
@@ -152,7 +164,7 @@ fn apply_subst_reanchors_the_cached_text() {
         assert_eq!(snapshot.code(), before, "{}", ex.slug);
         assert_eq!(
             snapshot.code(),
-            unparse(snapshot.user_expr()),
+            unparse_under(&snapshot, &Subst::new()),
             "{}",
             ex.slug
         );
