@@ -28,7 +28,8 @@ use sns_solver::Equation;
 use sns_svg::Canvas;
 use sns_sync::{
     analyze_canvas, location_stats, pre_equations, solvability, unique_pre_equations, Assignments,
-    Heuristic, LocationStats, PreEquation, SolvabilityStats, ZoneStats,
+    Heuristic, LiveConfig, LiveError, LiveSync, LocationStats, PreEquation, SolvabilityStats,
+    ZoneStats,
 };
 
 /// Everything the tables need about one corpus example.
@@ -263,7 +264,7 @@ impl CommitTiming {
 /// Seconds per compile of `live`'s canvas numbers and trigger parts onto
 /// a fresh [`sns_eval::TraceTape`], as a prepare compiles them: each part
 /// reads its attribute's canvas number, already on the tape.
-fn time_tape_rebuilds(live: &sns_sync::LiveSync, rebuilds: usize) -> Vec<f64> {
+fn time_tape_rebuilds(live: &LiveSync, rebuilds: usize) -> Vec<f64> {
     let rho0 = live.program().subst();
     let canvas = live.canvas();
     let triggers: Vec<_> = live
@@ -291,21 +292,28 @@ fn time_tape_rebuilds(live: &sns_sync::LiveSync, rebuilds: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Drives `commits` drag+commit cycles on one session and returns seconds
-/// per commit. Drags alternate direction so values stay near the
+/// The reference commit: the program under `subst`, re-evaluated and
+/// prepared in full.
+fn full_commit(live: &mut LiveSync, subst: &Subst) -> Result<(), LiveError> {
+    live.replace_program(live.program().with_subst(subst))
+}
+
+/// Drives `commits` drag+`commit` cycles on one session and returns
+/// seconds per commit. Drags alternate direction so values stay near the
 /// original program's.
 fn time_commits(
-    live: &mut sns_sync::LiveSync,
+    live: &mut LiveSync,
     shape: sns_svg::ShapeId,
     zone: sns_svg::Zone,
     commits: usize,
+    commit: fn(&mut LiveSync, &Subst) -> Result<(), LiveError>,
 ) -> Vec<f64> {
     let mut out = Vec::with_capacity(commits);
     let mut sign = 1.0;
     for _ in 0..commits {
         let result = live.drag(shape, zone, sign * 2.0, sign).expect("drag");
         let t0 = Instant::now();
-        live.commit(&result.subst).expect("commit");
+        commit(live, &result.subst).expect("commit");
         out.push(t0.elapsed().as_secs_f64());
         sign = -sign;
     }
@@ -318,19 +326,10 @@ fn time_commits(
 ///
 /// Panics if the example fails to run or has no active zone.
 pub fn time_commit_paths(example: &Example, commits: usize) -> CommitTiming {
-    use sns_sync::{LiveConfig, LiveSync};
-
     let program = Program::parse(example.source).expect("corpus parses");
     let mut incremental =
         LiveSync::new(program.clone(), LiveConfig::default()).expect("corpus prepares");
-    let mut full = LiveSync::new(
-        program,
-        LiveConfig {
-            full_prepare_only: true,
-            ..LiveConfig::default()
-        },
-    )
-    .expect("corpus prepares");
+    let mut full = LiveSync::new(program, LiveConfig::default()).expect("corpus prepares");
 
     let active: Vec<_> = incremental
         .assignments()
@@ -356,10 +355,10 @@ pub fn time_commit_paths(example: &Example, commits: usize) -> CommitTiming {
     let shapes = incremental.canvas().shapes().len();
     let zones = incremental.assignments().zones.len();
     let before = incremental.tape_work();
-    let incr_times = time_commits(&mut incremental, shape, zone, commits);
+    let incr_times = time_commits(&mut incremental, shape, zone, commits, LiveSync::commit);
     let after = incremental.tape_work();
     let rebuild_times = time_tape_rebuilds(&incremental, commits);
-    let full_times = time_commits(&mut full, shape, zone, commits);
+    let full_times = time_commits(&mut full, shape, zone, commits, full_commit);
     CommitTiming {
         slug: example.slug,
         name: example.name,
@@ -409,18 +408,9 @@ pub struct SetCodeTiming {
 /// Panics if either source fails to run, or if the diff classification is
 /// unstable across edits.
 pub fn time_set_code(label: &'static str, src_a: &str, src_b: &str, edits: usize) -> SetCodeTiming {
-    use sns_sync::{LiveConfig, LiveSync};
-
-    let mut diffed =
-        LiveSync::new(Program::parse(src_a).expect("parse"), LiveConfig::default()).expect("run");
-    let mut full = LiveSync::new(
-        Program::parse(src_a).expect("parse"),
-        LiveConfig {
-            full_prepare_only: true,
-            ..LiveConfig::default()
-        },
-    )
-    .expect("run");
+    let session = || LiveSync::new(Program::parse(src_a).expect("parse"), LiveConfig::default());
+    let mut diffed = session().expect("run");
+    let mut full = session().expect("run");
 
     let mut class = None;
     let before = diffed.stats();
@@ -489,45 +479,6 @@ pub fn set_code_workload_sources() -> (String, Vec<(&'static str, String)>) {
         ),
     ];
     (base, edits)
-}
-
-/// Times `steps` consecutive drag steps (one simulated mouse-move each)
-/// on an example's first active zone, returning seconds per step. A step
-/// is the trigger solve plus the tier proof; it builds no canvas. With
-/// `full_eval_only`, the session instead re-evaluates the updated program
-/// from scratch per step as its refusal check (the pre-fast-path
-/// behaviour).
-///
-/// # Panics
-///
-/// Panics if the example fails to run or has no active zone.
-pub fn time_drag_steps(example: &Example, steps: usize, full_eval_only: bool) -> Vec<f64> {
-    use sns_sync::{LiveConfig, LiveSync};
-
-    let program = Program::parse(example.source).expect("corpus parses");
-    let live = LiveSync::new(
-        program,
-        LiveConfig {
-            full_prepare_only: full_eval_only,
-            ..LiveConfig::default()
-        },
-    )
-    .expect("corpus prepares");
-    let (shape, zone) = live
-        .assignments()
-        .zones
-        .iter()
-        .find(|z| z.is_active())
-        .map(|z| (z.shape, z.zone))
-        .expect("an active zone");
-    let mut out = Vec::with_capacity(steps);
-    for step in 0..steps {
-        let d = (step % 40) as f64;
-        let t0 = Instant::now();
-        let _ = live.drag(shape, zone, d, (d * 0.5) % 25.0).expect("drag");
-        out.push(t0.elapsed().as_secs_f64());
-    }
-    out
 }
 
 /// Times `SolveOne` on each unique pre-equation (d = 1), returning seconds

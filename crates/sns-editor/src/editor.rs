@@ -27,9 +27,6 @@ pub struct EditorConfig {
     pub solver: SolverChoice,
     /// Whether hidden helper shapes are displayed (Appendix C "Layers").
     pub show_hidden: bool,
-    /// Disable incremental prepare / drag patching (reference mode for
-    /// equivalence tests and benchmarks).
-    pub full_prepare_only: bool,
 }
 
 impl EditorConfig {
@@ -38,7 +35,6 @@ impl EditorConfig {
             heuristic: self.heuristic,
             freeze_mode: self.freeze_mode,
             solver: self.solver,
-            full_prepare_only: self.full_prepare_only,
         }
     }
 }

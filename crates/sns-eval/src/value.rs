@@ -120,23 +120,6 @@ impl Value {
         }
     }
 
-    /// Collects the trace locations of every number reachable in this
-    /// value (numbers nested in lists included; closure environments are
-    /// not traversed — closures are opaque to `=`/`toString`).
-    pub fn collect_locs(&self, out: &mut std::collections::BTreeSet<sns_lang::LocId>) {
-        let mut cur = self;
-        loop {
-            match cur {
-                Value::Num(_, t) => return t.collect_locs_into(out),
-                Value::Cons(cell) => {
-                    cell.0.collect_locs(out);
-                    cur = &cell.1;
-                }
-                Value::Str(_) | Value::Bool(_) | Value::Nil | Value::Closure(_) => return,
-            }
-        }
-    }
-
     /// A short name for the value's shape, used in error messages.
     pub fn kind_name(&self) -> &'static str {
         match self {

@@ -195,30 +195,6 @@ impl Op {
             _ => return None,
         })
     }
-
-    /// Whether the operation produces a number from numeric arguments, and
-    /// therefore participates in run-time traces (rule E-OP-NUM).
-    pub fn is_numeric(self) -> bool {
-        use Op::*;
-        matches!(
-            self,
-            Pi | Cos
-                | Sin
-                | ArcCos
-                | ArcSin
-                | Round
-                | Floor
-                | Ceiling
-                | Sqrt
-                | Add
-                | Sub
-                | Mul
-                | Div
-                | Mod
-                | Pow
-                | ArcTan2
-        )
-    }
 }
 
 impl fmt::Display for Op {

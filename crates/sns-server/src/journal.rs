@@ -444,10 +444,9 @@ impl ReplGate {
     }
 }
 
-/// One shard's catch-up snapshot: `(generation, covered offset,
-/// sessions as (id, code, owner))`. See
-/// [`JournalInner::shard_state`].
-pub(crate) type ShardState = (u64, u64, Vec<(String, String, Option<IpAddr>)>);
+/// One shard's catch-up snapshot: `(generation, covered offset, one
+/// [`snapshot_row`] per session)`. See [`JournalInner::shard_state`].
+pub(crate) type ShardState = (u64, u64, Vec<Json>);
 
 /// The shared core of the journal: everything the backend, its
 /// maintenance thread, and the replication streamers touch.
@@ -1182,7 +1181,7 @@ impl JournalInner {
         let sessions = shard
             .shadow
             .iter()
-            .map(|(id, e)| (id.clone(), e.code.clone(), e.owner))
+            .map(|(id, e)| snapshot_row(id, e))
             .collect();
         (shard.gen, shard.shadow_stable, sessions)
     }
@@ -1530,6 +1529,8 @@ pub(crate) enum OwnedOp {
     Delete(String),
 }
 
+/// A session as one snapshot row, `{id, code, owner?}`: a frame of a
+/// `.snap` file and an element of a replication `snap` message.
 fn snapshot_row(id: &str, entry: &ShadowEntry) -> Json {
     let mut pairs = vec![
         ("id", Json::str(id.to_string())),
@@ -1539,6 +1540,19 @@ fn snapshot_row(id: &str, entry: &ShadowEntry) -> Json {
         pairs.push(("owner", Json::str(ip.to_string())));
     }
     Json::obj(pairs)
+}
+
+/// The session a [`snapshot_row`] holds; `None` when `row` lacks an id
+/// or code. An owner that does not parse reads as none.
+pub(crate) fn decode_snapshot_row(row: &Json) -> Option<(String, ShadowEntry)> {
+    let id = row.get("id").and_then(Json::as_str)?;
+    let code = row.get("code").and_then(Json::as_str)?;
+    let owner = row
+        .get("owner")
+        .and_then(Json::as_str)
+        .and_then(|s| s.parse().ok());
+    let code = code.to_string();
+    Some((id.to_string(), ShadowEntry { code, owner }))
 }
 
 fn encode_op(op: &Op<'_>) -> Json {
@@ -1670,25 +1684,11 @@ fn replay_shard(dir: &Path, idx: usize) -> io::Result<(Shard, Vec<Session>)> {
         let buf = fs::read(shard_file(dir, idx, gen, "snap"))?;
         let (payloads, _) = read_frames(&buf);
         for payload in payloads {
-            let parsed = std::str::from_utf8(payload)
+            let row = std::str::from_utf8(payload)
                 .ok()
                 .and_then(|t| json::parse(t).ok());
-            let Some(v) = parsed else { continue };
-            if let (Some(id), Some(code)) = (
-                v.get("id").and_then(Json::as_str),
-                v.get("code").and_then(Json::as_str),
-            ) {
-                let owner = v
-                    .get("owner")
-                    .and_then(Json::as_str)
-                    .and_then(|s| s.parse().ok());
-                shadow.insert(
-                    id.to_string(),
-                    ShadowEntry {
-                        code: code.to_string(),
-                        owner,
-                    },
-                );
+            if let Some((id, entry)) = row.as_ref().and_then(decode_snapshot_row) {
+                shadow.insert(id, entry);
             }
         }
     }
@@ -2317,7 +2317,7 @@ mod tests {
         assert_eq!(gen, after.0);
         assert_eq!(stable, after.1);
         assert_eq!(sessions.len(), 1);
-        assert_eq!(sessions[0].0, "a");
+        assert_eq!(decode_snapshot_row(&sessions[0]).unwrap().0, "a");
         // Rotation invalidates the old generation's spans.
         backend.compact_now().unwrap();
         assert_eq!(inner.read_span(idx, after.0, 0, after.1).unwrap(), None);

@@ -93,7 +93,7 @@ use sns_faults::{FaultAction, Faults, SplitMix64};
 use sns_obs::log::{self as obs_log, Value};
 use sns_obs::trace::{self as obs_trace, TraceCtx};
 
-use crate::journal::{self, crc32, read_frames, JournalInner, OwnedOp};
+use crate::journal::{self, crc32, read_frames, JournalInner, OwnedOp, ShadowEntry};
 use crate::json::{self, Json};
 use crate::routes::ServerState;
 use crate::session::Session;
@@ -882,17 +882,7 @@ fn stream_to_follower(
             if cgen != lgen || cbytes > lbytes {
                 // Generation handoff: ship the shard's materialized state
                 // and resume tailing from the offset it covers.
-                let (sgen, sbytes, sessions) = inner.shard_state(idx);
-                let rows: Vec<Json> = sessions
-                    .into_iter()
-                    .map(|(sid, code, owner)| {
-                        let mut pairs = vec![("id", Json::str(sid)), ("code", Json::str(code))];
-                        if let Some(ip) = owner {
-                            pairs.push(("owner", Json::str(ip.to_string())));
-                        }
-                        Json::obj(pairs)
-                    })
-                    .collect();
+                let (sgen, sbytes, rows) = inner.shard_state(idx);
                 write_msg_injected(
                     writer,
                     &Json::obj([
@@ -1305,20 +1295,10 @@ fn apply_msg(
                 ));
             }
             let rows = msg.get("sessions").and_then(Json::as_arr).unwrap_or(&[]);
-            let mut desired: HashMap<String, (String, Option<IpAddr>)> = HashMap::new();
-            for row in rows {
-                let (Some(id), Some(code)) = (
-                    row.get("id").and_then(Json::as_str),
-                    row.get("code").and_then(Json::as_str),
-                ) else {
-                    continue;
-                };
-                let owner = row
-                    .get("owner")
-                    .and_then(Json::as_str)
-                    .and_then(|s| s.parse().ok());
-                desired.insert(id.to_string(), (code.to_string(), owner));
-            }
+            let desired: HashMap<String, ShadowEntry> = rows
+                .iter()
+                .filter_map(journal::decode_snapshot_row)
+                .collect();
             // The snapshot is the whole truth for its shard: anything we
             // hold that it lacks was deleted on the leader. Local
             // durability failures propagate as errors — the shard's
@@ -1329,8 +1309,8 @@ fn apply_msg(
                     state.store.remove(id)?;
                 }
             }
-            for (id, (code, owner)) in &desired {
-                ensure_session(state, id, code, *owner)?;
+            for (id, entry) in &desired {
+                ensure_session(state, id, &entry.code, entry.owner)?;
                 state
                     .timelines
                     .record(id, crate::timeline::Kind::Resync, "");

@@ -8,9 +8,6 @@
 //! reference byte for byte, and the inline path must take exactly the
 //! proof-only drags: a resident, unlocked session, no implicit commit,
 //! and a zone whose trigger locations never escape.
-//!
-//! Under `SNS_FORCE_PREPARE=full` no drag is proof-only,
-//! so every drag must take the pool path — with the same replies.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, TcpStream};
@@ -32,12 +29,6 @@ const PROGRAM: &str = "(def x 100) \
     (svg [(rect 'blue' (if (< x 300!) x 0) 50 40 30) (rect 'red' 10 20 30 40)])";
 
 const PEER: IpAddr = IpAddr::V4(Ipv4Addr::LOCALHOST);
-
-/// Whether this run pins sessions to the full path, so that no drag may
-/// be served inline.
-fn fast_tier_forced_off() -> bool {
-    std::env::var("SNS_FORCE_PREPARE").as_deref() == Ok("full")
-}
 
 fn state(follower: bool, auth_token: Option<&str>) -> Arc<ServerState> {
     Arc::new_cyclic(|state| ServerState {
@@ -136,12 +127,10 @@ impl Twins {
 #[test]
 fn proof_only_drags_are_inline_and_the_rest_go_to_the_pool() {
     let twins = Twins::new();
-    let inline_ok = !fast_tier_forced_off();
     // Shape 1's interior never escapes: served inline, step after step.
-    assert_eq!(twins.drag(1, "Interior", 5.0), inline_ok);
-    assert_eq!(twins.drag(1, "Interior", 9.0), inline_ok);
-    let inlined = if inline_ok { 2.0 } else { 0.0 };
-    assert_eq!(drags_inline(&twins.state), inlined);
+    assert!(twins.drag(1, "Interior", 5.0));
+    assert!(twins.drag(1, "Interior", 9.0));
+    assert_eq!(drags_inline(&twins.state), 2.0);
     // A zone switch commits the in-flight drag first: pool.
     assert!(!twins.drag(1, "RightEdge", 3.0));
     // Shape 0's x escapes into a comparison: pool, whether or not the
@@ -150,10 +139,9 @@ fn proof_only_drags_are_inline_and_the_rest_go_to_the_pool() {
     assert!(!twins.drag(0, "Interior", 12.0));
     twins.commit();
     // After the commit a new drag on a proof-only zone is inline again.
-    assert_eq!(twins.drag(1, "Interior", -2.0), inline_ok);
+    assert!(twins.drag(1, "Interior", -2.0));
     twins.commit();
-    let inlined = if inline_ok { 3.0 } else { 0.0 };
-    assert_eq!(drags_inline(&twins.state), inlined);
+    assert_eq!(drags_inline(&twins.state), 3.0);
 }
 
 #[test]
@@ -287,7 +275,6 @@ fn the_reactor_serves_proof_only_drags_itself() {
     assert_eq!(status, 200);
     let v = json::parse(&stats).unwrap();
     let inlined = v.get("drags_inline").and_then(Json::as_f64).unwrap();
-    let expected = if fast_tier_forced_off() { 0.0 } else { 1.0 };
-    assert_eq!(inlined, expected, "{stats}");
+    assert_eq!(inlined, 1.0, "{stats}");
     handle.shutdown();
 }

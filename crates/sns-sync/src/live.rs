@@ -62,9 +62,11 @@
 //!
 //! Whenever a proof obligation fails (a sweep trips on anything
 //! unexpected, a re-evaluated canvas differs from the analyzed one), the
-//! session falls back to the original full re-evaluate + re-prepare path,
-//! so observable behaviour is identical — the corpus-wide equivalence
-//! suite (`tests/incremental_equiv.rs`) checks this bit-for-bit.
+//! session falls back to the full re-evaluate + re-prepare path,
+//! [`LiveSync::replace_program`], so observable behaviour is identical.
+//! That path is also the reference: the corpus-wide equivalence suite
+//! (`tests/incremental_equiv.rs`) commits a twin session only through it
+//! and checks the two bit-for-bit.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -80,13 +82,6 @@ use sns_svg::{resolve_attr, AttrValue, Canvas, NumTr, ShapeId, SvgChild, SvgErro
 use crate::assign::{analyze_canvas_with, Assignments, Heuristic, PrepareMemo};
 use crate::depindex::DepIndex;
 use crate::trigger::{SolverChoice, Trigger, TriggerFire, TriggerPart, NO_NODE};
-
-/// Whether `SNS_FORCE_PREPARE=full` (the override's only value) pins every
-/// session to the full path, as [`LiveConfig::full_prepare_only`] does;
-/// unset, sessions take the default routing.
-fn full_forced_by_env() -> bool {
-    std::env::var("SNS_FORCE_PREPARE").as_deref() == Ok("full")
-}
 
 /// How [`LiveSync::set_program_diffed`] classified a code edit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,10 +104,6 @@ pub struct LiveConfig {
     pub freeze_mode: FreezeMode,
     /// Equation solver used by triggers.
     pub solver: SolverChoice,
-    /// Disable the incremental prepare / drag fast path and always take
-    /// the full re-evaluate + re-prepare route. Used as the reference
-    /// implementation by equivalence tests and benchmarks.
-    pub full_prepare_only: bool,
 }
 
 /// Counters describing how a session's work has been served (cache
@@ -338,10 +329,6 @@ impl LiveSync {
     ///
     /// Fails if the program does not evaluate or its output is not SVG.
     pub fn new(program: Program, config: LiveConfig) -> Result<LiveSync, LiveError> {
-        let config = LiveConfig {
-            full_prepare_only: config.full_prepare_only || full_forced_by_env(),
-            ..config
-        };
         let outcome = program.eval_traced()?;
         let canvas = Canvas::from_value(&outcome.value)?;
         let mut memo = PrepareMemo::default();
@@ -428,7 +415,7 @@ impl LiveSync {
             dy,
             self.config.solver,
         );
-        if self.fast_tier(&subst) {
+        if self.control_flow_safe(&subst) {
             LiveCounters::bump(&self.counters.fast_evals);
         } else {
             LiveCounters::bump(&self.counters.full_evals);
@@ -448,24 +435,15 @@ impl LiveSync {
     }
 
     /// Whether every drag step on `zone` of `shape` is proof-only: the
-    /// zone has a trigger, none of its locations escapes, and the session
-    /// is not pinned to the full path. A trigger only binds its own
-    /// locations, so every substitution it fires is
+    /// zone has a trigger and none of its locations escapes. A trigger
+    /// only binds its own locations, so every substitution it fires is
     /// [`control_flow_safe`](LiveSync::control_flow_safe) and
     /// [`LiveSync::drag`] takes the fast tier without evaluating anything.
     /// The server answers such drags on its event-loop thread.
     pub fn drag_is_proof_only(&self, shape: ShapeId, zone: Zone) -> bool {
-        !self.config.full_prepare_only
-            && self
-                .triggers
-                .get(&(shape, zone))
-                .is_some_and(|t| self.avoids_escapes(t.parts.iter().map(|p| p.loc)))
-    }
-
-    /// Whether `subst` may take the fast tier: the session is not pinned
-    /// to the full path and the substitution avoids every escaped location.
-    fn fast_tier(&self, subst: &Subst) -> bool {
-        !self.config.full_prepare_only && self.control_flow_safe(subst)
+        self.triggers
+            .get(&(shape, zone))
+            .is_some_and(|t| self.avoids_escapes(t.parts.iter().map(|p| p.loc)))
     }
 
     /// The canvas after applying `subst`: a copy of the cached canvas with
@@ -478,7 +456,7 @@ impl LiveSync {
     ///
     /// Fails when the updated program does not evaluate to a canvas.
     pub fn preview_canvas(&self, subst: &Subst) -> Result<Canvas, LiveError> {
-        if self.fast_tier(subst) {
+        if self.control_flow_safe(subst) {
             if let Some(sweep) = self.compiled.tape.sweep(subst) {
                 let mut canvas = self.canvas.clone();
                 self.compiled.write(&mut canvas, &sweep);
@@ -503,7 +481,7 @@ impl LiveSync {
     /// Fails when the updated program does not evaluate to a canvas; the
     /// session is then left as it was.
     pub fn commit(&mut self, subst: &Subst) -> Result<(), LiveError> {
-        if self.fast_tier(subst) {
+        if self.control_flow_safe(subst) {
             if let Some(sweep) = self.compiled.tape.sweep(subst) {
                 self.tape_work.swept += sweep.swept() as u64;
                 self.tape_work.swept_of += self.compiled.tape.len() as u64;
@@ -515,7 +493,7 @@ impl LiveSync {
             }
             // The tier was sound but the sweep failed: reconcile fully.
             LiveCounters::bump(&self.counters.fallback_reconcile);
-        } else if !self.config.full_prepare_only {
+        } else {
             LiveCounters::bump(&self.counters.fallback_escaped);
         }
         self.replace_program(self.program.with_subst(subst))
@@ -564,10 +542,6 @@ impl LiveSync {
     ///
     /// Fails when the new program does not evaluate to a canvas.
     pub fn set_program_diffed(&mut self, program: Program) -> Result<SetCodeClass, LiveError> {
-        if self.config.full_prepare_only {
-            self.replace_program(program)?;
-            return Ok(SetCodeClass::Reevaluated);
-        }
         match diff_exprs(self.program.user_expr(), program.user_expr()) {
             // The ASTs hold parse-time values: only ρ₀ holds current ones.
             // The current program under their difference is the new one.
@@ -810,6 +784,13 @@ mod tests {
         LiveSync::new(Program::parse(src).unwrap(), LiveConfig::default()).unwrap()
     }
 
+    /// The reference commit: the program under `subst`, re-evaluated and
+    /// prepared in full.
+    fn full_commit(live: &mut LiveSync, subst: &Subst) {
+        live.replace_program(live.program().with_subst(subst))
+            .unwrap();
+    }
+
     /// The analyses with each slot's base replaced by its current value,
     /// read from the canvas, then every trigger part's current base as
     /// bits: what a full prepare of the current program would compute.
@@ -985,14 +966,7 @@ mod tests {
     #[test]
     fn incremental_commit_matches_full_prepare_exactly() {
         let mut incremental = session(SINE_WAVE);
-        let mut full = LiveSync::new(
-            Program::parse(SINE_WAVE).unwrap(),
-            LiveConfig {
-                full_prepare_only: true,
-                ..LiveConfig::default()
-            },
-        )
-        .unwrap();
+        let mut full = session(SINE_WAVE);
         for (shape, dx, dy) in [(0usize, 45.0, 3.0), (1, -12.0, 0.0), (5, 7.0, -9.0)] {
             let a = incremental
                 .drag(ShapeId(shape), Zone::Interior, dx, dy)
@@ -1000,7 +974,7 @@ mod tests {
             let b = full.drag(ShapeId(shape), Zone::Interior, dx, dy).unwrap();
             assert_eq!(a.subst, b.subst);
             incremental.commit(&a.subst).unwrap();
-            full.commit(&b.subst).unwrap();
+            full_commit(&mut full, &b.subst);
             assert_eq!(incremental.program().code(), full.program().code());
             assert_eq!(current_values(&incremental), current_values(&full));
         }
@@ -1050,29 +1024,25 @@ mod tests {
     #[test]
     fn escaped_commits_match_the_reference_bitwise() {
         let mut live = session(GUARDED_COLOR);
-        let mut full = LiveSync::new(
-            Program::parse(GUARDED_COLOR).unwrap(),
-            LiveConfig {
-                full_prepare_only: true,
-                ..LiveConfig::default()
-            },
-        )
-        .unwrap();
-        for dx in [45.0, -30.0, 12.5] {
+        let mut full = session(GUARDED_COLOR);
+        // The last step crosses the guard's threshold and turns the fill.
+        let svg = |l: &LiveSync| l.canvas().to_svg(sns_svg::RenderOptions::default());
+        for dx in [45.0, -30.0, 12.5, 450.0] {
             let a = live.drag(ShapeId(0), Zone::Interior, dx, 3.0).unwrap();
             let b = full.drag(ShapeId(0), Zone::Interior, dx, 3.0).unwrap();
             assert_eq!(a.subst, b.subst);
             live.commit(&a.subst).unwrap();
-            full.commit(&b.subst).unwrap();
+            full_commit(&mut full, &b.subst);
             assert_eq!(live.program().code(), full.program().code());
+            assert_eq!(svg(&live), svg(&full));
             assert_eq!(current_values(&live), current_values(&full));
         }
         assert!(
-            live.program().code().contains("127.5"),
+            live.program().code().contains("577.5") && svg(&live).contains("red"),
             "{}",
             live.program().code()
         );
-        assert_eq!(live.stats().fallback_escaped, 3);
+        assert_eq!(live.stats().fallback_escaped, 4);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! observably indistinguishable — bit for bit — from the full
 //! re-evaluate + re-prepare reference path.
 //!
-//! Two sessions run the same program side by side: one with the default
-//! (incremental) configuration, one with `full_prepare_only`. After every
+//! Two sessions run the same program side by side: one commits through
+//! [`LiveSync::commit`] (and edits code through
+//! [`LiveSync::set_program_diffed`]), the reference only through the full
+//! path, [`LiveSync::replace_program`] ([`full_commit`]). After every
 //! drag the inferred substitutions must agree; after every commit the
 //! program text, the rendered canvas, every zone analysis (slots with
 //! their current values, candidates with their assignments, chosen
@@ -22,6 +24,7 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use sns_eval::Program;
+use sns_lang::Subst;
 use sns_svg::{resolve_attr, Canvas, RenderOptions, ShapeId, SvgChild, SvgNode, Zone};
 use sns_sync::{
     DragResult, LiveConfig, LiveError, LiveStats, LiveSync, SetCodeClass, SolverChoice,
@@ -52,6 +55,17 @@ impl Rng {
             -mag
         }
     }
+}
+
+/// The reference commit: the program under `subst`, re-evaluated and
+/// prepared in full.
+fn full_commit(live: &mut LiveSync, subst: &Subst) -> Result<(), LiveError> {
+    live.replace_program(live.program().with_subst(subst))
+}
+
+/// A session on `program` with the default configuration.
+fn session(program: Program) -> LiveSync {
+    LiveSync::new(program, LiveConfig::default()).expect("prepares")
 }
 
 /// One drag step, checked against the updated program evaluated in full:
@@ -171,16 +185,8 @@ fn incremental_prepare_matches_full_prepare_across_the_corpus() {
         let mut fallback_only = Vec::new();
         for example in sns_examples::ALL {
             let program = Program::parse(example.source).expect("corpus parses");
-            let mut incremental =
-                LiveSync::new(program.clone(), LiveConfig::default()).expect("corpus prepares");
-            let mut full = LiveSync::new(
-                program,
-                LiveConfig {
-                    full_prepare_only: true,
-                    ..LiveConfig::default()
-                },
-            )
-            .expect("corpus prepares");
+            let mut incremental = session(program.clone());
+            let mut full = session(program);
 
             assert_eq!(
                 fingerprint(&incremental),
@@ -218,7 +224,10 @@ fn incremental_prepare_matches_full_prepare_across_the_corpus() {
                         if incremental.control_flow_safe(&a.subst) {
                             incremental_commits += 1;
                         }
-                        match (incremental.commit(&a.subst), full.commit(&b.subst)) {
+                        match (
+                            incremental.commit(&a.subst),
+                            full_commit(&mut full, &b.subst),
+                        ) {
                             (Ok(()), Ok(())) => {}
                             (Err(_), Err(_)) => continue,
                             (a, b) => {
@@ -239,23 +248,12 @@ fn incremental_prepare_matches_full_prepare_across_the_corpus() {
             if incremental_commits == 0 {
                 fallback_only.push(example.slug);
             }
-            // Tier-aware counter check: which path served the safe commits
-            // depends on whether the suite runs under SNS_FORCE_PREPARE=full
-            // (its only value) or unset.
-            let stats = incremental.stats();
-            match std::env::var("SNS_FORCE_PREPARE").as_deref() {
-                Ok("full") => assert_eq!(
-                    stats.incremental_prepares + stats.partial_prepares,
-                    0,
-                    "{}: forced-full session took a cached path",
-                    example.slug
-                ),
-                _ => assert_eq!(
-                    stats.incremental_prepares, incremental_commits,
-                    "{}: control-flow-safe commits must take the incremental path",
-                    example.slug
-                ),
-            }
+            assert_eq!(
+                incremental.stats().incremental_prepares,
+                incremental_commits,
+                "{}: control-flow-safe commits must take the incremental path",
+                example.slug
+            );
         }
         // The fast path must actually fire broadly, not just on toys: at
         // least three quarters of the corpus commits incrementally under
@@ -332,11 +330,10 @@ fn fired_bits(live: &LiveSync) -> Vec<Result<Vec<(u32, u64)>, String>> {
 #[test]
 fn swept_commits_match_a_fresh_full_prepare_bitwise() {
     sns_eval::with_big_stack(|| {
-        let forced = std::env::var("SNS_FORCE_PREPARE").as_deref() == Ok("full");
         let mut swept = 0u64;
         for example in sns_examples::ALL {
             let program = Program::parse(example.source).expect("corpus parses");
-            let mut live = LiveSync::new(program, LiveConfig::default()).expect("corpus prepares");
+            let mut live = session(program);
             let active: Vec<_> = live
                 .assignments()
                 .zones
@@ -360,19 +357,16 @@ fn swept_commits_match_a_fresh_full_prepare_bitwise() {
                 let before = live.stats().incremental_prepares;
                 live.commit(&drag.subst)
                     .expect("a fast-tier commit succeeds");
-                if !forced {
-                    assert_eq!(
-                        live.stats().incremental_prepares,
-                        before + 1,
-                        "{}: commit on {shape} {zone} left the fast tier",
-                        example.slug
-                    );
-                }
+                assert_eq!(
+                    live.stats().incremental_prepares,
+                    before + 1,
+                    "{}: commit on {shape} {zone} left the fast tier",
+                    example.slug
+                );
                 swept += 1;
                 // A new session prepares in full; its drags take the same
                 // tiers as `live`'s, so only escaped zones evaluate.
-                let fresh = LiveSync::new(live.program().clone(), LiveConfig::default())
-                    .expect("committed program");
+                let fresh = session(live.program().clone());
                 let (root, shapes, slots, parts) = written_bits(&live);
                 let (f_root, f_shapes, f_slots, f_parts) = written_bits(&fresh);
                 let at = format!("{}: after commit on {shape} {zone}", example.slug);
@@ -380,15 +374,11 @@ fn swept_commits_match_a_fresh_full_prepare_bitwise() {
                 assert_eq!(shapes, f_shapes, "{at}: shape numbers differ");
                 assert_eq!(slots, f_slots, "{at}: slot values differ");
                 assert_eq!(parts, f_parts, "{at}: trigger part bases differ");
-                // Forced full prepares make both sessions the same
-                // computation, with every drag evaluated in full.
-                if !forced {
-                    assert_eq!(
-                        fired_bits(&live),
-                        fired_bits(&fresh),
-                        "{at}: fired zones differ"
-                    );
-                }
+                assert_eq!(
+                    fired_bits(&live),
+                    fired_bits(&fresh),
+                    "{at}: fired zones differ"
+                );
             }
         }
         assert!(swept >= 100, "only {swept} fast-tier commits exercised");
@@ -399,15 +389,14 @@ fn swept_commits_match_a_fresh_full_prepare_bitwise() {
 /// nothing: it bumps `fast_evals`, never `full_evals`. The server answers
 /// exactly those drags on its event-loop thread, which must never run an
 /// evaluation. A zone qualifies exactly when none of its trigger
-/// locations escaped, and under forced full prepares no zone does.
+/// locations escaped.
 #[test]
 fn proof_only_zones_drag_without_evaluating_across_the_corpus() {
     sns_eval::with_big_stack(|| {
-        let forced = std::env::var("SNS_FORCE_PREPARE").as_deref() == Ok("full");
         let mut proof_only = 0usize;
         for example in sns_examples::ALL {
             let program = Program::parse(example.source).expect("corpus parses");
-            let live = LiveSync::new(program, LiveConfig::default()).expect("corpus prepares");
+            let live = session(program);
             let active: Vec<_> = live
                 .assignments()
                 .zones
@@ -422,13 +411,12 @@ fn proof_only_zones_drag_without_evaluating_across_the_corpus() {
                     .is_some_and(|t| t.loc_set().iter().all(|l| !escaped.contains(l)));
                 if !live.drag_is_proof_only(shape, zone) {
                     assert!(
-                        forced || !eligible,
+                        !eligible,
                         "{}: {shape} {zone} is fast-eligible but not proof-only",
                         example.slug
                     );
                     continue;
                 }
-                assert!(!forced, "{}: proof-only under a forced tier", example.slug);
                 assert!(eligible, "{}: {shape} {zone}", example.slug);
                 proof_only += 1;
                 for (dx, dy) in [(3.0, -2.0), (-40.5, 17.25)] {
@@ -449,7 +437,7 @@ fn proof_only_zones_drag_without_evaluating_across_the_corpus() {
                 }
             }
         }
-        assert!(forced || proof_only > 0, "no proof-only zone in the corpus");
+        assert!(proof_only > 0, "no proof-only zone in the corpus");
     });
 }
 
@@ -462,7 +450,7 @@ fn escaped_locations_never_intersect_fast_committed_substs() {
         for slug in ["wave_boxes", "three_boxes", "ferris_wheel"] {
             let example = sns_examples::by_slug(slug).unwrap();
             let program = Program::parse(example.source).unwrap();
-            let live = LiveSync::new(program, LiveConfig::default()).unwrap();
+            let live = session(program);
             let escaped: BTreeSet<_> = live.escaped_locs().iter().copied().collect();
             for z in live.assignments().zones.iter().filter(|z| z.is_active()) {
                 let trigger = live.trigger(z.shape, z.zone).unwrap();
@@ -499,17 +487,9 @@ const GUARDED_BOXES: &str = r#"
 fn escaped_drags_match_full_prepare_bitwise() {
     sns_eval::with_big_stack(|| {
         let program = Program::parse(GUARDED_BOXES).expect("parses");
-        let mut live = LiveSync::new(program.clone(), LiveConfig::default()).expect("prepares");
-        let mut full = LiveSync::new(
-            program,
-            LiveConfig {
-                full_prepare_only: true,
-                ..LiveConfig::default()
-            },
-        )
-        .expect("prepares");
+        let mut live = session(program.clone());
+        let mut full = session(program);
         assert_eq!(fingerprint(&live), fingerprint(&full));
-        let forced = std::env::var("SNS_FORCE_PREPARE").as_deref() == Ok("full");
 
         let active: Vec<_> = live
             .assignments()
@@ -542,16 +522,14 @@ fn escaped_drags_match_full_prepare_bitwise() {
             let before = live.stats().fallback_escaped;
             let escaped = !live.control_flow_safe(&a.subst);
             live.commit(&a.subst).unwrap();
-            full.commit(&b.subst).unwrap();
+            full_commit(&mut full, &b.subst).unwrap();
             if escaped {
                 escaped_drags += 1;
-                if !forced {
-                    assert_eq!(
-                        live.stats().fallback_escaped,
-                        before + 1,
-                        "an escaped commit on {shape} {zone} must take the full path"
-                    );
-                }
+                assert_eq!(
+                    live.stats().fallback_escaped,
+                    before + 1,
+                    "an escaped commit on {shape} {zone} must take the full path"
+                );
             }
             assert_eq!(
                 fingerprint(&live),
@@ -576,23 +554,14 @@ const VANISHING_RECT: &str = r#"
 #[test]
 fn drags_fail_exactly_when_the_full_evaluation_does() {
     sns_eval::with_big_stack(|| {
-        for full_prepare_only in [false, true] {
-            let live = LiveSync::new(
-                Program::parse(VANISHING_RECT).expect("parses"),
-                LiveConfig {
-                    full_prepare_only,
-                    ..LiveConfig::default()
-                },
-            )
-            .expect("prepares");
-            let (shape, zone) = (ShapeId(0), Zone::Interior);
-            assert!(checked_drag(&live, shape, zone, 40.0, 5.0).is_ok());
-            assert!(
-                checked_drag(&live, shape, zone, 250.0, 0.0).is_err(),
-                "a drag whose program stops rendering must be refused"
-            );
-            assert!(checked_drag(&live, shape, zone, -20.0, 0.0).is_ok());
-        }
+        let live = session(Program::parse(VANISHING_RECT).expect("parses"));
+        let (shape, zone) = (ShapeId(0), Zone::Interior);
+        assert!(checked_drag(&live, shape, zone, 40.0, 5.0).is_ok());
+        assert!(
+            checked_drag(&live, shape, zone, 250.0, 0.0).is_err(),
+            "a drag whose program stops rendering must be refused"
+        );
+        assert!(checked_drag(&live, shape, zone, -20.0, 0.0).is_ok());
     });
 }
 
@@ -702,19 +671,8 @@ fn set_code_edits_match_full_replace_bitwise() {
             ),
         ];
 
-        let mut diffed = LiveSync::new(
-            Program::parse(&base).expect("parses"),
-            LiveConfig::default(),
-        )
-        .expect("prepares");
-        let mut full = LiveSync::new(
-            Program::parse(&base).expect("parses"),
-            LiveConfig {
-                full_prepare_only: true,
-                ..LiveConfig::default()
-            },
-        )
-        .expect("prepares");
+        let mut diffed = session(Program::parse(&base).expect("parses"));
+        let mut full = session(Program::parse(&base).expect("parses"));
 
         let mut undragged = base.clone();
         for (what, edit, want, want_counts) in &edits {
@@ -729,14 +687,12 @@ fn set_code_edits_match_full_replace_bitwise() {
                 .unwrap();
             full.replace_program(Program::parse(&src).expect("parses"))
                 .unwrap();
-            if std::env::var("SNS_FORCE_PREPARE").as_deref() != Ok("full") {
-                assert_eq!(class, *want, "{what}: misclassified");
-                assert_eq!(
-                    counts(diffed.stats().since(&before)),
-                    *want_counts,
-                    "{what}: took the wrong path"
-                );
-            }
+            assert_eq!(class, *want, "{what}: misclassified");
+            assert_eq!(
+                counts(diffed.stats().since(&before)),
+                *want_counts,
+                "{what}: took the wrong path"
+            );
             assert_eq!(
                 fingerprint(&diffed),
                 fingerprint(&full),
@@ -756,7 +712,7 @@ fn set_code_edits_match_full_replace_bitwise() {
             assert_eq!(a.subst, b.subst);
             undragged = diffed.program().code();
             diffed.commit(&a.subst).unwrap();
-            full.commit(&b.subst).unwrap();
+            full_commit(&mut full, &b.subst).unwrap();
             assert_eq!(fingerprint(&diffed), fingerprint(&full));
         }
     });
@@ -805,17 +761,11 @@ fn set_both(diffed: &mut LiveSync, full: &mut LiveSync, program: &Program) -> Op
 #[test]
 fn set_code_matches_full_replace_across_the_corpus() {
     sns_eval::with_big_stack(|| {
-        let forced = std::env::var("SNS_FORCE_PREPARE").as_deref() == Ok("full");
-        let full_only = LiveConfig {
-            full_prepare_only: true,
-            ..LiveConfig::default()
-        };
         for example in sns_examples::ALL {
             let source = format!("(def benchK (* 7 1313))\n{}", example.source);
             let program = Program::parse(&source).expect("corpus parses");
-            let mut diffed =
-                LiveSync::new(program.clone(), LiveConfig::default()).expect("corpus prepares");
-            let mut full = LiveSync::new(program.clone(), full_only).expect("corpus prepares");
+            let mut diffed = session(program.clone());
+            let mut full = session(program.clone());
 
             // Each installed program with the class of the edit that
             // installed it.
@@ -838,10 +788,8 @@ fn set_code_matches_full_replace_across_the_corpus() {
                     assert_eq!(label, "literal", "{at}: an anchor edit was refused");
                     continue;
                 };
-                if !forced {
-                    assert_eq!(class, want, "{at}: misclassified");
-                }
-                if !forced && label == "swap" {
+                assert_eq!(class, want, "{at}: misclassified");
+                if label == "swap" {
                     let after = diffed.stats();
                     assert_eq!(
                         (after.partial_prepares, after.fallback_reconcile),
@@ -868,9 +816,7 @@ fn set_code_matches_full_replace_across_the_corpus() {
                 let at = format!("{}: undo/redo step {k}", example.slug);
                 let class = set_both(&mut diffed, &mut full, &history[to].0)
                     .unwrap_or_else(|| panic!("{at}: refused"));
-                if !forced {
-                    assert_eq!(class, history[class_of].1, "{at}: misclassified");
-                }
+                assert_eq!(class, history[class_of].1, "{at}: misclassified");
                 assert_eq!(fingerprint(&diffed), fingerprint(&full), "{at}");
             }
         }
