@@ -5,7 +5,8 @@
 //! 256 MiB `RUST_MIN_STACK` cargo gives every process it runs (which would
 //! hide a thread spawned with the platform-default stack), and drags a
 //! zone whose trace is thousands of operations deep over connections
-//! held open on both reactors.
+//! held open on both reactors. The drag's commit is answered on a reactor
+//! thread too: its tape sweep and canvas write run there.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -202,4 +203,14 @@ fn both_reactors_inline_drag_a_deep_trace_without_rust_min_stack() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+
+    let commit = conns[0].request("POST", &format!("/sessions/{id}/commit"), "");
+    let Some((status, body)) = commit else {
+        let exit = server.0.try_wait().ok().flatten();
+        panic!("commit: the server dropped the connection (exit: {exit:?})");
+    };
+    assert_eq!(status, 200, "commit: {body}");
+    assert!(body.contains("(def x0 13)"), "{body}");
+    let inline = stats(&addr).get("commits_inline").and_then(Json::as_f64);
+    assert_eq!(inline, Some(1.0), "the commit was not answered inline");
 }

@@ -272,10 +272,27 @@ impl Editor {
         let Some(drag) = self.drag.take() else {
             return Err(EditorError::action("no drag in progress"));
         };
-        if let Some(subst) = drag.pending {
-            self.undoable(|live| live.commit(&subst))?;
+        match drag.pending {
+            Some(subst) => self.commit(&subst),
+            None => Ok(()),
         }
-        Ok(())
+    }
+
+    /// Mouse-up on the fast tier alone: commits the drag's last update
+    /// behind an undo point, as [`end_drag`](Editor::end_drag) does, when
+    /// [`LiveSync::commit_fast`] takes it. Returns false, with the editor
+    /// untouched, when there is no update or the fast tier declines it.
+    pub fn end_drag_fast(&mut self) -> bool {
+        let Some(drag) = self.drag.take() else {
+            return false;
+        };
+        let committed = drag.pending.as_ref().is_some_and(|subst| {
+            matches!(self.undoable(|live| Ok(live.commit_fast(subst))), Ok(true))
+        });
+        if !committed {
+            self.drag = Some(drag);
+        }
+        committed
     }
 
     /// Abandons an in-flight drag without committing anything (the editor's
@@ -305,7 +322,7 @@ impl Editor {
     ///
     /// Fails when the resulting program no longer runs.
     pub fn apply_subst(&mut self, subst: &Subst) -> Result<(), EditorError> {
-        self.undoable(|live| live.commit(subst))
+        self.commit(subst)
     }
 
     /// Convenience: a full click-drag-release of a zone by `(dx, dy)`.
@@ -365,8 +382,7 @@ impl Editor {
                 "location {loc} has no range annotation"
             )));
         };
-        let subst = Subst::from_pairs([(loc, value.clamp(min, max))]);
-        self.undoable(|live| live.commit(&subst))
+        self.commit(&Subst::from_pairs([(loc, value.clamp(min, max))]))
     }
 
     /// Replaces the program text (a programmatic edit in the code pane),
@@ -379,7 +395,8 @@ impl Editor {
     pub fn set_code(&mut self, source: &str) -> Result<(), EditorError> {
         let mut program = Program::parse(source)?;
         program.set_limits(self.live.program().limits());
-        self.undoable(|live| live.set_program_diffed(program).map(drop))
+        self.undoable(|live| live.set_program_diffed(program).map(|_| true))
+            .map(drop)
     }
 
     /// Undoes the last committed action.
@@ -442,18 +459,26 @@ impl Editor {
     }
 
     /// Runs a program-changing step behind an undo point. The point is
-    /// pushed (and the redo stack cleared) only when the step succeeds;
-    /// a failed step leaves the live session unchanged, so it leaves the
-    /// history unchanged too.
+    /// pushed (and the redo stack cleared) only when the step ran: it
+    /// returned `Ok(true)`. A failed or declined step leaves the live
+    /// session unchanged, so it leaves the history unchanged too.
     fn undoable(
         &mut self,
-        step: impl FnOnce(&mut LiveSync) -> Result<(), sns_sync::LiveError>,
-    ) -> Result<(), EditorError> {
+        step: impl FnOnce(&mut LiveSync) -> Result<bool, sns_sync::LiveError>,
+    ) -> Result<bool, EditorError> {
         let prev = self.live.program().clone();
-        step(&mut self.live)?;
-        self.push_undo(prev);
-        self.redo_stack.clear();
-        Ok(())
+        let ran = step(&mut self.live)?;
+        if ran {
+            self.push_undo(prev);
+            self.redo_stack.clear();
+        }
+        Ok(ran)
+    }
+
+    /// Commits `subst` behind an undo point ([`LiveSync::commit`]).
+    fn commit(&mut self, subst: &Subst) -> Result<(), EditorError> {
+        self.undoable(|live| live.commit(subst).map(|()| true))
+            .map(drop)
     }
 
     fn push_undo(&mut self, program: Program) {
@@ -487,8 +512,7 @@ impl Editor {
         let loc = self
             .color_slider_loc(shape)
             .ok_or_else(|| EditorError::action(format!("{shape} has no color slider")))?;
-        let subst = Subst::from_pairs([(loc, value.clamp(0.0, 500.0))]);
-        self.undoable(|live| live.commit(&subst))
+        self.commit(&Subst::from_pairs([(loc, value.clamp(0.0, 500.0))]))
     }
 
     /// Ad-hoc synchronization (§7.2 goal (c)): rank the candidate program
@@ -535,7 +559,7 @@ impl Editor {
         &mut self,
         ranked: sns_sync::RankedUpdate,
     ) -> Result<sns_sync::RankedUpdate, EditorError> {
-        self.undoable(|live| live.commit(&ranked.update.subst))?;
+        self.commit(&ranked.update.subst)?;
         Ok(ranked)
     }
 

@@ -38,47 +38,74 @@ enum Node {
 /// value under the program's current substitution ρ₀.
 ///
 /// Build one per prepare with [`TraceTape::builder`]; node ids returned
-/// by [`TapeBuilder::push`] stay valid for the tape's life.
-#[derive(Debug, Default)]
+/// by [`TapeBuilder::push`] stay valid for the tape's life. A sweep works
+/// in buffers the tape keeps, so once built it allocates nothing.
+#[derive(Debug, Default, Clone)]
 pub struct TraceTape {
     nodes: Vec<Node>,
     /// Argument node ids of every `Node::Op`, concatenated.
     args: Vec<u32>,
-    /// Each node's value under ρ₀; meaningless where `evaluable` is false.
+    /// Each node's value under ρ₀, or ρ₀ ⊕ update during a [`Sweep`];
+    /// meaningless where `evaluable` and `dirty` are both false.
     vals: Vec<f64>,
     /// Whether the node has a value: false under a location ρ₀ does not
     /// bind, or an operation that is not number → number.
     evaluable: Vec<bool>,
     /// Location id → its leaf ([`NO_LEAF`] where no trace mentions it).
     leaves: Vec<u32>,
+    /// Whether the live sweep changed the node; all false between sweeps.
+    dirty: Vec<bool>,
+    /// The undo log of the live sweep: each changed node and its value
+    /// before the sweep, in the order they changed.
+    log: Vec<(u32, f64)>,
+    /// An operation's argument values, sized for the widest one.
+    xs: Vec<f64>,
 }
 
 /// The `leaves` entry of a location no trace mentions.
 const NO_LEAF: u32 = u32::MAX;
 
-/// The nodes a substitution changes and their new values, staged by
-/// [`TraceTape::sweep`] and installed by [`TraceTape::commit`].
+/// A tape swept under `ρ₀ ⊕ update` in place, by [`TraceTape::sweep`].
+/// [`commit`](Sweep::commit) makes its values the tape's; dropping it
+/// instead undoes every write from the log, leaving the tape bit-identical
+/// to what it was.
 #[derive(Debug)]
-pub struct Sweep {
-    vals: Vec<f64>,
-    dirty: Vec<bool>,
-    /// Nodes the sweep changed: the update's leaves and every operation
-    /// it recomputed.
-    swept: usize,
+pub struct Sweep<'t> {
+    tape: &'t mut TraceTape,
 }
 
-impl Sweep {
+impl Sweep<'_> {
     /// The node's new value, or `None` when the substitution leaves it
     /// unchanged (or `node` is not a tape node).
     pub fn get(&self, node: u32) -> Option<f64> {
         let i = node as usize;
-        self.dirty.get(i)?.then(|| self.vals[i])
+        self.tape.dirty.get(i)?.then(|| self.tape.vals[i])
     }
 
     /// Number of tape nodes the sweep changed: the update's leaves and
     /// the operations it recomputed.
     pub fn swept(&self) -> usize {
-        self.swept
+        self.tape.log.len()
+    }
+
+    /// Installs the sweep: the tape's values become those under
+    /// `ρ₀ ⊕ update`, the new ρ₀. Touches the changed nodes only.
+    pub fn commit(self) {
+        let tape = &mut *self.tape;
+        for (i, _) in tape.log.drain(..) {
+            tape.evaluable[i as usize] = true;
+            tape.dirty[i as usize] = false;
+        }
+    }
+}
+
+impl Drop for Sweep<'_> {
+    fn drop(&mut self) {
+        let tape = &mut *self.tape;
+        for (i, v) in tape.log.drain(..).rev() {
+            tape.vals[i as usize] = v;
+            tape.dirty[i as usize] = false;
+        }
     }
 }
 
@@ -91,7 +118,6 @@ impl TraceTape {
             by_addr: HashMap::default(),
             work: Vec::new(),
             ids: Vec::new(),
-            xs: Vec::new(),
         }
     }
 
@@ -112,52 +138,54 @@ impl TraceTape {
         self.evaluable.get(i)?.then(|| self.vals[i])
     }
 
-    /// Re-evaluates the tape under `ρ₀ ⊕ update`: marks the leaves of
-    /// `dom(update)` and walks forward from the first of them, recomputing
-    /// every node with a changed argument through [`apply_num_op`], so
-    /// each value is bit-identical to a re-evaluation. The tape itself is
-    /// unchanged until the result is [committed](TraceTape::commit).
+    /// Re-evaluates the tape under `ρ₀ ⊕ update` in place: writes the
+    /// leaves of `dom(update)` and walks forward from the first of them,
+    /// recomputing every node with a changed argument through
+    /// [`apply_num_op`], so each value is bit-identical to a
+    /// re-evaluation. Every write is logged, to be [committed](Sweep::commit)
+    /// or undone.
     ///
-    /// `None` when a changed node cannot be evaluated (an argument without
-    /// a value, or an operation that is not number → number); callers then
-    /// fall back to a full re-evaluation rather than trusting the tape.
-    pub fn sweep(&self, update: &Subst) -> Option<Sweep> {
-        let n = self.nodes.len();
-        let mut dirty = vec![false; n];
-        let mut vals = self.vals.clone();
-        let mut first = n;
-        let mut swept = 0;
+    /// `None`, with the tape as it was, when a changed node cannot be
+    /// evaluated (an argument without a value, or an operation that is not
+    /// number → number); callers then fall back to a full re-evaluation.
+    pub fn sweep(&mut self, update: &Subst) -> Option<Sweep<'_>> {
+        let mut first = self.nodes.len();
         for (loc, v) in update.iter() {
             if let Some(i) = self.leaf(loc) {
-                let i = i as usize;
-                dirty[i] = true;
-                vals[i] = v;
-                first = first.min(i);
-                swept += 1;
+                self.set(i as usize, v);
+                first = first.min(i as usize);
             }
         }
-        let mut xs = Vec::new();
-        for i in first..n {
-            let Node::Op { op, start, len } = self.nodes[i] else {
+        let sweep = Sweep { tape: self };
+        let tape = &mut *sweep.tape;
+        for i in first..tape.nodes.len() {
+            let Node::Op { op, start, len } = tape.nodes[i] else {
                 continue;
             };
-            let args = &self.args[start as usize..(start + len) as usize];
-            if !args.iter().any(|&a| dirty[a as usize]) {
+            let args = &tape.args[start as usize..(start + len) as usize];
+            if !args.iter().any(|&a| tape.dirty[a as usize]) {
                 continue;
             }
-            xs.clear();
+            tape.xs.clear();
             for &a in args {
                 let a = a as usize;
-                if !dirty[a] && !self.evaluable[a] {
+                if !tape.dirty[a] && !tape.evaluable[a] {
                     return None;
                 }
-                xs.push(vals[a]);
+                tape.xs.push(tape.vals[a]);
             }
-            vals[i] = apply_num_op(op, &xs)?;
-            dirty[i] = true;
-            swept += 1;
+            let v = apply_num_op(op, &tape.xs)?;
+            tape.set(i, v);
         }
-        Some(Sweep { vals, dirty, swept })
+        Some(sweep)
+    }
+
+    /// Writes node `i`'s swept value, logging its old one the first time.
+    fn set(&mut self, i: usize, v: f64) {
+        if !std::mem::replace(&mut self.dirty[i], true) {
+            self.log.push((i as u32, self.vals[i]));
+        }
+        self.vals[i] = v;
     }
 
     /// The leaf of location `l`, if any trace on the tape mentions it.
@@ -166,15 +194,6 @@ impl TraceTape {
             .get(l.0 as usize)
             .copied()
             .filter(|&i| i != NO_LEAF)
-    }
-
-    /// Installs a successful sweep of this tape: its values become those
-    /// under `ρ₀ ⊕ update`, the new ρ₀.
-    pub fn commit(&mut self, sweep: Sweep) {
-        for (ok, &d) in self.evaluable.iter_mut().zip(&sweep.dirty) {
-            *ok |= d;
-        }
-        self.vals = sweep.vals;
     }
 }
 
@@ -195,7 +214,6 @@ pub struct TapeBuilder<'t, 'r> {
     work: Vec<(&'t Arc<Trace>, bool)>,
     /// Node ids of emitted arguments not yet consumed by their operation.
     ids: Vec<u32>,
-    xs: Vec<f64>,
 }
 
 impl<'t> TapeBuilder<'t, '_> {
@@ -228,8 +246,12 @@ impl<'t> TapeBuilder<'t, '_> {
         self.ids.pop().expect("the pushed trace's node")
     }
 
-    /// The finished tape; the address map is dropped.
-    pub fn finish(self) -> TraceTape {
+    /// The finished tape, with its sweep buffers sized for a sweep that
+    /// changes every node; the address map is dropped.
+    pub fn finish(mut self) -> TraceTape {
+        let n = self.tape.nodes.len();
+        self.tape.dirty = vec![false; n];
+        self.tape.log = Vec::with_capacity(n);
         self.tape
     }
 
@@ -259,17 +281,18 @@ impl<'t> TapeBuilder<'t, '_> {
     fn op(&mut self, op: Op, arity: usize) -> u32 {
         let start = self.tape.args.len() as u32;
         let first = self.ids.len() - arity;
-        self.xs.clear();
+        let tape = &mut self.tape;
+        tape.xs.clear();
         let mut evaluable = true;
         for j in self.ids.drain(first..) {
-            self.tape.args.push(j);
-            match self.tape.value(j) {
-                Some(v) => self.xs.push(v),
+            tape.args.push(j);
+            match tape.value(j) {
+                Some(v) => tape.xs.push(v),
                 None => evaluable = false,
             }
         }
         let val = if evaluable {
-            apply_num_op(op, &self.xs)
+            apply_num_op(op, &tape.xs)
         } else {
             None
         };
@@ -312,7 +335,7 @@ mod tests {
         assert_eq!(sweep.get(node).unwrap().to_bits(), full.to_bits());
         assert_eq!(full, 85.0);
         // Committed, the tape holds the values under the new ρ₀.
-        tape.commit(sweep);
+        sweep.commit();
         assert_eq!(tape.value(node), Some(85.0));
     }
 
@@ -321,10 +344,11 @@ mod tests {
         let p = Program::parse("(* 6 7)").unwrap();
         let v = p.eval().unwrap();
         let (_, t) = v.as_num().unwrap();
-        let (tape, node) = tape_of(t, &p.subst());
+        let (mut tape, node) = tape_of(t, &p.subst());
         // Change nothing: the sweep marks no node.
         let sweep = tape.sweep(&Subst::new()).unwrap();
         assert_eq!(sweep.get(node), None);
+        drop(sweep);
         assert_eq!(tape.value(node), Some(42.0));
     }
 
@@ -340,7 +364,7 @@ mod tests {
             panic!("a literal")
         };
         // ρ₀ binds neither literal: the tape has no value for the sum.
-        let (tape, node) = tape_of(t, &Subst::new());
+        let (mut tape, node) = tape_of(t, &Subst::new());
         assert_eq!(tape.value(node), None);
         // An update binding one operand still cannot evaluate the sum.
         assert!(tape.sweep(&Subst::from_pairs([(one, 5.0)])).is_none());
@@ -362,7 +386,7 @@ mod tests {
         assert_eq!(tape.value(node), None);
         let sweep = tape.sweep(&Subst::from_pairs([(LocId(0), 4.0)])).unwrap();
         assert_eq!(sweep.get(node), Some(12.0));
-        tape.commit(sweep);
+        sweep.commit();
         assert_eq!(tape.value(node), Some(12.0));
     }
 
@@ -376,13 +400,53 @@ mod tests {
         let mut b = TraceTape::builder(&rho0);
         let node = b.push(&t);
         let lt_node = b.push(&lt);
-        let tape = b.finish();
+        let mut tape = b.finish();
         assert_eq!(tape.value(lt_node), None);
         assert_eq!(tape.value(node), None);
         let before: Vec<Option<f64>> = (0..tape.len() as u32).map(|i| tape.value(i)).collect();
         assert!(tape.sweep(&Subst::from_pairs([(LocId(0), 7.0)])).is_none());
         let after: Vec<Option<f64>> = (0..tape.len() as u32).map(|i| tape.value(i)).collect();
         assert_eq!(before, after);
+    }
+
+    /// Everything a sweep reads or writes, values as bits.
+    fn bits(tape: &TraceTape) -> (Vec<u64>, Vec<bool>, Vec<bool>, usize) {
+        let vals = tape.vals.iter().map(|v| v.to_bits()).collect();
+        let (dirty, ok) = (tape.dirty.clone(), tape.evaluable.clone());
+        (vals, dirty, ok, tape.log.len())
+    }
+
+    #[test]
+    fn a_failed_sweep_leaks_nothing_into_the_next() {
+        // `l0 · l2` precedes `l0 + (l0 < l1)`: a sweep of l0 rewrites the
+        // product, then fails on the comparison.
+        let (l0, l2) = (Trace::loc(LocId(0)), Trace::loc(LocId(2)));
+        let mul = Trace::op(Op::Mul, [Arc::clone(&l0), Arc::clone(&l2)]);
+        let lt = Trace::op(Op::Lt, [Arc::clone(&l0), Trace::loc(LocId(1))]);
+        let add = Trace::op(Op::Add, [Arc::clone(&l0), lt]);
+        let sum = Trace::op(Op::Add, [Arc::clone(&mul), l2]);
+        let rho0 = Subst::from_pairs([(LocId(0), 1.0), (LocId(1), 2.0), (LocId(2), 3.0)]);
+        let build = || {
+            let mut b = TraceTape::builder(&rho0);
+            let nodes = [&mul, &add, &sum].map(|t| b.push(t));
+            (b.finish(), nodes)
+        };
+        let (mut tape, nodes) = build();
+        let (mut fresh, _) = build();
+        let built = bits(&tape);
+        assert!(tape.sweep(&Subst::from_pairs([(LocId(0), 7.0)])).is_none());
+        assert_eq!(bits(&tape), built, "the failed sweep is undone");
+        let update = Subst::from_pairs([(LocId(2), 0.1)]);
+        let (a, b) = (tape.sweep(&update).unwrap(), fresh.sweep(&update).unwrap());
+        assert_eq!(a.swept(), b.swept());
+        for node in nodes {
+            assert_eq!(a.get(node).map(f64::to_bits), b.get(node).map(f64::to_bits));
+        }
+        assert_eq!(a.get(nodes[0]), Some(0.1 * 1.0));
+        a.commit();
+        b.commit();
+        assert_eq!(bits(&tape), bits(&fresh));
+        assert_eq!(tape.value(nodes[2]), Some(0.1 + 0.1));
     }
 
     #[test]
@@ -397,7 +461,7 @@ mod tests {
         let mut b = TraceTape::builder(&rho0);
         let node = b.push(&t);
         assert_eq!(b.push(&t), node);
-        let tape = b.finish();
+        let mut tape = b.finish();
         assert_eq!(tape.len(), 100_001);
         assert_eq!(tape.value(node), Some(100_001.0));
         let sweep = tape.sweep(&Subst::from_pairs([(LocId(0), 2.0)])).unwrap();

@@ -257,25 +257,6 @@ impl Program {
         ))
     }
 
-    /// Parses user source with *no* Prelude (for tests and micro-benchmarks).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] if the source is malformed.
-    pub fn parse_without_prelude(user_src: &str) -> Result<Program, ParseError> {
-        let user = sns_lang::parse(user_src)?;
-        // A trivial prelude: a single dummy literal that binds nothing.
-        let prelude_expr = Arc::new(Expr::Bool(true));
-        Ok(Self::assemble(
-            prelude_expr,
-            0,
-            Arc::default(),
-            Subst::new(),
-            user.expr,
-            user.next_loc,
-        ))
-    }
-
     fn assemble(
         prelude_expr: Arc<Expr>,
         prelude_next_loc: u32,
@@ -687,13 +668,6 @@ mod tests {
         let (y, _) = p0[1].as_num().unwrap();
         assert!((x - 100.0).abs() < 1e-9);
         assert!((y - 150.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn without_prelude_is_bare() {
-        let p = Program::parse_without_prelude("(+ 1 2)").unwrap();
-        assert_eq!(p.eval().unwrap().as_num().unwrap().0, 3.0);
-        assert!(!p.is_prelude_loc(LocId(0)));
     }
 
     #[test]

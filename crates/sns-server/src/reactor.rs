@@ -17,8 +17,9 @@
 //! each connection's resumable [`ConnParser`]; the moment a complete
 //! request materializes, it is handed to the reactor's worker pool and
 //! the loop goes back to servicing other sockets — unless
-//! [`routes::inline`] answers it on the spot (probes, and drags that need
-//! no evaluation and no commit). Workers push finished
+//! [`routes::inline`] answers it on the spot (probes, drags that need
+//! no evaluation and no commit, and fast-tier commits with nothing to
+//! journal). Workers push finished
 //! responses onto the reactor's completion queue and wake it through a
 //! pipe; responses drain with vectored non-blocking writes (header +
 //! body in one `writev`, the head serialized into a per-connection
@@ -911,9 +912,10 @@ impl Reactor {
         }
         // Liveness and telemetry bypass the pool entirely (a saturated
         // queue must not 503 the probes that would diagnose it), and so
-        // does a drag that needs no evaluation and no commit (the hand-off
-        // to a worker and back would cost more than the drag). It runs as
-        // a pool job does: its trace is current and a panic becomes a 500.
+        // do a drag that needs no evaluation and no commit, and a
+        // fast-tier commit with nothing to journal (the hand-off to a
+        // worker and back would cost as much as either). It runs as a
+        // pool job does: its trace is current and a panic becomes a 500.
         let start = Instant::now();
         let inline = {
             let _current = request_trace.as_ref().map(trace::set_current);

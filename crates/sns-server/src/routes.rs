@@ -429,7 +429,7 @@ pub fn dispatch(state: &Arc<ServerState>, request: &Request, peer: IpAddr) -> Re
         ("POST", ["sessions", id, "commit"]) => {
             with_session_ev(state, id, Some(TimelineKind::Commit), |s| {
                 s.commit()?;
-                Ok(Json::obj([("code", Json::str(s.code()))]))
+                Ok(commit_reply(s))
             })
         }
         ("POST", ["sessions", id, "reconcile"]) => reconcile(state, id, &request.body),
@@ -447,7 +447,7 @@ pub fn dispatch(state: &Arc<ServerState>, request: &Request, peer: IpAddr) -> Re
 }
 
 /// Answers a request on the reactor's own thread, bypassing the worker
-/// pool, or returns `None` to send it to the pool unchanged. Two kinds
+/// pool, or returns `None` to send it to the pool unchanged. Three kinds
 /// of request qualify:
 ///
 /// * `GET /healthz`, `/stats` and `/metrics`, so liveness and telemetry
@@ -455,12 +455,15 @@ pub fn dispatch(state: &Arc<ServerState>, request: &Request, peer: IpAddr) -> Re
 ///   still answer its probes). They are read-only and never touch a
 ///   session lock.
 /// * `POST /sessions/:id/drag` when the step needs no evaluation and no
-///   commit (see [`inline_drag`]). It then costs about as much as the
-///   hand-off to a worker and back would.
+///   commit (see [`inline_drag`]), and
+/// * `POST /sessions/:id/commit` when it is a fast-tier commit with
+///   nothing to journal (see [`inline_commit`]). Each then costs about as
+///   much as the hand-off to a worker and back would.
 ///
 /// The reactor installs the request's trace as the current one around
 /// this call; the route stamps `Dispatched` once it is committed to
-/// answering.
+/// answering (a commit stamps it before its fast step, and a declined one
+/// is stamped again by the worker).
 pub fn inline(state: &Arc<ServerState>, request: &Request, peer: IpAddr) -> Option<Response> {
     let segments = segments(request);
     match (request.method.as_str(), segments.as_slice()) {
@@ -470,6 +473,13 @@ pub fn inline(state: &Arc<ServerState>, request: &Request, peer: IpAddr) -> Opti
         }
         ("POST", ["sessions", id, "drag"]) if refusal(state, request, &segments).is_none() => {
             inline_drag(state, request, id)
+        }
+        // The durable check comes first, so a journaled commit pays for
+        // nothing but it on its way to the pool.
+        ("POST", ["sessions", id, "commit"])
+            if !state.store.backend().durable() && refusal(state, request, &segments).is_none() =>
+        {
+            inline_commit(state, id)
         }
         _ => None,
     }
@@ -504,6 +514,35 @@ fn inline_drag(state: &Arc<ServerState>, request: &Request, id: &str) -> Option<
         guard,
         |s| s.drag(shape, zone, dx, dy),
     ))
+}
+
+/// Serves a commit on the reactor thread if, and only if, it is the
+/// fast tier's sweep and nothing more, on a store that journals nothing
+/// ([`inline`] checks that): the session is resident, its lock is free,
+/// it is not deleted, and [`Session::commit_fast`] takes the pending
+/// update (it avoids every escaped location and the tape sweeps under
+/// it). Otherwise `None`, with the session untouched, and the pool runs
+/// [`Session::commit`]. The reply is the pool's, through [`run_locked`].
+fn inline_commit(state: &Arc<ServerState>, id: &str) -> Option<Response> {
+    let session = state.store.get_resident(id)?;
+    let mut guard = session.try_lock().ok()?;
+    stamp_current(Stage::Dispatched);
+    if !guard.commit_fast() {
+        return None;
+    }
+    state.stats.record_inline_commit();
+    Some(run_locked(
+        state,
+        id,
+        Some(TimelineKind::Commit),
+        guard,
+        |s| Ok(commit_reply(s)),
+    ))
+}
+
+/// The reply to a commit: the committed program's text.
+fn commit_reply(session: &Session) -> Json {
+    Json::obj([("code", Json::str(session.code()))])
 }
 
 /// `GET /metrics`: the whole registry as Prometheus text exposition.
@@ -660,7 +699,7 @@ fn with_session_ev(
 }
 
 /// Runs `f` against an already-locked session: the part of
-/// [`with_session_ev`] that the reactor's inline drags share.
+/// [`with_session_ev`] that the reactor's inline drags and commits share.
 fn run_locked(
     state: &Arc<ServerState>,
     id: &str,

@@ -396,6 +396,19 @@ impl Session {
         result
     }
 
+    /// Commits the in-flight drag on the fast tier alone
+    /// ([`Editor::end_drag_fast`]), for a session with nothing to journal.
+    /// Returns false, with the session untouched, when a journal is
+    /// attached, the session is deleted, or the fast tier declines;
+    /// [`commit`](Session::commit) then does the work.
+    pub fn commit_fast(&mut self) -> bool {
+        if self.persist.is_some() || self.deleted || !self.editor.end_drag_fast() {
+            return false;
+        }
+        stamp_current(Stage::PrepareDone);
+        true
+    }
+
     /// The substitution [`commit`](Session::commit) would journal and
     /// apply right now — for harnesses that drive the journal by hand.
     pub fn pending_commit(&self) -> Option<Subst> {

@@ -73,6 +73,7 @@ pub struct ServerStats {
     eval_fast: Arc<Counter>,
     eval_full: Arc<Counter>,
     drags_inline: Arc<Counter>,
+    commits_inline: Arc<Counter>,
     conns_open: Arc<Gauge>,
     conns_idle: Arc<Gauge>,
     conns_in_flight: Arc<Gauge>,
@@ -179,6 +180,11 @@ impl ServerStats {
             "sns_drags_inline_total",
             "Drag steps answered on the reactor thread: proof-only, no commit, \
              session resident and unlocked.",
+        );
+        let commits_inline = r.counter(
+            "sns_commits_inline_total",
+            "Commits answered on the reactor thread: fast tier, nothing \
+             journaled, session resident and unlocked.",
         );
         let conns_open = r.gauge("sns_conns_open", "Connections currently open.");
         let conns_idle = r.gauge(
@@ -391,6 +397,7 @@ impl ServerStats {
             eval_fast,
             eval_full,
             drags_inline,
+            commits_inline,
             conns_open,
             conns_idle,
             conns_in_flight,
@@ -459,6 +466,11 @@ impl ServerStats {
     /// Counts one drag step the reactor answered without the worker pool.
     pub fn record_inline_drag(&self) {
         self.drags_inline.inc();
+    }
+
+    /// Counts one commit the reactor answered without the worker pool.
+    pub fn record_inline_commit(&self) {
+        self.commits_inline.inc();
     }
 
     /// Publishes aggregate connection gauges (absolute values).

@@ -10,8 +10,9 @@
 //!   its allocations do not grow with the canvas's zone count.
 //! * A fast-tier commit copies no AST: the undo point shares the
 //!   program's expressions and copies its ρ₀ in one allocation, and the
-//!   update rebinds ρ₀ and splices the code text. Its allocations do not
-//!   grow with the program's size.
+//!   update rebinds ρ₀ and splices the code text. Its trace-tape sweep
+//!   works in the tape's own buffers. Its allocations do not grow with
+//!   the program's size.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -135,17 +136,20 @@ const LIVEBENCH_PROGRAMS: [&str; 14] = [
 ];
 
 /// Allocations one fast-tier commit may make, whatever the program's
-/// size: 12–13 on these programs when it was made so, where copying the
-/// user AST for the undo point and rewriting its literals took 66–135,
-/// rising with the AST's size.
-const COMMIT_BUDGET: u64 = 16;
+/// size: 10 on every one of these programs since the tape sweep writes in
+/// place (12–13 while each sweep allocated a changed-node vector, a copy
+/// of every tape value and an argument buffer). Copying the user AST for
+/// the undo point and rewriting its literals took 66–135, rising with the
+/// AST's size.
+const COMMIT_BUDGET: u64 = 10;
 
 #[test]
 fn a_fast_tier_commit_allocates_o1() {
     let mut counts = Vec::new();
     for slug in LIVEBENCH_PROGRAMS {
         let src = sns_examples::by_slug(slug).expect("corpus example").source;
-        let mut session = Session::create(slug.to_string(), src).expect("corpus runs");
+        let session = || Session::create(slug.to_string(), src).expect("corpus runs");
+        let (mut session, mut twin) = (session(), session());
         let live = session.editor().live();
         let (shape, zone) = live
             .assignments()
@@ -155,6 +159,7 @@ fn a_fast_tier_commit_allocates_o1() {
             .find(|&(shape, zone)| live.drag_is_proof_only(shape, zone))
             .expect("a proof-only zone");
         session.drag(shape, zone, 3.0, -2.0).expect("drags");
+        twin.drag(shape, zone, 3.0, -2.0).expect("drags");
         let before = session.editor().live_stats();
         let (n, committed) = allocations(|| session.commit());
         committed.expect("commits");
@@ -163,10 +168,15 @@ fn a_fast_tier_commit_allocates_o1() {
             took.incremental_prepares, 1,
             "{slug}: not a fast-tier commit"
         );
+        // The fast step alone, as the server's event loop runs it, does
+        // no more.
+        let (fast, took_it) = allocations(|| twin.commit_fast());
+        assert!(took_it, "{slug}: the fast step declined");
+        assert_eq!(twin.code(), session.code());
         let size = session.editor().program().user_expr().size();
         assert!(
-            n <= COMMIT_BUDGET,
-            "{slug}: {n} allocations for a commit on {size} AST nodes"
+            n.max(fast) <= COMMIT_BUDGET,
+            "{slug}: {n} allocations for a commit ({fast} for its fast step) on {size} AST nodes"
         );
         counts.push((size, n));
     }

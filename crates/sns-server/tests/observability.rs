@@ -233,10 +233,15 @@ fn metrics_exposition_parses_and_covers_stages() {
 fn debug_traces_is_stage_stamped_jsonl() {
     let (addr, handle) = boot(config(2));
     let id = drive_traffic(&addr, 3);
+    // A code edit always goes to the worker pool.
+    let mut c = Client::connect(&addr);
+    let code = format!("/sessions/{id}/code");
+    let edit = "{\"source\":\"(svg [(rect 'gold' 10 20 30 41)])\"}";
+    let (status, _, body) = c.request("PUT", &code, edit);
+    assert_eq!(status, 200, "{body}");
 
     // A trace is recorded after its response is written: poll until the
-    // last request's (the commit's) has landed.
-    let mut c = Client::connect(&addr);
+    // last request's (the code edit's) has landed.
     let deadline = Instant::now() + Duration::from_secs(5);
     let body = loop {
         let (status, content_type, body) = c.get("/debug/traces");
@@ -245,13 +250,13 @@ fn debug_traces_is_stage_stamped_jsonl() {
             content_type.starts_with("application/x-ndjson"),
             "{content_type}"
         );
-        if body.contains(&format!("\"/sessions/{id}/commit\"")) {
+        if body.contains(&format!("\"{code}\"")) {
             break body;
         }
-        assert!(Instant::now() < deadline, "no commit trace:\n{body}");
+        assert!(Instant::now() < deadline, "no code-edit trace:\n{body}");
         std::thread::sleep(Duration::from_millis(10));
     };
-    let (mut drag_seen, mut commit_seen) = (false, false);
+    let (mut drag_seen, mut commit_seen, mut code_seen) = (false, false, false);
     let has = |stages: &Json, stage: &str| stages.get(stage).is_some();
     for line in body.lines() {
         let v = json::parse(line).unwrap_or_else(|e| panic!("bad JSONL line {line}: {e:?}"));
@@ -263,28 +268,37 @@ fn debug_traces_is_stage_stamped_jsonl() {
         assert!(v.get("slow").is_some(), "no slow flag: {line}");
         let stages = v.get("stages").expect("stages object");
         assert!(stages.get("parse_done").is_some(), "{line}");
-        let path = v.get("path").and_then(Json::as_str);
-        if path == Some(&format!("/sessions/{id}/drag")) {
+        let path = v.get("path").and_then(Json::as_str).unwrap_or_default();
+        let inline = if path == format!("/sessions/{id}/drag") {
             drag_seen = true;
-            // A proof-only drag is answered on the reactor thread: it
-            // crosses the live-sync apply but never the pool.
+            true
+        } else if path == format!("/sessions/{id}/commit") {
+            commit_seen = true;
+            true
+        } else {
+            false
+        };
+        if inline {
+            // A proof-only drag, and a fast-tier commit with nothing to
+            // journal, are answered on the reactor thread: they cross the
+            // live-sync apply but never the pool.
             for stage in [
                 "dispatched",
                 "prepare_done",
                 "worker_done",
                 "response_written",
             ] {
-                assert!(has(stages, stage), "drag missing {stage}: {line}");
+                assert!(has(stages, stage), "{path} missing {stage}: {line}");
             }
             for stage in ["queued", "dequeued"] {
-                assert!(!has(stages, stage), "inline drag has {stage}: {line}");
+                assert!(!has(stages, stage), "inline {path} has {stage}: {line}");
             }
         }
-        if path == Some(&format!("/sessions/{id}/commit")) {
-            commit_seen = true;
-            // A commit journals and re-prepares, so it goes to the pool.
+        if path == code {
+            code_seen = true;
+            // A code edit evaluates the program, so it goes to the pool.
             for stage in ["queued", "dequeued", "dispatched", "worker_done"] {
-                assert!(has(stages, stage), "commit missing {stage}: {line}");
+                assert!(has(stages, stage), "code edit missing {stage}: {line}");
             }
         }
     }
@@ -292,6 +306,10 @@ fn debug_traces_is_stage_stamped_jsonl() {
     assert!(
         commit_seen,
         "no commit trace in the flight recorder:\n{body}"
+    );
+    assert!(
+        code_seen,
+        "no code-edit trace in the flight recorder:\n{body}"
     );
     handle.shutdown();
 }

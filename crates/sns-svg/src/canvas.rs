@@ -211,7 +211,7 @@ mod tests {
         let mut tape = TraceTape::builder(&rho0);
         let mut outputs = Vec::new();
         canvas.for_each_num(|num| outputs.push(tape.push(&num.t)));
-        let tape = tape.finish();
+        let mut tape = tape.finish();
         // User literals in order: x0, sep, y, w, h, 4! — six of them.
         let x0 = LocId(p.next_loc() - 6);
         let subst = Subst::from_pairs([(x0, 55.0)]);

@@ -26,10 +26,11 @@
 //!   program fails;
 //! * **trace tape** — every prepare compiles the canvas's traces into a
 //!   [`TraceTape`] and records which tape node each canvas number and each
-//!   trigger part reads. A fast-tier commit *sweeps* the tape under the
-//!   update — recomputing only the nodes downstream of a changed location
-//!   — writes the swept values into the canvas in place, and commits them
-//!   to the tape; [`LiveSync::preview_canvas`] writes them into a clone;
+//!   trigger part reads. A fast-tier commit ([`LiveSync::commit_fast`])
+//!   *sweeps* the tape under the update in place — recomputing only the
+//!   nodes downstream of a changed location — writes the swept values
+//!   into the canvas, and commits them to the tape;
+//!   [`LiveSync::preview_canvas`] sweeps copies of both;
 //! * **incremental prepare** — with traces unchanged, candidate location
 //!   sets, heuristic choices and triggers are unchanged too; only the
 //!   attributes' current values move, and the tape already holds them. A
@@ -74,7 +75,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sns_eval::{Escapes, EvalError, EvalOutcome, FreezeMode, Program, Sweep, Trace, TraceTape};
+use sns_eval::{Escapes, EvalError, EvalOutcome, FreezeMode, Program, Trace, TraceTape};
 use sns_lang::{diff_exprs, AstDiff, LocId, Subst};
 use sns_svg::node::{PathCmd, TransformCmd};
 use sns_svg::{resolve_attr, AttrValue, Canvas, NumTr, ShapeId, SvgChild, SvgError, SvgNode, Zone};
@@ -172,37 +173,6 @@ pub struct TapeWork {
     pub swept_of: u64,
 }
 
-#[derive(Debug, Default)]
-struct LiveCounters {
-    full_prepares: AtomicU64,
-    incremental_prepares: AtomicU64,
-    partial_prepares: AtomicU64,
-    fast_evals: AtomicU64,
-    full_evals: AtomicU64,
-    fallback_escaped: AtomicU64,
-    fallback_structural: AtomicU64,
-    fallback_reconcile: AtomicU64,
-}
-
-impl LiveCounters {
-    fn snapshot(&self) -> LiveStats {
-        LiveStats {
-            full_prepares: self.full_prepares.load(Ordering::Relaxed),
-            incremental_prepares: self.incremental_prepares.load(Ordering::Relaxed),
-            partial_prepares: self.partial_prepares.load(Ordering::Relaxed),
-            fast_evals: self.fast_evals.load(Ordering::Relaxed),
-            full_evals: self.full_evals.load(Ordering::Relaxed),
-            fallback_escaped: self.fallback_escaped.load(Ordering::Relaxed),
-            fallback_structural: self.fallback_structural.load(Ordering::Relaxed),
-            fallback_reconcile: self.fallback_reconcile.load(Ordering::Relaxed),
-        }
-    }
-
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Errors from running or preparing a program in a live session.
 #[derive(Debug, Clone)]
 pub enum LiveError {
@@ -269,7 +239,11 @@ pub struct LiveSync {
     depindex: DepIndex,
     /// The canvas's traces, compiled when the canvas was installed.
     compiled: Compiled,
-    counters: LiveCounters,
+    /// How this session's work has been served, but for its drag steps:
+    /// a drag counts through a shared reference, so those two are atomic.
+    stats: LiveStats,
+    fast_evals: AtomicU64,
+    full_evals: AtomicU64,
     tape_work: TapeWork,
 }
 
@@ -309,12 +283,6 @@ impl Compiled {
         Compiled { tape, outputs }
     }
 
-    /// Writes a sweep's changed values into `canvas`, which must be the
-    /// canvas the tape was built from (or a copy of it).
-    fn write(&self, canvas: &mut Canvas, sweep: &Sweep) {
-        canvas.write_nums(|i| sweep.get(self.outputs[i]));
-    }
-
     /// A trigger part's current base: its tape node's value, or the
     /// prepared base where the node has none (no commit has changed it).
     fn base(&self, part: &TriggerPart) -> f64 {
@@ -336,8 +304,6 @@ impl LiveSync {
         let depindex = DepIndex::build(&assignments, &mut memo.locs);
         let mut tape_work = TapeWork::default();
         let compiled = Compiled::build(&canvas, &mut triggers, program.rho0(), &mut tape_work);
-        let counters = LiveCounters::default();
-        LiveCounters::bump(&counters.full_prepares);
         Ok(LiveSync {
             program,
             config,
@@ -347,7 +313,12 @@ impl LiveSync {
             escaped: outcome.escaped,
             depindex,
             compiled,
-            counters,
+            stats: LiveStats {
+                full_prepares: 1,
+                ..LiveStats::default()
+            },
+            fast_evals: AtomicU64::new(0),
+            full_evals: AtomicU64::new(0),
             tape_work,
         })
     }
@@ -416,9 +387,9 @@ impl LiveSync {
             self.config.solver,
         );
         if self.control_flow_safe(&subst) {
-            LiveCounters::bump(&self.counters.fast_evals);
+            self.fast_evals.fetch_add(1, Ordering::Relaxed);
         } else {
-            LiveCounters::bump(&self.counters.full_evals);
+            self.full_evals.fetch_add(1, Ordering::Relaxed);
             self.evaluated_canvas(&subst)?;
         }
         Ok(DragResult { subst, failures })
@@ -457,11 +428,12 @@ impl LiveSync {
     /// Fails when the updated program does not evaluate to a canvas.
     pub fn preview_canvas(&self, subst: &Subst) -> Result<Canvas, LiveError> {
         if self.control_flow_safe(subst) {
-            if let Some(sweep) = self.compiled.tape.sweep(subst) {
+            let mut tape = self.compiled.tape.clone();
+            if let Some(sweep) = tape.sweep(subst) {
                 let mut canvas = self.canvas.clone();
-                self.compiled.write(&mut canvas, &sweep);
+                canvas.write_nums(|i| sweep.get(self.compiled.outputs[i]));
                 return Ok(canvas);
-            }
+            };
         }
         self.evaluated_canvas(subst)
     }
@@ -473,7 +445,8 @@ impl LiveSync {
     }
 
     /// Commits a drag (mouse-up): applies the final substitution to the
-    /// program, re-evaluates, and re-prepares assignments and triggers for
+    /// program on the fast tier ([`LiveSync::commit_fast`]) when it takes
+    /// it, else re-evaluates and re-prepares assignments and triggers for
     /// the next user action.
     ///
     /// # Errors
@@ -481,27 +454,48 @@ impl LiveSync {
     /// Fails when the updated program does not evaluate to a canvas; the
     /// session is then left as it was.
     pub fn commit(&mut self, subst: &Subst) -> Result<(), LiveError> {
+        if self.commit_fast(subst) {
+            return Ok(());
+        }
         if self.control_flow_safe(subst) {
-            if let Some(sweep) = self.compiled.tape.sweep(subst) {
-                self.tape_work.swept += sweep.swept() as u64;
-                self.tape_work.swept_of += self.compiled.tape.len() as u64;
-                self.program.apply_subst(subst);
-                self.compiled.write(&mut self.canvas, &sweep);
-                self.compiled.tape.commit(sweep);
-                LiveCounters::bump(&self.counters.incremental_prepares);
-                return Ok(());
-            }
             // The tier was sound but the sweep failed: reconcile fully.
-            LiveCounters::bump(&self.counters.fallback_reconcile);
+            self.stats.fallback_reconcile += 1;
         } else {
-            LiveCounters::bump(&self.counters.fallback_escaped);
+            self.stats.fallback_escaped += 1;
         }
         self.replace_program(self.program.with_subst(subst))
     }
 
+    /// The fast tier of [`LiveSync::commit`]: when `subst` provably leaves
+    /// control flow unchanged and the tape sweeps under it, applies it to
+    /// the program, writes the swept values into the canvas, commits them
+    /// to the tape and returns true; nothing is evaluated. Otherwise
+    /// returns false with the session untouched.
+    pub fn commit_fast(&mut self, subst: &Subst) -> bool {
+        if !self.control_flow_safe(subst) {
+            return false;
+        }
+        let len = self.compiled.tape.len() as u64;
+        let Some(sweep) = self.compiled.tape.sweep(subst) else {
+            return false;
+        };
+        self.tape_work.swept += sweep.swept() as u64;
+        self.tape_work.swept_of += len;
+        self.program.apply_subst(subst);
+        let outputs = &self.compiled.outputs;
+        self.canvas.write_nums(|i| sweep.get(outputs[i]));
+        sweep.commit();
+        self.stats.incremental_prepares += 1;
+        true
+    }
+
     /// Cache-effectiveness counters for this session.
     pub fn stats(&self) -> LiveStats {
-        self.counters.snapshot()
+        LiveStats {
+            fast_evals: self.fast_evals.load(Ordering::Relaxed),
+            full_evals: self.full_evals.load(Ordering::Relaxed),
+            ..self.stats
+        }
     }
 
     /// The trace-tape work this session has done.
@@ -572,7 +566,7 @@ impl LiveSync {
         let stands = self.prepare_stands(&program, &canvas);
         self.program = program;
         if !stands {
-            LiveCounters::bump(&self.counters.fallback_structural);
+            self.stats.fallback_structural += 1;
             self.install_full_prepare(outcome, canvas);
             return Ok(());
         }
@@ -584,7 +578,7 @@ impl LiveSync {
             self.program.rho0(),
             &mut self.tape_work,
         );
-        LiveCounters::bump(&self.counters.partial_prepares);
+        self.stats.partial_prepares += 1;
         Ok(())
     }
 
@@ -626,7 +620,7 @@ impl LiveSync {
             self.program.rho0(),
             &mut self.tape_work,
         );
-        LiveCounters::bump(&self.counters.full_prepares);
+        self.stats.full_prepares += 1;
     }
 }
 
