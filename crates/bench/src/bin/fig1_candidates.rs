@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use sns_eval::{FreezeMode, Program};
 use sns_lang::LocId;
-use sns_svg::Canvas;
+use sns_svg::{Canvas, ShapeId};
 use sns_sync::{judge, numeric_leaves, synthesize_single, SynthesisOptions, UserUpdate};
 
 fn main() {
@@ -24,7 +24,7 @@ fn run() {
     let canvas = Canvas::from_value(&value).expect("renders");
 
     // Figure 1C: the user drags the third box (index 2) by (+45, +28).
-    let box3 = &canvas.shapes()[2].node;
+    let box3 = canvas.shape(ShapeId(2)).unwrap().node;
     let x = box3.num_attr("x").expect("rect has x");
     let (dx, _dy) = (45.0, 28.0);
     let target = x.n + dx;

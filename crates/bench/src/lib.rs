@@ -282,7 +282,7 @@ fn time_tape_rebuilds(live: &LiveSync, rebuilds: usize) -> Vec<f64> {
             for trigger in &triggers {
                 let shape = canvas.shape(trigger.shape);
                 for part in &trigger.parts {
-                    let num = shape.and_then(|s| sns_svg::resolve_attr(&s.node, &part.attr));
+                    let num = shape.and_then(|s| sns_svg::resolve_attr(s.node, &part.attr));
                     std::hint::black_box(num.map(|num| tape.push(&num.t)));
                 }
             }

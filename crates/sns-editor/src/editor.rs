@@ -135,7 +135,7 @@ impl Editor {
     }
 
     /// The shapes of the current canvas.
-    pub fn shapes(&self) -> &[Shape] {
+    pub fn shapes(&self) -> impl ExactSizeIterator<Item = Shape<'_>> {
         self.live.canvas().shapes()
     }
 
@@ -769,10 +769,11 @@ mod tests {
         let best = ed.apply_output_edits(&edits).unwrap();
         assert!(best.judgment.is_faithful());
         // The gentler update (sep) was chosen; box 0 did not move.
-        assert_eq!(ed.shapes()[0].node.num_attr("x").unwrap().n, 50.0);
-        assert_eq!(ed.shapes()[1].node.num_attr("x").unwrap().n, 250.0);
+        let x = |ed: &Editor, i| ed.shapes().nth(i).unwrap().node.num_attr("x").unwrap().n;
+        assert_eq!(x(&ed, 0), 50.0);
+        assert_eq!(x(&ed, 1), 250.0);
         ed.undo().unwrap();
-        assert_eq!(ed.shapes()[1].node.num_attr("x").unwrap().n, 150.0);
+        assert_eq!(x(&ed, 1), 150.0);
     }
 
     #[test]

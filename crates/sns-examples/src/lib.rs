@@ -139,7 +139,7 @@ mod tests {
             let editor = Editor::new(ex.source)
                 .unwrap_or_else(|e| panic!("example `{}` failed: {e}", ex.slug));
             assert!(
-                !editor.shapes().is_empty(),
+                editor.shapes().len() > 0,
                 "example `{}` produced an empty canvas",
                 ex.slug
             );

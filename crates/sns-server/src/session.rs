@@ -269,7 +269,7 @@ impl Session {
         out.push_str("{\"svg\":\"");
         self.editor.write_canvas_svg(&mut Escaped(out))?;
         out.push_str("\",\"shapes\":[");
-        for (i, shape) in self.editor.shapes().iter().enumerate() {
+        for (i, shape) in self.editor.shapes().enumerate() {
             if i > 0 {
                 out.push(',');
             }

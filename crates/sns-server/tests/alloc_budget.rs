@@ -1,6 +1,7 @@
-//! Allocation budgets for the `set_code` and commit paths, counted
-//! exactly by a counting global allocator: what a timing gate cannot
-//! resolve on a small, noisy host, a count resolves deterministically.
+//! Allocation budgets for the `set_code` and commit paths and for a
+//! canvas, counted exactly by a counting global allocator: what a timing
+//! gate cannot resolve on a small, noisy host, a count resolves
+//! deterministically.
 //!
 //! * Evaluating a program allocates per binding, cons cell, closure and
 //!   operation trace, and nothing more: no name strings, argument vectors
@@ -13,6 +14,8 @@
 //!   update rebinds ρ₀ and splices the code text. Its trace-tape sweep
 //!   works in the tape's own buffers. Its allocations do not grow with
 //!   the program's size.
+//! * A canvas holds each number once: building one allocates its SVG
+//!   tree and one path per shape, and copies no node.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -184,4 +187,36 @@ fn a_fast_tier_commit_allocates_o1() {
     let (few, most) = (counts[0], counts[counts.len() - 1]);
     eprintln!("commit allocations: {few:?} .. {most:?} (AST nodes, allocations)");
     assert!(most.0 >= 2 * few.0, "the programs span sizes");
+}
+
+/// Allocations a canvas may make beyond its SVG tree's and one path per
+/// shape: its shape table and the path stack it is built with, which grow
+/// logarithmically. On these programs a canvas takes its tree's count plus
+/// its shapes plus 2–6 (us50_flag: 952 = 882 + 64 + 6). While every shape
+/// kept a clone of its node, it took 1.4–1.5 times its tree's count
+/// (us50_flag 1 349, fractal_tree 848, keyboard 683, bar_graph 178).
+const CANVAS_TABLE_BUDGET: u64 = 16;
+
+#[test]
+fn a_canvas_allocates_its_tree_and_one_path_per_shape() {
+    let mut over = Vec::new();
+    for slug in LIVEBENCH_PROGRAMS {
+        let src = sns_examples::by_slug(slug).expect("corpus example").source;
+        let value = Program::parse(src)
+            .expect("corpus parses")
+            .eval()
+            .expect("corpus runs");
+        let (tree, node) = allocations(|| sns_svg::node_from_value(&value));
+        node.expect("an SVG tree");
+        let (n, canvas) = allocations(|| sns_svg::Canvas::from_value(&value));
+        let shapes = canvas.expect("a canvas").shapes().len() as u64;
+        let budget = tree + shapes + CANVAS_TABLE_BUDGET;
+        eprintln!("{slug}: {n} allocations for a canvas ({tree} for its tree, {shapes} shapes)");
+        if n > budget {
+            over.push(format!(
+                "{slug}: {n} > {tree} for the tree + {shapes} shapes + {CANVAS_TABLE_BUDGET}"
+            ));
+        }
+    }
+    assert!(over.is_empty(), "canvases over budget: {over:#?}");
 }

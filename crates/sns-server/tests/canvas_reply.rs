@@ -16,7 +16,6 @@ fn oracle_canvas(session: &Session) -> Json {
     let editor = session.editor();
     let shapes: Vec<Json> = editor
         .shapes()
-        .iter()
         .map(|shape| {
             let zones: Vec<Json> = shape
                 .zones()
@@ -103,12 +102,7 @@ fn streamed_canvas_matches_the_tree_builder_on_the_whole_corpus() {
         let mut session = Session::create(format!("s-{slug}"), &src)
             .unwrap_or_else(|e| panic!("{slug}: {}", e.msg));
         check(&session, &format!("{slug} after create"));
-        hidden += session
-            .editor()
-            .shapes()
-            .iter()
-            .filter(|s| s.hidden())
-            .count();
+        hidden += session.editor().shapes().filter(|s| s.hidden()).count();
 
         if let Some((shape, zone)) = first_active(&session) {
             session.drag(shape, zone, 7.0, 3.0).unwrap();
@@ -158,7 +152,7 @@ fn escapes_in_strings_and_text_survive_the_stream() {
     assert!(unparsed.contains("tab λ'"), "{unparsed}");
     let reparsed = sns_eval::Program::parse(&unparsed).unwrap();
     assert_eq!(sns_lang::unparse(reparsed.user_expr()), unparsed);
-    assert!(session.editor().shapes().iter().any(|s| s.hidden()));
+    assert!(session.editor().shapes().any(|s| s.hidden()));
     check(&session, "escapes");
 }
 

@@ -1,5 +1,7 @@
-//! The output canvas: a flattened view of the SVG node tree, giving every
-//! shape a stable identity for zone assignment and direct manipulation.
+//! The output canvas: the program's one SVG node tree, with every shape
+//! in it given a stable identity for zone assignment and direct
+//! manipulation. A shape is a view of its node in that tree, so each
+//! traced number lives once.
 
 use sns_eval::Value;
 
@@ -19,19 +21,19 @@ impl std::fmt::Display for ShapeId {
     }
 }
 
-/// One shape in the canvas.
-#[derive(Debug, Clone)]
-pub struct Shape {
+/// One shape in the canvas: a view of its node in the canvas's tree.
+#[derive(Debug, Clone, Copy)]
+pub struct Shape<'a> {
     /// The shape's canvas identity.
     pub id: ShapeId,
     /// The underlying SVG node (traces preserved).
-    pub node: SvgNode,
+    pub node: &'a SvgNode,
 }
 
-impl Shape {
+impl Shape<'_> {
     /// The zones of this shape (Figure 5).
     pub fn zones(&self) -> Vec<ZoneSpec> {
-        zones_of(&self.node)
+        zones_of(self.node)
     }
 
     /// Whether this is a hidden helper shape.
@@ -40,12 +42,14 @@ impl Shape {
     }
 }
 
-/// The rendered output of a program: the root `svg` node plus a flattened
-/// shape list.
+/// The rendered output of a program: the root `svg` node, and where in it
+/// each shape is.
 #[derive(Debug, Clone)]
 pub struct Canvas {
     root: SvgNode,
-    shapes: Vec<Shape>,
+    /// Each shape's path from the root, by [`ShapeId`]: the indices of the
+    /// children leading to its node.
+    paths: Vec<Box<[u32]>>,
 }
 
 impl Canvas {
@@ -63,9 +67,9 @@ impl Canvas {
                 root.kind
             )));
         }
-        let mut shapes = Vec::new();
-        collect_shapes(&root, &mut shapes);
-        Ok(Canvas { root, shapes })
+        let mut paths = Vec::new();
+        collect_shapes(&root, &mut Vec::new(), &mut paths);
+        Ok(Canvas { root, paths })
     }
 
     /// The root `svg` node.
@@ -74,13 +78,20 @@ impl Canvas {
     }
 
     /// All shapes in pre-order.
-    pub fn shapes(&self) -> &[Shape] {
-        &self.shapes
+    pub fn shapes(&self) -> impl ExactSizeIterator<Item = Shape<'_>> {
+        (0..self.paths.len()).map(|i| self.shape(ShapeId(i)).expect("a shape's path"))
     }
 
-    /// Looks a shape up by id.
-    pub fn shape(&self, id: ShapeId) -> Option<&Shape> {
-        self.shapes.get(id.0)
+    /// Looks a shape up by id, following its path down the tree.
+    pub fn shape(&self, id: ShapeId) -> Option<Shape<'_>> {
+        let mut node = &self.root;
+        for &i in self.paths.get(id.0)?.iter() {
+            let SvgChild::Node(child) = &node.children[i as usize] else {
+                unreachable!("a shape's path leads through elements only");
+            };
+            node = child;
+        }
+        Some(Shape { id, node })
     }
 
     /// Renders the canvas to SVG text (the editor's export feature).
@@ -101,14 +112,11 @@ impl Canvas {
         render_to(out, &self.root, options)
     }
 
-    /// Visits every traced number of the canvas: those of the root tree,
-    /// then those of each shape's copy, shape by shape. This order indexes
-    /// [`Canvas::write_nums`].
+    /// Visits every traced number of the canvas once, depth first — the
+    /// `w1 … wk` numeric outputs of the synthesis framework (§3). This
+    /// order indexes [`Canvas::write_nums`].
     pub fn for_each_num<'a>(&'a self, mut f: impl FnMut(&'a NumTr)) {
         for_each_num(&self.root, &mut f);
-        for shape in &self.shapes {
-            for_each_num(&shape.node, &mut f);
-        }
     }
 
     /// Rewrites traced numbers in place: the `i`-th number in
@@ -118,42 +126,27 @@ impl Canvas {
     /// values swept from the traces (see [`sns_eval::TraceTape`]).
     pub fn write_nums(&mut self, mut value: impl FnMut(usize) -> Option<f64>) {
         let mut i = 0;
-        let mut write = |num: &mut NumTr| {
+        for_each_num_mut(&mut self.root, &mut |num: &mut NumTr| {
             if let Some(v) = value(i) {
                 num.n = v;
             }
             i += 1;
-        };
-        for_each_num_mut(&mut self.root, &mut write);
-        for shape in &mut self.shapes {
-            for_each_num_mut(&mut shape.node, &mut write);
-        }
-    }
-
-    /// Every traced number in every shape's attributes, in canvas order —
-    /// the `w1 … wk` numeric outputs of the synthesis framework (§3).
-    pub fn numeric_outputs(&self) -> Vec<NumTr> {
-        self.shapes
-            .iter()
-            .flat_map(|s| s.node.attr_nums().into_iter().cloned())
-            .collect()
+        });
     }
 }
 
-fn collect_shapes(node: &SvgNode, shapes: &mut Vec<Shape>) {
-    for child in &node.children {
+/// Records, in pre-order, the path to every shape under `node`; `path`
+/// is `node`'s own. Groups (`svg`, `g`) are not shapes, but shapes nested
+/// in a shape are, so they are manipulable too.
+fn collect_shapes(node: &SvgNode, path: &mut Vec<u32>, paths: &mut Vec<Box<[u32]>>) {
+    for (i, child) in node.children.iter().enumerate() {
         if let SvgChild::Node(n) = child {
-            if n.kind == "svg" || n.kind == "g" {
-                collect_shapes(n, shapes);
-            } else {
-                shapes.push(Shape {
-                    id: ShapeId(shapes.len()),
-                    node: n.clone(),
-                });
-                // Shapes may themselves have children (rare); recurse so
-                // nested shapes are manipulable too.
-                collect_shapes(n, shapes);
+            path.push(i as u32);
+            if n.kind != "svg" && n.kind != "g" {
+                paths.push(path.as_slice().into());
             }
+            collect_shapes(n, path, paths);
+            path.pop();
         }
     }
 }
@@ -171,7 +164,7 @@ mod tests {
     #[test]
     fn flattens_shapes_in_order() {
         let c = canvas_of("(svg [(rect 'a' 0 0 1 1) (circle 'b' 5 5 2) (line 'c' 1 0 0 9 9)])");
-        let kinds: Vec<&str> = c.shapes().iter().map(|s| s.node.kind.as_str()).collect();
+        let kinds: Vec<&str> = c.shapes().map(|s| s.node.kind.as_str()).collect();
         assert_eq!(kinds, vec!["rect", "circle", "line"]);
         assert_eq!(c.shape(ShapeId(1)).unwrap().node.kind, "circle");
     }
@@ -194,8 +187,75 @@ mod tests {
     #[test]
     fn numeric_outputs_cover_all_attrs() {
         let c = canvas_of("(svg [(rect 'a' 10 20 30 40)])");
-        let nums: Vec<f64> = c.numeric_outputs().iter().map(|n| n.n).collect();
+        let mut nums = Vec::new();
+        c.for_each_num(|n| nums.push(n.n));
         assert_eq!(nums, vec![10.0, 20.0, 30.0, 40.0]);
+    }
+
+    /// Every node's kind and numbers, depth first: a plain tree walk.
+    fn walk(node: &SvgNode, kinds: &mut Vec<String>, nums: &mut Vec<u64>) {
+        kinds.push(node.kind.clone());
+        nums.extend(node.attr_nums().iter().map(|n| n.n.to_bits()));
+        for child in &node.children {
+            if let SvgChild::Node(n) = child {
+                walk(n, kinds, nums);
+            }
+        }
+    }
+
+    #[test]
+    fn nested_shapes_flatten_in_preorder_and_hold_each_number_once() {
+        use sns_eval::TraceTape;
+        use sns_lang::{LocId, Subst};
+
+        // A rect holding a circle holding a line, then a group's ellipse.
+        let src = "(def x 10) \
+                   (svg [['rect' [['x' x] ['y' 20]] \
+                           [['circle' [['cx' (+ x 5)] ['r' 3]] \
+                              [['line' [['x1' x] ['x2' 7]] []]]]]] \
+                         ['g' [] [['ellipse' [['rx' (* x 2)]] []]]]])";
+        let p = Program::parse(src).unwrap();
+        let mut canvas = Canvas::from_value(&p.eval().unwrap()).unwrap();
+        let kinds: Vec<&str> = canvas.shapes().map(|s| s.node.kind.as_str()).collect();
+        assert_eq!(kinds, vec!["rect", "circle", "line", "ellipse"]);
+        let ids: Vec<ShapeId> = canvas.shapes().map(|s| s.id).collect();
+        assert_eq!(ids, (0..4).map(ShapeId).collect::<Vec<_>>());
+        assert_eq!(canvas.shape(ShapeId(2)).unwrap().node.kind, "line");
+        assert!(canvas.shape(ShapeId(4)).is_none());
+
+        let (mut kinds, mut walked) = (Vec::new(), Vec::new());
+        walk(canvas.root(), &mut kinds, &mut walked);
+        assert_eq!(kinds, ["svg", "rect", "circle", "line", "g", "ellipse"]);
+        let mut visited = Vec::new();
+        canvas.for_each_num(|n| visited.push(n.n.to_bits()));
+        assert_eq!(visited, walked, "each number is visited once");
+        let in_shapes: usize = canvas.shapes().map(|s| s.node.attr_nums().len()).sum();
+        assert_eq!(in_shapes, visited.len());
+
+        // Sweep x from 10 to 12 and write it in: equal to re-evaluation.
+        let rho0 = p.subst();
+        let mut tape = TraceTape::builder(&rho0);
+        let mut outputs = Vec::new();
+        canvas.for_each_num(|num| outputs.push(tape.push(&num.t)));
+        let mut tape = tape.finish();
+        let x = LocId(p.next_loc() - 6);
+        assert_eq!(rho0.get(x), Some(10.0));
+        let subst = Subst::from_pairs([(x, 12.0)]);
+        let sweep = tape.sweep(&subst).unwrap();
+        canvas.write_nums(|i| sweep.get(outputs[i]));
+        let full = Canvas::from_value(&p.with_subst(&subst).eval().unwrap()).unwrap();
+        let bits = |c: &Canvas| {
+            let mut out = Vec::new();
+            c.for_each_num(|num| out.push(num.n.to_bits()));
+            out
+        };
+        assert_eq!(bits(&canvas), bits(&full));
+        assert_eq!(
+            canvas.to_svg(RenderOptions::default()),
+            full.to_svg(RenderOptions::default())
+        );
+        let line = canvas.shape(ShapeId(2)).unwrap();
+        assert_eq!(line.node.num_attr("x1").unwrap().n, 12.0);
     }
 
     #[test]
@@ -222,8 +282,18 @@ mod tests {
             canvas.to_svg(RenderOptions::default()),
             full.to_svg(RenderOptions::default())
         );
-        // The shapes' copies are rewritten along with the root tree.
-        assert_eq!(canvas.shapes()[3].node.num_attr("x").unwrap().n, 130.0);
+        // A shape reads the root tree's number itself, not a copy of it.
+        let x3 = canvas
+            .shape(ShapeId(3))
+            .unwrap()
+            .node
+            .num_attr("x")
+            .unwrap();
+        assert_eq!(x3.n, 130.0);
+        let SvgChild::Node(root_x3) = &canvas.root().children[3] else {
+            panic!("the fourth child is a rect");
+        };
+        assert!(std::ptr::eq(x3, root_x3.num_attr("x").unwrap()));
         let bits = |c: &Canvas| {
             let mut out = Vec::new();
             c.for_each_num(|num| out.push(num.n.to_bits()));
@@ -246,8 +316,14 @@ mod tests {
         let c = canvas_of(src);
         assert_eq!(c.shapes().len(), 12);
         // First box: x = 50 + 0*30 = 50.
-        assert_eq!(c.shapes()[0].node.num_attr("x").unwrap().n, 50.0);
+        assert_eq!(
+            c.shape(ShapeId(0)).unwrap().node.num_attr("x").unwrap().n,
+            50.0
+        );
         // Third box: x = 50 + 2*30 = 110 (paper Equation 3).
-        assert_eq!(c.shapes()[2].node.num_attr("x").unwrap().n, 110.0);
+        assert_eq!(
+            c.shape(ShapeId(2)).unwrap().node.num_attr("x").unwrap().n,
+            110.0
+        );
     }
 }

@@ -4,7 +4,8 @@
 //!
 //! * [`node_from_value`] / [`SvgNode`] — typed SVG values with the run-time
 //!   traces of every numeric attribute preserved;
-//! * [`Canvas`] — a flattened, identity-bearing shape list;
+//! * [`Canvas`] — the one node tree of a program's output, with every
+//!   shape in it given an identity; a [`Shape`] is a view of its node;
 //! * [`render`] — translation to SVG/XML text, including the specialized
 //!   encodings for `points`, RGBA fills, color numbers, and path data;
 //! * [`zones_of`] / [`Zone`] — Figure 5's direct-manipulation zones and the
@@ -14,13 +15,18 @@
 //!
 //! ```
 //! use sns_eval::Program;
-//! use sns_svg::Canvas;
+//! use sns_svg::{Canvas, ShapeId};
 //!
 //! let program = Program::parse("(svg [(circle 'coral' 100 100 40)])").unwrap();
 //! let canvas = Canvas::from_value(&program.eval().unwrap()).unwrap();
 //! assert_eq!(canvas.shapes().len(), 1);
 //! // Each shape exposes zones: Interior, RightEdge, BotEdge for a circle.
-//! assert_eq!(canvas.shapes()[0].zones().len(), 3);
+//! let circle = canvas.shape(ShapeId(0)).unwrap();
+//! assert_eq!(circle.zones().len(), 3);
+//! // The shape is a view into the canvas's tree: its numbers are the tree's.
+//! let mut numbers = 0;
+//! canvas.for_each_num(|_| numbers += 1);
+//! assert_eq!(numbers, circle.node.attr_nums().len());
 //! ```
 
 #![forbid(unsafe_code)]

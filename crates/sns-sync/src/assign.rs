@@ -275,14 +275,14 @@ impl PrepareMemo<'_> {
 
 /// One zone's slots and candidates, with `chosen` left `None`.
 fn analyze_zone<'t>(
-    shape: &'t Shape,
+    shape: Shape<'t>,
     spec: &ZoneSpec,
     is_frozen: &dyn Fn(LocId) -> bool,
     memo: &mut PrepareMemo<'t>,
 ) -> ZoneAnalysis {
     let mut slots = Vec::new();
     for (attr, offset) in &spec.effects {
-        let Some(num) = resolve_attr(&shape.node, attr) else {
+        let Some(num) = resolve_attr(shape.node, attr) else {
             continue;
         };
         let locs: Vec<LocId> = memo

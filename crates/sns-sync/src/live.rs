@@ -29,8 +29,10 @@
 //!   trigger part reads. A fast-tier commit ([`LiveSync::commit_fast`])
 //!   *sweeps* the tape under the update in place — recomputing only the
 //!   nodes downstream of a changed location — writes the swept values
-//!   into the canvas, and commits them to the tape;
-//!   [`LiveSync::preview_canvas`] sweeps copies of both;
+//!   into the canvas's one tree, each number once (a shape is a view of
+//!   its node there), and commits them to the tape;
+//!   [`LiveSync::preview_canvas`] sweeps a clone of the tape into a clone
+//!   of the canvas;
 //! * **incremental prepare** — with traces unchanged, candidate location
 //!   sets, heuristic choices and triggers are unchanged too; only the
 //!   attributes' current values move, and the tape already holds them. A
@@ -253,8 +255,8 @@ pub struct LiveSync {
 #[derive(Debug)]
 struct Compiled {
     tape: TraceTape,
-    /// The tape node of every canvas number, in
-    /// [`Canvas::for_each_num`] order.
+    /// The tape node of every canvas number, each once, in
+    /// [`Canvas::for_each_num`] order: the canvas's tree, depth first.
     outputs: Vec<u32>,
 }
 
@@ -274,7 +276,7 @@ impl Compiled {
             let shape = canvas.shape(trigger.shape);
             for part in &mut trigger.parts {
                 part.node = shape
-                    .and_then(|s| resolve_attr(&s.node, &part.attr))
+                    .and_then(|s| resolve_attr(s.node, &part.attr))
                     .map_or(NO_NODE, |num| tape.push(&num.t));
             }
         }
@@ -600,9 +602,8 @@ impl LiveSync {
                 .locs()
                 .all(|l| self.program.is_frozen(l, mode) == program.is_frozen(l, mode))
             && old
-                .iter()
                 .zip(new)
-                .all(|(a, b)| a.id == b.id && eq.node_eq(&a.node, &b.node))
+                .all(|(a, b)| a.id == b.id && eq.node_eq(a.node, b.node))
     }
 
     /// Finishes a full prepare from an already-computed evaluation.
@@ -793,7 +794,7 @@ mod tests {
         for zone in &mut assignments.zones {
             let shape = live.canvas().shape(zone.shape).unwrap();
             for slot in &mut zone.slots {
-                slot.base = resolve_attr(&shape.node, &slot.attr).unwrap().n;
+                slot.base = resolve_attr(shape.node, &slot.attr).unwrap().n;
             }
         }
         let parts: Vec<u64> = assignments
@@ -864,7 +865,6 @@ mod tests {
         let xs_before: Vec<f64> = live
             .canvas()
             .shapes()
-            .iter()
             .map(|s| s.node.num_attr("x").unwrap().n)
             .collect();
         let result = live.drag(ShapeId(0), Zone::Interior, 45.0, 0.0).unwrap();
@@ -872,7 +872,6 @@ mod tests {
         let xs_after: Vec<f64> = live
             .canvas()
             .shapes()
-            .iter()
             .map(|s| s.node.num_attr("x").unwrap().n)
             .collect();
         for (b, a) in xs_before.iter().zip(&xs_after) {
@@ -890,7 +889,6 @@ mod tests {
         let xs: Vec<f64> = live
             .canvas()
             .shapes()
-            .iter()
             .map(|s| s.node.num_attr("x").unwrap().n)
             .collect();
         // sep solved from 80 + d = x0 + 1·sep → sep = 40.
@@ -1051,7 +1049,7 @@ mod tests {
         assert_eq!(stats.fallback_escaped, 1);
         assert_eq!(stats.full_prepares, 2);
         assert!(matches!(
-            live.canvas().shapes()[0].node.attr("fill"),
+            live.canvas().shape(ShapeId(0)).unwrap().node.attr("fill"),
             Some(AttrValue::Str(s)) if s == "red"
         ));
     }

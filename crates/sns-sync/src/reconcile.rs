@@ -102,7 +102,7 @@ pub fn reconcile(
         let Some(shape) = canvas.shape(edit.shape) else {
             return Vec::new();
         };
-        let Some(num) = resolve_attr(&shape.node, &edit.attr) else {
+        let Some(num) = resolve_attr(shape.node, &edit.attr) else {
             return Vec::new();
         };
         equations.push(Equation::new(edit.new_value, std::sync::Arc::clone(&num.t)));
@@ -158,7 +158,6 @@ fn rank_key(r: &RankedUpdate) -> (f64, f64, f64) {
 fn snapshot(canvas: &Canvas) -> Vec<Vec<(String, f64)>> {
     canvas
         .shapes()
-        .iter()
         .map(|s| {
             s.node
                 .attrs
@@ -189,7 +188,7 @@ fn judge_canvas(
     for edit in edits {
         let satisfied = new
             .shape(edit.shape)
-            .and_then(|s| resolve_attr(&s.node, &edit.attr))
+            .and_then(|s| resolve_attr(s.node, &edit.attr))
             .is_some_and(|n| close(n.n, edit.new_value));
         if satisfied {
             hard_matched += 1;

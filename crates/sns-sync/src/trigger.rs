@@ -182,7 +182,7 @@ mod tests {
         let mut updated = program.clone();
         updated.apply_subst(&fire.subst);
         let canvas = Canvas::from_value(&updated.eval().unwrap()).unwrap();
-        let shape = &canvas.shapes()[0].node;
+        let shape = canvas.shape(ShapeId(0)).unwrap().node;
         assert_eq!(shape.num_attr("x").unwrap().n, 15.0);
         assert_eq!(shape.num_attr("y").unwrap().n, 17.0);
     }
@@ -195,7 +195,7 @@ mod tests {
         let mut updated = program.clone();
         updated.apply_subst(&fire.subst);
         let canvas = Canvas::from_value(&updated.eval().unwrap()).unwrap();
-        let shape = &canvas.shapes()[0].node;
+        let shape = canvas.shape(ShapeId(0)).unwrap().node;
         // x grows, width shrinks; x + width is invariant.
         assert_eq!(shape.num_attr("x").unwrap().n, 14.0);
         assert_eq!(shape.num_attr("width").unwrap().n, 26.0);

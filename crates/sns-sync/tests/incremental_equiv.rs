@@ -106,8 +106,10 @@ fn checked_drag(
                 "preview of {shape} {zone} by {} differs from full evaluation",
                 r.subst
             );
-            let bits = |c: &Canvas| -> Vec<u64> {
-                c.numeric_outputs().iter().map(|n| n.n.to_bits()).collect()
+            let bits = |c: &Canvas| {
+                let mut out = Vec::new();
+                c.for_each_num(|n| out.push(n.n.to_bits()));
+                out
             };
             assert_eq!(bits(&preview), bits(&full), "drag on {shape} {zone}");
         }
@@ -120,7 +122,7 @@ fn checked_drag(
 /// A slot's current value, as bits: its attribute's number on the canvas.
 /// (An analysis keeps the value it was prepared with.)
 fn current_bits(live: &LiveSync, shape: ShapeId, attr: &sns_svg::AttrRef) -> u64 {
-    let node = &live.canvas().shape(shape).expect("an analyzed shape").node;
+    let node = live.canvas().shape(shape).expect("an analyzed shape").node;
     resolve_attr(node, attr)
         .expect("an analyzed attribute")
         .n
@@ -276,8 +278,8 @@ fn tree_bits(node: &SvgNode, out: &mut Vec<u64>) {
     }
 }
 
-/// The numbers a fast-tier commit moves, as bits: the canvas's root tree
-/// and each shape's copy (written in place), every slot's current value
+/// The numbers a fast-tier commit moves, as bits: the canvas's tree
+/// (written in place), shape by shape, every slot's current value
 /// (read from the canvas) and every trigger part's current base (read
 /// from the tape, as a drag reads it).
 fn written_bits(live: &LiveSync) -> (Vec<u64>, Vec<Vec<u64>>, Vec<u64>, Vec<u64>) {
@@ -286,10 +288,9 @@ fn written_bits(live: &LiveSync) -> (Vec<u64>, Vec<Vec<u64>>, Vec<u64>, Vec<u64>
     let shapes = live
         .canvas()
         .shapes()
-        .iter()
         .map(|s| {
             let mut out = Vec::new();
-            tree_bits(&s.node, &mut out);
+            tree_bits(s.node, &mut out);
             out
         })
         .collect();

@@ -43,7 +43,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let xs: Vec<f64> = editor
         .shapes()
-        .iter()
         .map(|s| s.node.num_attr("x").unwrap().n)
         .collect();
     println!("box xs: {xs:?}");

@@ -42,7 +42,7 @@ fn every_example_survives_a_drag_on_its_first_active_zone() {
         // The program changed (or the solver legitimately failed on every
         // part, leaving it unchanged — accept both, but it must still run).
         let _ = before;
-        assert!(!editor.shapes().is_empty(), "{}: canvas vanished", ex.slug);
+        assert!(editor.shapes().len() > 0, "{}: canvas vanished", ex.slug);
         // Undo restores the original text when a change was made.
         if editor.undo().is_ok() {
             assert_eq!(editor.code(), before, "{}: undo mismatch", ex.slug);
@@ -59,9 +59,17 @@ fn unparse_reparse_preserves_canvas() {
             .unwrap_or_else(|e| panic!("{}: unparse does not reparse: {e}", ex.slug));
         let c2 = Canvas::from_value(&p2.eval().unwrap()).unwrap();
         assert_eq!(c1.shapes().len(), c2.shapes().len(), "{}", ex.slug);
-        let nums1: Vec<f64> = c1.numeric_outputs().iter().map(|n| n.n).collect();
-        let nums2: Vec<f64> = c2.numeric_outputs().iter().map(|n| n.n).collect();
-        assert_eq!(nums1, nums2, "{}: canvas changed across unparse", ex.slug);
+        let nums = |c: &Canvas| {
+            let mut out = Vec::new();
+            c.for_each_num(|n| out.push(n.n));
+            out
+        };
+        assert_eq!(
+            nums(&c1),
+            nums(&c2),
+            "{}: canvas changed across unparse",
+            ex.slug
+        );
     }
 }
 

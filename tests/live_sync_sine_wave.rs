@@ -32,12 +32,16 @@ fn equations_1_2_3_match_the_paper() {
     let (program, canvas) = program_and_canvas();
     let xs: Vec<f64> = canvas
         .shapes()
-        .iter()
         .map(|s| s.node.num_attr("x").unwrap().n)
         .collect();
     assert_eq!(&xs[..3], &[50.0, 80.0, 110.0]);
 
-    let x2 = canvas.shapes()[2].node.num_attr("x").unwrap();
+    let x2 = canvas
+        .shape(ShapeId(2))
+        .unwrap()
+        .node
+        .num_attr("x")
+        .unwrap();
     let rendered = x2.t.to_string();
     // Structure: x0 + ((1 + (1 + 0)) * sep). Our traces name locations
     // l<N>; check the shape via the display form with canonical names.
@@ -55,7 +59,12 @@ fn equations_1_2_3_match_the_paper() {
 fn four_candidates_with_exact_values() {
     // §2.2: dragging box 3 to x' = 155 admits exactly four local updates.
     let (program, canvas) = program_and_canvas();
-    let x2 = canvas.shapes()[2].node.num_attr("x").unwrap();
+    let x2 = canvas
+        .shape(ShapeId(2))
+        .unwrap()
+        .node
+        .num_attr("x")
+        .unwrap();
     assert_eq!(x2.n, 110.0);
 
     let mode = FreezeMode::nothing_frozen();
@@ -88,7 +97,12 @@ fn four_candidates_with_exact_values() {
 fn prelude_freezing_removes_the_bad_candidates() {
     // §2.2 "Frozen Constants": with the Prelude frozen only x0/sep remain.
     let (program, canvas) = program_and_canvas();
-    let x2 = canvas.shapes()[2].node.num_attr("x").unwrap();
+    let x2 = canvas
+        .shape(ShapeId(2))
+        .unwrap()
+        .node
+        .num_attr("x")
+        .unwrap();
     let mode = FreezeMode::default();
     let frozen = |l: LocId| program.is_frozen(l, mode);
     let candidates = synthesize_single(
@@ -120,7 +134,17 @@ fn live_drag_of_third_box_updates_program_and_canvas() {
     assert!(code.contains("95"), "updated program: {code}");
     // All twelve boxes still present, all translated.
     assert_eq!(editor.shapes().len(), 12);
-    assert_eq!(editor.shapes()[2].node.num_attr("x").unwrap().n, 155.0);
+    assert_eq!(
+        editor
+            .shapes()
+            .nth(2)
+            .unwrap()
+            .node
+            .num_attr("x")
+            .unwrap()
+            .n,
+        155.0
+    );
 }
 
 #[test]
@@ -151,7 +175,6 @@ fn committed_drag_round_trips_through_source() {
     let canvas = Canvas::from_value(&reparsed.eval().unwrap()).unwrap();
     let a: Vec<f64> = editor
         .shapes()
-        .iter()
         .flat_map(|s| {
             s.node
                 .attr_nums()
@@ -162,7 +185,6 @@ fn committed_drag_round_trips_through_source() {
         .collect();
     let b: Vec<f64> = canvas
         .shapes()
-        .iter()
         .flat_map(|s| {
             s.node
                 .attr_nums()

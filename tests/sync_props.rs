@@ -40,7 +40,6 @@ fn unambiguous_drags_are_exact() {
         let idx = rng.index(n);
         let before: Vec<(f64, f64)> = editor
             .shapes()
-            .iter()
             .map(|s| {
                 (
                     s.node.num_attr("x").unwrap().n,
@@ -53,7 +52,6 @@ fn unambiguous_drags_are_exact() {
             .unwrap();
         let after: Vec<(f64, f64)> = editor
             .shapes()
-            .iter()
             .map(|s| {
                 (
                     s.node.num_attr("x").unwrap().n,
@@ -100,19 +98,11 @@ fn interior_drags_preserve_structure() {
         let dx = rng.f64_in(-30.0, 30.0);
         let dy = rng.f64_in(-30.0, 30.0);
         let mut editor = Editor::new(&src).unwrap();
-        let kinds: Vec<String> = editor
-            .shapes()
-            .iter()
-            .map(|s| s.node.kind.clone())
-            .collect();
+        let kinds: Vec<String> = editor.shapes().map(|s| s.node.kind.clone()).collect();
         editor
             .drag_zone(ShapeId(0), Zone::Interior, dx, dy)
             .unwrap();
-        let kinds_after: Vec<String> = editor
-            .shapes()
-            .iter()
-            .map(|s| s.node.kind.clone())
-            .collect();
+        let kinds_after: Vec<String> = editor.shapes().map(|s| s.node.kind.clone()).collect();
         assert_eq!(kinds, kinds_after, "case {case}");
     }
 }
@@ -157,7 +147,7 @@ fn shared_location_drags_are_plausible() {
         editor
             .drag_zone(ShapeId(0), Zone::Interior, dx, dy)
             .unwrap();
-        let s = &editor.shapes()[0].node;
+        let s = editor.shapes().next().unwrap().node;
         let x = s.num_attr("x").unwrap().n;
         let y = s.num_attr("y").unwrap().n;
         let x_ok = (x - (base + dx)).abs() < 1e-9;
