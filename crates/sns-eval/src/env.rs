@@ -1,17 +1,23 @@
 //! Persistent evaluation environments.
 //!
-//! Environments are immutable linked frames shared via `Arc`, so extending an
+//! Environments are immutable linked frames shared via `Rc`, so extending an
 //! environment for a `let` body or a closure capture is O(1) and never
 //! mutates the parent. This is what makes closures cheap in the interpreter
 //! and keeps re-evaluation fast during live synchronization.
+//!
+//! Frames are evaluation-local: they live only as long as the closures and
+//! environments of one evaluation on one thread, so their reference counts
+//! are plain, not atomic. Only the binding names are `Arc<str>`, because
+//! they are shared with the AST.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::value::Value;
 
 /// A persistent environment mapping names to values.
 #[derive(Debug, Clone, Default)]
-pub struct Env(Option<Arc<Frame>>);
+pub struct Env(Option<Rc<Frame>>);
 
 #[derive(Debug)]
 struct Frame {
@@ -30,7 +36,7 @@ impl Env {
     /// is unchanged. Binding a name shared with the AST allocates only the
     /// frame.
     pub fn bind(&self, name: impl Into<Arc<str>>, value: Value) -> Env {
-        Env(Some(Arc::new(Frame {
+        Env(Some(Rc::new(Frame {
             name: name.into(),
             value,
             parent: self.clone(),

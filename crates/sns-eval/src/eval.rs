@@ -17,6 +17,7 @@
 use std::error::Error;
 use std::fmt;
 use std::ops::Deref;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use sns_lang::{Expr, NumLit, Op, Pat, Subst};
@@ -118,12 +119,12 @@ impl Args {
 
 /// The closure `c` under the `letrec`/`defrec` name `name`. A closure no
 /// one else holds yet (the λ just evaluated) is named in place.
-pub(crate) fn named_rec(mut c: Arc<Closure>, name: &Arc<str>) -> Arc<Closure> {
-    if let Some(unique) = Arc::get_mut(&mut c) {
+pub(crate) fn named_rec(mut c: Rc<Closure>, name: &Arc<str>) -> Rc<Closure> {
+    if let Some(unique) = Rc::get_mut(&mut c) {
         unique.rec_name = Some(Arc::clone(name));
         return c;
     }
-    Arc::new(Closure {
+    Rc::new(Closure {
         rec_name: Some(Arc::clone(name)),
         params: Arc::clone(&c.params),
         first_param: c.first_param,
@@ -211,7 +212,7 @@ impl<'r> Evaluator<'r> {
                 };
                 Ok(items.cons_onto(tail))
             }
-            Expr::Lambda(params, body) => Ok(Value::Closure(Arc::new(Closure {
+            Expr::Lambda(params, body) => Ok(Value::Closure(Rc::new(Closure {
                 rec_name: None,
                 params: Arc::clone(params),
                 first_param: 0,
@@ -343,7 +344,7 @@ impl<'r> Evaluator<'r> {
         };
         let mut env = clos.env.clone();
         if let Some(name) = &clos.rec_name {
-            env = env.bind(Arc::clone(name), Value::Closure(Arc::clone(&clos)));
+            env = env.bind(Arc::clone(name), Value::Closure(Rc::clone(&clos)));
         }
         let params = clos.remaining_params();
         let n = args.len().min(params.len());
@@ -357,7 +358,7 @@ impl<'r> Evaluator<'r> {
         }
         if n < params.len() {
             // Partial application: capture bound arguments, keep the rest.
-            return Ok(Value::Closure(Arc::new(Closure {
+            return Ok(Value::Closure(Rc::new(Closure {
                 rec_name: None,
                 params: Arc::clone(&clos.params),
                 first_param: clos.first_param + n,

@@ -39,8 +39,8 @@ pub use escape::Escapes;
 pub use eval::{apply_num_op, eval_prim, match_pat, EvalError, Evaluator, Limits};
 pub use patch::{Sweep, TapeBuilder, TraceTape};
 pub use program::{EvalOutcome, FreezeMode, LocInfo, Program, PRELUDE_SRC};
-pub use trace::{LocMemo, Trace, TraceArgs};
-pub use value::{Closure, Value};
+pub use trace::{AddrHasher, LocMemo, Trace, TraceArgs};
+pub use value::{Closure, Items, Value};
 
 /// Runs `f` on a thread with a large stack and returns its result.
 ///

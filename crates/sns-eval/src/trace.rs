@@ -173,10 +173,13 @@ impl Trace {
     }
 }
 
-/// Hashes a node address with one multiply: addresses are distinct and
-/// 8-aligned, so SipHash's collision resistance buys nothing here.
+/// Hashes node addresses with one multiply each: addresses are distinct
+/// and 8-aligned, so SipHash's collision resistance buys nothing here.
+/// Each address is folded into the state, so a key of several addresses
+/// (a pair of traces) hashes all of them; a single address hashes to
+/// `(addr >> 3) · φ`.
 #[derive(Debug, Default)]
-pub(crate) struct AddrHasher(u64);
+pub struct AddrHasher(u64);
 
 impl Hasher for AddrHasher {
     fn finish(&self) -> u64 {
@@ -190,7 +193,7 @@ impl Hasher for AddrHasher {
     }
 
     fn write_usize(&mut self, n: usize) {
-        self.0 = (n as u64 >> 3).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = (self.0.rotate_left(5) ^ (n as u64 >> 3)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     }
 }
 
@@ -390,6 +393,26 @@ mod tests {
             assert_eq!(memo.counts(trace), &want[..], "{trace}");
         }
         assert_eq!(memo.counts(&u), &[(LocId(1), 4), (LocId(2), 4)]);
+    }
+
+    #[test]
+    fn addr_hasher_hashes_every_address_of_a_key() {
+        use std::hash::Hash;
+        fn hash(key: impl Hash) -> u64 {
+            let mut h = AddrHasher::default();
+            key.hash(&mut h);
+            h.finish()
+        }
+        // A single address hashes with one multiply.
+        assert_eq!(
+            hash(0x1000usize),
+            0x200u64.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        );
+        // A pair depends on both addresses and their order.
+        let pair = hash((0x1000usize, 0x2000usize));
+        assert_ne!(pair, hash((0x1000usize, 0x3000usize)));
+        assert_ne!(pair, hash((0x3000usize, 0x2000usize)));
+        assert_ne!(pair, hash((0x2000usize, 0x1000usize)));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Run-time values of `little` (Figure 2's `v`), with traced numbers.
 
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use sns_lang::{fmt_num, Expr, Pat};
@@ -10,8 +11,22 @@ use crate::trace::Trace;
 
 /// A run-time value.
 ///
-/// Lists are cons cells as in the paper's core language; [`Value::to_vec`]
-/// converts a proper list into a `Vec` for consumers such as the SVG layer.
+/// Lists are cons cells as in the paper's core language; [`Value::items`]
+/// walks a proper list in place and [`Value::to_vec`] copies it into a
+/// `Vec`.
+///
+/// A value is `!Send` and `!Sync`: its cons cells and closures (and the
+/// environments closures capture) are shared by `Rc`, not `Arc`. They are
+/// evaluation-local — built and dropped by one evaluation on one thread —
+/// and an atomic reference count costs several times a plain one on every
+/// clone and drop. What outlives an evaluation and crosses threads (a
+/// canvas, a session) keeps only a value's numbers and their traces, and
+/// [`Trace`]s stay `Arc`.
+///
+/// ```compile_fail
+/// fn send<T: Send>() {}
+/// send::<sns_eval::Value>();
+/// ```
 #[derive(Debug, Clone)]
 pub enum Value {
     /// A number with its run-time trace (`nᵗ`).
@@ -23,9 +38,9 @@ pub enum Value {
     /// The empty list `[]`.
     Nil,
     /// A cons cell `[v1|v2]`: head and tail in one allocation.
-    Cons(Arc<(Value, Value)>),
+    Cons(Rc<(Value, Value)>),
     /// A function closure.
-    Closure(Arc<Closure>),
+    Closure(Rc<Closure>),
 }
 
 /// A function closure: parameters, body, captured environment, and — for
@@ -57,7 +72,7 @@ impl Closure {
 impl Value {
     /// Builds a cons cell `[head|tail]`.
     pub fn cons(head: Value, tail: Value) -> Value {
-        Value::Cons(Arc::new((head, tail)))
+        Value::Cons(Rc::new((head, tail)))
     }
 
     /// Builds a traced number.
@@ -79,21 +94,28 @@ impl Value {
         out
     }
 
-    /// Converts a proper cons list to a vector; `None` if the value is not a
-    /// nil-terminated list.
-    pub fn to_vec(&self) -> Option<Vec<Value>> {
-        let mut out = Vec::new();
+    /// The items of a proper cons list, by reference and in order; `None`
+    /// if the value is not a nil-terminated list. The list is walked once
+    /// up front to check it and count its items.
+    pub fn items(&self) -> Option<Items<'_>> {
+        let mut len = 0;
         let mut cur = self;
         loop {
             match cur {
-                Value::Nil => return Some(out),
+                Value::Nil => return Some(Items { cur: self, len }),
                 Value::Cons(cell) => {
-                    out.push(cell.0.clone());
+                    len += 1;
                     cur = &cell.1;
                 }
                 _ => return None,
             }
         }
+    }
+
+    /// Converts a proper cons list to a vector; `None` if the value is not a
+    /// nil-terminated list.
+    pub fn to_vec(&self) -> Option<Vec<Value>> {
+        self.items().map(|items| items.cloned().collect())
     }
 
     /// The number and trace, if this is a numeric value.
@@ -156,6 +178,33 @@ impl Value {
     }
 }
 
+/// The items of a proper list, borrowed from its cons cells
+/// ([`Value::items`]).
+#[derive(Debug, Clone)]
+pub struct Items<'a> {
+    cur: &'a Value,
+    len: usize,
+}
+
+impl<'a> Iterator for Items<'a> {
+    type Item = &'a Value;
+
+    fn next(&mut self) -> Option<&'a Value> {
+        let Value::Cons(cell) = self.cur else {
+            return None;
+        };
+        self.cur = &cell.1;
+        self.len -= 1;
+        Some(&cell.0)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.len, Some(self.len))
+    }
+}
+
+impl ExactSizeIterator for Items<'_> {}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -212,6 +261,20 @@ mod tests {
     fn improper_list_is_not_a_vec() {
         let v = Value::cons(Value::Bool(true), Value::Bool(false));
         assert!(v.to_vec().is_none());
+        assert!(v.items().is_none());
+    }
+
+    #[test]
+    fn items_borrow_a_proper_list_in_order() {
+        let v = Value::from_vec(vec![Value::str("a"), Value::Bool(true), Value::Nil]);
+        let mut items = v.items().unwrap();
+        assert_eq!(items.len(), 3);
+        assert_eq!(items.next().unwrap().as_str(), Some("a"));
+        assert_eq!(items.len(), 2);
+        let rest: Vec<&str> = items.map(Value::kind_name).collect();
+        assert_eq!(rest, ["boolean", "empty list"]);
+        assert_eq!(Value::Nil.items().unwrap().len(), 0);
+        assert!(Value::Bool(true).items().is_none());
     }
 
     #[test]

@@ -79,6 +79,20 @@ impl Drop for JournalGuard {
     }
 }
 
+// Sessions move between the reactor and the worker pool, so what a
+// session owns must be `Send + Sync`. Evaluation values are not (their
+// cons cells, closures and environments are `Rc`): none may reach a
+// program, a canvas or a session, which keep only numbers and their
+// `Arc` traces. This fails to compile if one does.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Session>();
+    send_sync::<sns_sync::LiveSync>();
+    send_sync::<sns_svg::Canvas>();
+    send_sync::<Program>();
+    send_sync::<Arc<sns_eval::Trace>>();
+};
+
 impl fmt::Debug for Session {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Session")

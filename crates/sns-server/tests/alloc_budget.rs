@@ -15,7 +15,8 @@
 //!   works in the tape's own buffers. Its allocations do not grow with
 //!   the program's size.
 //! * A canvas holds each number once: building one allocates its SVG
-//!   tree and one path per shape, and copies no node.
+//!   tree and one path per shape, and copies no node. The tree reads the
+//!   program's output in place: it copies no list of it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -75,6 +76,9 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 /// Post-change allocation counts of one evaluation, plus 10%. The
 /// evaluator these replaced allocated 5 056, 24 424 and 15 342 times.
+/// Moving environments, cons cells and closures from `Arc` to `Rc` left
+/// the counts exactly as they were: an `Rc` allocates what an `Arc` did,
+/// only its reference count is not atomic.
 const EVAL_BUDGETS: [(&str, u64); 3] = [
     ("keyboard", 2_016 * 11 / 10),
     ("us13_flag", 9_458 * 11 / 10),
@@ -192,10 +196,23 @@ fn a_fast_tier_commit_allocates_o1() {
 /// Allocations a canvas may make beyond its SVG tree's and one path per
 /// shape: its shape table and the path stack it is built with, which grow
 /// logarithmically. On these programs a canvas takes its tree's count plus
-/// its shapes plus 2–6 (us50_flag: 952 = 882 + 64 + 6). While every shape
+/// its shapes plus 2–6 (us50_flag: 534 = 464 + 64 + 6). While every shape
 /// kept a clone of its node, it took 1.4–1.5 times its tree's count
 /// (us50_flag 1 349, fractal_tree 848, keyboard 683, bar_graph 178).
 const CANVAS_TABLE_BUDGET: u64 = 16;
+
+/// Allocations an SVG tree may make per shape, plus [`TREE_BUDGET`]: the
+/// node's kind, attribute vector, attribute names and string values, and
+/// its child vector. A `line` or `circle` holds 9–10 (its kind, its
+/// vector, six names, one or two strings); these trees take 7.1–9.6 per
+/// shape (us50_flag 464 for 64 shapes, sliders 288 for 30). While the
+/// tree was built from a copy of every list it read (the node, its
+/// attributes, each `[key value]` pair, its children), it took 13.3–22.0
+/// (us50_flag 882, sliders 547, us13_flag 595 for 27).
+const TREE_PER_SHAPE: u64 = 10;
+
+/// See [`TREE_PER_SHAPE`]: the root `svg` node's own allocations.
+const TREE_BUDGET: u64 = 16;
 
 #[test]
 fn a_canvas_allocates_its_tree_and_one_path_per_shape() {
@@ -215,6 +232,12 @@ fn a_canvas_allocates_its_tree_and_one_path_per_shape() {
         if n > budget {
             over.push(format!(
                 "{slug}: {n} > {tree} for the tree + {shapes} shapes + {CANVAS_TABLE_BUDGET}"
+            ));
+        }
+        let tree_budget = TREE_PER_SHAPE * shapes + TREE_BUDGET;
+        if tree > tree_budget {
+            over.push(format!(
+                "{slug}: tree {tree} > {TREE_PER_SHAPE} × {shapes} shapes + {TREE_BUDGET}"
             ));
         }
     }

@@ -9,7 +9,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use sns_eval::{Trace, Value};
+use sns_eval::{Items, Trace, Value};
 
 /// A number together with its run-time trace, as it appears in an SVG
 /// attribute.
@@ -209,8 +209,22 @@ impl fmt::Display for SvgError {
 
 impl Error for SvgError {}
 
+/// The items of `items` if there are exactly `N` of them.
+fn exactly<'a, const N: usize>(mut items: Items<'a>) -> Option<[&'a Value; N]> {
+    (items.len() == N).then(|| std::array::from_fn(|_| items.next().expect("length checked")))
+}
+
+/// A traced number borrowed from `value`, or the error `msg`.
+fn num_tr(value: &Value, msg: &str) -> Result<NumTr, SvgError> {
+    let (n, t) = value.as_num().ok_or_else(|| SvgError::new(msg))?;
+    Ok(NumTr::new(n, Arc::clone(t)))
+}
+
 /// Converts a `little` output value `[kind attrs children]` into an
 /// [`SvgNode`] tree.
+///
+/// The value's lists are read in place, not copied: the only allocations
+/// are the tree's own vectors and strings.
 ///
 /// # Errors
 ///
@@ -218,30 +232,30 @@ impl Error for SvgError {}
 /// when a specialized attribute encoding is malformed.
 pub fn node_from_value(value: &Value) -> Result<SvgNode, SvgError> {
     let parts = value
-        .to_vec()
+        .items()
         .ok_or_else(|| SvgError::new(format!("node must be a list, found {value}")))?;
-    if parts.len() != 3 {
-        return Err(SvgError::new(format!(
-            "node must be [kind attrs children], found {} element(s)",
-            parts.len()
-        )));
-    }
-    let kind = parts[0]
+    let len = parts.len();
+    let [kind, attr_list, child_list] = exactly(parts).ok_or_else(|| {
+        SvgError::new(format!(
+            "node must be [kind attrs children], found {len} element(s)"
+        ))
+    })?;
+    let kind = kind
         .as_str()
         .ok_or_else(|| SvgError::new("node kind must be a string"))?
         .to_string();
-    let attr_items = parts[1]
-        .to_vec()
+    let attr_items = attr_list
+        .items()
         .ok_or_else(|| SvgError::new("node attributes must be a list"))?;
     let mut attrs = Vec::with_capacity(attr_items.len());
-    for item in &attr_items {
+    for item in attr_items {
         attrs.push(attr_from_value(item)?);
     }
-    let child_items = parts[2]
-        .to_vec()
+    let child_items = child_list
+        .items()
         .ok_or_else(|| SvgError::new("node children must be a list"))?;
     let mut children = Vec::with_capacity(child_items.len());
-    for item in &child_items {
+    for item in child_items {
         match item {
             Value::Str(s) => children.push(SvgChild::Text(s.to_string())),
             other => children.push(SvgChild::Node(node_from_value(other)?)),
@@ -256,34 +270,31 @@ pub fn node_from_value(value: &Value) -> Result<SvgNode, SvgError> {
 
 fn attr_from_value(value: &Value) -> Result<(String, AttrValue), SvgError> {
     let pair = value
-        .to_vec()
+        .items()
         .ok_or_else(|| SvgError::new("attribute must be a [key value] pair"))?;
-    if pair.len() != 2 {
-        return Err(SvgError::new("attribute must have exactly [key value]"));
-    }
-    let key = pair[0]
+    let [key, v] =
+        exactly(pair).ok_or_else(|| SvgError::new("attribute must have exactly [key value]"))?;
+    let key = key
         .as_str()
         .ok_or_else(|| SvgError::new("attribute key must be a string"))?
         .to_string();
-    let v = &pair[1];
     let attr = match (key.as_str(), v) {
         (_, Value::Str(s)) => AttrValue::Str(s.to_string()),
         ("points", v) => AttrValue::Points(points_from_value(v)?),
         ("fill" | "stroke", Value::Num(n, t)) => AttrValue::ColorNum(NumTr::new(*n, Arc::clone(t))),
         ("fill" | "stroke", v @ (Value::Cons(..) | Value::Nil)) => {
             let comps = v
-                .to_vec()
-                .filter(|items| items.len() == 4)
+                .items()
+                .and_then(exactly::<4>)
                 .ok_or_else(|| SvgError::new("rgba color must be [r g b a]"))?;
-            let mut nums = Vec::with_capacity(4);
-            for c in &comps {
-                let (n, t) = c
-                    .as_num()
-                    .ok_or_else(|| SvgError::new("rgba components must be numbers"))?;
-                nums.push(NumTr::new(n, Arc::clone(t)));
-            }
-            let [r, g, b, a]: [NumTr; 4] = nums.try_into().expect("length checked above");
-            AttrValue::Rgba([r, g, b, a])
+            let msg = "rgba components must be numbers";
+            let [r, g, b, a] = comps;
+            AttrValue::Rgba([
+                num_tr(r, msg)?,
+                num_tr(g, msg)?,
+                num_tr(b, msg)?,
+                num_tr(a, msg)?,
+            ])
         }
         ("d", v) => AttrValue::Path(path_from_value(v)?),
         ("transform", v) => AttrValue::Transform(transform_from_value(v)?),
@@ -299,35 +310,35 @@ fn attr_from_value(value: &Value) -> Result<(String, AttrValue), SvgError> {
 
 fn points_from_value(value: &Value) -> Result<Vec<(NumTr, NumTr)>, SvgError> {
     let items = value
-        .to_vec()
+        .items()
         .ok_or_else(|| SvgError::new("points must be a list of [x y] pairs"))?;
     let mut pts = Vec::with_capacity(items.len());
-    for item in &items {
-        let pair = item
-            .to_vec()
-            .filter(|p| p.len() == 2)
+    for item in items {
+        let [x, y] = item
+            .items()
+            .and_then(exactly)
             .ok_or_else(|| SvgError::new("each point must be [x y]"))?;
-        let (x, tx) = pair[0]
-            .as_num()
-            .ok_or_else(|| SvgError::new("point x must be a number"))?;
-        let (y, ty) = pair[1]
-            .as_num()
-            .ok_or_else(|| SvgError::new("point y must be a number"))?;
-        pts.push((NumTr::new(x, Arc::clone(tx)), NumTr::new(y, Arc::clone(ty))));
+        pts.push((
+            num_tr(x, "point x must be a number")?,
+            num_tr(y, "point y must be a number")?,
+        ));
     }
     Ok(pts)
 }
 
 fn path_from_value(value: &Value) -> Result<Vec<PathCmd>, SvgError> {
-    let items = value
-        .to_vec()
+    let mut items = value
+        .items()
         .ok_or_else(|| SvgError::new("path data must be a flat list"))?;
-    let mut cmds: Vec<PathCmd> = Vec::new();
-    for item in &items {
+    // Each command and its arguments are counted ahead, to size them.
+    let commands = items.clone().filter(|v| matches!(v, Value::Str(_))).count();
+    let is_num = |v: &&Value| matches!(v, Value::Num(..));
+    let mut cmds: Vec<PathCmd> = Vec::with_capacity(commands);
+    while let Some(item) = items.next() {
         match item {
             Value::Str(s) => cmds.push(PathCmd {
                 cmd: s.to_string(),
-                args: Vec::new(),
+                args: Vec::with_capacity(items.clone().take_while(is_num).count()),
             }),
             Value::Num(n, t) => {
                 let cur = cmds
@@ -349,30 +360,36 @@ fn transform_from_value(value: &Value) -> Result<Vec<TransformCmd>, SvgError> {
     // Accept both a single command ['rotate' a cx cy] and a list of
     // commands [['rotate' …] ['translate' …]].
     let items = value
-        .to_vec()
+        .items()
         .ok_or_else(|| SvgError::new("transform must be a list"))?;
-    let single = items.first().is_some_and(|v| matches!(v, Value::Str(_)));
-    let cmds: Vec<Value> = if single { vec![value.clone()] } else { items };
-    let mut out = Vec::with_capacity(cmds.len());
-    for cmd in &cmds {
-        let parts = cmd
-            .to_vec()
-            .ok_or_else(|| SvgError::new("transform command must be a list"))?;
-        let name = parts
-            .first()
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| SvgError::new("transform command must start with a name"))?
-            .to_string();
-        let mut args = Vec::with_capacity(parts.len() - 1);
-        for p in &parts[1..] {
-            let (n, t) = p
-                .as_num()
-                .ok_or_else(|| SvgError::new("transform arguments must be numbers"))?;
-            args.push(NumTr::new(n, Arc::clone(t)));
-        }
-        out.push(TransformCmd { cmd: name, args });
+    let single = items
+        .clone()
+        .next()
+        .is_some_and(|v| matches!(v, Value::Str(_)));
+    if single {
+        return Ok(vec![transform_cmd(value)?]);
+    }
+    let mut out = Vec::with_capacity(items.len());
+    for cmd in items {
+        out.push(transform_cmd(cmd)?);
     }
     Ok(out)
+}
+
+fn transform_cmd(cmd: &Value) -> Result<TransformCmd, SvgError> {
+    let mut parts = cmd
+        .items()
+        .ok_or_else(|| SvgError::new("transform command must be a list"))?;
+    let name = parts
+        .next()
+        .and_then(Value::as_str)
+        .ok_or_else(|| SvgError::new("transform command must start with a name"))?
+        .to_string();
+    let mut args = Vec::with_capacity(parts.len());
+    for p in parts {
+        args.push(num_tr(p, "transform arguments must be numbers")?);
+    }
+    Ok(TransformCmd { cmd: name, args })
 }
 
 #[cfg(test)]

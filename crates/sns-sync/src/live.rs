@@ -74,10 +74,13 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sns_eval::{Escapes, EvalError, EvalOutcome, FreezeMode, Program, Trace, TraceTape};
+use sns_eval::{
+    AddrHasher, Escapes, EvalError, EvalOutcome, FreezeMode, Program, Trace, TraceTape,
+};
 use sns_lang::{diff_exprs, AstDiff, LocId, Subst};
 use sns_svg::node::{PathCmd, TransformCmd};
 use sns_svg::{resolve_attr, AttrValue, Canvas, NumTr, ShapeId, SvgChild, SvgError, SvgNode, Zone};
@@ -636,23 +639,29 @@ fn literal_edit(old: &Subst, new: &Subst) -> Subst {
 }
 
 /// Structural equality over SVG nodes with traced numbers compared by bit
-/// pattern and memoized (by pointer pair) structural trace equality —
+/// pattern and structural trace equality memoized by address pair —
 /// traces are shared DAGs, so derived recursion would blow up on deep
-/// sharing. Used by a re-evaluated code edit to verify that each shape is
-/// exactly what the cached analyses describe.
+/// sharing. Only a pair in which either trace is shared is memoized: a
+/// trace held by one parent is reached only through it, so a pair of such
+/// traces is met once per visit of their parents' pair. Used by a
+/// re-evaluated code edit to verify that each shape is exactly what the
+/// cached analyses describe.
 #[derive(Default)]
 struct TraceEq {
-    memo: HashMap<(usize, usize), bool>,
+    memo: HashMap<(usize, usize), bool, BuildHasherDefault<AddrHasher>>,
 }
 
 impl TraceEq {
     fn trace_eq(&mut self, a: &Arc<Trace>, b: &Arc<Trace>) -> bool {
-        let key = (Arc::as_ptr(a) as usize, Arc::as_ptr(b) as usize);
-        if key.0 == key.1 {
+        if Arc::ptr_eq(a, b) {
             return true;
         }
-        if let Some(&hit) = self.memo.get(&key) {
-            return hit;
+        let key = (Arc::as_ptr(a) as usize, Arc::as_ptr(b) as usize);
+        let shared = Arc::strong_count(a) > 1 || Arc::strong_count(b) > 1;
+        if shared {
+            if let Some(&hit) = self.memo.get(&key) {
+                return hit;
+            }
         }
         let eq = match (a.as_ref(), b.as_ref()) {
             (Trace::Loc(la), Trace::Loc(lb)) => la == lb,
@@ -663,7 +672,9 @@ impl TraceEq {
             }
             _ => false,
         };
-        self.memo.insert(key, eq);
+        if shared {
+            self.memo.insert(key, eq);
+        }
         eq
     }
 
@@ -764,6 +775,7 @@ fn triggers_for(assignments: &Assignments) -> HashMap<(ShapeId, Zone), Trigger> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sns_lang::Op;
 
     const SINE_WAVE: &str = r#"
         (def [x0 y0 w h sep amp] [50 120 20 90 30 60])
@@ -1115,5 +1127,69 @@ mod tests {
         assert_eq!(stats.fallback_structural, 1);
         assert_eq!(stats.full_prepares, 2);
         assert_eq!(live.canvas().shapes().len(), 1);
+    }
+
+    fn l(i: u32) -> Arc<Trace> {
+        Trace::loc(LocId(i))
+    }
+
+    /// `(* s (sin s))` with `s = (+ l1 l<leaf>)` shared by both uses;
+    /// returns `s` too, so the caller holds it.
+    fn shared_dag(leaf: u32) -> (Arc<Trace>, Arc<Trace>) {
+        let s = Trace::op(Op::Add, [l(1), l(leaf)]);
+        let t = Trace::op(
+            Op::Mul,
+            [Arc::clone(&s), Trace::op(Op::Sin, [Arc::clone(&s)])],
+        );
+        (s, t)
+    }
+
+    fn key(a: &Arc<Trace>, b: &Arc<Trace>) -> (usize, usize) {
+        (Arc::as_ptr(a) as usize, Arc::as_ptr(b) as usize)
+    }
+
+    #[test]
+    fn trace_eq_compares_equal_dags_that_share_sub_traces() {
+        let ((sa, a), (sb, b)) = (shared_dag(2), shared_dag(2));
+        let mut eq = TraceEq::default();
+        assert!(eq.trace_eq(&a, &b));
+        // Only the shared pair is memoized: the roots, the `sin` nodes and
+        // the leaves are each held by one parent.
+        assert_eq!(eq.memo.len(), 1);
+        assert_eq!(eq.memo.get(&key(&sa, &sb)), Some(&true));
+    }
+
+    #[test]
+    fn trace_eq_catches_an_unshared_leaf_that_differs_under_a_shared_node() {
+        let ((sa, a), (sb, b)) = (shared_dag(2), shared_dag(3));
+        let mut eq = TraceEq::default();
+        // The first time the shared pair is met.
+        assert!(!eq.trace_eq(&a, &b));
+        assert_eq!(eq.memo.get(&key(&sa, &sb)), Some(&false));
+        // A later visit, through other unshared parents, reads the memo.
+        let (pa, pb) = (
+            Trace::op(Op::Cos, [Arc::clone(&sa)]),
+            Trace::op(Op::Cos, [Arc::clone(&sb)]),
+        );
+        assert!(!eq.trace_eq(&pa, &pb));
+        assert_eq!(eq.memo.len(), 1);
+        // And the same DAGs compared afresh agree.
+        assert!(!TraceEq::default().trace_eq(&pa, &pb));
+    }
+
+    #[test]
+    fn trace_eq_short_circuits_a_pointer_equal_pair() {
+        let (s, t) = shared_dag(2);
+        let mut eq = TraceEq::default();
+        assert!(eq.trace_eq(&t, &t));
+        assert!(eq.trace_eq(&s, &Arc::clone(&s)));
+        assert!(eq.memo.is_empty());
+        // Under distinct parents, the shared child is not descended into.
+        let (a, b) = (
+            Trace::op(Op::Sqrt, [Arc::clone(&s)]),
+            Trace::op(Op::Sqrt, [Arc::clone(&s)]),
+        );
+        assert!(eq.trace_eq(&a, &b));
+        assert!(eq.memo.is_empty());
     }
 }
