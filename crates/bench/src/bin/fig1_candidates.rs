@@ -24,11 +24,12 @@ fn run() {
     let canvas = Canvas::from_value(&value).expect("renders");
 
     // Figure 1C: the user drags the third box (index 2) by (+45, +28).
-    let box3 = canvas.shape(ShapeId(2)).unwrap().node;
-    let x = box3.num_attr("x").expect("rect has x");
+    let box3 = canvas.shape(ShapeId(2)).unwrap();
+    let x = box3.node.num_attr("x").expect("rect has x");
+    let x_value = box3.value(x);
     let (dx, _dy) = (45.0, 28.0);
-    let target = x.n + dx;
-    println!("Figure 1C: drag box 3 from x = {} to x' = {}", x.n, target);
+    let target = x_value + dx;
+    println!("Figure 1C: drag box 3 from x = {x_value} to x' = {target}");
     println!("Equation 3': {} = {}", target, x.t);
     println!();
 
@@ -52,7 +53,7 @@ fn run() {
     let leaves = numeric_leaves(&value);
     let index = leaves
         .iter()
-        .position(|&v| v == x.n)
+        .position(|&v| v == x_value)
         .expect("x appears in output");
     let updates = [UserUpdate {
         index,

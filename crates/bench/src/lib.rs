@@ -129,47 +129,64 @@ pub struct Timing {
 
 /// Times one example `runs` times and returns each run's timings.
 ///
+/// Each phase runs `runs` times in its own loop, over one parsed program
+/// and one canvas, so no phase's timing sits between another phase's
+/// allocations: the `i`-th timing holds the `i`-th run of each phase.
+/// What a phase returns is dropped after its clock stops.
+///
 /// # Panics
 ///
 /// Panics if the example fails to run.
 pub fn time_example(example: &Example, runs: usize) -> Vec<Timing> {
-    let mut out = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let t0 = Instant::now();
-        let program = Program::parse(example.source).expect("parse");
-        let parse = t0.elapsed().as_secs_f64();
+    let program = Program::parse(example.source).expect("parse");
+    let parse: Vec<f64> = (0..runs)
+        .map(|_| timed(|| Program::parse(example.source).expect("parse")))
+        .collect();
+    let eval: Vec<f64> = (0..runs)
+        .map(|_| timed(|| program.eval().expect("eval")))
+        .collect();
+    // A clone of a program never unparsed has no cached text to share.
+    let unparse: Vec<f64> = (0..runs)
+        .map(|_| {
+            let fresh = program.clone();
+            timed(|| fresh.code())
+        })
+        .collect();
+    let canvas = Canvas::from_value(&program.eval().expect("eval")).expect("canvas");
+    let mode = FreezeMode::default();
+    let frozen = |l: LocId| program.is_frozen(l, mode);
+    let prepare: Vec<f64> = (0..runs)
+        .map(|_| {
+            timed(|| {
+                let assignments = analyze_canvas(&canvas, &frozen, Heuristic::Fair);
+                let triggers = assignments
+                    .zones
+                    .iter()
+                    .filter(|z| sns_sync::Trigger::compute(z).is_some())
+                    .count();
+                assert!(triggers <= assignments.zones.len());
+                assignments
+            })
+        })
+        .collect();
+    (0..runs)
+        .map(|i| Timing {
+            parse: parse[i],
+            eval: eval[i],
+            unparse: unparse[i],
+            prepare: prepare[i],
+            run: parse[i] + eval[i] + prepare[i],
+        })
+        .collect()
+}
 
-        let t0 = Instant::now();
-        let value = program.eval().expect("eval");
-        let eval = t0.elapsed().as_secs_f64();
-
-        let t0 = Instant::now();
-        let _code = program.code();
-        let unparse = t0.elapsed().as_secs_f64();
-
-        let canvas = Canvas::from_value(&value).expect("canvas");
-        let mode = FreezeMode::default();
-        let frozen = |l: LocId| program.is_frozen(l, mode);
-        let t0 = Instant::now();
-        let assignments = analyze_canvas(&canvas, &frozen, Heuristic::Fair);
-        let mut triggers = 0usize;
-        for z in &assignments.zones {
-            if sns_sync::Trigger::compute(z).is_some() {
-                triggers += 1;
-            }
-        }
-        let prepare = t0.elapsed().as_secs_f64();
-        assert!(triggers <= assignments.zones.len());
-
-        out.push(Timing {
-            parse,
-            eval,
-            unparse,
-            prepare,
-            run: parse + eval + prepare,
-        });
-    }
-    out
+/// Seconds `f` takes; what it returns is dropped once the clock stops.
+fn timed<T>(f: impl FnOnce() -> T) -> f64 {
+    let t0 = Instant::now();
+    let out = f();
+    let secs = t0.elapsed().as_secs_f64();
+    drop(out);
+    secs
 }
 
 /// Representative slugs the micro-benches (`benches/*.rs`) run against.

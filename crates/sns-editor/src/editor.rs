@@ -769,7 +769,7 @@ mod tests {
         let best = ed.apply_output_edits(&edits).unwrap();
         assert!(best.judgment.is_faithful());
         // The gentler update (sep) was chosen; box 0 did not move.
-        let x = |ed: &Editor, i| ed.shapes().nth(i).unwrap().node.num_attr("x").unwrap().n;
+        let x = |ed: &Editor, i| ed.shapes().nth(i).unwrap().num("x").unwrap();
         assert_eq!(x(&ed, 0), 50.0);
         assert_eq!(x(&ed, 1), 250.0);
         ed.undo().unwrap();

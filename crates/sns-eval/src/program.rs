@@ -385,7 +385,12 @@ impl Program {
 
     /// The current user-program source text.
     pub fn code(&self) -> String {
-        self.code_text().text.clone()
+        self.code_str().to_string()
+    }
+
+    /// [`Program::code`], borrowed from the cached text.
+    pub fn code_str(&self) -> &str {
+        &self.code_text().text
     }
 
     /// The user-program text as it reads after applying `rho` — equal to

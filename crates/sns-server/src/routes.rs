@@ -221,7 +221,11 @@ fn error_response(status: u16, msg: &str) -> Response {
 }
 
 fn ok_json(status: u16, body: Json) -> Response {
-    Response::json(status, body.to_string())
+    match body {
+        // Already JSON text: it becomes the body as it is.
+        Json::Raw(text) => Response::json(status, text),
+        body => Response::json(status, body.to_string()),
+    }
 }
 
 /// Constant-time byte comparison: the work done is independent of where
@@ -540,9 +544,16 @@ fn inline_commit(state: &Arc<ServerState>, id: &str) -> Option<Response> {
     ))
 }
 
-/// The reply to a commit: the committed program's text.
+/// The reply to a commit, `{"code":…}` with the committed program's
+/// text: the cached text is escaped straight into the body, with no copy
+/// of it and no JSON tree.
 fn commit_reply(session: &Session) -> Json {
-    Json::obj([("code", Json::str(session.code()))])
+    let code = session.editor().program().code_str();
+    let mut body = String::with_capacity(code.len() + "{\"code\":\"\"}".len());
+    body.push_str("{\"code\":");
+    json::write_str(&mut body, code).expect("writing to a String cannot fail");
+    body.push('}');
+    Json::Raw(body)
 }
 
 /// `GET /metrics`: the whole registry as Prometheus text exposition.
@@ -731,39 +742,52 @@ fn run_locked(
     }
 }
 
+/// Every prepare detail of [`prepare_detail`], by tier (`partial`,
+/// `incremental`, `full`, `none`), then fallback (none, `escaped`,
+/// `structural`, `reconcile`).
+macro_rules! prepare_details {
+    ($($tier:literal),*) => {
+        [$([
+            concat!("tier=", $tier),
+            concat!("tier=", $tier, " fallback=escaped"),
+            concat!("tier=", $tier, " fallback=structural"),
+            concat!("tier=", $tier, " fallback=reconcile"),
+        ]),*]
+    };
+}
+const PREPARE_DETAILS: [[&str; 4]; 4] = prepare_details!("partial", "incremental", "full", "none");
+
 /// Derives a timeline detail string from a live-stats delta: the prepare
 /// tier the operation took and any fallback reason. Drags carry the eval
-/// path instead (a tier proof without evaluation vs full re-eval).
-fn prepare_detail(kind: TimelineKind, d: &LiveStats) -> String {
+/// path instead (a tier proof without evaluation vs full re-eval). Every
+/// detail is a constant, so recording one allocates nothing.
+fn prepare_detail(kind: TimelineKind, d: &LiveStats) -> &'static str {
     if kind == TimelineKind::Drag {
         return if d.full_evals > 0 {
-            "eval=full".to_string()
+            "eval=full"
         } else {
-            "eval=fast".to_string()
+            "eval=fast"
         };
     }
     let tier = if d.partial_prepares > 0 {
-        "partial"
+        0
     } else if d.incremental_prepares > 0 {
-        "incremental"
+        1
     } else if d.full_prepares > 0 {
-        "full"
+        2
     } else {
-        "none"
+        3
     };
     let fallback = if d.fallback_escaped > 0 {
-        Some("escaped")
+        1
     } else if d.fallback_structural > 0 {
-        Some("structural")
+        2
     } else if d.fallback_reconcile > 0 {
-        Some("reconcile")
+        3
     } else {
-        None
+        0
     };
-    match fallback {
-        Some(f) => format!("tier={tier} fallback={f}"),
-        None => format!("tier={tier}"),
-    }
+    PREPARE_DETAILS[tier][fallback]
 }
 
 fn set_code(state: &Arc<ServerState>, id: &str, body: &[u8]) -> Response {

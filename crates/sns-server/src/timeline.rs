@@ -9,6 +9,7 @@
 //! timeline must never block on a wedged session lock, because a wedged
 //! session is exactly when the timeline matters.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -81,7 +82,7 @@ struct Event {
     /// Milliseconds since the registry (≈ server) started.
     at_ms: u64,
     kind: Kind,
-    detail: String,
+    detail: Cow<'static, str>,
     /// Coalesced repeats (drag batches arrive hundreds at a time).
     count: u64,
 }
@@ -140,23 +141,30 @@ impl Timelines {
     /// Records one event on `id`'s timeline. A repeat of the newest
     /// event (same kind, same detail) coalesces: its count rises and its
     /// timestamp advances, so a thousand drag frames cost one slot.
-    pub fn record(&self, id: &str, kind: Kind, detail: impl Into<String>) {
+    ///
+    /// A session that already has a timeline is found by `id` as
+    /// borrowed, so with a static `detail` (every detail the server
+    /// records is one) recording allocates nothing but a new event.
+    pub fn record(&self, id: &str, kind: Kind, detail: impl Into<Cow<'static, str>>) {
         let detail = detail.into();
         let at_ms = self.now_ms();
         self.totals[kind as usize].fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard(id).lock().expect("timeline shard lock");
-        if !shard.contains_key(id) && shard.len() >= SESSIONS_PER_SHARD {
-            // Drop the coldest session so the registry stays bounded no
-            // matter how many sessions churn through the process.
-            if let Some(coldest) = shard
-                .iter()
-                .min_by_key(|(_, r)| r.last_ms)
-                .map(|(k, _)| k.clone())
-            {
-                shard.remove(&coldest);
+        if !shard.contains_key(id) {
+            if shard.len() >= SESSIONS_PER_SHARD {
+                // Drop the coldest session so the registry stays bounded
+                // no matter how many sessions churn through the process.
+                if let Some(coldest) = shard
+                    .iter()
+                    .min_by_key(|(_, r)| r.last_ms)
+                    .map(|(k, _)| k.clone())
+                {
+                    shard.remove(&coldest);
+                }
             }
+            shard.insert(id.to_string(), Ring::default());
         }
-        let ring = shard.entry(id.to_string()).or_default();
+        let ring = shard.get_mut(id).expect("the session's ring");
         ring.last_ms = at_ms;
         if let Some(last) = ring.events.back_mut() {
             if last.kind == kind && last.detail == detail {
@@ -189,7 +197,7 @@ impl Timelines {
                 ("count", Json::Num(e.count as f64)),
             ];
             if !e.detail.is_empty() {
-                pairs.push(("detail", Json::str(e.detail.clone())));
+                pairs.push(("detail", Json::str(&*e.detail)));
             }
             out.push_str(&Json::obj(pairs).to_string());
             out.push('\n');

@@ -12,17 +12,21 @@
 //! * A fast-tier commit copies no AST: the undo point shares the
 //!   program's expressions and copies its ρ₀ in one allocation, and the
 //!   update rebinds ρ₀ and splices the code text. Its trace-tape sweep
-//!   works in the tape's own buffers. Its allocations do not grow with
-//!   the program's size.
+//!   works in the tape's own buffers, and the swept numbers are stored
+//!   into the canvas's value array, which allocates nothing. Its
+//!   allocations do not grow with the program's size.
 //! * A canvas holds each number once: building one allocates its SVG
-//!   tree and one path per shape, and copies no node. The tree reads the
-//!   program's output in place: it copies no list of it.
+//!   tree, its value array and one path per shape, and copies no node.
+//!   The tree reads the program's output in place: it copies no list of
+//!   it, and shares its strings.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sns_eval::Program;
+use sns_eval::{Program, TraceTape};
+use sns_lang::Subst;
 use sns_server::session::Session;
+use sns_svg::Canvas;
 
 /// Counts the allocations (and reallocations) of the current thread, so
 /// tests running in parallel do not see each other's.
@@ -193,25 +197,61 @@ fn a_fast_tier_commit_allocates_o1() {
     assert!(most.0 >= 2 * few.0, "the programs span sizes");
 }
 
+/// The write step of a fast-tier commit, which stores the numbers a sweep
+/// changed into the canvas's value array by index, allocates nothing.
+#[test]
+fn the_commit_write_step_allocates_nothing() {
+    for slug in LIVEBENCH_PROGRAMS {
+        let src = sns_examples::by_slug(slug).expect("corpus example").source;
+        let program = Program::parse(src).expect("corpus parses");
+        let mut canvas = Canvas::from_value(&program.eval().expect("corpus runs")).expect("SVG");
+        let rho0 = program.rho0();
+        let mut tape = TraceTape::builder(rho0);
+        let mut outputs = Vec::new();
+        canvas.for_each_num(|num| outputs.push(tape.push(&num.t)));
+        let mut tape = tape.finish();
+        // Move every user literal by a quarter: most numbers change.
+        let update: Subst = rho0
+            .iter()
+            .filter(|&(l, _)| !program.is_prelude_loc(l))
+            .map(|(l, v)| (l, v + 0.25))
+            .collect();
+        let sweep = tape.sweep(&update).expect("the tape sweeps");
+        let before = canvas.nums().to_vec();
+        let (n, ()) = allocations(|| canvas.write_nums(|i| sweep.get(outputs[i])));
+        let written = before
+            .iter()
+            .zip(canvas.nums())
+            .filter(|(a, b)| a.to_bits() != b.to_bits())
+            .count();
+        eprintln!("{slug}: {written} numbers written, {n} allocations");
+        assert!(written > 0, "{slug}: the sweep changed no canvas number");
+        assert_eq!(n, 0, "{slug}: the write step allocated");
+    }
+}
+
 /// Allocations a canvas may make beyond its SVG tree's and one path per
 /// shape: its shape table and the path stack it is built with, which grow
 /// logarithmically. On these programs a canvas takes its tree's count plus
-/// its shapes plus 2–6 (us50_flag: 534 = 464 + 64 + 6). While every shape
+/// its shapes plus 2–6 (us50_flag: 142 = 72 + 64 + 6). While every shape
 /// kept a clone of its node, it took 1.4–1.5 times its tree's count
 /// (us50_flag 1 349, fractal_tree 848, keyboard 683, bar_graph 178).
 const CANVAS_TABLE_BUDGET: u64 = 16;
 
 /// Allocations an SVG tree may make per shape, plus [`TREE_BUDGET`]: the
-/// node's kind, attribute vector, attribute names and string values, and
-/// its child vector. A `line` or `circle` holds 9–10 (its kind, its
-/// vector, six names, one or two strings); these trees take 7.1–9.6 per
-/// shape (us50_flag 464 for 64 shapes, sliders 288 for 30). While the
-/// tree was built from a copy of every list it read (the node, its
-/// attributes, each `[key value]` pair, its children), it took 13.3–22.0
-/// (us50_flag 882, sliders 547, us13_flag 595 for 27).
-const TREE_PER_SHAPE: u64 = 10;
+/// node's attribute vector and its child vector, and its share of the
+/// value array's growth. The tree shares the output's strings (kind,
+/// attribute names, string values) instead of copying them, so these
+/// trees take 1.1–2.8 per shape (us50_flag 72 for 64 shapes, pie_chart
+/// 22 for 8), and at most 1.7 per shape over [`TREE_BUDGET`]
+/// (tessellation 64 for 28). While every name and string was copied into
+/// a fresh `String`, they took 7.1–9.6 (us50_flag 464, sliders 288 for
+/// 30); while the tree was also built from a copy of every list it read,
+/// 13.3–22.0 (us50_flag 882).
+const TREE_PER_SHAPE: u64 = 2;
 
-/// See [`TREE_PER_SHAPE`]: the root `svg` node's own allocations.
+/// See [`TREE_PER_SHAPE`]: the root `svg` node's own allocations and the
+/// value array's first growth steps.
 const TREE_BUDGET: u64 = 16;
 
 #[test]
@@ -223,7 +263,7 @@ fn a_canvas_allocates_its_tree_and_one_path_per_shape() {
             .expect("corpus parses")
             .eval()
             .expect("corpus runs");
-        let (tree, node) = allocations(|| sns_svg::node_from_value(&value));
+        let (tree, node) = allocations(|| sns_svg::node_from_value(&value, &mut Vec::new()));
         node.expect("an SVG tree");
         let (n, canvas) = allocations(|| sns_svg::Canvas::from_value(&value));
         let shapes = canvas.expect("a canvas").shapes().len() as u64;

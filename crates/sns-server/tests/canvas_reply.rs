@@ -37,7 +37,7 @@ fn oracle_canvas(session: &Session) -> Json {
                 .collect();
             Json::obj([
                 ("id", Json::Num(shape.id.0 as f64)),
-                ("kind", Json::str(shape.node.kind.clone())),
+                ("kind", Json::str(&*shape.node.kind)),
                 ("hidden", Json::Bool(shape.hidden())),
                 ("zones", Json::Arr(zones)),
             ])

@@ -2,12 +2,17 @@
 //! in it given a stable identity for zone assignment and direct
 //! manipulation. A shape is a view of its node in that tree, so each
 //! traced number lives once.
+//!
+//! The tree holds each number's trace; the numbers' values live in one
+//! flat array in canvas order ([`Canvas::nums`]), which every reader —
+//! rendering, zone slots, trigger bases — indexes by [`NumTr::slot`]. So
+//! a commit that sweeps new values from the traces writes that array,
+//! each changed number by index ([`Canvas::write_nums`]), and leaves the
+//! tree alone.
 
 use sns_eval::Value;
 
-use crate::node::{
-    for_each_num, for_each_num_mut, node_from_value, NumTr, SvgChild, SvgError, SvgNode,
-};
+use crate::node::{for_each_num, node_from_value, NumTr, SvgChild, SvgError, SvgNode};
 use crate::render::{render, render_to, RenderOptions};
 use crate::zones::{zones_of, ZoneSpec};
 
@@ -21,13 +26,16 @@ impl std::fmt::Display for ShapeId {
     }
 }
 
-/// One shape in the canvas: a view of its node in the canvas's tree.
+/// One shape in the canvas: a view of its node in the canvas's tree, and
+/// of the canvas's values.
 #[derive(Debug, Clone, Copy)]
 pub struct Shape<'a> {
     /// The shape's canvas identity.
     pub id: ShapeId,
     /// The underlying SVG node (traces preserved).
     pub node: &'a SvgNode,
+    /// The canvas's values, which the node's numbers index.
+    pub nums: &'a [f64],
 }
 
 impl Shape<'_> {
@@ -40,13 +48,26 @@ impl Shape<'_> {
     pub fn hidden(&self) -> bool {
         self.node.hidden()
     }
+
+    /// The value of a number of this shape's tree.
+    pub fn value(&self, num: &NumTr) -> f64 {
+        num.value(self.nums)
+    }
+
+    /// The value of the numeric attribute `name`, if the node has one.
+    pub fn num(&self, name: &str) -> Option<f64> {
+        self.node.num_attr(name).map(|n| self.value(n))
+    }
 }
 
-/// The rendered output of a program: the root `svg` node, and where in it
-/// each shape is.
+/// The rendered output of a program: the root `svg` node, the value of
+/// each of its numbers, and where in it each shape is.
 #[derive(Debug, Clone)]
 pub struct Canvas {
     root: SvgNode,
+    /// Every number's value, in [`Canvas::for_each_num`] order; a
+    /// [`NumTr::slot`] indexes it.
+    nums: Vec<f64>,
     /// Each shape's path from the root, by [`ShapeId`]: the indices of the
     /// children leading to its node.
     paths: Vec<Box<[u32]>>,
@@ -60,8 +81,9 @@ impl Canvas {
     /// Returns an [`SvgError`] if the value is not a well-formed SVG node
     /// tree rooted at an `'svg'` node.
     pub fn from_value(value: &Value) -> Result<Canvas, SvgError> {
-        let root = node_from_value(value)?;
-        if root.kind != "svg" {
+        let mut nums = Vec::new();
+        let root = node_from_value(value, &mut nums)?;
+        if &*root.kind != "svg" {
             return Err(SvgError::new(format!(
                 "program output must be an 'svg' node, found '{}'",
                 root.kind
@@ -69,12 +91,20 @@ impl Canvas {
         }
         let mut paths = Vec::new();
         collect_shapes(&root, &mut Vec::new(), &mut paths);
-        Ok(Canvas { root, paths })
+        Ok(Canvas { root, nums, paths })
     }
 
     /// The root `svg` node.
     pub fn root(&self) -> &SvgNode {
         &self.root
+    }
+
+    /// The value of every traced number of the canvas, in
+    /// [`Canvas::for_each_num`] order — the `w1 … wk` numeric outputs of
+    /// the synthesis framework (§3). A number's [`NumTr::slot`] is its
+    /// index here.
+    pub fn nums(&self) -> &[f64] {
+        &self.nums
     }
 
     /// All shapes in pre-order.
@@ -91,12 +121,16 @@ impl Canvas {
             };
             node = child;
         }
-        Some(Shape { id, node })
+        Some(Shape {
+            id,
+            node,
+            nums: &self.nums,
+        })
     }
 
     /// Renders the canvas to SVG text (the editor's export feature).
     pub fn to_svg(&self, options: RenderOptions) -> String {
-        render(&self.root, options)
+        render(&self.root, &self.nums, options)
     }
 
     /// Writes the SVG text [`Canvas::to_svg`] returns into `out`.
@@ -109,29 +143,27 @@ impl Canvas {
         out: &mut impl std::fmt::Write,
         options: RenderOptions,
     ) -> std::fmt::Result {
-        render_to(out, &self.root, options)
+        render_to(out, &self.root, &self.nums, options)
     }
 
-    /// Visits every traced number of the canvas once, depth first — the
-    /// `w1 … wk` numeric outputs of the synthesis framework (§3). This
-    /// order indexes [`Canvas::write_nums`].
+    /// Visits every traced number of the canvas once, depth first: a
+    /// node's attributes, then its children's. The `i`-th number visited
+    /// has slot `i`.
     pub fn for_each_num<'a>(&'a self, mut f: impl FnMut(&'a NumTr)) {
         for_each_num(&self.root, &mut f);
     }
 
-    /// Rewrites traced numbers in place: the `i`-th number in
-    /// [`Canvas::for_each_num`] order becomes `value(i)` where that is
-    /// `Some`. Structure, strings, and traces are untouched, so this is
-    /// for substitutions that provably leave control flow unchanged, with
+    /// Rewrites values in place: the number in slot `i` becomes `value(i)`
+    /// where that is `Some`. One pass over the flat value array; the tree
+    /// — structure, strings and traces — is untouched, so this is for
+    /// substitutions that provably leave control flow unchanged, with
     /// values swept from the traces (see [`sns_eval::TraceTape`]).
     pub fn write_nums(&mut self, mut value: impl FnMut(usize) -> Option<f64>) {
-        let mut i = 0;
-        for_each_num_mut(&mut self.root, &mut |num: &mut NumTr| {
+        for (i, n) in self.nums.iter_mut().enumerate() {
             if let Some(v) = value(i) {
-                num.n = v;
+                *n = v;
             }
-            i += 1;
-        });
+        }
     }
 }
 
@@ -142,7 +174,7 @@ fn collect_shapes(node: &SvgNode, path: &mut Vec<u32>, paths: &mut Vec<Box<[u32]
     for (i, child) in node.children.iter().enumerate() {
         if let SvgChild::Node(n) = child {
             path.push(i as u32);
-            if n.kind != "svg" && n.kind != "g" {
+            if !matches!(&*n.kind, "svg" | "g") {
                 paths.push(path.as_slice().into());
             }
             collect_shapes(n, path, paths);
@@ -161,12 +193,17 @@ mod tests {
         Canvas::from_value(&v).unwrap()
     }
 
+    /// Every value of a canvas, as bits.
+    fn bits(c: &Canvas) -> Vec<u64> {
+        c.nums().iter().map(|n| n.to_bits()).collect()
+    }
+
     #[test]
     fn flattens_shapes_in_order() {
         let c = canvas_of("(svg [(rect 'a' 0 0 1 1) (circle 'b' 5 5 2) (line 'c' 1 0 0 9 9)])");
-        let kinds: Vec<&str> = c.shapes().map(|s| s.node.kind.as_str()).collect();
+        let kinds: Vec<&str> = c.shapes().map(|s| &*s.node.kind).collect();
         assert_eq!(kinds, vec!["rect", "circle", "line"]);
-        assert_eq!(c.shape(ShapeId(1)).unwrap().node.kind, "circle");
+        assert_eq!(&*c.shape(ShapeId(1)).unwrap().node.kind, "circle");
     }
 
     #[test]
@@ -187,18 +224,20 @@ mod tests {
     #[test]
     fn numeric_outputs_cover_all_attrs() {
         let c = canvas_of("(svg [(rect 'a' 10 20 30 40)])");
-        let mut nums = Vec::new();
-        c.for_each_num(|n| nums.push(n.n));
-        assert_eq!(nums, vec![10.0, 20.0, 30.0, 40.0]);
+        let mut slots = Vec::new();
+        c.for_each_num(|n| slots.push(n.slot));
+        assert_eq!(slots, vec![0, 1, 2, 3]);
+        assert_eq!(c.nums(), [10.0, 20.0, 30.0, 40.0]);
     }
 
-    /// Every node's kind and numbers, depth first: a plain tree walk.
-    fn walk(node: &SvgNode, kinds: &mut Vec<String>, nums: &mut Vec<u64>) {
-        kinds.push(node.kind.clone());
-        nums.extend(node.attr_nums().iter().map(|n| n.n.to_bits()));
+    /// Every node's kind and numbers' slots, depth first: a plain tree
+    /// walk.
+    fn walk<'a>(node: &'a SvgNode, kinds: &mut Vec<&'a str>, slots: &mut Vec<usize>) {
+        kinds.push(&node.kind);
+        slots.extend(node.attr_nums().iter().map(|n| n.slot));
         for child in &node.children {
             if let SvgChild::Node(n) = child {
-                walk(n, kinds, nums);
+                walk(n, kinds, slots);
             }
         }
     }
@@ -216,19 +255,20 @@ mod tests {
                          ['g' [] [['ellipse' [['rx' (* x 2)]] []]]]])";
         let p = Program::parse(src).unwrap();
         let mut canvas = Canvas::from_value(&p.eval().unwrap()).unwrap();
-        let kinds: Vec<&str> = canvas.shapes().map(|s| s.node.kind.as_str()).collect();
+        let kinds: Vec<&str> = canvas.shapes().map(|s| &*s.node.kind).collect();
         assert_eq!(kinds, vec!["rect", "circle", "line", "ellipse"]);
         let ids: Vec<ShapeId> = canvas.shapes().map(|s| s.id).collect();
         assert_eq!(ids, (0..4).map(ShapeId).collect::<Vec<_>>());
-        assert_eq!(canvas.shape(ShapeId(2)).unwrap().node.kind, "line");
+        assert_eq!(&*canvas.shape(ShapeId(2)).unwrap().node.kind, "line");
         assert!(canvas.shape(ShapeId(4)).is_none());
 
         let (mut kinds, mut walked) = (Vec::new(), Vec::new());
         walk(canvas.root(), &mut kinds, &mut walked);
         assert_eq!(kinds, ["svg", "rect", "circle", "line", "g", "ellipse"]);
         let mut visited = Vec::new();
-        canvas.for_each_num(|n| visited.push(n.n.to_bits()));
+        canvas.for_each_num(|n| visited.push(n.slot));
         assert_eq!(visited, walked, "each number is visited once");
+        assert_eq!(visited, (0..canvas.nums().len()).collect::<Vec<_>>());
         let in_shapes: usize = canvas.shapes().map(|s| s.node.attr_nums().len()).sum();
         assert_eq!(in_shapes, visited.len());
 
@@ -244,18 +284,13 @@ mod tests {
         let sweep = tape.sweep(&subst).unwrap();
         canvas.write_nums(|i| sweep.get(outputs[i]));
         let full = Canvas::from_value(&p.with_subst(&subst).eval().unwrap()).unwrap();
-        let bits = |c: &Canvas| {
-            let mut out = Vec::new();
-            c.for_each_num(|num| out.push(num.n.to_bits()));
-            out
-        };
         assert_eq!(bits(&canvas), bits(&full));
         assert_eq!(
             canvas.to_svg(RenderOptions::default()),
             full.to_svg(RenderOptions::default())
         );
         let line = canvas.shape(ShapeId(2)).unwrap();
-        assert_eq!(line.node.num_attr("x1").unwrap().n, 12.0);
+        assert_eq!(line.num("x1"), Some(12.0));
     }
 
     #[test]
@@ -282,23 +317,16 @@ mod tests {
             canvas.to_svg(RenderOptions::default()),
             full.to_svg(RenderOptions::default())
         );
-        // A shape reads the root tree's number itself, not a copy of it.
-        let x3 = canvas
-            .shape(ShapeId(3))
-            .unwrap()
-            .node
-            .num_attr("x")
-            .unwrap();
-        assert_eq!(x3.n, 130.0);
+        // A shape reads the root tree's number itself, not a copy of it,
+        // and its value from the canvas's one array.
+        let shape = canvas.shape(ShapeId(3)).unwrap();
+        let x3 = shape.node.num_attr("x").unwrap();
+        assert_eq!(shape.value(x3), 130.0);
+        assert!(std::ptr::eq(shape.nums, canvas.nums()));
         let SvgChild::Node(root_x3) = &canvas.root().children[3] else {
             panic!("the fourth child is a rect");
         };
         assert!(std::ptr::eq(x3, root_x3.num_attr("x").unwrap()));
-        let bits = |c: &Canvas| {
-            let mut out = Vec::new();
-            c.for_each_num(|num| out.push(num.n.to_bits()));
-            out
-        };
         assert_eq!(bits(&canvas), bits(&full));
     }
 
@@ -316,14 +344,8 @@ mod tests {
         let c = canvas_of(src);
         assert_eq!(c.shapes().len(), 12);
         // First box: x = 50 + 0*30 = 50.
-        assert_eq!(
-            c.shape(ShapeId(0)).unwrap().node.num_attr("x").unwrap().n,
-            50.0
-        );
+        assert_eq!(c.shape(ShapeId(0)).unwrap().num("x"), Some(50.0));
         // Third box: x = 50 + 2*30 = 110 (paper Equation 3).
-        assert_eq!(
-            c.shape(ShapeId(2)).unwrap().node.num_attr("x").unwrap().n,
-            110.0
-        );
+        assert_eq!(c.shape(ShapeId(2)).unwrap().num("x"), Some(110.0));
     }
 }

@@ -5,7 +5,9 @@
 //! * [`node_from_value`] / [`SvgNode`] — typed SVG values with the run-time
 //!   traces of every numeric attribute preserved;
 //! * [`Canvas`] — the one node tree of a program's output, with every
-//!   shape in it given an identity; a [`Shape`] is a view of its node;
+//!   shape in it given an identity; a [`Shape`] is a view of its node. The
+//!   numbers' values live beside the tree in one flat array in canvas
+//!   order ([`Canvas::nums`]), indexed by each [`NumTr`]'s slot;
 //! * [`render`] — translation to SVG/XML text, including the specialized
 //!   encodings for `points`, RGBA fills, color numbers, and path data;
 //! * [`zones_of`] / [`Zone`] — Figure 5's direct-manipulation zones and the
@@ -23,10 +25,11 @@
 //! // Each shape exposes zones: Interior, RightEdge, BotEdge for a circle.
 //! let circle = canvas.shape(ShapeId(0)).unwrap();
 //! assert_eq!(circle.zones().len(), 3);
-//! // The shape is a view into the canvas's tree: its numbers are the tree's.
-//! let mut numbers = 0;
-//! canvas.for_each_num(|_| numbers += 1);
-//! assert_eq!(numbers, circle.node.attr_nums().len());
+//! // The shape is a view into the canvas's tree: its numbers are the tree's,
+//! // and their values sit in the canvas's one array, in canvas order.
+//! assert_eq!(canvas.nums(), [100.0, 100.0, 40.0]);
+//! assert_eq!(circle.node.attr_nums().len(), canvas.nums().len());
+//! assert_eq!(circle.num("r"), Some(40.0));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -4,6 +4,12 @@
 //! module converts such values into a typed [`SvgNode`] tree, *preserving
 //! the run-time traces of every numeric attribute* — the traces are what
 //! live synchronization solves against.
+//!
+//! A tree holds each number's trace, not its value: the values live in one
+//! flat array beside the tree (a [`Canvas`](crate::Canvas)'s), in the order
+//! the tree was built — depth first, a node's attributes before its
+//! children — and each [`NumTr`] holds its index there. Names and strings
+//! share the output value's `Arc<str>`s, so the tree copies no text.
 
 use std::error::Error;
 use std::fmt;
@@ -11,20 +17,28 @@ use std::sync::Arc;
 
 use sns_eval::{Items, Trace, Value};
 
-/// A number together with its run-time trace, as it appears in an SVG
-/// attribute.
+/// A number in an SVG attribute: its run-time trace, and the slot of its
+/// value in the value array its tree was built into
+/// ([`Canvas::nums`](crate::Canvas::nums)). The value is not kept here, so
+/// rewriting a canvas's numbers writes one contiguous array, not the tree.
 #[derive(Debug, Clone)]
 pub struct NumTr {
-    /// The numeric value.
-    pub n: f64,
+    /// The index of the number's value in its value array: the number's
+    /// position in canvas order.
+    pub slot: usize,
     /// The trace that produced it.
     pub t: Arc<Trace>,
 }
 
 impl NumTr {
-    /// Creates a traced number.
-    pub fn new(n: f64, t: Arc<Trace>) -> Self {
-        NumTr { n, t }
+    /// A traced number whose value is `nums[slot]`.
+    pub fn new(slot: usize, t: Arc<Trace>) -> Self {
+        NumTr { slot, t }
+    }
+
+    /// The number's value in `nums`, the value array of its tree.
+    pub fn value(&self, nums: &[f64]) -> f64 {
+        nums[self.slot]
     }
 }
 
@@ -33,7 +47,7 @@ impl NumTr {
 #[derive(Debug, Clone)]
 pub struct PathCmd {
     /// The command letter (`M`, `L`, `C`, `Q`, `Z`, …).
-    pub cmd: String,
+    pub cmd: Arc<str>,
     /// The numeric arguments, traces preserved.
     pub args: Vec<NumTr>,
 }
@@ -45,7 +59,7 @@ pub struct PathCmd {
 pub struct TransformCmd {
     /// The transform function name (`rotate`, `translate`, `scale`,
     /// `matrix`).
-    pub cmd: String,
+    pub cmd: Arc<str>,
     /// The numeric arguments, traces preserved.
     pub args: Vec<NumTr>,
 }
@@ -56,7 +70,7 @@ pub enum AttrValue {
     /// A plain traced number (interpreted as pixels).
     Num(NumTr),
     /// A string, passed through to SVG verbatim.
-    Str(String),
+    Str(Arc<str>),
     /// `['points' [[x1 y1] [x2 y2] …]]` for polygons and polylines.
     Points(Vec<(NumTr, NumTr)>),
     /// `['fill' [r g b a]]` RGBA color components.
@@ -93,24 +107,6 @@ impl AttrValue {
             }
         }
     }
-
-    fn for_each_num_mut(&mut self, f: &mut impl FnMut(&mut NumTr)) {
-        match self {
-            AttrValue::Num(n) | AttrValue::ColorNum(n) => f(n),
-            AttrValue::Str(_) => {}
-            AttrValue::Points(pts) => pts.iter_mut().for_each(|(x, y)| {
-                f(x);
-                f(y);
-            }),
-            AttrValue::Rgba(comps) => comps.iter_mut().for_each(f),
-            AttrValue::Path(cmds) => cmds
-                .iter_mut()
-                .for_each(|c| c.args.iter_mut().for_each(&mut *f)),
-            AttrValue::Transform(cmds) => cmds
-                .iter_mut()
-                .for_each(|c| c.args.iter_mut().for_each(&mut *f)),
-        }
-    }
 }
 
 /// A child of an SVG node: a nested element or raw text content.
@@ -119,16 +115,16 @@ pub enum SvgChild {
     /// A nested element.
     Node(SvgNode),
     /// Text content (for `text` elements).
-    Text(String),
+    Text(Arc<str>),
 }
 
 /// A typed SVG element.
 #[derive(Debug, Clone)]
 pub struct SvgNode {
     /// The element kind (`'svg'`, `'rect'`, `'circle'`, …).
-    pub kind: String,
+    pub kind: Arc<str>,
     /// Attributes in program order.
-    pub attrs: Vec<(String, AttrValue)>,
+    pub attrs: Vec<(Arc<str>, AttrValue)>,
     /// Child elements / text.
     pub children: Vec<SvgChild>,
 }
@@ -137,7 +133,10 @@ impl SvgNode {
     /// Looks up an attribute by name (first occurrence wins, matching the
     /// behaviour of `consAttr` overrides which *prepend*).
     pub fn attr(&self, name: &str) -> Option<&AttrValue> {
-        self.attrs.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+        self.attrs
+            .iter()
+            .find(|(k, _)| **k == *name)
+            .map(|(_, v)| v)
     }
 
     /// The traced number stored in attribute `name`, if it is numeric.
@@ -173,21 +172,6 @@ pub(crate) fn for_each_num<'a>(node: &'a SvgNode, f: &mut impl FnMut(&'a NumTr))
     }
 }
 
-/// [`for_each_num`] with mutable access, in the same order. Strings, node
-/// kinds, and tree structure stay untouched: rewriting numbers in place
-/// is only sound when the producing program's control flow is known to be
-/// unchanged.
-pub(crate) fn for_each_num_mut(node: &mut SvgNode, f: &mut impl FnMut(&mut NumTr)) {
-    for (_, value) in &mut node.attrs {
-        value.for_each_num_mut(f);
-    }
-    for child in &mut node.children {
-        if let SvgChild::Node(n) = child {
-            for_each_num_mut(n, f);
-        }
-    }
-}
-
 /// An error converting a `little` value into SVG.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SvgError {
@@ -214,23 +198,41 @@ fn exactly<'a, const N: usize>(mut items: Items<'a>) -> Option<[&'a Value; N]> {
     (items.len() == N).then(|| std::array::from_fn(|_| items.next().expect("length checked")))
 }
 
-/// A traced number borrowed from `value`, or the error `msg`.
-fn num_tr(value: &Value, msg: &str) -> Result<NumTr, SvgError> {
+/// The string `value` holds, shared, not copied.
+fn shared_str(value: &Value) -> Option<Arc<str>> {
+    match value {
+        Value::Str(s) => Some(Arc::clone(s)),
+        _ => None,
+    }
+}
+
+/// The traced number `n`ᵗ, its value appended to `nums`.
+fn push_num(nums: &mut Vec<f64>, n: f64, t: &Arc<Trace>) -> NumTr {
+    nums.push(n);
+    NumTr::new(nums.len() - 1, Arc::clone(t))
+}
+
+/// The traced number `value` holds, appended to `nums`, or the error
+/// `msg`.
+fn num_tr(nums: &mut Vec<f64>, value: &Value, msg: &str) -> Result<NumTr, SvgError> {
     let (n, t) = value.as_num().ok_or_else(|| SvgError::new(msg))?;
-    Ok(NumTr::new(n, Arc::clone(t)))
+    Ok(push_num(nums, n, t))
 }
 
 /// Converts a `little` output value `[kind attrs children]` into an
-/// [`SvgNode`] tree.
+/// [`SvgNode`] tree, appending the value of every traced number to `nums`
+/// in the order [`Canvas::for_each_num`](crate::Canvas::for_each_num)
+/// visits them; each [`NumTr::slot`] is its value's index in `nums`.
 ///
-/// The value's lists are read in place, not copied: the only allocations
-/// are the tree's own vectors and strings.
+/// The value's lists are read in place, not copied, and its strings are
+/// shared: the only allocations are the tree's own vectors and `nums`'s
+/// growth.
 ///
 /// # Errors
 ///
 /// Returns an [`SvgError`] when the value does not have the node shape or
 /// when a specialized attribute encoding is malformed.
-pub fn node_from_value(value: &Value) -> Result<SvgNode, SvgError> {
+pub fn node_from_value(value: &Value, nums: &mut Vec<f64>) -> Result<SvgNode, SvgError> {
     let parts = value
         .items()
         .ok_or_else(|| SvgError::new(format!("node must be a list, found {value}")))?;
@@ -240,16 +242,13 @@ pub fn node_from_value(value: &Value) -> Result<SvgNode, SvgError> {
             "node must be [kind attrs children], found {len} element(s)"
         ))
     })?;
-    let kind = kind
-        .as_str()
-        .ok_or_else(|| SvgError::new("node kind must be a string"))?
-        .to_string();
+    let kind = shared_str(kind).ok_or_else(|| SvgError::new("node kind must be a string"))?;
     let attr_items = attr_list
         .items()
         .ok_or_else(|| SvgError::new("node attributes must be a list"))?;
     let mut attrs = Vec::with_capacity(attr_items.len());
     for item in attr_items {
-        attrs.push(attr_from_value(item)?);
+        attrs.push(attr_from_value(item, nums)?);
     }
     let child_items = child_list
         .items()
@@ -257,8 +256,8 @@ pub fn node_from_value(value: &Value) -> Result<SvgNode, SvgError> {
     let mut children = Vec::with_capacity(child_items.len());
     for item in child_items {
         match item {
-            Value::Str(s) => children.push(SvgChild::Text(s.to_string())),
-            other => children.push(SvgChild::Node(node_from_value(other)?)),
+            Value::Str(s) => children.push(SvgChild::Text(Arc::clone(s))),
+            other => children.push(SvgChild::Node(node_from_value(other, nums)?)),
         }
     }
     Ok(SvgNode {
@@ -268,20 +267,17 @@ pub fn node_from_value(value: &Value) -> Result<SvgNode, SvgError> {
     })
 }
 
-fn attr_from_value(value: &Value) -> Result<(String, AttrValue), SvgError> {
+fn attr_from_value(value: &Value, nums: &mut Vec<f64>) -> Result<(Arc<str>, AttrValue), SvgError> {
     let pair = value
         .items()
         .ok_or_else(|| SvgError::new("attribute must be a [key value] pair"))?;
     let [key, v] =
         exactly(pair).ok_or_else(|| SvgError::new("attribute must have exactly [key value]"))?;
-    let key = key
-        .as_str()
-        .ok_or_else(|| SvgError::new("attribute key must be a string"))?
-        .to_string();
-    let attr = match (key.as_str(), v) {
-        (_, Value::Str(s)) => AttrValue::Str(s.to_string()),
-        ("points", v) => AttrValue::Points(points_from_value(v)?),
-        ("fill" | "stroke", Value::Num(n, t)) => AttrValue::ColorNum(NumTr::new(*n, Arc::clone(t))),
+    let key = shared_str(key).ok_or_else(|| SvgError::new("attribute key must be a string"))?;
+    let attr = match (&*key, v) {
+        (_, Value::Str(s)) => AttrValue::Str(Arc::clone(s)),
+        ("points", v) => AttrValue::Points(points_from_value(v, nums)?),
+        ("fill" | "stroke", Value::Num(n, t)) => AttrValue::ColorNum(push_num(nums, *n, t)),
         ("fill" | "stroke", v @ (Value::Cons(..) | Value::Nil)) => {
             let comps = v
                 .items()
@@ -290,15 +286,15 @@ fn attr_from_value(value: &Value) -> Result<(String, AttrValue), SvgError> {
             let msg = "rgba components must be numbers";
             let [r, g, b, a] = comps;
             AttrValue::Rgba([
-                num_tr(r, msg)?,
-                num_tr(g, msg)?,
-                num_tr(b, msg)?,
-                num_tr(a, msg)?,
+                num_tr(nums, r, msg)?,
+                num_tr(nums, g, msg)?,
+                num_tr(nums, b, msg)?,
+                num_tr(nums, a, msg)?,
             ])
         }
-        ("d", v) => AttrValue::Path(path_from_value(v)?),
-        ("transform", v) => AttrValue::Transform(transform_from_value(v)?),
-        (_, Value::Num(n, t)) => AttrValue::Num(NumTr::new(*n, Arc::clone(t))),
+        ("d", v) => AttrValue::Path(path_from_value(v, nums)?),
+        ("transform", v) => AttrValue::Transform(transform_from_value(v, nums)?),
+        (_, Value::Num(n, t)) => AttrValue::Num(push_num(nums, *n, t)),
         (k, other) => {
             return Err(SvgError::new(format!(
                 "unsupported value for attribute `{k}`: {other}"
@@ -308,7 +304,7 @@ fn attr_from_value(value: &Value) -> Result<(String, AttrValue), SvgError> {
     Ok((key, attr))
 }
 
-fn points_from_value(value: &Value) -> Result<Vec<(NumTr, NumTr)>, SvgError> {
+fn points_from_value(value: &Value, nums: &mut Vec<f64>) -> Result<Vec<(NumTr, NumTr)>, SvgError> {
     let items = value
         .items()
         .ok_or_else(|| SvgError::new("points must be a list of [x y] pairs"))?;
@@ -319,14 +315,14 @@ fn points_from_value(value: &Value) -> Result<Vec<(NumTr, NumTr)>, SvgError> {
             .and_then(exactly)
             .ok_or_else(|| SvgError::new("each point must be [x y]"))?;
         pts.push((
-            num_tr(x, "point x must be a number")?,
-            num_tr(y, "point y must be a number")?,
+            num_tr(nums, x, "point x must be a number")?,
+            num_tr(nums, y, "point y must be a number")?,
         ));
     }
     Ok(pts)
 }
 
-fn path_from_value(value: &Value) -> Result<Vec<PathCmd>, SvgError> {
+fn path_from_value(value: &Value, nums: &mut Vec<f64>) -> Result<Vec<PathCmd>, SvgError> {
     let mut items = value
         .items()
         .ok_or_else(|| SvgError::new("path data must be a flat list"))?;
@@ -337,14 +333,14 @@ fn path_from_value(value: &Value) -> Result<Vec<PathCmd>, SvgError> {
     while let Some(item) = items.next() {
         match item {
             Value::Str(s) => cmds.push(PathCmd {
-                cmd: s.to_string(),
+                cmd: Arc::clone(s),
                 args: Vec::with_capacity(items.clone().take_while(is_num).count()),
             }),
             Value::Num(n, t) => {
                 let cur = cmds
                     .last_mut()
                     .ok_or_else(|| SvgError::new("path data must start with a command"))?;
-                cur.args.push(NumTr::new(*n, Arc::clone(t)));
+                cur.args.push(push_num(nums, *n, t));
             }
             other => {
                 return Err(SvgError::new(format!(
@@ -356,7 +352,7 @@ fn path_from_value(value: &Value) -> Result<Vec<PathCmd>, SvgError> {
     Ok(cmds)
 }
 
-fn transform_from_value(value: &Value) -> Result<Vec<TransformCmd>, SvgError> {
+fn transform_from_value(value: &Value, nums: &mut Vec<f64>) -> Result<Vec<TransformCmd>, SvgError> {
     // Accept both a single command ['rotate' a cx cy] and a list of
     // commands [['rotate' …] ['translate' …]].
     let items = value
@@ -367,27 +363,26 @@ fn transform_from_value(value: &Value) -> Result<Vec<TransformCmd>, SvgError> {
         .next()
         .is_some_and(|v| matches!(v, Value::Str(_)));
     if single {
-        return Ok(vec![transform_cmd(value)?]);
+        return Ok(vec![transform_cmd(value, nums)?]);
     }
     let mut out = Vec::with_capacity(items.len());
     for cmd in items {
-        out.push(transform_cmd(cmd)?);
+        out.push(transform_cmd(cmd, nums)?);
     }
     Ok(out)
 }
 
-fn transform_cmd(cmd: &Value) -> Result<TransformCmd, SvgError> {
+fn transform_cmd(cmd: &Value, nums: &mut Vec<f64>) -> Result<TransformCmd, SvgError> {
     let mut parts = cmd
         .items()
         .ok_or_else(|| SvgError::new("transform command must be a list"))?;
     let name = parts
         .next()
-        .and_then(Value::as_str)
-        .ok_or_else(|| SvgError::new("transform command must start with a name"))?
-        .to_string();
+        .and_then(shared_str)
+        .ok_or_else(|| SvgError::new("transform command must start with a name"))?;
     let mut args = Vec::with_capacity(parts.len());
     for p in parts {
-        args.push(num_tr(p, "transform arguments must be numbers")?);
+        args.push(num_tr(nums, p, "transform arguments must be numbers")?);
     }
     Ok(TransformCmd { cmd: name, args })
 }
@@ -397,28 +392,37 @@ mod tests {
     use super::*;
     use sns_eval::Program;
 
-    fn node_of(src: &str) -> SvgNode {
+    /// The node of `src`'s output, and its value array.
+    fn node_of(src: &str) -> (SvgNode, Vec<f64>) {
         let v = Program::parse(src).unwrap().eval().unwrap();
-        node_from_value(&v).unwrap()
+        let mut nums = Vec::new();
+        let node = node_from_value(&v, &mut nums).unwrap();
+        (node, nums)
     }
 
     #[test]
     fn rect_converts_with_traces() {
-        let n = node_of("(rect 'gold' 10 20 30 40)");
-        assert_eq!(n.kind, "rect");
+        let (n, nums) = node_of("(rect 'gold' 10 20 30 40)");
+        assert_eq!(&*n.kind, "rect");
         let x = n.num_attr("x").unwrap();
-        assert_eq!(x.n, 10.0);
+        assert_eq!(x.value(&nums), 10.0);
         assert!(matches!(&*x.t, Trace::Loc(_)));
-        assert!(matches!(n.attr("fill"), Some(AttrValue::Str(s)) if s == "gold"));
+        assert!(matches!(n.attr("fill"), Some(AttrValue::Str(s)) if &**s == "gold"));
+        // The values sit in canvas order: x, y, width, height.
+        assert_eq!(nums, [10.0, 20.0, 30.0, 40.0]);
+        assert_eq!(
+            n.attr_nums().iter().map(|n| n.slot).collect::<Vec<_>>(),
+            [0, 1, 2, 3]
+        );
     }
 
     #[test]
     fn polygon_points_are_structured() {
-        let n = node_of("(polygon 'red' 'black' 2 [[0 0] [100 0] [50 80]])");
+        let (n, nums) = node_of("(polygon 'red' 'black' 2 [[0 0] [100 0] [50 80]])");
         match n.attr("points").unwrap() {
             AttrValue::Points(pts) => {
                 assert_eq!(pts.len(), 3);
-                assert_eq!(pts[2].1.n, 80.0);
+                assert_eq!(pts[2].1.value(&nums), 80.0);
             }
             other => panic!("{other:?}"),
         }
@@ -426,28 +430,28 @@ mod tests {
 
     #[test]
     fn rgba_fill_is_recognized() {
-        let n = node_of("(rect [255 0 0 1] 0 0 10 10)");
+        let (n, _) = node_of("(rect [255 0 0 1] 0 0 10 10)");
         assert!(matches!(n.attr("fill"), Some(AttrValue::Rgba(_))));
     }
 
     #[test]
     fn color_number_is_recognized() {
-        let n = node_of("(rect 150 0 0 10 10)");
+        let (n, nums) = node_of("(rect 150 0 0 10 10)");
         match n.attr("fill").unwrap() {
-            AttrValue::ColorNum(c) => assert_eq!(c.n, 150.0),
+            AttrValue::ColorNum(c) => assert_eq!(c.value(&nums), 150.0),
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
     fn path_data_parses_into_commands() {
-        let n = node_of("(path 'none' 'black' 2 ['M' 10 20 'C' 1 2 3 4 5 6 'Z'])");
+        let (n, _) = node_of("(path 'none' 'black' 2 ['M' 10 20 'C' 1 2 3 4 5 6 'Z'])");
         match n.attr("d").unwrap() {
             AttrValue::Path(cmds) => {
                 assert_eq!(cmds.len(), 3);
-                assert_eq!(cmds[0].cmd, "M");
+                assert_eq!(&*cmds[0].cmd, "M");
                 assert_eq!(cmds[1].args.len(), 6);
-                assert_eq!(cmds[2].cmd, "Z");
+                assert_eq!(&*cmds[2].cmd, "Z");
             }
             other => panic!("{other:?}"),
         }
@@ -455,12 +459,12 @@ mod tests {
 
     #[test]
     fn transform_rotate_parses_with_traces() {
-        let n = node_of("(addAttr (rect 'red' 0 0 10 10) ['transform' ['rotate' 45 5 5]])");
+        let (n, nums) = node_of("(addAttr (rect 'red' 0 0 10 10) ['transform' ['rotate' 45 5 5]])");
         match n.attr("transform").unwrap() {
             AttrValue::Transform(cmds) => {
                 assert_eq!(cmds.len(), 1);
-                assert_eq!(cmds[0].cmd, "rotate");
-                assert_eq!(cmds[0].args[0].n, 45.0);
+                assert_eq!(&*cmds[0].cmd, "rotate");
+                assert_eq!(cmds[0].args[0].value(&nums), 45.0);
             }
             other => panic!("{other:?}"),
         }
@@ -468,7 +472,7 @@ mod tests {
 
     #[test]
     fn transform_command_lists_parse() {
-        let n = node_of(
+        let (n, _) = node_of(
             "(addAttr (rect 'red' 0 0 10 10) ['transform' [['rotate' 45 5 5] ['translate' 1 2]]])",
         );
         match n.attr("transform").unwrap() {
@@ -479,28 +483,28 @@ mod tests {
 
     #[test]
     fn hidden_attribute_is_detected() {
-        let n = node_of("(ghost (rect 'gold' 0 0 1 1))");
+        let (n, _) = node_of("(ghost (rect 'gold' 0 0 1 1))");
         assert!(n.hidden());
     }
 
     #[test]
     fn svg_canvas_has_children() {
-        let n = node_of("(svg [(rect 'a' 0 0 1 1) (circle 'b' 5 5 2)])");
-        assert_eq!(n.kind, "svg");
+        let (n, _) = node_of("(svg [(rect 'a' 0 0 1 1) (circle 'b' 5 5 2)])");
+        assert_eq!(&*n.kind, "svg");
         assert_eq!(n.children.len(), 2);
     }
 
     #[test]
     fn text_node_has_text_child() {
-        let n = node_of("(text 10 20 'hello')");
-        assert!(matches!(&n.children[0], SvgChild::Text(s) if s == "hello"));
+        let (n, _) = node_of("(text 10 20 'hello')");
+        assert!(matches!(&n.children[0], SvgChild::Text(s) if &**s == "hello"));
     }
 
     #[test]
     fn malformed_nodes_error() {
         let v = Program::parse("[1 2]").unwrap().eval().unwrap();
-        assert!(node_from_value(&v).is_err());
+        assert!(node_from_value(&v, &mut Vec::new()).is_err());
         let v = Program::parse("['rect' 5 []]").unwrap().eval().unwrap();
-        assert!(node_from_value(&v).is_err());
+        assert!(node_from_value(&v, &mut Vec::new()).is_err());
     }
 }

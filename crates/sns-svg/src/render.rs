@@ -20,7 +20,8 @@ pub struct RenderOptions {
     pub hide_hidden: bool,
 }
 
-/// Renders a node tree as an SVG/XML string.
+/// Renders a node tree as an SVG/XML string, reading each number's value
+/// from `nums`, the value array the tree was built into.
 ///
 /// # Examples
 ///
@@ -29,13 +30,14 @@ pub struct RenderOptions {
 /// use sns_svg::{node_from_value, render};
 ///
 /// let v = Program::parse("(svg [(rect 'gold' 10 20 30 40)])").unwrap().eval().unwrap();
-/// let node = node_from_value(&v).unwrap();
-/// let xml = render(&node, Default::default());
+/// let mut nums = Vec::new();
+/// let node = node_from_value(&v, &mut nums).unwrap();
+/// let xml = render(&node, &nums, Default::default());
 /// assert!(xml.contains("<rect x='10' y='20' width='30' height='40' fill='gold'/>"));
 /// ```
-pub fn render(node: &SvgNode, options: RenderOptions) -> String {
+pub fn render(node: &SvgNode, nums: &[f64], options: RenderOptions) -> String {
     let mut out = String::new();
-    render_to(&mut out, node, options).expect("writing to a String cannot fail");
+    render_to(&mut out, node, nums, options).expect("writing to a String cannot fail");
     out
 }
 
@@ -46,8 +48,13 @@ pub fn render(node: &SvgNode, options: RenderOptions) -> String {
 /// # Errors
 ///
 /// Fails only when `out` does.
-pub fn render_to(out: &mut impl Write, node: &SvgNode, options: RenderOptions) -> fmt::Result {
-    write_node(out, node, options, 0)
+pub fn render_to(
+    out: &mut impl Write,
+    node: &SvgNode,
+    nums: &[f64],
+    options: RenderOptions,
+) -> fmt::Result {
+    write_node(out, node, nums, options, 0)
 }
 
 fn indent(out: &mut impl Write, depth: usize) -> fmt::Result {
@@ -60,6 +67,7 @@ fn indent(out: &mut impl Write, depth: usize) -> fmt::Result {
 fn write_node(
     out: &mut impl Write,
     node: &SvgNode,
+    nums: &[f64],
     options: RenderOptions,
     depth: usize,
 ) -> fmt::Result {
@@ -68,15 +76,15 @@ fn write_node(
     }
     indent(out, depth)?;
     write!(out, "<{}", node.kind)?;
-    if node.kind == "svg" && depth == 0 {
+    if &*node.kind == "svg" && depth == 0 {
         out.write_str(" xmlns='http://www.w3.org/2000/svg'")?;
     }
     for (key, value) in &node.attrs {
-        if key == "ZONES" || key == "HIDDEN" {
+        if matches!(&**key, "ZONES" | "HIDDEN") {
             continue;
         }
         write!(out, " {key}='")?;
-        write_attr_value(out, value)?;
+        write_attr_value(out, value, nums)?;
         out.write_str("'")?;
     }
     if node.children.is_empty() {
@@ -85,7 +93,7 @@ fn write_node(
     out.write_str(">\n")?;
     for child in &node.children {
         match child {
-            SvgChild::Node(n) => write_node(out, n, options, depth + 1)?,
+            SvgChild::Node(n) => write_node(out, n, nums, options, depth + 1)?,
             SvgChild::Text(s) => {
                 indent(out, depth + 1)?;
                 write_xml_escaped(out, s)?;
@@ -113,32 +121,33 @@ fn write_sep<T>(
     Ok(())
 }
 
-fn write_attr_value(out: &mut impl Write, value: &AttrValue) -> fmt::Result {
+fn write_attr_value(out: &mut impl Write, value: &AttrValue, nums: &[f64]) -> fmt::Result {
+    let num = |out: &mut dyn Write, n: &NumTr| write_num(out, n.value(nums));
     match value {
-        AttrValue::Num(n) => write_num(out, n.n),
+        AttrValue::Num(n) => num(out, n),
         AttrValue::Str(s) => write_xml_escaped(out, s),
         AttrValue::Points(pts) => write_sep(out, pts, " ", |out, (x, y)| {
-            write_num(out, x.n)?;
+            num(out, x)?;
             out.write_str(",")?;
-            write_num(out, y.n)
+            num(out, y)
         }),
         AttrValue::Rgba(rgba) => {
             out.write_str("rgba(")?;
-            write_sep(out, rgba, ",", |out, c| write_num(out, c.n))?;
+            write_sep(out, rgba, ",", num)?;
             out.write_str(")")
         }
-        AttrValue::ColorNum(n) => write_color_num(out, n),
+        AttrValue::ColorNum(n) => write_color_num(out, n.value(nums)),
         AttrValue::Path(cmds) => write_sep(out, cmds, " ", |out, cmd| {
             out.write_str(&cmd.cmd)?;
             for a in &cmd.args {
                 out.write_str(" ")?;
-                write_num(out, a.n)?;
+                num(out, a)?;
             }
             Ok(())
         }),
         AttrValue::Transform(cmds) => write_sep(out, cmds, " ", |out, cmd| {
             write!(out, "{}(", cmd.cmd)?;
-            write_sep(out, &cmd.args, " ", |out, a| write_num(out, a.n))?;
+            write_sep(out, &cmd.args, " ", num)?;
             out.write_str(")")
         }),
     }
@@ -147,8 +156,8 @@ fn write_attr_value(out: &mut impl Write, value: &AttrValue) -> fmt::Result {
 /// Maps a *color number* in `[0, 500]` to a CSS color (Appendix C): values
 /// in `[0, 360)` are hues at full saturation; `[360, 500]` is a grayscale
 /// ramp from black to white.
-fn write_color_num(out: &mut impl Write, n: &NumTr) -> fmt::Result {
-    let v = n.n.clamp(0.0, 500.0);
+fn write_color_num(out: &mut impl Write, n: f64) -> fmt::Result {
+    let v = n.clamp(0.0, 500.0);
     if v < 360.0 {
         out.write_str("hsl(")?;
         write_num(out, v.round())?;
@@ -189,7 +198,9 @@ mod tests {
 
     fn render_of(src: &str) -> String {
         let v = Program::parse(src).unwrap().eval().unwrap();
-        render(&node_from_value(&v).unwrap(), RenderOptions::default())
+        let mut nums = Vec::new();
+        let node = node_from_value(&v, &mut nums).unwrap();
+        render(&node, &nums, RenderOptions::default())
     }
 
     #[test]
@@ -236,12 +247,13 @@ mod tests {
     fn hidden_shapes_can_be_hidden() {
         let src = "(svg [(ghost (rect 'gold' 0 0 1 1)) (circle 'red' 5 5 2)])";
         let v = Program::parse(src).unwrap().eval().unwrap();
-        let node = node_from_value(&v).unwrap();
-        let xml = render(&node, RenderOptions { hide_hidden: true });
+        let mut nums = Vec::new();
+        let node = node_from_value(&v, &mut nums).unwrap();
+        let xml = render(&node, &nums, RenderOptions { hide_hidden: true });
         assert!(!xml.contains("<rect"));
         assert!(xml.contains("<circle"));
         // HIDDEN itself is never emitted, even when shown.
-        let xml = render(&node, RenderOptions::default());
+        let xml = render(&node, &nums, RenderOptions::default());
         assert!(xml.contains("<rect"));
         assert!(!xml.contains("HIDDEN"));
     }

@@ -387,7 +387,7 @@ fn rotation_zone(node: &SvgNode) -> Option<ZoneSpec> {
     };
     let mut flat = 0u32;
     for cmd in cmds {
-        if cmd.cmd == "rotate" && !cmd.args.is_empty() {
+        if &*cmd.cmd == "rotate" && !cmd.args.is_empty() {
             return Some(ZoneSpec {
                 zone: Zone::Rotation,
                 effects: vec![(AttrRef::TransformArg(flat), PlusDx)],
@@ -399,7 +399,7 @@ fn rotation_zone(node: &SvgNode) -> Option<ZoneSpec> {
 }
 
 fn base_zones(node: &SvgNode) -> Vec<ZoneSpec> {
-    match node.kind.as_str() {
+    match &*node.kind {
         "rect" => rect_zones(),
         "circle" => circle_zones(),
         "ellipse" => ellipse_zones(),
@@ -409,7 +409,7 @@ fn base_zones(node: &SvgNode) -> Vec<ZoneSpec> {
                 Some(AttrValue::Points(pts)) => pts.len() as u32,
                 _ => 0,
             };
-            poly_zones(n, node.kind == "polygon")
+            poly_zones(n, &*node.kind == "polygon")
         }
         "path" => path_zones(node),
         "text" => text_zones(),
@@ -475,8 +475,14 @@ mod tests {
     use sns_eval::Program;
 
     fn node_of(src: &str) -> SvgNode {
+        node_and_nums(src).0
+    }
+
+    fn node_and_nums(src: &str) -> (SvgNode, Vec<f64>) {
         let v = Program::parse(src).unwrap().eval().unwrap();
-        node_from_value(&v).unwrap()
+        let mut nums = Vec::new();
+        let node = node_from_value(&v, &mut nums).unwrap();
+        (node, nums)
     }
 
     #[test]
@@ -532,20 +538,22 @@ mod tests {
 
     #[test]
     fn path_points_come_from_d_pairs() {
-        let n = node_of("(path 'none' 'black' 2 ['M' 1 2 'L' 3 4 'Z'])");
+        let (n, nums) = node_and_nums("(path 'none' 'black' 2 ['M' 1 2 'L' 3 4 'Z'])");
         let zones = zones_of(&n);
         // 2 data points + interior.
         assert_eq!(zones.len(), 3);
         let p1 = resolve_attr(&n, &AttrRef::PathX(1)).unwrap();
-        assert_eq!(p1.n, 3.0);
+        assert_eq!(p1.value(&nums), 3.0);
     }
 
     #[test]
     fn resolve_plain_and_point_attrs() {
-        let n = node_of("(polygon 'red' 'black' 2 [[0 0] [10 0] [5 8]])");
-        assert_eq!(resolve_attr(&n, &AttrRef::PointY(2)).unwrap().n, 8.0);
-        let n = node_of("(rect 'gold' 1 2 3 4)");
-        assert_eq!(resolve_attr(&n, &AttrRef::Plain("height")).unwrap().n, 4.0);
+        let (n, nums) = node_and_nums("(polygon 'red' 'black' 2 [[0 0] [10 0] [5 8]])");
+        let y2 = resolve_attr(&n, &AttrRef::PointY(2)).unwrap();
+        assert_eq!(y2.value(&nums), 8.0);
+        let (n, nums) = node_and_nums("(rect 'gold' 1 2 3 4)");
+        let height = resolve_attr(&n, &AttrRef::Plain("height")).unwrap();
+        assert_eq!(height.value(&nums), 4.0);
     }
 
     #[test]

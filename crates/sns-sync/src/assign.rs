@@ -295,7 +295,7 @@ fn analyze_zone<'t>(
         slots.push(AttrSlot {
             attr: attr.clone(),
             offset: *offset,
-            base: num.n,
+            base: shape.value(num),
             trace: Arc::clone(&num.t),
             locs,
         });

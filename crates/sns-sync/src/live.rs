@@ -28,11 +28,11 @@
 //!   [`TraceTape`] and records which tape node each canvas number and each
 //!   trigger part reads. A fast-tier commit ([`LiveSync::commit_fast`])
 //!   *sweeps* the tape under the update in place — recomputing only the
-//!   nodes downstream of a changed location — writes the swept values
-//!   into the canvas's one tree, each number once (a shape is a view of
-//!   its node there), and commits them to the tape;
-//!   [`LiveSync::preview_canvas`] sweeps a clone of the tape into a clone
-//!   of the canvas;
+//!   nodes downstream of a changed location — stores each swept number
+//!   by index into the canvas's flat value array (the tree holds only
+//!   traces; a shape is a view of its node and of that array), and
+//!   commits them to the tape; [`LiveSync::preview_canvas`] sweeps a clone
+//!   of the tape into a clone of the canvas;
 //! * **incremental prepare** — with traces unchanged, candidate location
 //!   sets, heuristic choices and triggers are unchanged too; only the
 //!   attributes' current values move, and the tape already holds them. A
@@ -258,8 +258,8 @@ pub struct LiveSync {
 #[derive(Debug)]
 struct Compiled {
     tape: TraceTape,
-    /// The tape node of every canvas number, each once, in
-    /// [`Canvas::for_each_num`] order: the canvas's tree, depth first.
+    /// The tape node of every canvas number, by slot: `outputs[i]` is
+    /// the node of the value [`Canvas::nums`]`[i]`.
     outputs: Vec<u32>,
 }
 
@@ -274,7 +274,10 @@ impl Compiled {
     ) -> Compiled {
         let mut tape = TraceTape::builder(rho0);
         let mut outputs = Vec::new();
-        canvas.for_each_num(|num| outputs.push(tape.push(&num.t)));
+        canvas.for_each_num(|num| {
+            debug_assert_eq!(num.slot, outputs.len(), "numbers are visited by slot");
+            outputs.push(tape.push(&num.t));
+        });
         for trigger in triggers.values_mut() {
             let shape = canvas.shape(trigger.shape);
             for part in &mut trigger.parts {
@@ -598,7 +601,10 @@ impl LiveSync {
     fn prepare_stands(&self, program: &Program, canvas: &Canvas) -> bool {
         let (old, new) = (self.canvas.shapes(), canvas.shapes());
         let mode = self.config.freeze_mode;
-        let mut eq = TraceEq::default();
+        let mut eq = TraceEq {
+            nums: (self.canvas.nums(), canvas.nums()),
+            ..TraceEq::default()
+        };
         old.len() == new.len()
             && self
                 .depindex
@@ -638,8 +644,9 @@ fn literal_edit(old: &Subst, new: &Subst) -> Subst {
         .collect()
 }
 
-/// Structural equality over SVG nodes with traced numbers compared by bit
-/// pattern and structural trace equality memoized by address pair —
+/// Structural equality over SVG nodes with traced numbers compared by the
+/// bit pattern of their values, read from the two canvases' value arrays,
+/// and structural trace equality memoized by address pair —
 /// traces are shared DAGs, so derived recursion would blow up on deep
 /// sharing. Only a pair in which either trace is shared is memoized: a
 /// trace held by one parent is reached only through it, so a pair of such
@@ -647,11 +654,13 @@ fn literal_edit(old: &Subst, new: &Subst) -> Subst {
 /// re-evaluated code edit to verify that each shape is exactly what the
 /// cached analyses describe.
 #[derive(Default)]
-struct TraceEq {
+struct TraceEq<'c> {
     memo: HashMap<(usize, usize), bool, BuildHasherDefault<AddrHasher>>,
+    /// The value arrays of the canvases the two sides' numbers index.
+    nums: (&'c [f64], &'c [f64]),
 }
 
-impl TraceEq {
+impl TraceEq<'_> {
     fn trace_eq(&mut self, a: &Arc<Trace>, b: &Arc<Trace>) -> bool {
         if Arc::ptr_eq(a, b) {
             return true;
@@ -679,7 +688,8 @@ impl TraceEq {
     }
 
     fn num_eq(&mut self, a: &NumTr, b: &NumTr) -> bool {
-        a.n.to_bits() == b.n.to_bits() && self.trace_eq(&a.t, &b.t)
+        a.value(self.nums.0).to_bits() == b.value(self.nums.1).to_bits()
+            && self.trace_eq(&a.t, &b.t)
     }
 
     fn nums_eq(&mut self, xs: &[NumTr], ys: &[NumTr]) -> bool {
@@ -806,7 +816,7 @@ mod tests {
         for zone in &mut assignments.zones {
             let shape = live.canvas().shape(zone.shape).unwrap();
             for slot in &mut zone.slots {
-                slot.base = resolve_attr(shape.node, &slot.attr).unwrap().n;
+                slot.base = shape.value(resolve_attr(shape.node, &slot.attr).unwrap());
             }
         }
         let parts: Vec<u64> = assignments
@@ -877,14 +887,14 @@ mod tests {
         let xs_before: Vec<f64> = live
             .canvas()
             .shapes()
-            .map(|s| s.node.num_attr("x").unwrap().n)
+            .map(|s| s.num("x").unwrap())
             .collect();
         let result = live.drag(ShapeId(0), Zone::Interior, 45.0, 0.0).unwrap();
         live.commit(&result.subst).unwrap();
         let xs_after: Vec<f64> = live
             .canvas()
             .shapes()
-            .map(|s| s.node.num_attr("x").unwrap().n)
+            .map(|s| s.num("x").unwrap())
             .collect();
         for (b, a) in xs_before.iter().zip(&xs_after) {
             assert!((a - b - 45.0).abs() < 1e-9);
@@ -901,7 +911,7 @@ mod tests {
         let xs: Vec<f64> = live
             .canvas()
             .shapes()
-            .map(|s| s.node.num_attr("x").unwrap().n)
+            .map(|s| s.num("x").unwrap())
             .collect();
         // sep solved from 80 + d = x0 + 1·sep → sep = 40.
         assert!((xs[0] - 50.0).abs() < 1e-9);
@@ -924,7 +934,7 @@ mod tests {
         let result = live.drag(ShapeId(5), Zone::RightEdge, 12.0, 0.0).unwrap();
         live.commit(&result.subst).unwrap();
         for s in live.canvas().shapes() {
-            assert_eq!(s.node.num_attr("width").unwrap().n, 32.0);
+            assert_eq!(s.num("width"), Some(32.0));
         }
     }
 
@@ -1062,7 +1072,7 @@ mod tests {
         assert_eq!(stats.full_prepares, 2);
         assert!(matches!(
             live.canvas().shape(ShapeId(0)).unwrap().node.attr("fill"),
-            Some(AttrValue::Str(s)) if s == "red"
+            Some(AttrValue::Str(s)) if &**s == "red"
         ));
     }
 

@@ -14,6 +14,8 @@
 //!    (the soft constraints of §3's table);
 //! 4. candidates are ranked best-first.
 
+use std::sync::Arc;
+
 use sns_eval::{FreezeMode, Program};
 use sns_lang::LocId;
 use sns_solver::Equation;
@@ -105,13 +107,13 @@ pub fn reconcile(
         let Some(num) = resolve_attr(shape.node, &edit.attr) else {
             return Vec::new();
         };
-        equations.push(Equation::new(edit.new_value, std::sync::Arc::clone(&num.t)));
+        equations.push(Equation::new(edit.new_value, Arc::clone(&num.t)));
     }
     let frozen = |l: LocId| program.is_frozen(l, mode);
     let rho0 = program.rho0();
     let candidates = synthesize_plausible(rho0, &equations, &frozen, options);
 
-    let original: Vec<Vec<(String, f64)>> = snapshot(canvas);
+    let original = snapshot(canvas);
     let mut ranked = Vec::with_capacity(candidates.len());
     for update in candidates {
         let updated = program.with_subst(&update.subst);
@@ -155,14 +157,19 @@ fn rank_key(r: &RankedUpdate) -> (f64, f64, f64) {
     }
 }
 
-fn snapshot(canvas: &Canvas) -> Vec<Vec<(String, f64)>> {
+/// Each shape's numbers, with the name of the attribute holding each.
+fn snapshot(canvas: &Canvas) -> Vec<Vec<(Arc<str>, f64)>> {
     canvas
         .shapes()
         .map(|s| {
             s.node
                 .attrs
                 .iter()
-                .flat_map(|(k, v)| v.nums().into_iter().map(move |n| (k.clone(), n.n)))
+                .flat_map(|(k, v)| {
+                    v.nums()
+                        .into_iter()
+                        .map(move |n| (Arc::clone(k), s.value(n)))
+                })
                 .collect()
         })
         .collect()
@@ -171,7 +178,7 @@ fn snapshot(canvas: &Canvas) -> Vec<Vec<(String, f64)>> {
 fn judge_canvas(
     old: &Canvas,
     new: &Canvas,
-    original: &[Vec<(String, f64)>],
+    original: &[Vec<(Arc<str>, f64)>],
     edits: &[OutputEdit],
 ) -> ReconcileJudgment {
     if new.shapes().len() != old.shapes().len() {
@@ -188,8 +195,8 @@ fn judge_canvas(
     for edit in edits {
         let satisfied = new
             .shape(edit.shape)
-            .and_then(|s| resolve_attr(s.node, &edit.attr))
-            .is_some_and(|n| close(n.n, edit.new_value));
+            .and_then(|s| Some(s.value(resolve_attr(s.node, &edit.attr)?)))
+            .is_some_and(|n| close(n, edit.new_value));
         if satisfied {
             hard_matched += 1;
         }
@@ -206,11 +213,13 @@ fn judge_canvas(
             let is_edited = edited.iter().any(|(s, attr)| {
                 *s == si
                     && match attr {
-                        AttrRef::Plain(a) => *a == name_old.as_str(),
-                        AttrRef::PointX(i) => name_old == "points" && pi == (*i as usize) * 2,
-                        AttrRef::PointY(i) => name_old == "points" && pi == (*i as usize) * 2 + 1,
-                        AttrRef::PathX(_) | AttrRef::PathY(_) => name_old == "d",
-                        AttrRef::TransformArg(_) => name_old == "transform",
+                        AttrRef::Plain(a) => *a == &**name_old,
+                        AttrRef::PointX(i) => &**name_old == "points" && pi == (*i as usize) * 2,
+                        AttrRef::PointY(i) => {
+                            &**name_old == "points" && pi == (*i as usize) * 2 + 1
+                        }
+                        AttrRef::PathX(_) | AttrRef::PathY(_) => &**name_old == "d",
+                        AttrRef::TransformArg(_) => &**name_old == "transform",
                     }
             });
             if is_edited {

@@ -182,9 +182,9 @@ mod tests {
         let mut updated = program.clone();
         updated.apply_subst(&fire.subst);
         let canvas = Canvas::from_value(&updated.eval().unwrap()).unwrap();
-        let shape = canvas.shape(ShapeId(0)).unwrap().node;
-        assert_eq!(shape.num_attr("x").unwrap().n, 15.0);
-        assert_eq!(shape.num_attr("y").unwrap().n, 17.0);
+        let shape = canvas.shape(ShapeId(0)).unwrap();
+        assert_eq!(shape.num("x"), Some(15.0));
+        assert_eq!(shape.num("y"), Some(17.0));
     }
 
     #[test]
@@ -195,10 +195,10 @@ mod tests {
         let mut updated = program.clone();
         updated.apply_subst(&fire.subst);
         let canvas = Canvas::from_value(&updated.eval().unwrap()).unwrap();
-        let shape = canvas.shape(ShapeId(0)).unwrap().node;
+        let shape = canvas.shape(ShapeId(0)).unwrap();
         // x grows, width shrinks; x + width is invariant.
-        assert_eq!(shape.num_attr("x").unwrap().n, 14.0);
-        assert_eq!(shape.num_attr("width").unwrap().n, 26.0);
+        assert_eq!(shape.num("x"), Some(14.0));
+        assert_eq!(shape.num("width"), Some(26.0));
     }
 
     #[test]

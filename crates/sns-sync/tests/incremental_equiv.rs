@@ -106,12 +106,11 @@ fn checked_drag(
                 "preview of {shape} {zone} by {} differs from full evaluation",
                 r.subst
             );
-            let bits = |c: &Canvas| {
-                let mut out = Vec::new();
-                c.for_each_num(|n| out.push(n.n.to_bits()));
-                out
-            };
-            assert_eq!(bits(&preview), bits(&full), "drag on {shape} {zone}");
+            assert_eq!(
+                value_bits(&preview),
+                value_bits(&full),
+                "drag on {shape} {zone}"
+            );
         }
         (Err(_), Err(_)) => {}
         (r, e) => panic!("drag on {shape} {zone}: drag gave {r:?}, full evaluation {e:?}"),
@@ -122,11 +121,14 @@ fn checked_drag(
 /// A slot's current value, as bits: its attribute's number on the canvas.
 /// (An analysis keeps the value it was prepared with.)
 fn current_bits(live: &LiveSync, shape: ShapeId, attr: &sns_svg::AttrRef) -> u64 {
-    let node = live.canvas().shape(shape).expect("an analyzed shape").node;
-    resolve_attr(node, attr)
-        .expect("an analyzed attribute")
-        .n
-        .to_bits()
+    let shape = live.canvas().shape(shape).expect("an analyzed shape");
+    let num = resolve_attr(shape.node, attr).expect("an analyzed attribute");
+    shape.value(num).to_bits()
+}
+
+/// A canvas's flat value array, as bits.
+fn value_bits(canvas: &Canvas) -> Vec<u64> {
+    canvas.nums().iter().map(|n| n.to_bits()).collect()
 }
 
 /// Everything observable about a prepared session, rendered to a string.
@@ -268,29 +270,29 @@ fn incremental_prepare_matches_full_prepare_across_the_corpus() {
     });
 }
 
-/// Every number of a node tree, as bits, attributes before children.
-fn tree_bits(node: &SvgNode, out: &mut Vec<u64>) {
-    out.extend(node.attr_nums().iter().map(|n| n.n.to_bits()));
+/// Every number of a node tree, as bits, attributes before children,
+/// each read from `nums` through its slot.
+fn tree_bits(node: &SvgNode, nums: &[f64], out: &mut Vec<u64>) {
+    out.extend(node.attr_nums().iter().map(|n| n.value(nums).to_bits()));
     for child in &node.children {
         if let SvgChild::Node(n) = child {
-            tree_bits(n, out);
+            tree_bits(n, nums, out);
         }
     }
 }
 
-/// The numbers a fast-tier commit moves, as bits: the canvas's tree
-/// (written in place), shape by shape, every slot's current value
-/// (read from the canvas) and every trigger part's current base (read
-/// from the tape, as a drag reads it).
+/// The numbers a fast-tier commit moves, as bits: the canvas's flat value
+/// array (written in place), shape by shape through the tree's slots,
+/// every slot's current value (read from the canvas) and every trigger
+/// part's current base (read from the tape, as a drag reads it).
 fn written_bits(live: &LiveSync) -> (Vec<u64>, Vec<Vec<u64>>, Vec<u64>, Vec<u64>) {
-    let mut root = Vec::new();
-    tree_bits(live.canvas().root(), &mut root);
+    let root = value_bits(live.canvas());
     let shapes = live
         .canvas()
         .shapes()
         .map(|s| {
             let mut out = Vec::new();
-            tree_bits(s.node, &mut out);
+            tree_bits(s.node, s.nums, &mut out);
             out
         })
         .collect();
@@ -323,8 +325,8 @@ fn fired_bits(live: &LiveSync) -> Vec<Result<Vec<(u32, u64)>, String>> {
 }
 
 /// The trace tape's oracle: after every fast-tier commit, each number the
-/// sweep wrote in place — in the canvas's root tree and in its shapes'
-/// copies — every slot's current value and every trigger part base a drag
+/// sweep wrote in place — the canvas's value array, and each shape's
+/// numbers read through it — every slot's current value and every trigger part base a drag
 /// reads from the tape is bitwise what a fresh full prepare of the
 /// committed program computes, and every active zone fires the same
 /// substitution in both sessions.
@@ -383,6 +385,70 @@ fn swept_commits_match_a_fresh_full_prepare_bitwise() {
             }
         }
         assert!(swept >= 100, "only {swept} fast-tier commits exercised");
+    });
+}
+
+/// The programs of livebench's `drag_large` workload: the corpus's
+/// largest canvases.
+const DRAG_LARGE: [&str; 7] = [
+    "us50_flag",
+    "fractal_tree",
+    "sliders",
+    "keyboard",
+    "tessellation",
+    "us13_flag",
+    "spiral",
+];
+
+/// A fast-tier commit stores each swept number by index into the canvas's
+/// flat value array. After a run of them on each large program, that
+/// array is bitwise, and its render byte for byte, what a fresh session
+/// of the committed program builds by evaluating it.
+#[test]
+fn fast_commits_leave_the_value_array_a_fresh_session_builds() {
+    sns_eval::with_big_stack(|| {
+        for slug in DRAG_LARGE {
+            let example = sns_examples::by_slug(slug).expect("corpus example");
+            let program = Program::parse(example.source).expect("corpus parses");
+            let mut live = session(program);
+            let proof_only: Vec<_> = live
+                .assignments()
+                .zones
+                .iter()
+                .map(|z| (z.shape, z.zone))
+                .filter(|&(shape, zone)| live.drag_is_proof_only(shape, zone))
+                .collect();
+            let mut rng = Rng(0xF1A7 ^ slug.len() as u64);
+            let mut fast = 0;
+            for _ in 0..12 {
+                let (shape, zone) = proof_only[rng.below(proof_only.len())];
+                let (dx, dy) = (rng.offset(), rng.offset());
+                let drag = live.drag(shape, zone, dx, dy).expect("a proof-only drag");
+                if live.commit_fast(&drag.subst) {
+                    fast += 1;
+                }
+            }
+            assert!(
+                fast >= 10,
+                "{slug}: only {fast} of 12 commits took the fast tier"
+            );
+            let fresh = session(live.program().clone());
+            assert_eq!(
+                value_bits(live.canvas()),
+                value_bits(fresh.canvas()),
+                "{slug}: value arrays differ after {fast} fast commits"
+            );
+            for options in [
+                RenderOptions::default(),
+                RenderOptions { hide_hidden: true },
+            ] {
+                assert_eq!(
+                    live.canvas().to_svg(options),
+                    fresh.canvas().to_svg(options),
+                    "{slug}: renders differ after {fast} fast commits"
+                );
+            }
+        }
     });
 }
 

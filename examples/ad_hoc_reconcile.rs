@@ -41,10 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "program is now: {}",
         editor.code().lines().next().unwrap_or_default()
     );
-    let xs: Vec<f64> = editor
-        .shapes()
-        .map(|s| s.node.num_attr("x").unwrap().n)
-        .collect();
+    let xs: Vec<f64> = editor.shapes().map(|s| s.num("x").unwrap()).collect();
     println!("box xs: {xs:?}");
 
     // A *pair* of edits pins the interpretation down: moving boxes 0 and 2

@@ -29,14 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. …and the *program text* is updated: x and y are now 100 and 65,
     //    and the second rectangle (defined relative to x) followed along.
     println!("\nafter dragging:\n{}", editor.code());
-    let second_x = editor
-        .shapes()
-        .nth(1)
-        .unwrap()
-        .node
-        .num_attr("x")
-        .unwrap()
-        .n;
+    let second_x = editor.shapes().nth(1).unwrap().num("x").unwrap();
     println!("second rect x = {second_x} (moved with the first — shared abstraction)");
 
     // 5. Undo, like any editor.

@@ -26,15 +26,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{} boxes on a sine wave\n", editor.shapes().len());
 
     // The run-time trace of the third box's x attribute (Equation 3).
-    let x2 = editor
-        .shapes()
-        .nth(2)
-        .unwrap()
-        .node
-        .num_attr("x")
-        .unwrap()
-        .clone();
-    println!("box 3: x = {}  with trace {}", x2.n, x2.t);
+    let box3 = editor.shapes().nth(2).unwrap();
+    let x2 = box3.node.num_attr("x").unwrap().clone();
+    println!("box 3: x = {}  with trace {}", box3.value(&x2), x2.t);
 
     // Figure 1D: all plausible updates for x' = 155, Prelude thawed.
     let program = editor.program().clone();

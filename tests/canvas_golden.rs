@@ -31,7 +31,7 @@ fn describe(out: &mut String, canvas: &Canvas) {
             .node
             .attr_nums()
             .iter()
-            .map(|n| format!("{:016x}", n.n.to_bits()))
+            .map(|n| format!("{:016x}", s.value(n).to_bits()))
             .collect();
         let _ = writeln!(
             out,

@@ -59,11 +59,7 @@ fn unparse_reparse_preserves_canvas() {
             .unwrap_or_else(|e| panic!("{}: unparse does not reparse: {e}", ex.slug));
         let c2 = Canvas::from_value(&p2.eval().unwrap()).unwrap();
         assert_eq!(c1.shapes().len(), c2.shapes().len(), "{}", ex.slug);
-        let nums = |c: &Canvas| {
-            let mut out = Vec::new();
-            c.for_each_num(|n| out.push(n.n));
-            out
-        };
+        let nums = |c: &Canvas| c.nums().to_vec();
         assert_eq!(
             nums(&c1),
             nums(&c2),

@@ -21,26 +21,12 @@ fn group_box_controls_the_whole_design() {
     let mut editor = Editor::new(src).unwrap();
     let caption = editor.hover(ShapeId(0), Zone::BotRightCorner).unwrap();
     assert_eq!(caption.text, "Active: changes w, h");
-    let x1_before = editor
-        .shapes()
-        .nth(1)
-        .unwrap()
-        .node
-        .num_attr("cx")
-        .unwrap()
-        .n;
+    let x1_before = editor.shapes().nth(1).unwrap().num("cx").unwrap();
     editor
         .drag_zone(ShapeId(0), Zone::BotRightCorner, 100.0, 50.0)
         .unwrap();
     // Stretching the group box rescales the dots' positions.
-    let x1_after = editor
-        .shapes()
-        .nth(1)
-        .unwrap()
-        .node
-        .num_attr("cx")
-        .unwrap()
-        .n;
+    let x1_after = editor.shapes().nth(1).unwrap().num("cx").unwrap();
     assert!((x1_after - (x1_before + 25.0)).abs() < 1e-9);
     assert!(editor.code().contains("400 250"), "{}", editor.code());
 }
@@ -63,14 +49,7 @@ fn helper_value_pattern_custom_slider() {
     assert!(caption.active, "slider ball should be manipulable");
     // Dragging the ball right by 20px moves n by 20 * (10 / 200) = 1.
     editor.drag_zone(ball, Zone::Interior, 20.0, 0.0).unwrap();
-    let bar_w = editor
-        .shapes()
-        .nth(5)
-        .unwrap()
-        .node
-        .num_attr("width")
-        .unwrap()
-        .n;
+    let bar_w = editor.shapes().nth(5).unwrap().num("width").unwrap();
     assert!((bar_w - 150.0).abs() < 1e-6, "bar width {bar_w}");
     // The canvas hides the helper shapes, the export certainly does.
     assert!(!editor.export_svg().contains("<text"));
@@ -173,11 +152,11 @@ fn whole_line_drag_moves_both_endpoints() {
     editor
         .drag_zone(ShapeId(0), Zone::WholeEdge, 5.0, 6.0)
         .unwrap();
-    let n = editor.shapes().next().unwrap().node;
-    assert_eq!(n.num_attr("x1").unwrap().n, 15.0);
-    assert_eq!(n.num_attr("y1").unwrap().n, 26.0);
-    assert_eq!(n.num_attr("x2").unwrap().n, 115.0);
-    assert_eq!(n.num_attr("y2").unwrap().n, 126.0);
+    let line = editor.shapes().next().unwrap();
+    assert_eq!(line.num("x1"), Some(15.0));
+    assert_eq!(line.num("y1"), Some(26.0));
+    assert_eq!(line.num("x2"), Some(115.0));
+    assert_eq!(line.num("y2"), Some(126.0));
 }
 
 #[test]

@@ -42,14 +42,7 @@ fn rim_zones_are_unambiguous_and_name_the_right_constants() {
 #[test]
 fn dragging_the_hub_moves_the_whole_wheel() {
     let mut editor = Editor::new(FERRIS).unwrap();
-    let car_x_before = editor
-        .shapes()
-        .nth(CAR0.0)
-        .unwrap()
-        .node
-        .num_attr("x")
-        .unwrap()
-        .n;
+    let car_x_before = editor.shapes().nth(CAR0.0).unwrap().num("x").unwrap();
     editor
         .drag_zone(CENTER, Zone::Interior, 30.0, -20.0)
         .unwrap();
@@ -59,14 +52,7 @@ fn dragging_the_hub_moves_the_whole_wheel() {
         "{}",
         editor.code()
     );
-    let car_x_after = editor
-        .shapes()
-        .nth(CAR0.0)
-        .unwrap()
-        .node
-        .num_attr("x")
-        .unwrap()
-        .n;
+    let car_x_after = editor.shapes().nth(CAR0.0).unwrap().num("x").unwrap();
     assert!((car_x_after - car_x_before - 30.0).abs() < 1e-9);
 }
 
@@ -86,17 +72,7 @@ fn car_width_is_shared_by_all_cars() {
         .drag_zone(ShapeId(3), Zone::RightEdge, 10.0, 0.0)
         .unwrap();
     for i in 1..=5 {
-        assert_eq!(
-            editor
-                .shapes()
-                .nth(i)
-                .unwrap()
-                .node
-                .num_attr("width")
-                .unwrap()
-                .n,
-            40.0
-        );
+        assert_eq!(editor.shapes().nth(i).unwrap().num("width").unwrap(), 40.0);
     }
 }
 
@@ -126,14 +102,7 @@ fn dragging_a_car_changes_num_spokes_and_breaks_similarity() {
         let result = live.drag(ShapeId(i), Zone::Interior, 9.0, 4.0).unwrap();
         let updated = editor.program().with_subst(&result.subst);
         let new_output = updated.eval().unwrap();
-        let x = editor
-            .shapes()
-            .nth(i)
-            .unwrap()
-            .node
-            .num_attr("x")
-            .unwrap()
-            .n;
+        let x = editor.shapes().nth(i).unwrap().num("x").unwrap();
         let leaves = numeric_leaves(&original);
         let index = leaves.iter().position(|&v| (v - x).abs() < 1e-9).unwrap();
         let j = judge(
@@ -214,7 +183,7 @@ fn programmatic_edit_colors_the_first_car() {
     let fills: Vec<String> = (1..=5)
         .map(
             |i| match editor.shapes().nth(i).unwrap().node.attr("fill") {
-                Some(sketch_n_sketch::svg::AttrValue::Str(s)) => s.clone(),
+                Some(sketch_n_sketch::svg::AttrValue::Str(s)) => s.to_string(),
                 other => panic!("{other:?}"),
             },
         )

@@ -30,10 +30,7 @@ fn equations_1_2_3_match_the_paper() {
     // §2.1: x-values 50, 80, 110 with traces
     //   (+ x0 (* l0 sep)), (+ x0 (* (+ l1 l0) sep)), (+ x0 (* (+ l1 (+ l1 l0)) sep)).
     let (program, canvas) = program_and_canvas();
-    let xs: Vec<f64> = canvas
-        .shapes()
-        .map(|s| s.node.num_attr("x").unwrap().n)
-        .collect();
+    let xs: Vec<f64> = canvas.shapes().map(|s| s.num("x").unwrap()).collect();
     assert_eq!(&xs[..3], &[50.0, 80.0, 110.0]);
 
     let x2 = canvas
@@ -59,13 +56,9 @@ fn equations_1_2_3_match_the_paper() {
 fn four_candidates_with_exact_values() {
     // §2.2: dragging box 3 to x' = 155 admits exactly four local updates.
     let (program, canvas) = program_and_canvas();
-    let x2 = canvas
-        .shape(ShapeId(2))
-        .unwrap()
-        .node
-        .num_attr("x")
-        .unwrap();
-    assert_eq!(x2.n, 110.0);
+    let box3 = canvas.shape(ShapeId(2)).unwrap();
+    let x2 = box3.node.num_attr("x").unwrap();
+    assert_eq!(box3.value(x2), 110.0);
 
     let mode = FreezeMode::nothing_frozen();
     let frozen = |l: LocId| program.is_frozen(l, mode);
@@ -134,17 +127,7 @@ fn live_drag_of_third_box_updates_program_and_canvas() {
     assert!(code.contains("95"), "updated program: {code}");
     // All twelve boxes still present, all translated.
     assert_eq!(editor.shapes().len(), 12);
-    assert_eq!(
-        editor
-            .shapes()
-            .nth(2)
-            .unwrap()
-            .node
-            .num_attr("x")
-            .unwrap()
-            .n,
-        155.0
-    );
+    assert_eq!(editor.shapes().nth(2).unwrap().num("x").unwrap(), 155.0);
 }
 
 #[test]
@@ -179,7 +162,7 @@ fn committed_drag_round_trips_through_source() {
             s.node
                 .attr_nums()
                 .into_iter()
-                .map(|n| n.n)
+                .map(|n| s.value(n))
                 .collect::<Vec<_>>()
         })
         .collect();
@@ -189,7 +172,7 @@ fn committed_drag_round_trips_through_source() {
             s.node
                 .attr_nums()
                 .into_iter()
-                .map(|n| n.n)
+                .map(|n| s.value(n))
                 .collect::<Vec<_>>()
         })
         .collect();

@@ -6,6 +6,8 @@ mod support;
 
 use support::{GenExt, SplitMix64};
 
+use std::sync::Arc;
+
 use sketch_n_sketch::editor::Editor;
 use sketch_n_sketch::svg::{ShapeId, Zone};
 
@@ -40,24 +42,14 @@ fn unambiguous_drags_are_exact() {
         let idx = rng.index(n);
         let before: Vec<(f64, f64)> = editor
             .shapes()
-            .map(|s| {
-                (
-                    s.node.num_attr("x").unwrap().n,
-                    s.node.num_attr("y").unwrap().n,
-                )
-            })
+            .map(|s| (s.num("x").unwrap(), s.num("y").unwrap()))
             .collect();
         editor
             .drag_zone(ShapeId(idx), Zone::Interior, dx, dy)
             .unwrap();
         let after: Vec<(f64, f64)> = editor
             .shapes()
-            .map(|s| {
-                (
-                    s.node.num_attr("x").unwrap().n,
-                    s.node.num_attr("y").unwrap().n,
-                )
-            })
+            .map(|s| (s.num("x").unwrap(), s.num("y").unwrap()))
             .collect();
         for (i, (b, a)) in before.iter().zip(&after).enumerate() {
             if i == idx {
@@ -98,11 +90,11 @@ fn interior_drags_preserve_structure() {
         let dx = rng.f64_in(-30.0, 30.0);
         let dy = rng.f64_in(-30.0, 30.0);
         let mut editor = Editor::new(&src).unwrap();
-        let kinds: Vec<String> = editor.shapes().map(|s| s.node.kind.clone()).collect();
+        let kinds: Vec<Arc<str>> = editor.shapes().map(|s| s.node.kind.clone()).collect();
         editor
             .drag_zone(ShapeId(0), Zone::Interior, dx, dy)
             .unwrap();
-        let kinds_after: Vec<String> = editor.shapes().map(|s| s.node.kind.clone()).collect();
+        let kinds_after: Vec<Arc<str>> = editor.shapes().map(|s| s.node.kind.clone()).collect();
         assert_eq!(kinds, kinds_after, "case {case}");
     }
 }
@@ -147,9 +139,9 @@ fn shared_location_drags_are_plausible() {
         editor
             .drag_zone(ShapeId(0), Zone::Interior, dx, dy)
             .unwrap();
-        let s = editor.shapes().next().unwrap().node;
-        let x = s.num_attr("x").unwrap().n;
-        let y = s.num_attr("y").unwrap().n;
+        let s = editor.shapes().next().unwrap();
+        let x = s.num("x").unwrap();
+        let y = s.num("y").unwrap();
         let x_ok = (x - (base + dx)).abs() < 1e-9;
         let y_ok = (y - (base + dy)).abs() < 1e-9;
         assert!(x_ok || y_ok, "case {case}: neither constraint satisfied");
