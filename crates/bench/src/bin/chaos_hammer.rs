@@ -943,16 +943,6 @@ fn main() {
     std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
     eprintln!("wrote BENCH_chaos.json");
 
-    bench::ledger::append(
-        "chaos_hammer",
-        &[
-            ("ops_total", sum(|r| r.ops) as f64),
-            ("commits_acked", sum(|r| r.commits_acked) as f64),
-            ("violations", violations as f64),
-            ("wall_ms", wall_ms),
-        ],
-    );
-
     if violations > 0 {
         std::process::exit(1);
     }

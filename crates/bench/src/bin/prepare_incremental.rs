@@ -225,17 +225,6 @@ fn run(slugs: &[String]) -> bool {
     std::fs::write("BENCH_prepare.json", &json).expect("write BENCH_prepare.json");
     eprintln!("wrote BENCH_prepare.json");
 
-    bench::ledger::append(
-        "prepare_incremental",
-        &[
-            ("speedup_largest_median", largest_median),
-            ("speedup_all_median", overall_median),
-            ("rebuild_ratio_largest_median", rebuild_median),
-            ("set_code_subtree_speedup", set_codes[1].speedup),
-            ("set_code_subtree_dead_speedup", set_codes[2].speedup),
-        ],
-    );
-
     gates(&largest, rebuild_median, swept_median, &set_codes)
 }
 

@@ -224,20 +224,6 @@ fn main() {
     std::fs::write("BENCH_recovery.json", &json).expect("write BENCH_recovery.json");
     eprintln!("wrote BENCH_recovery.json");
 
-    let max_post = rows.iter().map(|r| r.replay_ms_post).fold(0.0, f64::max);
-    let max_pre = rows.iter().map(|r| r.replay_ms_pre).fold(0.0, f64::max);
-    bench::ledger::append(
-        "recovery_replay",
-        &[
-            ("replay_ms_post_max", max_post),
-            ("replay_ms_pre_max", max_pre),
-            (
-                "records_post_total",
-                rows.iter().map(|r| r.records_post).sum::<u64>() as f64,
-            ),
-        ],
-    );
-
     // Gate: post-compaction recovery must be bounded by live state.
     let mut failed = false;
     for r in &rows {

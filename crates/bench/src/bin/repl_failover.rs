@@ -290,17 +290,6 @@ fn main() {
     std::fs::write("BENCH_replication.json", &json).expect("write BENCH_replication.json");
     eprintln!("wrote BENCH_replication.json");
 
-    bench::ledger::append(
-        "repl_failover",
-        &[
-            ("sync_commit_p50_ms", commit_p50),
-            ("sync_commit_p99_ms", commit_p99),
-            ("lag_settle_ms", lag_settle_ms),
-            ("catchup_ms", catchup_ms),
-            ("promote_ms", promote_ms),
-        ],
-    );
-
     let _ = std::fs::remove_dir_all(&dir_l);
     let _ = std::fs::remove_dir_all(&dir_f1);
     let _ = std::fs::remove_dir_all(&dir_f2);

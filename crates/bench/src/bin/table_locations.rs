@@ -4,49 +4,5 @@
 //! zones per assigned location and the average assignment rate).
 
 fn main() {
-    sns_eval::with_big_stack(run);
-}
-
-fn run() {
-    let measurements = bench::measure_corpus();
-    println!(
-        "{:<24} {:>6} {:>9} {:>11} {:>9} {:>11} {:>10}",
-        "Example", "Locs", "Unfrozen", "Unassigned", "Assigned", "(avg times)", "(avg rate)"
-    );
-    let mut tot = sns_sync::LocationStats::default();
-    let mut assigned_weighted_times = 0.0;
-    let mut assigned_weighted_rate = 0.0;
-    for m in &measurements {
-        let l = &m.locations;
-        println!(
-            "{:<24} {:>6} {:>9} {:>11} {:>9} {:>11} {:>9}%",
-            m.name,
-            l.output_locs,
-            l.unfrozen,
-            l.unassigned,
-            l.assigned,
-            format!("({:.1})", l.avg_times),
-            (l.avg_rate * 100.0).round(),
-        );
-        tot.output_locs += l.output_locs;
-        tot.unfrozen += l.unfrozen;
-        tot.unassigned += l.unassigned;
-        tot.assigned += l.assigned;
-        assigned_weighted_times += l.avg_times * l.assigned as f64;
-        assigned_weighted_rate += l.avg_rate * l.assigned as f64;
-    }
-    let n = tot.assigned.max(1) as f64;
-    println!(
-        "{:<24} {:>6} {:>9} {:>11} {:>9} {:>11} {:>9}%",
-        "Totals",
-        tot.output_locs,
-        tot.unfrozen,
-        tot.unassigned,
-        tot.assigned,
-        format!("({:.1})", assigned_weighted_times / n),
-        (assigned_weighted_rate / n * 100.0).round(),
-    );
-    println!();
-    println!("Paper reference (68 examples): 2,075 output locs; 1,440 unfrozen;");
-    println!("465 unassigned; 975 assigned (21.1 avg times, 69% avg rate).");
+    sns_eval::with_big_stack(|| print!("{}", bench::tables::locations(&bench::measure_corpus())));
 }

@@ -15,83 +15,10 @@
 
 fn main() {
     let fragments = std::env::args().any(|a| a == "--fragments");
-    sns_eval::with_big_stack(move || run(fragments));
-}
-
-fn run(fragments: bool) {
-    let measurements = bench::measure_corpus();
-
-    let mut pre_total = 0usize;
-    let mut s = sns_sync::SolvabilityStats::default();
-    let mut frag_a = 0usize;
-    let mut frag_b = 0usize;
-    for m in &measurements {
-        pre_total += m.pre_eq_total;
-        s.total += m.solvability.total;
-        s.outside_fragment += m.solvability.outside_fragment;
-        s.in_fragment += m.solvability.in_fragment;
-        s.solved_d1 += m.solvability.solved_d1;
-        s.solved_d100 += m.solvability.solved_d100;
-        s.trace_nodes += m.solvability.trace_nodes;
-        frag_a += m.solvability.in_fragment_a;
-        frag_b += m.solvability.in_fragment_b;
-    }
-
-    let pct = |n: usize| 100.0 * n as f64 / s.total.max(1) as f64;
-    println!(
-        "== Table §5.2.2: Solving Equations ({} examples) ==",
-        measurements.len()
-    );
-    println!("# (shape, zone) equations        {pre_total}");
-    println!("Unique Pre-Equations             {}", s.total);
-    println!(
-        "  Outside Fragment               {} ({:.0}%)",
-        s.outside_fragment,
-        pct(s.outside_fragment)
-    );
-    println!("  Inside Fragment                {}", s.in_fragment);
-    println!(
-        "    No Solution for d=1          {} ({:.0}%)",
-        s.in_fragment - s.solved_d1,
-        pct(s.in_fragment - s.solved_d1)
-    );
-    println!("    Solution for d=1             {}", s.solved_d1);
-    println!(
-        "      No Solution for d=100      {} ({:.0}%)",
-        s.solved_d1 - s.solved_d100,
-        pct(s.solved_d1 - s.solved_d100)
-    );
-    println!(
-        "      Solution for d=100         {} ({:.0}%)",
-        s.solved_d100,
-        pct(s.solved_d100)
-    );
-    println!(
-        "Mean trace size                  {:.2} nodes",
-        s.mean_trace_size()
-    );
-    println!();
-    println!("Paper reference: 4,574 unique; 20% outside; 4% in-fragment unsolvable at d=1;");
-    println!("66% solvable at d=100; mean trace size 141.30.");
-
-    if fragments {
-        println!();
-        println!("== Appendix G: solver fragments ==");
-        println!("# Traces in SolveA fragment      {frag_a}");
-        println!("# Traces in SolveB fragment      {frag_b}");
-        println!("# Traces in either fragment      {}", s.in_fragment);
-        println!("# Traces in no fragment          {}", s.outside_fragment);
-        println!();
-        println!(
-            "{:<24} {:>7} {:>9} {:>7} {:>9} {:>9}",
-            "Example", "Unique", "Outside", "InFrag", "d=1 ok", "d=100 ok"
+    sns_eval::with_big_stack(move || {
+        print!(
+            "{}",
+            bench::tables::solvability(&bench::measure_corpus(), fragments)
         );
-        for m in &measurements {
-            let v = &m.solvability;
-            println!(
-                "{:<24} {:>7} {:>9} {:>7} {:>9} {:>9}",
-                m.name, v.total, v.outside_fragment, v.in_fragment, v.solved_d1, v.solved_d100
-            );
-        }
-    }
+    });
 }

@@ -12,68 +12,10 @@
 
 fn main() {
     let per_example = std::env::args().any(|a| a == "--per-example");
-    sns_eval::with_big_stack(move || run(per_example));
-}
-
-fn run(per_example: bool) {
-    let measurements = bench::measure_corpus();
-
-    if per_example {
-        println!(
-            "{:<24} {:>7} {:>7} {:>5} {:>5} {:>7} {:>8}",
-            "Example", "Shapes", "Zones", "0", "1", ">1", "(avg)"
+    sns_eval::with_big_stack(move || {
+        print!(
+            "{}",
+            bench::tables::zones(&bench::measure_corpus(), per_example)
         );
-        for m in &measurements {
-            let z = &m.zones;
-            println!(
-                "{:<24} {:>7} {:>7} {:>5} {:>5} {:>7} {:>8}",
-                m.name,
-                m.shapes,
-                z.total,
-                z.inactive,
-                z.unambiguous,
-                z.ambiguous,
-                format!("({:.2})", z.avg_ambiguous_choices()),
-            );
-        }
-        println!();
-    }
-
-    let mut total = sns_sync::ZoneStats::default();
-    let mut shapes = 0usize;
-    for m in &measurements {
-        shapes += m.shapes;
-        total.total += m.zones.total;
-        total.inactive += m.zones.inactive;
-        total.unambiguous += m.zones.unambiguous;
-        total.ambiguous += m.zones.ambiguous;
-        total.ambiguous_choices += m.zones.ambiguous_choices;
-    }
-    let pct = |n: usize| 100.0 * n as f64 / total.total.max(1) as f64;
-    println!(
-        "== Table §5.2.1: Active Zones ({} examples) ==",
-        measurements.len()
-    );
-    println!("Shapes        {shapes}");
-    println!("Zones         {}", total.total);
-    println!(
-        "  Inactive    {} ({:.0}%)",
-        total.inactive,
-        pct(total.inactive)
-    );
-    println!("  Active      {}", total.active());
-    println!(
-        "    Unambiguous {} ({:.0}%)",
-        total.unambiguous,
-        pct(total.unambiguous)
-    );
-    println!(
-        "    Ambiguous   {} ({:.0}%)  ({:.2} candidates on average)",
-        total.ambiguous,
-        pct(total.ambiguous),
-        total.avg_ambiguous_choices()
-    );
-    println!();
-    println!("Paper reference: 3,772 shapes; 14,106 zones; 7% inactive; 34% unambiguous;");
-    println!("59% ambiguous with 3.83 candidates on average.");
+    });
 }

@@ -15,7 +15,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ledger;
+pub mod tables;
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -196,7 +196,7 @@ impl SessionStore {
             // each other; the backend count itself only grows at
             // `applied_create`, so a burst of concurrent creates can
             // overshoot by the burst width — the bound is a disk-usage
-            // guard, not an exact ledger.
+            // guard, not an exact count.
             if durable_quota > 0
                 && self.backend.durable()
                 && self.backend.durable_sessions_of(ip) >= durable_quota

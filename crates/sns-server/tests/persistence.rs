@@ -1,18 +1,22 @@
-//! Durability end to end, at the store/backend API level: journaled
-//! traffic survives an abrupt "crash" (the backend is dropped with no
-//! shutdown path — there *is* no shutdown path), demotion and fault-in
-//! are invisible to clients, and recovery re-runs the incremental prepare
-//! machinery to reproduce pre-crash state bit for bit — the same
-//! equivalence standard `sns-sync/tests/incremental_equiv.rs` holds the
-//! fast path to.
+//! Durability end to end, mostly at the store/backend API level:
+//! journaled traffic survives an abrupt "crash" (the backend is dropped
+//! with no shutdown path — there *is* no shutdown path), demotion and
+//! fault-in are invisible to clients, and recovery re-runs the
+//! incremental prepare machinery to reproduce pre-crash state bit for
+//! bit — the same equivalence standard
+//! `sns-sync/tests/incremental_equiv.rs` holds the fast path to. One test
+//! drives a durable server over HTTP with concurrent writers sharing the
+//! journal's group commit.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use sns_server::json::Json;
+use sns_server::json::{self, Json};
 use sns_server::session::Session;
 use sns_server::store::SessionStore;
-use sns_server::{JournalBackend, JournalConfig};
+use sns_server::{JournalBackend, JournalConfig, Server, ServerConfig};
 use sns_svg::{ShapeId, Zone};
 
 /// Deterministic SplitMix64 (the repo's standard seeded harness).
@@ -371,5 +375,120 @@ fn mid_drag_sessions_are_not_demoted() {
     let c = Session::create(store.fresh_id(), "(svg [(circle 'red' 7 7 2)])").unwrap();
     store.try_insert(c, None, 0, 0).unwrap();
     assert!(store.demotions() > 0, "idle sessions demote normally");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One request on a keep-alive connection; returns the status and body.
+fn http_on(
+    stream: &mut BufReader<TcpStream>,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> (u16, String) {
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: sns\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let out = stream.get_mut();
+    out.write_all(head.as_bytes()).expect("write request");
+    out.flush().expect("flush");
+    let mut status_line = String::new();
+    stream.read_line(&mut status_line).expect("status line");
+    let status: u16 = status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("bad status line: {status_line:?}"));
+    let mut content_length = 0usize;
+    loop {
+        let mut line = String::new();
+        stream.read_line(&mut line).expect("header");
+        let line = line.trim_end();
+        if line.is_empty() {
+            break;
+        }
+        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+            content_length = v.trim().parse().expect("content-length");
+        }
+    }
+    let mut buf = vec![0u8; content_length];
+    stream.read_exact(&mut buf).expect("body");
+    (status, String::from_utf8(buf).expect("utf8 body"))
+}
+
+/// The string member `key` of the JSON object `body`.
+fn str_member(body: &str, key: &str) -> String {
+    let v = json::parse(body).unwrap_or_else(|e| panic!("not JSON ({e}): {body}"));
+    v.get(key)
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("no string {key} in {body}"))
+        .to_string()
+}
+
+#[test]
+fn concurrent_durable_writers_ack_every_commit_and_survive_reopen() {
+    // 16 keep-alive clients against a journaled server, each committing
+    // after every drag, so commits from different sessions meet in the
+    // journal's group commit. Every commit must answer 200, and the
+    // reopened journal must serve each session's last acked code.
+    const WRITERS: usize = 16;
+    const DRAGS: usize = 8;
+    let dir = data_dir("http-writers");
+    let server = Server::bind(&ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("bind durable server");
+    let addr = server.local_addr().expect("local addr").to_string();
+    let shutdown = server.shutdown_handle();
+    let thread = std::thread::spawn(move || server.run());
+
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|i| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let stream = TcpStream::connect(&addr).expect("connect");
+                stream.set_nodelay(true).expect("nodelay");
+                let mut stream = BufReader::new(stream);
+                let source = format!(
+                    "(def [x0 y0 w h sep] [{} 28 60 130 110]) \
+                     (def boxi (λ i (rect 'lightblue' (+ x0 (* i sep)) y0 w h))) \
+                     (svg (map boxi (zeroTo 3!)))",
+                    40 + i
+                );
+                let body = Json::obj([("source", Json::str(source))]).to_string();
+                let (status, resp) = http_on(&mut stream, "POST", "/sessions", &body);
+                assert_eq!(status, 201, "create: {resp}");
+                let id = str_member(&resp, "id");
+                let mut acked = String::new();
+                for step in 1..=DRAGS {
+                    let drag =
+                        format!("{{\"shape\":0,\"zone\":\"Interior\",\"dx\":{step},\"dy\":0}}");
+                    let path = format!("/sessions/{id}/drag");
+                    let (status, resp) = http_on(&mut stream, "POST", &path, &drag);
+                    assert_eq!(status, 200, "drag {step} of {id}: {resp}");
+                    let path = format!("/sessions/{id}/commit");
+                    let (status, resp) = http_on(&mut stream, "POST", &path, "{}");
+                    assert_eq!(status, 200, "commit {step} of {id}: {resp}");
+                    acked = str_member(&resp, "code");
+                }
+                (id, acked)
+            })
+        })
+        .collect();
+    let acked: Vec<(String, String)> = writers
+        .into_iter()
+        .map(|w| w.join().expect("writer"))
+        .collect();
+    shutdown.shutdown();
+    thread.join().expect("server thread").expect("server run");
+
+    let store = open_store(&dir, 64);
+    for (id, code) in &acked {
+        let arc = store.get(id).unwrap_or_else(|| panic!("{id} lost"));
+        let s = arc.lock().unwrap();
+        assert_eq!(&s.code(), code, "{id} reopened without its last acked code");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
